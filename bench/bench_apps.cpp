@@ -205,7 +205,7 @@ void register_backend_sweeps() {
 // --- transactions (wait-free executor only: PreparedTxn is WFL-specific) ---
 
 void BM_Txn_BuildAndRunTwoLegs(benchmark::State& state) {
-  LockSpace<RealPlat> space(practical_cfg(4, 24), 1, 8);
+  LockTable<RealPlat> space(practical_cfg(4, 24), 1, 8);
   Session<RealPlat> proc(space);
   std::vector<std::unique_ptr<Cell<RealPlat>>> acct;
   for (int i = 0; i < 4; ++i) {
@@ -233,7 +233,7 @@ void BM_Txn_BuildAndRunTwoLegs(benchmark::State& state) {
 BENCHMARK(BM_Txn_BuildAndRunTwoLegs);
 
 void BM_Txn_RunPrebuilt(benchmark::State& state) {
-  LockSpace<RealPlat> space(practical_cfg(4, 24), 1, 8);
+  LockTable<RealPlat> space(practical_cfg(4, 24), 1, 8);
   Session<RealPlat> proc(space);
   auto cell = std::make_unique<Cell<RealPlat>>(0u);
   Cell<RealPlat>* cp = cell.get();

@@ -13,14 +13,14 @@
 //   Hotpath_IdemReplay/N             descriptor reinit + owner run +
 //                                    helper replay of an N-op thunk — the
 //                                    lazy-log-reset microcost in isolation
-//   Hotpath_MultiLock_RawSpan        L=8 attempt through the raw-span
-//   Hotpath_MultiLock_View           overload vs the validated
-//                                    LockSetView path (the release-build
-//                                    duplicate-scan delta)
+//   Hotpath_MultiLock_View           an L=8 attempt at the configured
+//                                    lock budget
 //
-// Counters (additive wfl-bench-v1 keys, per-attempt means unless noted):
+// Every attempt is a one-shot submit() through a Session, the path
+// applications take. Counters (additive wfl-bench-v1 keys, per-attempt
+// means unless noted):
 //   attempts_per_sec             also the entry's ops_per_s
-//   pre_reveal_steps             help + multiInsert own steps (AttemptInfo)
+//   pre_reveal_steps             help + multiInsert own steps (Outcome)
 //   post_reveal_steps            run + multiRemove own steps
 //   total_steps                  whole attempt
 //   freelist_ops_per_attempt     shared-freelist transactions (pops/pushes,
@@ -30,17 +30,12 @@
 //                                O(ops used) under the lazy reset,
 //                                kThunkLogCap before it
 //
-// The capability probes (`if constexpr (requires ...)`) let this exact
-// file also build against the pre-overhaul tree, which is how the
-// "before" half of BENCH_hotpath.json was captured.
-//
 // Delays run in kOff mode (the flock-style practical configuration, as in
 // exp_throughput): with kTheory delays every attempt costs a fixed
 // c0·κ²L²·T spin and the memory-path costs this bench exists to watch
 // would vanish into it.
 #include <benchmark/benchmark.h>
 
-#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -51,14 +46,15 @@
 
 namespace {
 
-using wfl::AttemptInfo;
 using wfl::Cell;
 using wfl::IdemCtx;
 using wfl::LockConfig;
-using wfl::LockStats;
+using wfl::LockSetView;
 using wfl::RealPlat;
 using wfl::SpaceSizing;
+using wfl::StaticLockSet;
 using Table = wfl::LockTable<RealPlat>;
+using Session = wfl::Session<RealPlat>;
 
 LockConfig hot_cfg(std::uint32_t kappa, std::uint32_t max_locks,
                    std::uint32_t thunk_steps = 8) {
@@ -70,59 +66,6 @@ LockConfig hot_cfg(std::uint32_t kappa, std::uint32_t max_locks,
   return cfg;
 }
 
-// --- capability probes (compat with the pre-overhaul tree) ---------------
-
-template <typename T>
-std::uint64_t table_freelist_ops(const T& t) {
-  if constexpr (requires { t.freelist_ops(); }) {
-    return t.freelist_ops();
-  } else {
-    return 0;  // pre-overhaul: counter absent; key omitted below
-  }
-}
-
-template <typename T>
-constexpr bool kHasFreelistCounter = requires(const T& t) {
-  t.freelist_ops();
-};
-
-template <typename Stats>
-std::uint64_t stats_log_resets(const Stats& s) {
-  if constexpr (requires { s.log_slot_resets; }) {
-    return s.log_slot_resets;
-  } else {
-    return 0;
-  }
-}
-
-template <typename Stats>
-constexpr bool kHasLogResets = requires(const Stats& s) {
-  s.log_slot_resets;
-};
-constexpr bool kHasLogResetCounter = kHasLogResets<LockStats>;
-
-template <typename LogT>
-void note_used_compat(LogT& log, std::uint32_t ops) {
-  if constexpr (requires { log.note_used(ops); }) {
-    log.note_used(ops);
-  }
-}
-
-// Measures what reinit actually re-initialized: the lazy reset reports its
-// slot count; the pre-overhaul void reinit unconditionally re-inited the
-// whole log.
-template <typename DescT>
-std::uint32_t reinit_count(DescT& d, std::uint64_t serial) {
-  if constexpr (requires {
-                  { d.reinit(serial) } -> std::same_as<std::uint32_t>;
-                }) {
-    return d.reinit(serial);
-  } else {
-    d.reinit(serial);
-    return wfl::kThunkLogCap;
-  }
-}
-
 // --- shared driver --------------------------------------------------------
 
 struct PhaseSums {
@@ -132,31 +75,34 @@ struct PhaseSums {
   std::uint64_t total = 0;
 };
 
-// One attempt per iteration over a fixed lock list; accumulates the
-// AttemptInfo phase counters.
-template <typename Ids>
-PhaseSums run_attempts(benchmark::State& state, Table& table,
-                       Table::Process proc, const Ids& ids,
-                       Cell<RealPlat>& cell) {
+// One increment of `cell` under `locks` as a one-shot submission.
+wfl::Outcome bump(Session& session, LockSetView locks, Cell<RealPlat>& cell) {
+  return wfl::submit(session, locks, [&cell](IdemCtx<RealPlat>& m) {
+    m.store(cell, m.load(cell) + 1);
+  });
+}
+
+// One attempt per iteration over a fixed lock set; accumulates the
+// Outcome phase counters.
+PhaseSums run_attempts(benchmark::State& state, Session& session,
+                       LockSetView locks, Cell<RealPlat>& cell) {
   PhaseSums sums;
   for (auto _ : state) {
-    AttemptInfo info;
-    const bool won =
-        table.try_locks(proc, ids, [&cell](IdemCtx<RealPlat>& m) {
-          m.store(cell, m.load(cell) + 1);
-        }, &info);
-    benchmark::DoNotOptimize(won);
+    const wfl::Outcome o = bump(session, locks, cell);
+    benchmark::DoNotOptimize(o.won);
     ++sums.attempts;
-    sums.pre += info.pre_reveal_work;
-    sums.post += info.post_reveal_work;
-    sums.total += info.total_steps;
+    sums.pre += o.pre_reveal_work;
+    sums.post += o.post_reveal_work;
+    sums.total += o.total_steps;
   }
   return sums;
 }
 
+// The pool counters are reported only by the single-process benches, where
+// the delta over the timed region is the bench's own.
 void report(benchmark::State& state, const PhaseSums& sums,
             double freelist_delta, double log_reset_delta,
-            bool have_freelist, bool have_log_resets) {
+            bool with_pool_counters) {
   const auto n = static_cast<double>(sums.attempts ? sums.attempts : 1);
   state.SetItemsProcessed(static_cast<std::int64_t>(sums.attempts));
   state.counters["attempts_per_sec"] = benchmark::Counter(
@@ -167,10 +113,8 @@ void report(benchmark::State& state, const PhaseSums& sums,
   state.counters["post_reveal_steps"] =
       C(static_cast<double>(sums.post) / n, avg);
   state.counters["total_steps"] = C(static_cast<double>(sums.total) / n, avg);
-  if (have_freelist) {
+  if (with_pool_counters) {
     state.counters["freelist_ops_per_attempt"] = C(freelist_delta / n, avg);
-  }
-  if (have_log_resets) {
     state.counters["log_slots_reset_per_attempt"] = C(log_reset_delta / n, avg);
   }
 }
@@ -179,47 +123,36 @@ void report(benchmark::State& state, const PhaseSums& sums,
 
 void Hotpath_SingleLock_Uncontended(benchmark::State& state) {
   Table table(hot_cfg(2, 2), 2, 16, SpaceSizing{.shards = 4});
-  auto proc = table.register_process();
+  Session session(table);
   RealPlat::seed_rng(0xB0A710ADULL);
   Cell<RealPlat> cell{0};
   // Warm the slot caches and the EBR pipeline out of the timed region so
   // the counters show the steady state, not the cold start.
   for (int i = 0; i < 512; ++i) {
-    const std::uint32_t ids[] = {static_cast<std::uint32_t>(i % 16)};
-    table.try_locks(proc, ids, [&cell](IdemCtx<RealPlat>& m) {
-      m.store(cell, m.load(cell) + 1);
-    });
+    bump(session, StaticLockSet<1>({static_cast<std::uint32_t>(i % 16)}),
+         cell);
   }
-  const std::uint64_t fl0 = table_freelist_ops(table);
-  const std::uint64_t lr0 = stats_log_resets(table.stats());
-  const std::uint32_t ids[] = {0};
-  const PhaseSums sums = run_attempts(state, table, proc, ids, cell);
-  report(state, sums,
-         static_cast<double>(table_freelist_ops(table) - fl0),
-         static_cast<double>(stats_log_resets(table.stats()) - lr0),
-         kHasFreelistCounter<Table>, kHasLogResetCounter);
+  const std::uint64_t fl0 = table.freelist_ops();
+  const std::uint64_t lr0 = table.stats().log_slot_resets;
+  const PhaseSums sums =
+      run_attempts(state, session, StaticLockSet<1>({0}), cell);
+  report(state, sums, static_cast<double>(table.freelist_ops() - fl0),
+         static_cast<double>(table.stats().log_slot_resets - lr0), true);
 }
 BENCHMARK(Hotpath_SingleLock_Uncontended);
 
 void Hotpath_MultiShard_Uncontended(benchmark::State& state) {
   Table table(hot_cfg(2, 2), 2, 16, SpaceSizing{.shards = 4});
-  auto proc = table.register_process();
+  Session session(table);
   RealPlat::seed_rng(0xB0A710ADULL);
   Cell<RealPlat> cell{0};
-  for (int i = 0; i < 512; ++i) {
-    const std::uint32_t warm[] = {1, 2};
-    table.try_locks(proc, warm, [&cell](IdemCtx<RealPlat>& m) {
-      m.store(cell, m.load(cell) + 1);
-    });
-  }
-  const std::uint64_t fl0 = table_freelist_ops(table);
-  const std::uint64_t lr0 = stats_log_resets(table.stats());
-  const std::uint32_t ids[] = {1, 2};  // shards 1 and 2 under mask routing
-  const PhaseSums sums = run_attempts(state, table, proc, ids, cell);
-  report(state, sums,
-         static_cast<double>(table_freelist_ops(table) - fl0),
-         static_cast<double>(stats_log_resets(table.stats()) - lr0),
-         kHasFreelistCounter<Table>, kHasLogResetCounter);
+  const StaticLockSet<2> locks({1, 2});  // shards 1 and 2 under mask routing
+  for (int i = 0; i < 512; ++i) bump(session, locks, cell);
+  const std::uint64_t fl0 = table.freelist_ops();
+  const std::uint64_t lr0 = table.stats().log_slot_resets;
+  const PhaseSums sums = run_attempts(state, session, locks, cell);
+  report(state, sums, static_cast<double>(table.freelist_ops() - fl0),
+         static_cast<double>(table.stats().log_slot_resets - lr0), true);
 }
 BENCHMARK(Hotpath_MultiShard_Uncontended);
 
@@ -241,11 +174,12 @@ void Hotpath_SingleLock_Contended(benchmark::State& state) {
   }
   RealPlat::seed_rng(0xC047E57ULL +
                      static_cast<std::uint64_t>(state.thread_index()));
-  auto proc = table->register_process();
-  const std::uint32_t ids[] = {0};
-  const PhaseSums sums = run_attempts(state, *table, proc, ids, *cell);
-  report(state, sums, 0.0, 0.0, false, false);
-  table->release_process(proc);
+  {
+    Session session(*table);
+    const PhaseSums sums =
+        run_attempts(state, session, StaticLockSet<1>({0}), *cell);
+    report(state, sums, 0.0, 0.0, false);
+  }
   {
     std::lock_guard<std::mutex> lk(mu);
     if (--active == 0) {
@@ -271,14 +205,14 @@ void Hotpath_IdemReplay(benchmark::State& state) {
   std::uint64_t slots_reset = 0;
   std::uint64_t reinits = 0;
   for (auto _ : state) {
-    slots_reset += reinit_count(*d, serial++);
+    slots_reset += d->reinit(serial++);
     ++reinits;
     for (int run = 0; run < 2; ++run) {  // owner, then one helper replay
       IdemCtx<RealPlat> m(d->log, d->tag_base);
       for (std::uint32_t i = 0; i < ops; ++i) {
         m.store(*cells[i], static_cast<std::uint32_t>(serial & 0xFFFF));
       }
-      note_used_compat(d->log, m.ops_used());
+      d->log.note_used(m.ops_used());
       ++runs;
     }
   }
@@ -291,27 +225,15 @@ void Hotpath_IdemReplay(benchmark::State& state) {
 }
 BENCHMARK(Hotpath_IdemReplay)->Arg(2)->Arg(32);
 
-// The raw-span overload vs the validated LockSetView path at the L budget
-// (the O(L²) duplicate scan demotion's observable face).
-void Hotpath_MultiLock_RawSpan(benchmark::State& state) {
-  Table table(hot_cfg(2, 8), 2, 8);
-  auto proc = table.register_process();
-  RealPlat::seed_rng(0xB0A710ADULL);
-  Cell<RealPlat> cell{0};
-  const std::uint32_t ids[] = {0, 1, 2, 3, 4, 5, 6, 7};
-  const PhaseSums sums = run_attempts(state, table, proc, ids, cell);
-  report(state, sums, 0.0, 0.0, false, false);
-}
-BENCHMARK(Hotpath_MultiLock_RawSpan);
-
+// An attempt at the full L = 8 budget.
 void Hotpath_MultiLock_View(benchmark::State& state) {
   Table table(hot_cfg(2, 8), 2, 8);
-  auto proc = table.register_process();
+  Session session(table);
   RealPlat::seed_rng(0xB0A710ADULL);
   Cell<RealPlat> cell{0};
-  const wfl::StaticLockSet<8> locks({0, 1, 2, 3, 4, 5, 6, 7});
-  const PhaseSums sums = run_attempts(state, table, proc, locks, cell);
-  report(state, sums, 0.0, 0.0, false, false);
+  const StaticLockSet<8> locks({0, 1, 2, 3, 4, 5, 6, 7});
+  const PhaseSums sums = run_attempts(state, session, locks, cell);
+  report(state, sums, 0.0, 0.0, false);
 }
 BENCHMARK(Hotpath_MultiLock_View);
 

@@ -20,9 +20,7 @@
 //   Scaling_MultiLock/contention:high    L=2 attempts over a 4-lock pool
 //   Scaling_BatchSubmit/contention:low   batches of 32 single-lock
 //                                        PreparedOps through submit_batch
-//                                        (guard amortization) — absent
-//                                        when built against a pre-batch
-//                                        tree (WFL_HAS_SUBMIT_BATCH)
+//                                        (guard amortization)
 //
 // Counters (additive wfl-bench-v1 keys):
 //   attempts_per_op            tryLock attempts per completed operation
@@ -36,10 +34,6 @@
 // is timed end-to-end), NOT from per-iteration wall-time means — see
 // bench_json.hpp. Delays run in kOff mode (the practical configuration):
 // kTheory's fixed spins would drown exactly the costs this bench watches.
-//
-// The stats probes are `if constexpr`-guarded so this exact file also
-// builds against the pre-overhaul tree — that is how the "baseline" half
-// of BENCH_scaling.json was captured.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -66,37 +60,6 @@ using wfl::RealPlat;
 using wfl::SpaceSizing;
 using wfl::StaticLockSet;
 using Table = wfl::LockTable<RealPlat>;
-
-// --- capability probes (compat with the pre-overhaul tree) ----------------
-
-template <typename Stats>
-double stats_fastpath_hits(const Stats& s) {
-  if constexpr (requires { s.fastpath_hits; }) {
-    return static_cast<double>(s.fastpath_hits);
-  } else {
-    return 0.0;
-  }
-}
-template <typename Stats>
-double stats_fastpath_revocations(const Stats& s) {
-  if constexpr (requires { s.fastpath_revocations; }) {
-    return static_cast<double>(s.fastpath_revocations);
-  } else {
-    return 0.0;
-  }
-}
-template <typename Stats>
-double stats_help_claim_skips(const Stats& s) {
-  if constexpr (requires { s.help_claim_skips; }) {
-    return static_cast<double>(s.help_claim_skips);
-  } else {
-    return 0.0;
-  }
-}
-template <typename Stats>
-constexpr bool kHasFastpathStats = requires(const Stats& s) {
-  s.fastpath_hits;
-};
 
 constexpr int kNumLocks = 64;
 constexpr int kSampleEvery = 64;  // one latency sample per 64 ops
@@ -191,21 +154,19 @@ void report(benchmark::State& state, const std::string& base_name,
       lat_ns);
   lat_ns.clear();
   if (g_shared.exit()) {
-    if constexpr (kHasFastpathStats<LockStats>) {
-      const LockStats now = g_shared.table->stats();
-      const double attempts =
-          static_cast<double>(now.attempts - g_shared.before.attempts);
-      const double denom = attempts > 0 ? attempts : 1;
-      state.counters["fastpath_hits_per_attempt"] =
-          C((stats_fastpath_hits(now) -
-             stats_fastpath_hits(g_shared.before)) / denom);
-      state.counters["fastpath_revocations_per_attempt"] =
-          C((stats_fastpath_revocations(now) -
-             stats_fastpath_revocations(g_shared.before)) / denom);
-      state.counters["help_claim_skips_per_attempt"] =
-          C((stats_help_claim_skips(now) -
-             stats_help_claim_skips(g_shared.before)) / denom);
-    }
+    const LockStats now = g_shared.table->stats();
+    const LockStats& before = g_shared.before;
+    const double attempts = static_cast<double>(now.attempts - before.attempts);
+    const double denom = attempts > 0 ? attempts : 1;
+    auto per_attempt = [denom](std::uint64_t after, std::uint64_t prior) {
+      return C(static_cast<double>(after - prior) / denom);
+    };
+    state.counters["fastpath_hits_per_attempt"] =
+        per_attempt(now.fastpath_hits, before.fastpath_hits);
+    state.counters["fastpath_revocations_per_attempt"] =
+        per_attempt(now.fastpath_revocations, before.fastpath_revocations);
+    state.counters["help_claim_skips_per_attempt"] =
+        per_attempt(now.help_claim_skips, before.help_claim_skips);
     g_shared.teardown();
   }
 }
@@ -308,7 +269,6 @@ void multi_lock_bench(benchmark::State& state, const std::string& base_name,
   report(state, base_name, sums, lat_ns);
 }
 
-#ifdef WFL_HAS_SUBMIT_BATCH
 // Batches of 32 single-lock PreparedOps per iteration through
 // submit_batch: the guard-amortized path. Ops/s counts individual ops, so
 // the entry is directly comparable with Scaling_SingleLock.
@@ -359,7 +319,6 @@ void batch_submit_bench(benchmark::State& state,
   }
   report(state, base_name, sums, lat_ns);
 }
-#endif  // WFL_HAS_SUBMIT_BATCH
 
 int max_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -394,7 +353,6 @@ void register_scaling_benchmarks() {
     b->UseRealTime();
     for (int t = 1; t <= max_threads(); t *= 2) b->Threads(t);
   }
-#ifdef WFL_HAS_SUBMIT_BATCH
   {
     const std::string name = "Scaling_BatchSubmit/contention:low";
     auto* b = benchmark::RegisterBenchmark(
@@ -403,7 +361,6 @@ void register_scaling_benchmarks() {
     b->UseRealTime();
     for (int t = 1; t <= max_threads(); t *= 2) b->Threads(t);
   }
-#endif
 }
 
 }  // namespace

@@ -33,7 +33,9 @@
 namespace {
 
 using namespace wfl;
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
+
+constexpr auto kNoop = [](IdemCtx<SimPlat>&) {};
 
 constexpr std::int64_t kStrongThreshold =
     priority_top_fraction(0.125);  // top 12.5% of the priority range
@@ -78,10 +80,9 @@ ArmResult run_arm(bool help_on, bool delays_on, bool stretch, int episodes,
   // the duration of its run(), so the attack must race into that window,
   // and every poll spent on an already-seen value wastes it).
   sim.add_process([&] {
-    Session<SimPlat> session(space->table());
-    auto proc = session.process();
+    Session<SimPlat> session(*space);
     PlayerObserver<SimPlat> spy(session);
-    const std::uint32_t ids[] = {0};
+    const StaticLockSet<1> ids({0});
     std::int64_t last_strong = -1;
     for (int e = 0; e < episodes; ++e) {
       const bool strong_seen =
@@ -97,8 +98,7 @@ ArmResult run_arm(bool help_on, bool delays_on, bool stretch, int episodes,
             if (fresh) last_strong = v.strongest_priority;
             return fresh;
           });
-      const bool won =
-          space->try_locks(proc, ids, typename Space::Thunk{});
+      const bool won = submit(session, ids, kNoop).won;
       res.overall.add(won);
       if (strong_seen) res.when_attack_landed.add(won);
     }
@@ -106,11 +106,11 @@ ArmResult run_arm(bool help_on, bool delays_on, bool stretch, int episodes,
   });
   // Blocker: the rival the adversary watches. Attempts continuously.
   sim.add_process([&] {
-    auto proc = space->register_process();
-    const std::uint32_t ids[] = {0};
+    Session<SimPlat> session(*space);
+    const StaticLockSet<1> ids({0});
     Xoshiro256 rng(seed * 3 + 1);
     while (!stop) {
-      space->try_locks(proc, ids, typename Space::Thunk{});
+      submit(session, ids, kNoop);
       const std::uint64_t think = rng.next_below(32);
       for (std::uint64_t s = 0; s < think; ++s) SimPlat::step();
     }
@@ -121,8 +121,8 @@ ArmResult run_arm(bool help_on, bool delays_on, bool stretch, int episodes,
   // longer, which is the window the E10 race needs (see cfg comment).
   for (int f = 0; f < 2; ++f) {
     sim.add_process([&, f] {
-      auto proc = space->register_process();
-      const std::uint32_t ids[] = {0};
+      Session<SimPlat> session(*space);
+      const StaticLockSet<1> ids({0});
       Cell<SimPlat>* cell = scratch[f];
       Xoshiro256 rng(seed * 7 + 13 + static_cast<std::uint64_t>(f));
       const auto long_thunk = [cell](IdemCtx<SimPlat>& m) {
@@ -132,12 +132,12 @@ ArmResult run_arm(bool help_on, bool delays_on, bool stretch, int episodes,
       };
       while (!stop) {
         if (!stretch) {
-          space->try_locks(proc, ids, long_thunk);
+          submit(session, ids, long_thunk);
           const std::uint64_t think = rng.next_below(16);
           for (std::uint64_t s = 0; s < think; ++s) SimPlat::step();
         } else if (want_filler) {
           want_filler = false;
-          space->try_locks(proc, ids, typename Space::Thunk{});
+          submit(session, ids, kNoop);
         } else {
           SimPlat::step();
         }

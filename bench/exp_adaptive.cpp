@@ -20,6 +20,9 @@ namespace {
 
 using namespace wfl;
 
+// Attempts measure acquisition alone: an empty critical section.
+constexpr auto kNoop = [](IdemCtx<SimPlat>&) {};
+
 SuccessRate run_known(std::uint32_t kappa, std::uint32_t L, int attempts,
                       std::uint64_t seed) {
   LockConfig cfg;
@@ -28,19 +31,18 @@ SuccessRate run_known(std::uint32_t kappa, std::uint32_t L, int attempts,
   cfg.max_thunk_steps = 2;
   cfg.c0 = 8.0;
   cfg.c1 = 8.0;
-  auto space = std::make_unique<LockSpace<SimPlat>>(
+  auto space = std::make_unique<LockTable<SimPlat>>(
       cfg, static_cast<int>(kappa), static_cast<int>(L));
   SuccessRate rate;
   std::vector<SuccessRate> per(kappa);
   Simulator sim(seed);
   for (std::uint32_t p = 0; p < kappa; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
-      std::vector<std::uint32_t> ids;
-      for (std::uint32_t l = 0; l < L; ++l) ids.push_back(l);
+      Session<SimPlat> session(*space);
+      StaticLockSet<> ids;
+      for (std::uint32_t l = 0; l < L; ++l) ids.insert(l);
       for (int a = 0; a < attempts; ++a) {
-        per[p].add(space->try_locks(proc, ids,
-                                    typename LockSpace<SimPlat>::Thunk{}));
+        per[p].add(submit(session, ids, kNoop).won);
       }
     });
   }
@@ -64,12 +66,11 @@ AdaptiveOut run_adaptive(std::uint32_t kappa, std::uint32_t L, int attempts,
   Simulator sim(seed);
   for (std::uint32_t p = 0; p < kappa; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
-      std::vector<std::uint32_t> ids;
-      for (std::uint32_t l = 0; l < L; ++l) ids.push_back(l);
+      AdaptiveSession<SimPlat> session(*space);
+      StaticLockSet<> ids;
+      for (std::uint32_t l = 0; l < L; ++l) ids.insert(l);
       for (int a = 0; a < attempts; ++a) {
-        per[p].add(space->try_locks(
-            proc, ids, typename AdaptiveLockSpace<SimPlat>::Thunk{}));
+        per[p].add(submit(session, ids, kNoop).won);
       }
     });
   }

@@ -20,7 +20,10 @@
 namespace {
 
 using namespace wfl;
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
+
+// Attempts measure acquisition alone: an empty critical section.
+constexpr auto kNoop = [](IdemCtx<SimPlat>&) {};
 
 struct Row {
   std::string workload, schedule;
@@ -49,11 +52,11 @@ Row run_clique(std::uint32_t kappa, std::uint32_t L, const char* sched_name,
   std::vector<SuccessRate> per(kappa);
   for (std::uint32_t p = 0; p < kappa; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
-      std::vector<std::uint32_t> ids;
-      for (std::uint32_t l = 0; l < L; ++l) ids.push_back(l);
+      Session<SimPlat> session(*space);
+      StaticLockSet<> ids;
+      for (std::uint32_t l = 0; l < L; ++l) ids.insert(l);
       for (int a = 0; a < attempts; ++a) {
-        per[p].add(space->try_locks(proc, ids, typename Space::Thunk{}));
+        per[p].add(submit(session, ids, kNoop).won);
       }
     });
   }
@@ -90,13 +93,13 @@ Row run_ring(int n, const char* sched_name, int attempts,
   std::vector<SuccessRate> per(static_cast<std::size_t>(n));
   for (int p = 0; p < n; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
+      Session<SimPlat> session(*space);
       Xoshiro256 rng(seed + static_cast<std::uint64_t>(p) * 3 + 1);
       const auto [l, r] = forks_of(p, n);
-      const std::uint32_t ids[] = {l, r};
+      const StaticLockSet<2> ids({l, r});
       for (int a = 0; a < attempts; ++a) {
         per[static_cast<std::size_t>(p)].add(
-            space->try_locks(proc, ids, typename Space::Thunk{}));
+            submit(session, ids, kNoop).won);
         const std::uint64_t think = rng.next_below(64);
         for (std::uint64_t s2 = 0; s2 < think; ++s2) SimPlat::step();
       }

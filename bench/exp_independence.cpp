@@ -68,7 +68,7 @@ struct IndepResult {
 IndepResult run_independence(int procs, int victim_attempts,
                              std::uint64_t seed) {
   const LockConfig cfg = one_lock_cfg(static_cast<std::uint32_t>(procs));
-  LockSpace<SimPlat> space(cfg, procs, 1);
+  LockTable<SimPlat> space(cfg, procs, 1);
   auto counter = std::make_unique<Cell<SimPlat>>(0u);
   Cell<SimPlat>* cnt = counter.get();
   std::atomic<bool> stop{false};  // raw control flag, not model state
@@ -77,14 +77,14 @@ IndepResult run_independence(int procs, int victim_attempts,
   Simulator sim(seed);
   // Victim: process 0.
   sim.add_process([&] {
-    auto proc = space.register_process();
-    const std::uint32_t ids[1] = {0};
+    Session<SimPlat> session(space);
+    const StaticLockSet<1> ids({0});
     bool have_prev = false;
     bool prev = false;
     for (int i = 0; i < victim_attempts; ++i) {
-      const bool won = space.try_locks(proc, ids, [cnt](IdemCtx<SimPlat>& m) {
-        m.store(*cnt, m.load(*cnt) + 1);
-      });
+      const bool won = submit(session, ids, [cnt](IdemCtx<SimPlat>& m) {
+                         m.store(*cnt, m.load(*cnt) + 1);
+                       }).won;
       out.rate.add(won);
       if (have_prev) out.lag.add(prev, won);
       prev = won;
@@ -95,10 +95,10 @@ IndepResult run_independence(int procs, int victim_attempts,
   // Steady background contention on the same lock.
   for (int p = 1; p < procs; ++p) {
     sim.add_process([&] {
-      auto proc = space.register_process();
-      const std::uint32_t ids[1] = {0};
+      Session<SimPlat> session(space);
+      const StaticLockSet<1> ids({0});
       while (!stop.load(std::memory_order_relaxed)) {
-        space.try_locks(proc, ids, [cnt](IdemCtx<SimPlat>& m) {
+        submit(session, ids, [cnt](IdemCtx<SimPlat>& m) {
           m.store(*cnt, m.load(*cnt) + 1);
         });
       }
@@ -122,7 +122,7 @@ AdaptResult run_adaptivity(int procs_total, int k, int victim_attempts,
                            std::uint64_t seed) {
   const LockConfig cfg =
       one_lock_cfg(static_cast<std::uint32_t>(procs_total));
-  LockSpace<SimPlat> space(cfg, procs_total, 2);
+  LockTable<SimPlat> space(cfg, procs_total, 2);
   auto c0 = std::make_unique<Cell<SimPlat>>(0u);
   auto c1 = std::make_unique<Cell<SimPlat>>(0u);
   Cell<SimPlat>* cell0 = c0.get();
@@ -132,23 +132,23 @@ AdaptResult run_adaptivity(int procs_total, int k, int victim_attempts,
 
   Simulator sim(seed);
   sim.add_process([&] {
-    auto proc = space.register_process();
-    const std::uint32_t ids[1] = {0};
+    Session<SimPlat> session(space);
+    const StaticLockSet<1> ids({0});
     for (int i = 0; i < victim_attempts; ++i) {
-      out.rate.add(space.try_locks(proc, ids, [cell0](IdemCtx<SimPlat>& m) {
-        m.store(*cell0, m.load(*cell0) + 1);
-      }));
+      out.rate.add(submit(session, ids, [cell0](IdemCtx<SimPlat>& m) {
+                     m.store(*cell0, m.load(*cell0) + 1);
+                   }).won);
     }
     stop.store(true, std::memory_order_relaxed);
   });
   for (int p = 1; p < procs_total; ++p) {
     const bool contends = p <= k;
     sim.add_process([&, contends] {
-      auto proc = space.register_process();
-      const std::uint32_t mine[1] = {contends ? 0u : 1u};
+      Session<SimPlat> session(space);
+      const StaticLockSet<1> mine({contends ? 0u : 1u});
       Cell<SimPlat>* cell = contends ? cell0 : cell1;
       while (!stop.load(std::memory_order_relaxed)) {
-        space.try_locks(proc, mine, [cell](IdemCtx<SimPlat>& m) {
+        submit(session, mine, [cell](IdemCtx<SimPlat>& m) {
           m.store(*cell, m.load(*cell) + 1);
         });
       }

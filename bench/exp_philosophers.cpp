@@ -25,7 +25,7 @@
 namespace {
 
 using namespace wfl;
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 LockConfig phil_cfg() {
   LockConfig cfg;
@@ -51,13 +51,13 @@ WflockResult run_wflock(int n, int meals, const std::vector<double>& weights,
   Simulator sim(seed);
   for (int p = 0; p < n; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
+      Session<SimPlat> session(*space);
       const auto [l, r] = forks_of(p, n);
+      const StaticLockSet<2> forks({l, r});
       run_philosopher_episodes<SimPlat>(
           p, meals, /*think_max=*/64, seed + static_cast<std::uint64_t>(p),
           [&](int) {
-            const std::uint32_t ids[] = {l, r};
-            return space->try_locks(proc, ids, typename Space::Thunk{});
+            return submit(session, forks, [](IdemCtx<SimPlat>&) {}).won;
           },
           reports[static_cast<std::size_t>(p)]);
     });

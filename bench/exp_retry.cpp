@@ -17,7 +17,7 @@
 namespace {
 
 using namespace wfl;
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 struct Result {
   RunningStat attempts_per_win;
@@ -39,18 +39,15 @@ Result run_clique(std::uint32_t kappa, std::uint32_t L, int wins_per_proc,
   Simulator sim(seed);
   for (std::uint32_t p = 0; p < kappa; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
-      std::vector<std::uint32_t> ids;
-      for (std::uint32_t l = 0; l < L; ++l) ids.push_back(l);
+      Session<SimPlat> session(*space);
+      StaticLockSet<> ids;
+      for (std::uint32_t l = 0; l < L; ++l) ids.insert(l);
       for (int w = 0; w < wins_per_proc; ++w) {
         const std::uint64_t before = SimPlat::steps();
-        std::uint64_t tries = 0;
-        for (;;) {
-          ++tries;
-          WFL_CHECK(tries < 100000);
-          if (space->try_locks(proc, ids, typename Space::Thunk{})) break;
-        }
-        att[p].add(static_cast<double>(tries));
+        const Outcome o = submit(
+            session, ids, [](IdemCtx<SimPlat>&) {}, Policy::attempts(99999));
+        WFL_CHECK(o.won);
+        att[p].add(static_cast<double>(o.attempts));
         steps[p].add(static_cast<double>(SimPlat::steps() - before));
       }
     });

@@ -21,7 +21,7 @@
 namespace {
 
 using namespace wfl;
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 struct ConfigResult {
   std::uint32_t kappa, locks, thunk;
@@ -49,25 +49,21 @@ ConfigResult run_config(std::uint32_t kappa, std::uint32_t locks_per,
   res.thunk = thunk_ops;
 
   Simulator sim(seed);
-  std::vector<std::vector<AttemptInfo>> infos(kappa);
+  std::vector<std::vector<Outcome>> infos(kappa);
   for (std::uint32_t p = 0; p < kappa; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
-      std::vector<std::uint32_t> ids;
-      for (std::uint32_t l = 0; l < locks_per; ++l) ids.push_back(l);
+      Session<SimPlat> session(*space);
+      StaticLockSet<> ids;
+      for (std::uint32_t l = 0; l < locks_per; ++l) ids.insert(l);
       Cell<SimPlat>& c2 = *shared;
       for (int a = 0; a < attempts; ++a) {
-        AttemptInfo info;
-        space->try_locks(
-            proc, ids,
-            [&c2, thunk_ops](IdemCtx<SimPlat>& m) {
+        infos[p].push_back(
+            submit(session, ids, [&c2, thunk_ops](IdemCtx<SimPlat>& m) {
               // Burn exactly `thunk_ops` instrumented steps.
               for (std::uint32_t i = 0; i + 1 < thunk_ops; i += 2) {
                 m.store(c2, m.load(c2) + 1);
               }
-            },
-            &info);
-        infos[p].push_back(info);
+            }));
       }
     });
   }

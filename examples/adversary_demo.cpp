@@ -22,7 +22,7 @@
 namespace {
 
 using Plat = wfl::SimPlat;
-using Space = wfl::LockSpace<Plat>;
+using Space = wfl::LockTable<Plat>;
 
 constexpr int kPhilosophers = 5;
 constexpr int kAttemptsEach = 40;

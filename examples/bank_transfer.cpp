@@ -67,7 +67,7 @@ int main() {
     cfg.max_locks = 2;
     cfg.max_thunk_steps = 8;
     cfg.delay_mode = wfl::DelayMode::kOff;
-    wfl::LockSpace<Plat> space(cfg, kThreads, kAccounts);
+    wfl::LockTable<Plat> space(cfg, kThreads, kAccounts);
     wfl::Bank<Plat> bank(space, kAccounts, kInitial);
     std::vector<wfl::Session<Plat>> sessions;
     for (int t = 0; t < kThreads; ++t) sessions.emplace_back(space);
@@ -87,7 +87,7 @@ int main() {
     cfg.delay_mode = wfl::DelayMode::kTheory;
     cfg.c0 = 4.0;
     cfg.c1 = 4.0;
-    wfl::LockSpace<Plat> space(cfg, kThreads, kAccounts);
+    wfl::LockTable<Plat> space(cfg, kThreads, kAccounts);
     wfl::Bank<Plat> bank(space, kAccounts, kInitial);
     std::vector<wfl::Session<Plat>> sessions;
     for (int t = 0; t < kThreads; ++t) sessions.emplace_back(space);
@@ -99,34 +99,23 @@ int main() {
         },
         expected, [&] { return bank.total_balance(); });
   }
-  {  // Turek-style lock-free locks
-    wfl::TurekLockSpace<Plat> space(kThreads, kAccounts);
-    std::vector<std::unique_ptr<wfl::Cell<Plat>>> accounts;
-    for (int i = 0; i < kAccounts; ++i) {
-      accounts.push_back(std::make_unique<wfl::Cell<Plat>>(kInitial));
-    }
-    std::vector<wfl::BasicSession<wfl::TurekLockSpace<Plat>>> sessions;
-    for (int t = 0; t < kThreads; ++t) sessions.emplace_back(space);
+  {  // Turek-style lock-free locks, through the same Bank substrate
+    using Turek = wfl::TurekBackend<Plat>;
+    wfl::BackendConfig cfg;
+    cfg.lock.kappa = kThreads;
+    cfg.lock.delay_mode = wfl::DelayMode::kOff;
+    cfg.max_procs = kThreads;
+    cfg.num_locks = kAccounts;
+    auto space = Turek::make_space(cfg);
+    wfl::Bank<Turek> bank(*space, kAccounts, kInitial);
+    std::vector<Turek::Session> sessions;
+    for (int t = 0; t < kThreads; ++t) sessions.emplace_back(*space);
     run_workload(
         "turek",
         [&](int t, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
-          wfl::Cell<Plat>& src = *accounts[a];
-          wfl::Cell<Plat>& dst = *accounts[b];
-          const std::uint32_t ids[] = {a, b};
-          space.apply(sessions[t].process(), ids,
-                      [&src, &dst, amt](wfl::IdemCtx<Plat>& m) {
-                        const std::uint32_t s = m.load(src);
-                        if (s >= amt) {
-                          m.store(src, s - amt);
-                          m.store(dst, m.load(dst) + amt);
-                        }
-                      });
+          bank.transfer(sessions[t], a, b, amt, wfl::Policy::retry());
         },
-        expected, [&] {
-          std::uint64_t sum = 0;
-          for (const auto& a : accounts) sum += a->peek();
-          return sum;
-        });
+        expected, [&] { return bank.total_balance(); });
   }
   {  // std::mutex ordered 2PL
     wfl::Mutex2PL locks(kAccounts);

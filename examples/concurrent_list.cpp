@@ -29,7 +29,7 @@ int main() {
   cfg.max_thunk_steps = 8;
   cfg.delay_mode = wfl::DelayMode::kOff;
 
-  wfl::LockSpace<Plat> space(cfg, kThreads, kCapacity);
+  wfl::LockTable<Plat> space(cfg, kThreads, kCapacity);
   wfl::LockedList<Plat> list(space, kCapacity);
 
   std::atomic<int> net[kKeys] = {};

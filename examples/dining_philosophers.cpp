@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   cfg.c0 = 8.0;
   cfg.c1 = 8.0;
 
-  auto space = std::make_unique<wfl::LockSpace<Plat>>(cfg, n, n);
+  auto space = std::make_unique<wfl::LockTable<Plat>>(cfg, n, n);
   std::vector<std::unique_ptr<wfl::Cell<Plat>>> meals_eaten;
   for (int i = 0; i < n; ++i) {
     meals_eaten.push_back(std::make_unique<wfl::Cell<Plat>>(0u));

@@ -59,7 +59,7 @@ int main() {
   cfg.delay_mode = wfl::DelayMode::kOff;
   // +1 process slot: the main thread registers for the final stabilization
   // sweeps after the workers join.
-  wfl::LockSpace<Plat> space(cfg, kThreads + 1, kVertices);
+  wfl::LockTable<Plat> space(cfg, kThreads + 1, kVertices);
 
   // color[v] == 0 means uncolored; colors are 1..kMaxDegree+1.
   std::vector<std::unique_ptr<wfl::Cell<Plat>>> color;

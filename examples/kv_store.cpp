@@ -1,7 +1,7 @@
 // Example: a tiny transactional key-value store on wait-free locks.
 //
 // LockedHashMap gives per-bucket locking (put/get/erase lock one bucket,
-// swap locks two) on top of LockSpace. This example runs a mixed workload
+// swap locks two) on top of a LockTable. This example runs a mixed workload
 // from several threads — inserts, lookups, deletes, and atomic two-key
 // swaps — and then audits two invariants a torn multi-key operation would
 // break:
@@ -32,7 +32,7 @@ int main() {
   cfg.max_thunk_steps = wfl::LockedHashMap<Plat>::thunk_step_budget();
   cfg.delay_mode = wfl::DelayMode::kOff;  // practical mode
 
-  wfl::LockSpace<Plat> space(cfg, kThreads + 1, 256);
+  wfl::LockTable<Plat> space(cfg, kThreads + 1, 256);
   wfl::LockedHashMap<Plat> store(space, 256, 4096);
 
   // Populate: inventory slot i holds value 1000 + i. The scoped session

@@ -1,11 +1,11 @@
 // Quickstart: the one-pager for wflock.
 //
-//   * create a LockSpace (a family of locks with configured κ/L/T bounds),
+//   * create a LockTable (a family of locks with configured κ/L/T bounds),
 //   * open a Session per thread — RAII: registration on construction,
 //     automatic release of the process slot on destruction,
 //   * build a StaticLockSet — sorted, deduplicated and budget-checked at
 //     construction, not deep inside the lock path,
-//   * submit(session, locks, thunk, Policy) — one entry point for
+//   * submit(session, locks, thunk, Policy) — the one entry point for
 //     one-shot, capped and retry-until-success acquisition, returning the
 //     unified Outcome accounting (won / attempts / own steps).
 //
@@ -32,7 +32,7 @@ int main() {
   cfg.max_thunk_steps = 8;    // promise: <= 8 shared-memory ops per thunk
   cfg.delay_mode = wfl::DelayMode::kOff;  // practical mode (see README)
 
-  wfl::LockSpace<Plat> space(cfg, kThreads, kLocks);
+  wfl::LockTable<Plat> space(cfg, kThreads, kLocks);
 
   // Two shared counters, each guarded by one lock id.
   wfl::Cell<Plat> even_count{0};

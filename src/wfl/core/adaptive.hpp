@@ -211,8 +211,10 @@ class AdaptiveLockSpace {
   int num_locks() const { return static_cast<int>(locks_.size()); }
   int max_procs() const { return max_procs_; }
 
-  bool try_locks(Process proc, std::span<const std::uint32_t> lock_ids,
-                 Thunk thunk, AttemptInfo* info = nullptr) {
+  // One attempt: the primitive under executor.hpp's submit(), which is
+  // how callers take locks (through an AdaptiveSession).
+  bool try_locks(Process proc, LockSetView lock_ids, Thunk thunk,
+                 AttemptInfo* info = nullptr) {
     Handle& h = handle(proc);
     WFL_CHECK(lock_ids.size() <= kMaxLocksPerAttempt);
     h.stats().add_attempt();

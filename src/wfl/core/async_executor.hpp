@@ -116,10 +116,6 @@
 #include "wfl/util/fiber.hpp"
 #include "wfl/util/work_queue.hpp"
 
-// Capability probe for drivers that sweep backends: baselines without an
-// async executor fall back to synchronous B::submit (see backend.hpp).
-#define WFL_HAS_ASYNC_SUBMIT 1
-
 namespace wfl {
 
 // Liveness handle for one logical submitter. An AsyncClient is NOT a
@@ -1083,14 +1079,20 @@ class AsyncExecutor {
   // probe are both seq_cst — the worker half of the sleep Dekker (see
   // wake_worker). Only the inbox needs re-probing: the own deque has no
   // producer but us, and work landing at a PEER wakes that peer;
-  // stealing is load-shedding, not the wake path. The futex layer
-  // beneath (prepare/wait vs. post) covers the signal-after-probe
-  // window the same way it always has.
+  // stealing is load-shedding, not the wake path.
+  //
+  // The futex ticket is taken BEFORE the kWkIdle store, so every post
+  // aimed at this park (a producer can only post after seeing kWkIdle)
+  // advances the sequence past `seen` and the wait falls through. Taken
+  // after the store, a post could land in between and be absorbed into
+  // the ticket; if a thief then drained the inbox, the worker slept on a
+  // consumed post with its state stuck at kWkSignalled — which dispatch
+  // reads as "awake", skipping every later wake (a wedged worker).
   void park(Worker& self) {
+    const std::uint32_t seen = self.wake.prepare();
     self.state.store(kWkIdle, std::memory_order_seq_cst);
     WFL_CHK_ATOMIC(&self.state, kStore, seq_cst, kWkrState, kWkIdle);
     idle_workers_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint32_t seen = self.wake.prepare();
     if (self.inbox.empty() && !stopping_.load(std::memory_order_acquire)) {
       self.wake.wait(seen);
     }

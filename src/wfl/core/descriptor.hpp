@@ -112,7 +112,7 @@ struct alignas(kCacheLine) Descriptor {
   alignas(kCacheLine) ThunkLog<Plat> log;
 
   // Multi-active-set flag interface (Algorithm 3 lines 7-13; the delay that
-  // precedes the reveal lives in LockSpace, which owns the step counting).
+  // precedes the reveal lives in LockTable, which owns the step counting).
   bool flag() { return priority.load() > 0; }
   void clear_flag() { priority.store(kPriorityPending); }
 

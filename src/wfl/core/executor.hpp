@@ -1,19 +1,13 @@
-// The executor: one submission API over every acquisition path.
-//
-// The library used to expose four divergent entry points for "run this
-// bounded thunk under these locks": LockTable::try_locks (one attempt),
-// retry_until_success (loop until a win), PreparedTxn::try_run/run (the
-// same two again, for composed transactions) and AdaptiveLockSpace's own
-// try_locks — each with its own accounting struct. submit() collapses them
-// into a single shape:
+// The executor: the one submission API for "run this bounded thunk under
+// these locks". Every caller — applications, substrates, transactions,
+// experiments — takes locks the same way:
 //
 //   Outcome o = submit(session, locks, thunk, Policy::retry());
 //
 // where Policy picks one-shot / capped / until-success (plus an optional
-// backoff knob for DelayMode::kOff deployments) and Outcome unifies
-// AttemptInfo and RetryStats: every path reports attempts, own steps and
-// the last attempt's pre/post-reveal work the same way, so experiment
-// harnesses and applications stop translating between accounting schemes.
+// backoff knob for DelayMode::kOff deployments) and Outcome is the single
+// accounting shape: attempts, own steps and the last attempt's pre/post-
+// reveal work, reported the same way on every path.
 //
 // Progress semantics are inherited, not invented here: a single attempt is
 // wait-free in O(κ²L²T) own steps (Theorem 1.1), and the until-success
@@ -21,11 +15,10 @@
 // 1/(κL) independently, so the attempt count is geometric with mean <= κL.
 // The deterministic escape hatch is Policy::attempts(n).
 //
-// Thunk contract (same as try_locks, restated because submit re-arms the
-// thunk per attempt): `f` must be copyable — each attempt's descriptor
-// stores its own copy — and must capture by value or point only at state
-// that outlives the space's reclamation grace period; a straggling helper
-// may replay the thunk after submit() returns.
+// Thunk contract: `f` must be copyable — submit re-arms it per attempt and
+// each attempt's descriptor stores its own copy — and must capture by
+// value or point only at state that outlives the space's reclamation grace
+// period; a straggling helper may replay the thunk after submit() returns.
 #pragma once
 
 #include <cstdint>
@@ -37,11 +30,6 @@
 #include "wfl/core/config.hpp"
 #include "wfl/core/lock_set.hpp"
 #include "wfl/core/session.hpp"
-
-// Feature-test macro for capability-probed benchmarks (bench_scaling
-// builds against trees with and without the batch API to capture
-// before/after pairs).
-#define WFL_HAS_SUBMIT_BATCH 1
 
 namespace wfl {
 
@@ -79,9 +67,8 @@ struct Policy {
   }
 };
 
-// Unified accounting: AttemptInfo + RetryStats in one struct. One-shot
-// submissions fill it exactly like try_locks fills AttemptInfo; retrying
-// submissions accumulate exactly like retry_until_success.
+// Unified accounting. A one-shot submission reports its attempt's
+// AttemptInfo; a retrying one sums attempts and steps across attempts.
 struct Outcome {
   bool won = false;               // did any attempt win all its locks?
   std::uint64_t attempts = 0;     // attempts consumed, including the winner

@@ -166,7 +166,7 @@ class LockTable {
 
   // A per-logical-process name (dense id; also the participant id in every
   // shard's EBR domain). Cheap value type; each OS thread / sim fiber
-  // registers once and passes it to try_locks.
+  // holds one through a Session (core/session.hpp).
   struct Process {
     int ebr_pid = -1;
   };
@@ -291,36 +291,13 @@ class LockTable {
   // acquired. Returns success. Never blocks on other processes: completes
   // in O(κ²L²T) of the caller's own steps regardless of the schedule.
   //
-  // The raw-span overload re-validates the set (budget + duplicate scan)
-  // on every call; the LockSetView overload skips both, because the view
-  // type's construction already established them (core/lock_set.hpp).
-  bool try_locks(Process proc, std::span<const std::uint32_t> lock_ids,
-                 Thunk thunk, AttemptInfo* info = nullptr) {
-    WFL_CHECK_MSG(lock_ids.size() <= cfg_.max_locks,
-                  "lock set exceeds the configured L bound");
-    // Debug-only duplicate scan: LockSetView is the validated path, so the
-    // O(L²) scan no longer taxes release-build raw-span callers
-    // (bench_hotpath reports the residual overload delta).
-#ifndef NDEBUG
-    for (std::size_t i = 0; i < lock_ids.size(); ++i) {
-      for (std::size_t j = i + 1; j < lock_ids.size(); ++j) {
-        WFL_DASSERT(lock_ids[i] != lock_ids[j]);
-      }
-    }
-#endif
-    return attempt(proc, lock_ids, std::move(thunk), info);
-  }
-
-  // Templated so braced initializer lists keep resolving to the span
-  // overload above (a braced list cannot deduce ViewT); accepts
-  // LockSetView and anything carrying its invariants (StaticLockSet).
-  template <typename ViewT>
-    requires std::is_convertible_v<const ViewT&, LockSetView>
-  bool try_locks(Process proc, const ViewT& lock_ids, Thunk thunk,
+  // The primitive under executor.hpp's submit(), which is how callers take
+  // locks. The set is not re-validated here: the LockSetView type carries
+  // its invariants (core/lock_set.hpp) and submit() checks the L budget.
+  bool try_locks(Process proc, LockSetView lock_ids, Thunk thunk,
                  AttemptInfo* info = nullptr) {
-    const LockSetView view = lock_ids;
-    WFL_DASSERT(view.size() <= cfg_.max_locks);
-    return attempt(proc, view.span(), std::move(thunk), info);
+    WFL_DASSERT(lock_ids.size() <= cfg_.max_locks);
+    return attempt(proc, lock_ids.span(), std::move(thunk), info);
   }
 
  private:

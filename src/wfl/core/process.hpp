@@ -3,8 +3,8 @@
 // Every mutable word a tryLock attempt touches outside the algorithm's own
 // shared CASes lives here, on cachelines owned by exactly one process:
 //
-//   * StatsSlab — the striped statistics counters. The monolithic LockSpace
-//     kept seven process-shared std::atomic counters that every attempt
+//   * StatsSlab — the striped statistics counters. The original monolithic
+//     lock space kept seven process-shared std::atomic counters that every attempt
 //     fetch_add-ed; under contention those seven words were the hottest
 //     cachelines in the system and had nothing to do with the algorithm.
 //     Each process now bumps its own padded slab and LockTable::stats()

@@ -23,26 +23,25 @@
 //     underlying per-shard guard depths are.
 //
 // BasicSession is parameterized over the space type so the same RAII shape
-// serves the known-bounds LockTable and the §6.2 AdaptiveLockSpace (and
-// the LockSpace facade, which forwards the registration API). `Session<
-// Plat>` is the alias virtually all code wants.
+// serves the known-bounds LockTable and the §6.2 AdaptiveLockSpace.
+// `Session<Plat>` is the alias virtually all code wants. Locks are taken
+// through executor.hpp's submit(session, locks, f, policy) — the one
+// acquisition entry point.
 #pragma once
 
 #include <utility>
 
-#include "wfl/core/lock_set.hpp"
 #include "wfl/core/lock_table.hpp"
 
 namespace wfl {
 
 // Space requirements (duck-typed): Process register_process();
-// release_process(Process); ebr_enter(Process); ebr_exit(Process);
-// try_locks(Process, LockSetView, Thunk, AttemptInfo*).
+// release_process(Process); ebr_enter(Process); ebr_exit(Process); and,
+// for submit(), try_locks(Process, LockSetView, Thunk, AttemptInfo*).
 template <typename Space>
 class BasicSession {
  public:
   using Process = typename Space::Process;
-  using Thunk = typename Space::Thunk;
 
   explicit BasicSession(Space& space)
       : space_(&space), proc_(space.register_process()) {}
@@ -69,19 +68,11 @@ class BasicSession {
   bool active() const { return space_ != nullptr; }
 
   Space& space() const {
-    WFL_DASSERT(space_ != nullptr);
+    WFL_CHECK_MSG(space_ != nullptr, "session is not registered (moved-from)");
     return *space_;
   }
   Process process() const { return proc_; }
   int pid() const { return proc_.ebr_pid; }
-
-  // One tryLock attempt through this session (see LockTable::try_locks).
-  // Most callers want executor.hpp's submit(), which adds the retry
-  // policies and unified accounting on top of this.
-  bool try_locks(LockSetView locks, Thunk thunk,
-                 AttemptInfo* info = nullptr) {
-    return space().try_locks(proc_, locks, std::move(thunk), info);
-  }
 
   // Scoped reclamation protection for inspector-style reads of shared
   // descriptors/snapshots (the adaptive-player pattern). Nesting is fine:
@@ -113,9 +104,7 @@ class BasicSession {
 template <typename Space>
 BasicSession(Space&) -> BasicSession<Space>;
 
-// The session type for the known-bounds lock table. A LockSpace facade
-// converts implicitly to LockTable&, so `Session<Plat> s(space)` works
-// for either.
+// The session type for the known-bounds lock table.
 template <typename Plat>
 using Session = BasicSession<LockTable<Plat>>;
 

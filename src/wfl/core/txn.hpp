@@ -32,7 +32,6 @@
 
 #include "wfl/core/executor.hpp"
 #include "wfl/core/lock_table.hpp"
-#include "wfl/core/retry.hpp"
 #include "wfl/core/session.hpp"
 #include "wfl/util/assert.hpp"
 
@@ -103,11 +102,10 @@ template <typename Plat>
 class PreparedTxn {
  public:
   using Table = LockTable<Plat>;
-  using Process = typename Table::Process;
   using Program = typename TxnBuilder<Plat>::Program;
 
-  // The primary entry point: submit the whole transaction through the
-  // unified executor (core/executor.hpp). Default policy is one attempt;
+  // Submits the whole transaction through the unified executor
+  // (core/executor.hpp). Default policy is one attempt;
   // Policy::retry() gives the randomized wait-free run-to-completion.
   Outcome submit(Session<Plat>& session, Policy policy = Policy::one_shot()) {
     check_budgets(session.space());
@@ -118,33 +116,6 @@ class PreparedTxn {
           for (const auto& op : prog->ops) op(m);
         },
         policy);
-  }
-
-  // --- compatibility veneer over raw (table, process) pairs --------------
-
-  // One tryLock attempt at the whole transaction. Takes the lock table
-  // layer directly; a LockSpace converts implicitly.
-  bool try_run(Table& table, Process proc, AttemptInfo* info = nullptr) {
-    check_budgets(table);
-    std::shared_ptr<const Program> prog = prog_;  // captured by value
-    return table.try_locks(
-        proc, LockSetView::presorted(locks_),
-        [prog](IdemCtx<Plat>& m) {
-          for (const auto& op : prog->ops) op(m);
-        },
-        info);
-  }
-
-  // Retry-until-success (Corollary of Thm 1.1); returns the accounting.
-  RetryStats run(Table& table, Process proc, std::uint64_t max_attempts = 0) {
-    check_budgets(table);
-    std::shared_ptr<const Program> prog = prog_;
-    return retry_until_success<Plat>(
-        table, proc, locks_,
-        [prog](IdemCtx<Plat>& m) {
-          for (const auto& op : prog->ops) op(m);
-        },
-        max_attempts);
   }
 
   std::span<const std::uint32_t> lock_set() const { return locks_; }

@@ -101,7 +101,7 @@ class ThunkLog {
   ThunkLog() {
     for (auto& s : slots_) s.init(kCellEmptySlot);
     // Logs live inside pool-segment descriptors whose heap addresses get
-    // reused across LockSpace generations; retire the raw note word so a
+    // reused across lock-table generations; retire the raw note word so a
     // successor at the same address starts from fresh shadow state.
     race::created(&used_ops_, 0);
   }

@@ -4,14 +4,16 @@
 //
 //   using Plat = wfl::RealPlat;
 //   wfl::LockConfig cfg;           // κ, L, T bounds + delay mode
-//   wfl::LockSpace<Plat> space(cfg, /*max_procs=*/8, /*num_locks=*/100);
-//   wfl::Session<Plat> session(space);        // RAII, once per thread
+//   wfl::LockTable<Plat> table(cfg, /*max_procs=*/8, /*num_locks=*/100);
+//   wfl::Session<Plat> session(table);        // RAII, once per thread
 //   wfl::Cell<Plat> balance{100};
 //   wfl::StaticLockSet<2> locks({3, 7}, cfg);   // sorted+deduped+checked
 //   wfl::Outcome o = wfl::submit(session, locks,
 //       [&](wfl::IdemCtx<Plat>& m) {
 //         m.store(balance, m.load(balance) + 1);  // the critical section
 //       });  // Policy::one_shot() default; o.won / o.attempts / steps
+//   // Policy::retry() loops until a win (the randomized wait-free
+//   // corollary); a PreparedTxn (core/txn.hpp) submits the same way.
 //
 // The same code runs deterministically under the simulator by swapping
 // Plat for wfl::SimPlat and executing inside wfl::Simulator processes.
@@ -28,7 +30,6 @@
 #include "wfl/apps/queue.hpp"
 #include "wfl/apps/skiplist.hpp"
 #include "wfl/baseline/backends.hpp"
-#include "wfl/baseline/herlihy.hpp"
 #include "wfl/baseline/lehmann_rabin.hpp"
 #include "wfl/baseline/mutex2pl.hpp"
 #include "wfl/baseline/mutex2pl_backend.hpp"
@@ -45,10 +46,8 @@
 #include "wfl/core/descriptor.hpp"
 #include "wfl/core/executor.hpp"
 #include "wfl/core/lock_set.hpp"
-#include "wfl/core/lock_space.hpp"
 #include "wfl/core/lock_table.hpp"
 #include "wfl/core/process.hpp"
-#include "wfl/core/retry.hpp"
 #include "wfl/core/session.hpp"
 #include "wfl/core/shm_table.hpp"
 #include "wfl/core/txn.hpp"

@@ -34,27 +34,27 @@ struct AdaptiveWorkload {
     Simulator sim(seed);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
-        auto proc = space->register_process();
+        AdaptiveSession<SimPlat> session(*space);
         Xoshiro256 rng(seed + static_cast<std::uint64_t>(p) * 17);
         for (int a = 0; a < attempts_per_proc; ++a) {
           const std::uint32_t r =
               static_cast<std::uint32_t>(rng.next_below(locks));
           const std::uint32_t r2 =
               static_cast<std::uint32_t>((r + 1) % locks);
-          std::uint32_t ids_arr[2] = {r, r2};
+          const std::uint32_t ids_arr[2] = {r, r2};
           const std::uint32_t n = (locks >= 2) ? 2u : 1u;
+          const StaticLockSet<2> ids(std::span(ids_arr, n));
           Cell<SimPlat>& flag = *busy[r];
           Cell<SimPlat>& cnt = *count[r];
           std::uint64_t* viol = &violations[r];
-          const bool won = space->try_locks(
-              proc, {ids_arr, n},
-              [&flag, &cnt, viol](IdemCtx<SimPlat>& m) {
+          const Outcome o = submit(
+              session, ids, [&flag, &cnt, viol](IdemCtx<SimPlat>& m) {
                 if (m.load(flag) != 0) ++*viol;
                 m.store(flag, 1);
                 m.store(cnt, m.load(cnt) + 1);
                 m.store(flag, 0);
               });
-          if (won) {
+          if (o.won) {
             ++wins_on[r];
             ++total_wins;
           }
@@ -103,11 +103,10 @@ TEST(Adaptive, SucceedsAloneQuickly) {
   Simulator sim(3);
   bool won = false;
   sim.add_process([&] {
-    auto proc = space.register_process();
-    const std::uint32_t ids[] = {0, 1};
-    won = space.try_locks(proc, ids, [&c](IdemCtx<SimPlat>& m) {
-      m.store(c, 1);
-    });
+    AdaptiveSession<SimPlat> session(space);
+    won = submit(session, StaticLockSet<2>({0, 1}),
+                 [&c](IdemCtx<SimPlat>& m) { m.store(c, 1); })
+              .won;
   });
   RoundRobinSchedule rr(1);
   ASSERT_TRUE(sim.run(rr, 1'000'000));
@@ -129,11 +128,11 @@ TEST(Adaptive, FairnessStaysWithinLogFactorOfKnownBounds) {
   Simulator sim(21);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
-      const std::uint32_t ids[] = {0, 1};
+      AdaptiveSession<SimPlat> session(*space);
+      const StaticLockSet<2> ids({0, 1});
       for (int a = 0; a < attempts; ++a) {
         per[static_cast<std::size_t>(p)].add(
-            space->try_locks(proc, ids, typename ASpace::Thunk{}));
+            submit(session, ids, [](IdemCtx<SimPlat>&) {}).won);
       }
     });
   }
@@ -154,13 +153,12 @@ TEST(Adaptive, RetryUntilSuccessBounded) {
   Simulator sim(31);
   for (int p = 0; p < 3; ++p) {
     sim.add_process([&] {
-      auto proc = space.register_process();
-      const std::uint32_t ids[] = {0, 1};
+      AdaptiveSession<SimPlat> session(space);
+      const StaticLockSet<2> ids({0, 1});
       for (int wins = 0; wins < 8; ++wins) {
-        int tries = 0;
-        while (!space.try_locks(proc, ids, typename ASpace::Thunk{})) {
-          ASSERT_LT(++tries, 500);
-        }
+        ASSERT_TRUE(submit(session, ids, [](IdemCtx<SimPlat>&) {},
+                           Policy::attempts(500))
+                        .won);
       }
     });
   }

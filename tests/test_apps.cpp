@@ -23,9 +23,9 @@ LockConfig bank_cfg(int procs) {
 }
 
 TEST(Bank, SingleTransferMovesMoney) {
-  LockSpace<RealPlat> space(bank_cfg(1), 1, 4);
+  LockTable<RealPlat> space(bank_cfg(1), 1, 4);
   Bank<RealPlat> bank(space, 4, 100);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   bool denied = false;
   EXPECT_TRUE(bank.try_transfer(proc, 0, 1, 30, &denied));
   EXPECT_FALSE(denied);
@@ -35,9 +35,9 @@ TEST(Bank, SingleTransferMovesMoney) {
 }
 
 TEST(Bank, InsufficientFundsDeniedNotLost) {
-  LockSpace<RealPlat> space(bank_cfg(1), 1, 2);
+  LockTable<RealPlat> space(bank_cfg(1), 1, 2);
   Bank<RealPlat> bank(space, 2, 10);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   bool denied = false;
   EXPECT_TRUE(bank.try_transfer(proc, 0, 1, 50, &denied));
   EXPECT_TRUE(denied);
@@ -47,13 +47,13 @@ TEST(Bank, InsufficientFundsDeniedNotLost) {
 
 TEST(Bank, ConcurrentChurnConservesTotal) {
   const int threads = 4, accounts = 8;
-  LockSpace<RealPlat> space(bank_cfg(threads), threads, accounts);
+  LockTable<RealPlat> space(bank_cfg(threads), threads, accounts);
   Bank<RealPlat> bank(space, accounts, 1000);
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(77 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(t + 1);
       for (int i = 0; i < 1500; ++i) {
         const auto a = static_cast<std::uint32_t>(rng.next_below(accounts));
@@ -74,12 +74,12 @@ TEST(Bank, SimConservesTotalUnderSkew) {
   cfg.delay_mode = DelayMode::kTheory;
   cfg.c0 = 8.0;
   cfg.c1 = 8.0;
-  LockSpace<SimPlat> space(cfg, procs, accounts);
+  LockTable<SimPlat> space(cfg, procs, accounts);
   Bank<SimPlat> bank(space, accounts, 500);
   Simulator sim(3);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(p * 3 + 1);
       for (int i = 0; i < 25; ++i) {
         const auto a = static_cast<std::uint32_t>(rng.next_below(accounts));
@@ -104,9 +104,9 @@ LockConfig list_cfg(int procs) {
 }
 
 TEST(LockedList, SequentialSetSemantics) {
-  LockSpace<RealPlat> space(list_cfg(1), 1, 64);
+  LockTable<RealPlat> space(list_cfg(1), 1, 64);
   LockedList<RealPlat> list(space, 64);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   EXPECT_TRUE(list.insert(proc, 5));
   EXPECT_TRUE(list.insert(proc, 3));
   EXPECT_TRUE(list.insert(proc, 9));
@@ -120,9 +120,9 @@ TEST(LockedList, SequentialSetSemantics) {
 }
 
 TEST(LockedList, InsertEraseInterleavedSequential) {
-  LockSpace<RealPlat> space(list_cfg(1), 1, 128);
+  LockTable<RealPlat> space(list_cfg(1), 1, 128);
   LockedList<RealPlat> list(space, 128);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   std::set<std::uint32_t> model;
   Xoshiro256 rng(8);
   for (int i = 0; i < 300; ++i) {
@@ -143,9 +143,9 @@ TEST(LockedList, InsertEraseInterleavedSequential) {
 // recycling at quiescent points, and exact set semantics throughout.
 TEST(LockedList, QuiescentRecycleSupportsUnboundedChurn) {
   constexpr std::uint32_t kCapacity = 32;
-  LockSpace<RealPlat> space(list_cfg(1), 1, kCapacity);
+  LockTable<RealPlat> space(list_cfg(1), 1, kCapacity);
   LockedList<RealPlat> list(space, kCapacity);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   std::set<std::uint32_t> model;
   Xoshiro256 rng(99);
   std::uint64_t recycled = 0;
@@ -168,9 +168,9 @@ TEST(LockedList, QuiescentRecycleSupportsUnboundedChurn) {
 
 // Recycling with nothing retired is a no-op.
 TEST(LockedList, RecycleOnEmptyRetireListIsNoop) {
-  LockSpace<RealPlat> space(list_cfg(1), 1, 16);
+  LockTable<RealPlat> space(list_cfg(1), 1, 16);
   LockedList<RealPlat> list(space, 16);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   EXPECT_EQ(list.quiescent_recycle(), 0u);
   EXPECT_TRUE(list.insert(proc, 7));
   EXPECT_EQ(list.quiescent_recycle(), 0u);  // inserts retire nothing
@@ -182,13 +182,13 @@ TEST(LockedList, ConcurrentDisjointKeyRanges) {
   // Each thread owns a key range; all ranges interleave positionally in the
   // list, so neighbors' lock sets collide constantly.
   const int threads = 4;
-  LockSpace<RealPlat> space(list_cfg(threads), threads, 512);
+  LockTable<RealPlat> space(list_cfg(threads), threads, 512);
   LockedList<RealPlat> list(space, 512);
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(31 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       for (int k = 0; k < 60; ++k) {
         ASSERT_TRUE(list.insert(
             proc, static_cast<std::uint32_t>(1 + k * threads + t)));
@@ -208,14 +208,14 @@ TEST(LockedList, ConcurrentSameKeysLastWriterConsistent) {
   const int threads = 4;
   // ~800 successful inserts and no node recycling (documented trade-off):
   // the pool must cover every allocation the workload ever makes.
-  LockSpace<RealPlat> space(list_cfg(threads), threads, 2048);
+  LockTable<RealPlat> space(list_cfg(threads), threads, 2048);
   LockedList<RealPlat> list(space, 2048);
   std::atomic<int> net[40] = {};
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(71 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(t * 9 + 2);
       for (int i = 0; i < 400; ++i) {
         const std::uint32_t key =
@@ -244,12 +244,12 @@ TEST(LockedList, SimWorkloadUnderAdversarialSchedule) {
   cfg.delay_mode = DelayMode::kTheory;
   cfg.c0 = 8.0;
   cfg.c1 = 8.0;
-  LockSpace<SimPlat> space(cfg, procs, 128);
+  LockTable<SimPlat> space(cfg, procs, 128);
   LockedList<SimPlat> list(space, 128);
   Simulator sim(4);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       for (int k = 0; k < 12; ++k) {
         list.insert(proc,
                     static_cast<std::uint32_t>(1 + k * procs + p));

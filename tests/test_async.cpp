@@ -6,7 +6,8 @@
 //     deterministic and conserve critical sections;
 //   * park/wake — contended RealPlat runs complete every submission with
 //     ZERO backoff spin steps (parking replaces idling), events are never
-//     lost (no wedged waiters);
+//     lost (no wedged waiters), and idle workers never sleep through a
+//     wake (open-loop bursts with thieves, under a watchdog);
 //   * cancellation — a crashed client's pending ops complete as
 //     cancelled; other clients' waiters on the same locks are untouched;
 //   * fiber economy — quanta run on pooled, reused stacks.
@@ -16,6 +17,10 @@
 // violation aborts the run rather than failing an EXPECT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "wfl/wfl.hpp"
@@ -198,6 +203,92 @@ TEST(Async, WorkerPoolContendedCompletesWithZeroBackoffSpin) {
   EXPECT_EQ(counter.peek(), static_cast<std::uint32_t>(kOps));
   EXPECT_EQ(exec.in_flight(), 0u);
   EXPECT_EQ(exec.completed(), static_cast<std::uint64_t>(kOps));
+}
+
+// Open-loop bursts from one external thread onto a 3-worker pool. Between
+// bursts the workers go idle and park; each burst lands in the inbox of the
+// worker dispatch picks, and idle siblings steal from it. park() must take
+// its futex ticket before it publishes kWkIdle: taken after, a post landing
+// in between is absorbed into the ticket, a thief drains the inbox, and the
+// worker sleeps on a consumed post with its state stuck at kWkSignalled —
+// dispatch then keeps routing work to it and skips every wake. A 1-s
+// no-progress watchdog turns that wedge into a failure instead of a hang.
+TEST(Async, OpenLoopBurstsWithThievesNeverWedge) {
+  using Exec = AsyncExecutor<RealPlat>;
+  using Clock = std::chrono::steady_clock;
+  const LockConfig cfg = off_cfg();
+  // Heap-held so a wedged run can leak them: a stuck worker would hang the
+  // executor's shutdown, and the test must fail, not hang.
+  auto space = std::make_unique<LockTable<RealPlat>>(cfg, 8, 4);
+  auto exec = std::make_unique<Exec>(*space, Exec::Options{.workers = 3});
+  auto session = std::make_unique<Session<RealPlat>>(*space);
+  auto client = std::make_unique<AsyncClient<RealPlat>>(*session);
+
+  // Short gaps between small bursts: every burst finds some workers just
+  // parking and others still stealing, which is the window of the race.
+  constexpr int kBursts = 50000;
+  constexpr int kBurstOps = 2;  // op i of a burst takes lock i
+  constexpr auto kGap = std::chrono::microseconds(10);
+  constexpr auto kWatchdog = std::chrono::seconds(1);
+  // One counter per lock: ops on different locks run concurrently.
+  auto counters = std::make_unique<std::array<Cell<RealPlat>, kBurstOps>>();
+
+  std::vector<Exec::Ticket> pending;
+  std::uint64_t wins = 0;
+  Clock::time_point last_progress = Clock::now();
+  // Reaps completed tickets; false once nothing completed for kWatchdog
+  // while ops were pending.
+  auto reap = [&] {
+    const auto now = Clock::now();
+    const auto done = std::partition(
+        pending.begin(), pending.end(),
+        [](const Exec::Ticket& t) { return !t.done(); });
+    if (done != pending.end()) last_progress = now;
+    for (auto it = done; it != pending.end(); ++it) {
+      wins += it->poll()->won ? 1 : 0;
+    }
+    pending.erase(done, pending.end());
+    return pending.empty() || now - last_progress < kWatchdog;
+  };
+
+  bool wedged = false;
+  for (int b = 0; b < kBursts && !wedged; ++b) {
+    if (pending.empty()) last_progress = Clock::now();
+    for (int i = 0; i < kBurstOps; ++i) {
+      const auto id = static_cast<std::uint32_t>(i);
+      Cell<RealPlat>* cnt = &(*counters)[id];
+      pending.push_back(exec->async_submit(
+          *client, StaticLockSet<1>({id}),
+          [cnt](IdemCtx<RealPlat>& m) { m.store(*cnt, m.load(*cnt) + 1); },
+          Policy::retry()));
+    }
+    const auto next = Clock::now() + kGap;
+    while (!wedged && Clock::now() < next) {
+      wedged = !reap();
+      std::this_thread::yield();
+    }
+  }
+  while (!wedged && !pending.empty()) {
+    wedged = !reap();
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  if (wedged) {
+    ADD_FAILURE() << pending.size() << " submissions made no progress for "
+                  << "1 s: a parked worker slept through its wake";
+    // Leak everything the stuck worker can still reach.
+    (void)counters.release();
+    (void)client.release();
+    (void)session.release();
+    (void)exec.release();
+    (void)space.release();
+    return;
+  }
+  constexpr std::uint64_t kOps = std::uint64_t{kBursts} * kBurstOps;
+  EXPECT_EQ(wins, kOps);
+  std::uint64_t counted = 0;
+  for (const auto& c : *counters) counted += c.peek();
+  EXPECT_EQ(counted, kOps);
+  EXPECT_EQ(exec->in_flight(), 0u);
 }
 
 // --- cancellation ----------------------------------------------------------

@@ -10,7 +10,7 @@
 #include "wfl/baseline/lehmann_rabin.hpp"
 #include "wfl/baseline/mutex2pl.hpp"
 #include "wfl/baseline/spin2pl.hpp"
-#include "wfl/baseline/turek.hpp"
+#include "wfl/baseline/turek_backend.hpp"
 #include "wfl/idem/cell.hpp"
 #include "wfl/platform/real.hpp"
 #include "wfl/platform/sim.hpp"
@@ -18,6 +18,19 @@
 
 namespace wfl {
 namespace {
+
+// The Turek baseline is driven through its LockBackend adapter — the same
+// Session + submit shape as every other lock discipline.
+template <typename Plat>
+std::unique_ptr<typename TurekBackend<Plat>::Space> turek_space(
+    int max_procs, int num_locks) {
+  BackendConfig cfg;
+  cfg.lock.kappa = static_cast<std::uint32_t>(max_procs);
+  cfg.lock.delay_mode = DelayMode::kOff;
+  cfg.max_procs = max_procs;
+  cfg.num_locks = num_locks;
+  return TurekBackend<Plat>::make_space(cfg);
+}
 
 TEST(Spin2PL, LockedRunsExclusively) {
   Spin2PL<RealPlat> locks(4);
@@ -66,18 +79,18 @@ TEST(Mutex2PL, LockedRunsExclusively) {
 }
 
 TEST(Turek, AppliesExactlyOnceSingleThread) {
-  TurekLockSpace<RealPlat> space(2, 4);
-  auto proc = space.register_process();
+  auto space = turek_space<RealPlat>(2, 4);
+  TurekBackend<RealPlat>::Session session(*space);
   Cell<RealPlat> c{0};
-  const std::uint32_t ids[] = {0, 3};
-  space.apply(proc, ids, [&c](IdemCtx<RealPlat>& m) {
-    m.store(c, m.load(c) + 1);
-  });
+  const Outcome o = TurekBackend<RealPlat>::submit(
+      session, StaticLockSet<2>({0, 3}),
+      [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); });
+  EXPECT_TRUE(o.won);
   EXPECT_EQ(c.peek(), 1u);
 }
 
 TEST(Turek, ConcurrentTransfersConserveTotal) {
-  TurekLockSpace<RealPlat> space(4, 8);
+  auto space = turek_space<RealPlat>(4, 8);
   std::vector<std::unique_ptr<Cell<RealPlat>>> accounts;
   for (int i = 0; i < 8; ++i) {
     accounts.push_back(std::make_unique<Cell<RealPlat>>(100u));
@@ -85,7 +98,7 @@ TEST(Turek, ConcurrentTransfersConserveTotal) {
   std::vector<std::thread> ts;
   for (int t = 0; t < 4; ++t) {
     ts.emplace_back([&, t] {
-      auto proc = space.register_process();
+      TurekBackend<RealPlat>::Session session(*space);
       Xoshiro256 rng(55 + static_cast<std::uint64_t>(t));
       for (int i = 0; i < 2000; ++i) {
         const std::uint32_t a = static_cast<std::uint32_t>(rng.next_below(8));
@@ -93,14 +106,15 @@ TEST(Turek, ConcurrentTransfersConserveTotal) {
             rng.next_below(7)) % 8);
         Cell<RealPlat>& src = *accounts[a];
         Cell<RealPlat>& dst = *accounts[b];
-        const std::uint32_t ids[] = {a, b};
-        space.apply(proc, ids, [&src, &dst](IdemCtx<RealPlat>& m) {
-          const std::uint32_t s = m.load(src);
-          if (s >= 1) {
-            m.store(src, s - 1);
-            m.store(dst, m.load(dst) + 1);
-          }
-        });
+        TurekBackend<RealPlat>::submit(
+            session, StaticLockSet<2>({a, b}),
+            [&src, &dst](IdemCtx<RealPlat>& m) {
+              const std::uint32_t s = m.load(src);
+              if (s >= 1) {
+                m.store(src, s - 1);
+                m.store(dst, m.load(dst) + 1);
+              }
+            });
       }
     });
   }
@@ -114,16 +128,16 @@ TEST(Turek, HelpingHappensUnderSimStarvation) {
   // Process 0 grabs locks and is then starved; process 1 must finish *its
   // own* operation anyway by helping process 0 through — the property that
   // distinguishes lock-free locks from blocking 2PL.
-  TurekLockSpace<SimPlat> space(2, 2);
+  auto space = turek_space<SimPlat>(2, 2);
   Cell<SimPlat> c{0};
   Simulator sim(17);
   int completed = 0;
   for (int p = 0; p < 2; ++p) {
     sim.add_process([&, p] {
-      auto proc = space.register_process();
-      const std::uint32_t ids[] = {0, 1};
+      TurekBackend<SimPlat>::Session session(*space);
+      const StaticLockSet<2> ids({0, 1});
       for (int i = 0; i < 5; ++i) {
-        space.apply(proc, ids, [&c](IdemCtx<SimPlat>& m) {
+        TurekBackend<SimPlat>::submit(session, ids, [&c](IdemCtx<SimPlat>& m) {
           m.store(c, m.load(c) + 1);
         });
       }

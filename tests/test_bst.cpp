@@ -24,9 +24,9 @@ LockConfig bst_cfg(int procs) {
 }
 
 TEST(Bst, EmptyTreeBasics) {
-  LockSpace<RealPlat> space(bst_cfg(1), 1, 64);
+  LockTable<RealPlat> space(bst_cfg(1), 1, 64);
   LockedBst<RealPlat> bst(space, 64);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   EXPECT_FALSE(bst.contains(7));
   EXPECT_FALSE(bst.erase(proc, 7));
   EXPECT_TRUE(bst.keys().empty());
@@ -34,9 +34,9 @@ TEST(Bst, EmptyTreeBasics) {
 }
 
 TEST(Bst, InsertThenFind) {
-  LockSpace<RealPlat> space(bst_cfg(1), 1, 64);
+  LockTable<RealPlat> space(bst_cfg(1), 1, 64);
   LockedBst<RealPlat> bst(space, 64);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   EXPECT_TRUE(bst.insert(proc, 10));
   EXPECT_TRUE(bst.insert(proc, 5));
   EXPECT_TRUE(bst.insert(proc, 20));
@@ -50,9 +50,9 @@ TEST(Bst, InsertThenFind) {
 }
 
 TEST(Bst, EraseLeafAndReinsert) {
-  LockSpace<RealPlat> space(bst_cfg(1), 1, 64);
+  LockTable<RealPlat> space(bst_cfg(1), 1, 64);
   LockedBst<RealPlat> bst(space, 64);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   EXPECT_TRUE(bst.insert(proc, 8));
   EXPECT_TRUE(bst.insert(proc, 4));
   EXPECT_TRUE(bst.insert(proc, 12));
@@ -66,9 +66,9 @@ TEST(Bst, EraseLeafAndReinsert) {
 }
 
 TEST(Bst, EraseSoleKeyLeavesEmptyTree) {
-  LockSpace<RealPlat> space(bst_cfg(1), 1, 32);
+  LockTable<RealPlat> space(bst_cfg(1), 1, 32);
   LockedBst<RealPlat> bst(space, 32);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   EXPECT_TRUE(bst.insert(proc, 42));
   EXPECT_TRUE(bst.erase(proc, 42));
   EXPECT_TRUE(bst.keys().empty());
@@ -78,9 +78,9 @@ TEST(Bst, EraseSoleKeyLeavesEmptyTree) {
 }
 
 TEST(Bst, AscendingAndDescendingInsertionsStaySorted) {
-  LockSpace<RealPlat> space(bst_cfg(1), 1, 256);
+  LockTable<RealPlat> space(bst_cfg(1), 1, 256);
   LockedBst<RealPlat> bst(space, 256);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   for (std::uint32_t k = 1; k <= 30; ++k) EXPECT_TRUE(bst.insert(proc, k));
   for (std::uint32_t k = 100; k >= 71; --k) EXPECT_TRUE(bst.insert(proc, k));
   const auto keys = bst.keys();
@@ -90,9 +90,9 @@ TEST(Bst, AscendingAndDescendingInsertionsStaySorted) {
 }
 
 TEST(Bst, RandomizedAgainstReferenceModel) {
-  LockSpace<RealPlat> space(bst_cfg(1), 1, 1024);
+  LockTable<RealPlat> space(bst_cfg(1), 1, 1024);
   LockedBst<RealPlat> bst(space, 1024);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   std::set<std::uint32_t> model;
   Xoshiro256 rng(1234);
   for (int i = 0; i < 600; ++i) {
@@ -116,13 +116,13 @@ TEST(Bst, RandomizedAgainstReferenceModel) {
 
 TEST(Bst, ConcurrentInsertsDisjointRanges) {
   const int threads = 4;
-  LockSpace<RealPlat> space(bst_cfg(threads), threads, 2048);
+  LockTable<RealPlat> space(bst_cfg(threads), threads, 2048);
   LockedBst<RealPlat> bst(space, 2048);
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(91 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       for (std::uint32_t i = 1; i <= 60; ++i) {
         EXPECT_TRUE(bst.insert(proc, static_cast<std::uint32_t>(t) * 100 + i));
       }
@@ -139,14 +139,14 @@ TEST(Bst, ConcurrentChurnMatchesPerKeyAccounting) {
   // thread's own accounting even though neighbourhood locks overlap at the
   // range boundaries through shared routers.
   const int threads = 4;
-  LockSpace<RealPlat> space(bst_cfg(threads), threads, 4096);
+  LockTable<RealPlat> space(bst_cfg(threads), threads, 4096);
   LockedBst<RealPlat> bst(space, 4096);
   std::vector<std::set<std::uint32_t>> finals(threads);
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(7 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(t * 17 + 3);
       std::set<std::uint32_t>& model = finals[static_cast<std::size_t>(t)];
       for (int i = 0; i < 400; ++i) {
@@ -173,13 +173,13 @@ TEST(Bst, ConcurrentSharedKeysNoLostStructure) {
   // contention. The final set must be *some* subset of the key universe
   // with intact structure (exact membership depends on interleaving).
   const int threads = 4;
-  LockSpace<RealPlat> space(bst_cfg(threads), threads, 4096);
+  LockTable<RealPlat> space(bst_cfg(threads), threads, 4096);
   LockedBst<RealPlat> bst(space, 4096);
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(55 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(t * 31 + 5);
       for (int i = 0; i < 300; ++i) {
         const std::uint32_t key =
@@ -207,13 +207,13 @@ TEST(Bst, ConcurrentSharedKeysNoLostStructure) {
 TEST(BstSim, AdjacentKeyChurnUnderSkewedSchedule) {
   const int procs = 4;
   LockConfig cfg = bst_cfg(procs);
-  LockSpace<SimPlat> space(cfg, procs, 1024);
+  LockTable<SimPlat> space(cfg, procs, 1024);
   LockedBst<SimPlat> bst(space, 1024);
   Simulator sim(11);
   std::vector<std::set<std::uint32_t>> finals(procs);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(p * 7 + 1);
       std::set<std::uint32_t>& model = finals[static_cast<std::size_t>(p)];
       for (int i = 0; i < 40; ++i) {
@@ -248,12 +248,12 @@ class BstSimSweep : public ::testing::TestWithParam<BstSimParam> {};
 TEST_P(BstSimSweep, SharedUniverseChurnKeepsStructure) {
   const BstSimParam prm = GetParam();
   LockConfig cfg = bst_cfg(prm.procs);
-  LockSpace<SimPlat> space(cfg, prm.procs, 1024);
+  LockTable<SimPlat> space(cfg, prm.procs, 1024);
   LockedBst<SimPlat> bst(space, 1024);
   Simulator sim(prm.sim_seed);
   for (int p = 0; p < prm.procs; ++p) {
     sim.add_process([&, p] {
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(static_cast<std::uint64_t>(p) * 13 + prm.sim_seed);
       for (int i = 0; i < 30; ++i) {
         const std::uint32_t key =
@@ -287,12 +287,12 @@ TEST(BstSim, DeterministicReplay) {
   auto run_once = [] {
     const int procs = 3;
     LockConfig cfg = bst_cfg(procs);
-    LockSpace<SimPlat> space(cfg, procs, 512);
+    LockTable<SimPlat> space(cfg, procs, 512);
     LockedBst<SimPlat> bst(space, 512);
     Simulator sim(77);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
-        BasicSession proc(space.table());
+        BasicSession proc(space);
         Xoshiro256 rng(p + 1);
         for (int i = 0; i < 25; ++i) {
           const std::uint32_t key =

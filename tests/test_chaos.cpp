@@ -27,7 +27,7 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 enum class SchedKind { kRoundRobin, kUniform, kStallBurst, kWeighted };
 enum class Mode { kTheory, kNoDelays, kNoHelp, kBare };
@@ -101,12 +101,12 @@ TEST_P(ChaosSweep, SafetyHoldsEverywhere) {
   Simulator sim(seed);
   for (int p = 0; p < kProcs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space.register_process();
+      Session<SimPlat> session(space);
       Xoshiro256 rng(seed * 613 + static_cast<std::uint64_t>(p));
       for (int a = 0; a < kAttempts; ++a) {
         // Random sorted distinct lock set of exactly max_locks ids. The
         // thunk captures the ids *by value*: an EBR-protected straggler may
-        // replay it after try_locks returns, so it must not reference
+        // replay it after submit returns, so it must not reference
         // storage this loop reuses. (Replayed loads return logged values,
         // but a replayed first-write against a fresh cell still holding the
         // initial word could land — by-value capture removes the hazard.)
@@ -121,11 +121,15 @@ TEST_P(ChaosSweep, SafetyHoldsEverywhere) {
         }
         std::sort(ids.begin(), ids.begin() + want);
         MutexAudit<SimPlat>* aud = &audit;
-        const bool won = space.try_locks(
-            proc, std::span<const std::uint32_t>(ids.data(), want),
-            [aud, ids, want](IdemCtx<SimPlat>& m) {
-              aud->guard(m, std::span<const std::uint32_t>(ids.data(), want));
-            });
+        const bool won =
+            submit(session,
+                   StaticLockSet<3>(
+                       std::span<const std::uint32_t>(ids.data(), want)),
+                   [aud, ids, want](IdemCtx<SimPlat>& m) {
+                     aud->guard(m, std::span<const std::uint32_t>(ids.data(),
+                                                                  want));
+                   })
+                .won;
         if (won) {
           ++wins_by_first_lock[ids[0]];
           ++total_wins;
@@ -202,8 +206,8 @@ TEST_P(ChaosCrash, SafetySurvivesACrash) {
   Simulator sim(seed);
   for (int p = 0; p < kProcs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space.register_process();
-      if (p == kProcs - 1) victim_proc = proc;
+      Session<SimPlat> session(space);
+      if (p == kProcs - 1) victim_proc = session.process();
       Xoshiro256 rng(seed * 389 + static_cast<std::uint64_t>(p));
       for (int a = 0; a < kAttempts; ++a) {
         std::array<std::uint32_t, 3> ids{};  // by-value capture, see above
@@ -217,12 +221,16 @@ TEST_P(ChaosCrash, SafetySurvivesACrash) {
         }
         std::sort(ids.begin(), ids.begin() + want);
         MutexAudit<SimPlat>* aud = &audit;
-        const bool won = space.try_locks(
-            proc, std::span<const std::uint32_t>(ids.data(), want),
-            [aud, ids, want](IdemCtx<SimPlat>& m) {
-              aud->guard(m, std::span<const std::uint32_t>(ids.data(), want));
-            });
-        // Runs atomically with try_locks' return under the simulator.
+        const bool won =
+            submit(session,
+                   StaticLockSet<3>(
+                       std::span<const std::uint32_t>(ids.data(), want)),
+                   [aud, ids, want](IdemCtx<SimPlat>& m) {
+                     aud->guard(m, std::span<const std::uint32_t>(ids.data(),
+                                                                  want));
+                   })
+                .won;
+        // Runs atomically with submit's return under the simulator.
         if (won) ++wins_by_first_lock[ids[0]];
       }
     });

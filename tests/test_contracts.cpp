@@ -7,7 +7,9 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<RealPlat>;
+using Space = LockTable<RealPlat>;
+
+constexpr auto kNoop = [](IdemCtx<RealPlat>&) {};
 
 LockConfig tiny_cfg() {
   LockConfig cfg;
@@ -18,53 +20,41 @@ LockConfig tiny_cfg() {
   return cfg;
 }
 
-// The raw-span overload's O(L²) duplicate scan is demoted to a debug
-// assertion (LockSetView/StaticLockSet construction is the validated
-// path), so the release-build duplicate contract lives in the view layer:
-// StaticLockSet collapses duplicates before the budget check (see
-// test_session's LockSet suite), and a view over a genuinely malformed
-// span is the caller's contract violation. In debug builds the raw-span
-// scan still dies loudly.
-TEST(Contracts, DuplicateLockIdsRejected) {
-#ifndef NDEBUG
-  Space space(tiny_cfg(), 1, 4);
-  auto proc = space.register_process();
-  const std::uint32_t ids[] = {1, 1};
-  EXPECT_DEATH(space.try_locks(proc, ids, typename Space::Thunk{}), "");
-#else
-  // Release: duplicates collapse in the owning set type instead of
-  // aborting the attempt path.
+// Every acquisition goes through a typed lock set, so duplicate ids
+// cannot reach the attempt path: StaticLockSet collapses them before the
+// budget check (see also test_session's LockSet suite).
+TEST(Contracts, DuplicateLockIdsCollapseInTheSetType) {
   StaticLockSet<4> set({1, 1});
   EXPECT_EQ(set.size(), 1u);
-#endif
 }
 
+// The configured L bound is enforced at submission even for a set built
+// without the config.
 TEST(Contracts, LockSetBeyondLRejected) {
   Space space(tiny_cfg(), 1, 4);
-  auto proc = space.register_process();
-  const std::uint32_t ids[] = {0, 1, 2};
-  EXPECT_DEATH(space.try_locks(proc, ids, typename Space::Thunk{}),
-               "exceeds the configured L bound");
+  Session<RealPlat> session(space);
+  const StaticLockSet<4> ids({0, 1, 2});
+  EXPECT_DEATH(submit(session, ids, kNoop), "exceeds the configured L bound");
 }
 
 TEST(Contracts, OutOfRangeLockIdRejected) {
   Space space(tiny_cfg(), 1, 4);
-  auto proc = space.register_process();
-  const std::uint32_t ids[] = {99};
-  EXPECT_DEATH(space.try_locks(proc, ids, typename Space::Thunk{}), "");
+  Session<RealPlat> session(space);
+  const StaticLockSet<1> ids({99});
+  EXPECT_DEATH(submit(session, ids, kNoop), "");
 }
 
 TEST(Contracts, ThunkOpBudgetEnforced) {
   Space space(tiny_cfg(), 1, 2);
-  auto proc = space.register_process();
+  Session<RealPlat> session(space);
   Cell<RealPlat> c{0};
-  const std::uint32_t ids[] = {0};
-  EXPECT_DEATH(space.try_locks(proc, ids,
-                               [&c](IdemCtx<RealPlat>& m) {
-                                 for (int i = 0; i < 100; ++i) {
-                                   m.store(c, static_cast<std::uint32_t>(i));
-                                 }
-                               }),
+  const StaticLockSet<1> ids({0});
+  EXPECT_DEATH(submit(session, ids,
+                      [&c](IdemCtx<RealPlat>& m) {
+                        for (int i = 0; i < 100; ++i) {
+                          m.store(c, static_cast<std::uint32_t>(i));
+                        }
+                      }),
                "kMaxThunkOps");
 }
 
@@ -74,11 +64,16 @@ TEST(Contracts, ConfigValidationCatchesZeros) {
   EXPECT_DEATH((Space{cfg, 1, 1}), "");
 }
 
+// A session is the only holder of a registered process; its moved-from
+// shell holds none and must not submit.
 TEST(Contracts, UnregisteredProcessRejected) {
   Space space(tiny_cfg(), 1, 2);
-  typename Space::Process bogus;  // ebr_pid == -1
-  const std::uint32_t ids[] = {0};
-  EXPECT_DEATH(space.try_locks(bogus, ids, typename Space::Thunk{}), "");
+  Session<RealPlat> session(space);
+  Session<RealPlat> owner(std::move(session));
+  const StaticLockSet<1> ids({0});
+  // The moved-from shell is this test's subject.
+  EXPECT_DEATH(submit(session, ids, kNoop),  // NOLINT(bugprone-use-after-move)
+               "not registered");
 }
 
 TEST(Contracts, EbrParticipantCapacityEnforced) {

@@ -31,7 +31,7 @@ namespace wfl {
 using test::TestPlat;
 namespace {
 
-using Space = LockSpace<TestPlat>;
+using Space = LockTable<TestPlat>;
 
 // Runs the simulation until every non-victim process finished (or the slot
 // budget is exhausted). A plain `required_finishers = procs - victims` is
@@ -92,26 +92,26 @@ CrashRunResult run_with_crash(int procs, int locks, int attempts,
   Simulator sim(seed);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
-      if (p == victim) victim_proc = proc;
+      Session<TestPlat> session(*space);
+      if (p == victim) victim_proc = session.process();
       Xoshiro256 rng(seed * 7919 + static_cast<std::uint64_t>(p));
       for (int a = 0; a < attempts; ++a) {
         const std::uint32_t r =
             static_cast<std::uint32_t>(rng.next_below(locks));
-        const std::uint32_t ids[] = {r, (r + 1) % static_cast<std::uint32_t>(
-                                            locks)};
+        const StaticLockSet<2> ids(
+            {r, (r + 1) % static_cast<std::uint32_t>(locks)});
         Cell<TestPlat>& flag = *busy[r];
         Cell<TestPlat>& cnt = *count[r];
         std::uint64_t* viol = &violations[r];
-        const bool won = space->try_locks(
-            proc, ids, [&flag, &cnt, viol](IdemCtx<TestPlat>& m) {
+        const bool won =
+            submit(session, ids, [&flag, &cnt, viol](IdemCtx<TestPlat>& m) {
               if (m.load(flag) != 0) ++*viol;
               m.store(flag, 1);
               const std::uint32_t v = m.load(cnt);
               m.store(cnt, v + 1);
               m.store(flag, 0);
-            });
-        // Local bookkeeping: runs atomically with try_locks' return (no
+            }).won;
+        // Local bookkeeping: runs atomically with submit's return (no
         // shared-memory step in between), so a crash cannot split them.
         if (won) ++wins[static_cast<std::size_t>(p)];
       }
@@ -192,15 +192,14 @@ TEST(Crash, TwoSimultaneousCrashesTolerated) {
   Simulator sim(11);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space.register_process();
-      procs_of[static_cast<std::size_t>(p)] = proc;
-      const std::uint32_t ids[] = {0, 1};
+      Session<TestPlat> session(space);
+      procs_of[static_cast<std::size_t>(p)] = session.process();
+      const StaticLockSet<2> ids({0, 1});
       for (int a = 0; a < 10; ++a) {
-        const bool won =
-            space.try_locks(proc, ids, [&cnt](IdemCtx<TestPlat>& m) {
-              const std::uint32_t v = m.load(cnt);
-              m.store(cnt, v + 1);
-            });
+        const bool won = submit(session, ids, [&cnt](IdemCtx<TestPlat>& m) {
+                           const std::uint32_t v = m.load(cnt);
+                           m.store(cnt, v + 1);
+                         }).won;
         if (won) ++wins[static_cast<std::size_t>(p)];
       }
     });
@@ -246,18 +245,18 @@ TEST(Crash, PhilosopherNeighborsOfCrashedStillEat) {
   Simulator sim(23);
   for (int p = 0; p < n; ++p) {
     sim.add_process([&, p] {
-      auto proc = space.register_process();
-      procs_of[static_cast<std::size_t>(p)] = proc;
+      Session<TestPlat> session(space);
+      procs_of[static_cast<std::size_t>(p)] = session.process();
       const auto left = static_cast<std::uint32_t>(p);
       const auto right = static_cast<std::uint32_t>((p + 1) % n);
-      const std::uint32_t ids[] = {left, right};
+      const StaticLockSet<2> ids({left, right});
       Cell<TestPlat>& my_meals = *meals[static_cast<std::size_t>(p)];
       for (int a = 0; a < 40; ++a) {
         const bool won =
-            space.try_locks(proc, ids, [&my_meals](IdemCtx<TestPlat>& m) {
+            submit(session, ids, [&my_meals](IdemCtx<TestPlat>& m) {
               const std::uint32_t v = m.load(my_meals);
               m.store(my_meals, v + 1);
-            });
+            }).won;
         if (won) ++eaten[static_cast<std::size_t>(p)];
       }
     });
@@ -283,7 +282,7 @@ TEST(Crash, PhilosopherNeighborsOfCrashedStillEat) {
 // segment: the victim holds no EBR guard there, so reclamation keeps
 // flowing and survivors' pools do not balloon. (The work-segment crash case
 // is exercised by the sweep above; this pins the guard-release design
-// decision documented in lock_space.hpp.)
+// decision documented in lock_table.hpp.)
 TEST(Crash, CrashInsideDelayDoesNotStallReclamation) {
   const int procs = 4;
   LockConfig cfg = crash_cfg(4, 2);
@@ -295,12 +294,12 @@ TEST(Crash, CrashInsideDelayDoesNotStallReclamation) {
   Simulator sim(31);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space.register_process();
-      procs_of[static_cast<std::size_t>(p)] = proc;
-      const std::uint32_t ids[] = {0, 1};
+      Session<TestPlat> session(space);
+      procs_of[static_cast<std::size_t>(p)] = session.process();
+      const StaticLockSet<2> ids({0, 1});
       const int rounds = p == procs - 1 ? 4 : 60;
       for (int a = 0; a < rounds; ++a) {
-        space.try_locks(proc, ids, [&cnt](IdemCtx<TestPlat>& m) {
+        submit(session, ids, [&cnt](IdemCtx<TestPlat>& m) {
           const std::uint32_t v = m.load(cnt);
           m.store(cnt, v + 1);
         });

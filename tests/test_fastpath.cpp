@@ -48,17 +48,17 @@ LockConfig off_cfg(std::uint32_t kappa, std::uint32_t max_locks = 2,
 TEST(FastPath, UncontendedHitsAndZeroPoolTraffic) {
   Table t(off_cfg(2, 1), 2, 16, SpaceSizing{.shards = 4});
   ASSERT_TRUE(t.fast_path_enabled());
-  auto proc = t.register_process();
+  Session<RealPlat> session(t);
   Cell<RealPlat> c{0};
   // Pool construction pushes every slot through the freelist; the attempt
   // window below must add ZERO on top of that.
   const std::uint64_t fl0 = t.freelist_ops();
   const int kAttempts = 500;
   for (int a = 0; a < kAttempts; ++a) {
-    const std::uint32_t ids[] = {static_cast<std::uint32_t>(a % 16)};
-    ASSERT_TRUE(t.try_locks(proc, ids, [&c](IdemCtx<RealPlat>& m) {
-      m.store(c, m.load(c) + 1);
-    }));
+    const StaticLockSet<1> ids({static_cast<std::uint32_t>(a % 16)});
+    ASSERT_TRUE(submit(session, ids, [&c](IdemCtx<RealPlat>& m) {
+                  m.store(c, m.load(c) + 1);
+                }).won);
   }
   const LockStats s = t.stats();
   EXPECT_EQ(s.attempts, static_cast<std::uint64_t>(kAttempts));
@@ -86,12 +86,11 @@ TEST(FastPath, DisabledUnderTheoryDelays) {
   Table t(cfg, 2, 8);
   EXPECT_FALSE(t.fast_path_enabled());
   EXPECT_FALSE(t.cooperative_help_enabled());
-  auto proc = t.register_process();
+  Session<RealPlat> session(t);
   Cell<RealPlat> c{0};
-  const std::uint32_t ids[] = {3};
-  ASSERT_TRUE(t.try_locks(proc, ids, [&c](IdemCtx<RealPlat>& m) {
-    m.store(c, m.load(c) + 1);
-  }));
+  ASSERT_TRUE(submit(session, StaticLockSet<1>({3}), [&c](IdemCtx<RealPlat>& m) {
+                m.store(c, m.load(c) + 1);
+              }).won);
   EXPECT_EQ(t.stats().fastpath_hits, 0u);
 }
 
@@ -100,12 +99,11 @@ TEST(FastPath, DisabledByConfigKnob) {
   cfg.fast_path = false;
   Table t(cfg, 2, 8);
   EXPECT_FALSE(t.fast_path_enabled());
-  auto proc = t.register_process();
+  Session<RealPlat> session(t);
   Cell<RealPlat> c{0};
-  const std::uint32_t ids[] = {0};
-  ASSERT_TRUE(t.try_locks(proc, ids, [&c](IdemCtx<RealPlat>& m) {
-    m.store(c, m.load(c) + 1);
-  }));
+  ASSERT_TRUE(submit(session, StaticLockSet<1>({0}), [&c](IdemCtx<RealPlat>& m) {
+                m.store(c, m.load(c) + 1);
+              }).won);
   EXPECT_EQ(t.stats().fastpath_hits, 0u);
   EXPECT_LT(t.shard_desc_free(0), t.shard_desc_capacity(0))
       << "descriptor path not taken";
@@ -115,12 +113,11 @@ TEST(FastPath, DisabledByConfigKnob) {
 // single-lock specialization.
 TEST(FastPath, MultiLockAttemptsTakeDescriptorPath) {
   Table t(off_cfg(2, 2), 2, 8);
-  auto proc = t.register_process();
+  Session<RealPlat> session(t);
   Cell<RealPlat> c{0};
-  const std::uint32_t ids[] = {1, 2};
-  ASSERT_TRUE(t.try_locks(proc, ids, [&c](IdemCtx<RealPlat>& m) {
-    m.store(c, m.load(c) + 1);
-  }));
+  ASSERT_TRUE(submit(session, StaticLockSet<2>({1, 2}),
+                     [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); })
+                  .won);
   EXPECT_EQ(t.stats().fastpath_hits, 0u);
   EXPECT_EQ(t.stats().wins, 1u);
 }
@@ -158,23 +155,24 @@ SimRunResult run_contended_sim(int procs, int attempts,
   Simulator sim(seed);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
-      if (p == victim) victim_proc = proc;
+      Session<TestPlat> session(*space);
+      if (p == victim) victim_proc = session.process();
       int won_count = 0;
       // Retry until `attempts` wins so every process exercises both the
       // fast and the (contended) descriptor path many times.
       while (won_count < attempts) {
-        const std::uint32_t ids[] = {0};
         Cell<TestPlat>* flag = busy.get();
         Cell<TestPlat>* counter = cnt.get();
         std::uint64_t* viol = &violations;
-        const bool won = space->try_locks(
-            proc, ids, [flag, counter, viol](IdemCtx<TestPlat>& m) {
-              if (m.load(*flag) != 0) ++*viol;
-              m.store(*flag, 1);
-              m.store(*counter, m.load(*counter) + 1);
-              m.store(*flag, 0);
-            });
+        const bool won =
+            submit(session, StaticLockSet<1>({0}),
+                   [flag, counter, viol](IdemCtx<TestPlat>& m) {
+                     if (m.load(*flag) != 0) ++*viol;
+                     m.store(*flag, 1);
+                     m.store(*counter, m.load(*counter) + 1);
+                     m.store(*flag, 0);
+                   })
+                .won;
         if (won) {
           ++won_count;
           ++wins[static_cast<std::size_t>(p)];
@@ -293,33 +291,29 @@ TEST(FastPath, CooldownResumesAfterGrace) {
 
   Simulator sim(31);
   sim.add_process([&] {
-    auto proc = space->register_process();
+    Session<TestPlat> session(*space);
+    const StaticLockSet<1> ids({0});
     // Phase 1: contended window (proc 1 racing on the same lock).
     for (int a = 0; a < 200; ++a) {
-      const std::uint32_t ids[] = {0};
-      space->try_locks(proc, ids, [&](IdemCtx<TestPlat>& m) {
-        m.store(*c, m.load(*c) + 1);
-      });
+      submit(session, ids,
+             [&](IdemCtx<TestPlat>& m) { m.store(*c, m.load(*c) + 1); });
     }
     // Phase 2: alone. Descriptor-path attempts keep retiring into the EBR
     // pipeline, so any pending cooldown token drains and the fast path
     // must come back.
     const std::uint64_t hits_before = space->stats().fastpath_hits;
     for (int a = 0; a < 400; ++a) {
-      const std::uint32_t ids[] = {0};
-      space->try_locks(proc, ids, [&](IdemCtx<TestPlat>& m) {
-        m.store(*c, m.load(*c) + 1);
-      });
+      submit(session, ids,
+             [&](IdemCtx<TestPlat>& m) { m.store(*c, m.load(*c) + 1); });
     }
     hits_after_contention = space->stats().fastpath_hits - hits_before;
   });
   sim.add_process([&] {
-    auto proc = space->register_process();
+    Session<TestPlat> session(*space);
+    const StaticLockSet<1> ids({0});
     for (int a = 0; a < 150; ++a) {
-      const std::uint32_t ids[] = {0};
-      space->try_locks(proc, ids, [&](IdemCtx<TestPlat>& m) {
-        m.store(*c, m.load(*c) + 1);
-      });
+      submit(session, ids,
+             [&](IdemCtx<TestPlat>& m) { m.store(*c, m.load(*c) + 1); });
     }
   });
   UniformSchedule sched(2, 31);
@@ -344,13 +338,13 @@ TEST(HelpClaim, EngagesUnderContentionAndConserves) {
   for (int k = 0; k < threads; ++k) {
     ts.emplace_back([&, k] {
       RealPlat::seed_rng(0x5EED + static_cast<std::uint64_t>(k));
-      auto proc = t->register_process();
+      Session<RealPlat> session(*t);
+      const StaticLockSet<1> ids({0});
       std::uint64_t local = 0;
       for (int a = 0; a < per_thread; ++a) {
-        const std::uint32_t ids[] = {0};
-        local += t->try_locks(proc, ids, [&cnt](IdemCtx<RealPlat>& m) {
-          m.store(cnt, m.load(cnt) + 1);
-        });
+        local += submit(session, ids, [&cnt](IdemCtx<RealPlat>& m) {
+                   m.store(cnt, m.load(cnt) + 1);
+                 }).won;
       }
       wins.fetch_add(local);
     });

@@ -61,9 +61,9 @@ TEST(GraphTopology, RandomRegularRespectsDegreeCapAndSymmetry) {
 }
 
 TEST(Graph, SequentialColouringIsProper) {
-  LockSpace<RealPlat> space(graph_cfg(1, 2), 1, 12);
+  LockTable<RealPlat> space(graph_cfg(1, 2), 1, 12);
   LockedGraph<RealPlat> g(space, LockedGraph<RealPlat>::ring(12));
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   for (std::uint32_t v = 0; v < 12; ++v) g.colour_vertex(proc, v);
   EXPECT_TRUE(g.properly_coloured());
   // A ring needs at most 3 colours under greedy.
@@ -71,9 +71,9 @@ TEST(Graph, SequentialColouringIsProper) {
 }
 
 TEST(Graph, ApplyRunsExactlyOncePerWin) {
-  LockSpace<RealPlat> space(graph_cfg(1, 2), 1, 8);
+  LockTable<RealPlat> space(graph_cfg(1, 2), 1, 8);
   LockedGraph<RealPlat> g(space, LockedGraph<RealPlat>::ring(8));
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   for (int round = 0; round < 10; ++round) {
     g.apply(proc, 3, [](IdemCtx<RealPlat>& m, LockedGraph<RealPlat>::View nb) {
       m.store(*nb.centre, m.load(*nb.centre) + 1);
@@ -85,14 +85,14 @@ TEST(Graph, ApplyRunsExactlyOncePerWin) {
 TEST(Graph, ConcurrentColouringOnRingIsProper) {
   const int threads = 4;
   const std::uint32_t n = 32;
-  LockSpace<RealPlat> space(graph_cfg(threads, 2), threads,
+  LockTable<RealPlat> space(graph_cfg(threads, 2), threads,
                             static_cast<int>(n));
   LockedGraph<RealPlat> g(space, LockedGraph<RealPlat>::ring(n));
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(17 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       // Interleaved vertex ownership maximizes boundary conflicts.
       for (std::uint32_t v = static_cast<std::uint32_t>(t); v < n;
            v += static_cast<std::uint32_t>(threads)) {
@@ -106,13 +106,13 @@ TEST(Graph, ConcurrentColouringOnRingIsProper) {
 
 TEST(Graph, ConcurrentColouringOnTorusIsProper) {
   const int threads = 4;
-  LockSpace<RealPlat> space(graph_cfg(threads, 4), threads, 36);
+  LockTable<RealPlat> space(graph_cfg(threads, 4), threads, 36);
   LockedGraph<RealPlat> g(space, LockedGraph<RealPlat>::torus(6, 6));
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(29 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       for (std::uint32_t v = static_cast<std::uint32_t>(t); v < 36;
            v += static_cast<std::uint32_t>(threads)) {
         g.colour_vertex(proc, v);
@@ -124,9 +124,9 @@ TEST(Graph, ConcurrentColouringOnTorusIsProper) {
 }
 
 TEST(Graph, AveragingConvergesTowardsConsensus) {
-  LockSpace<RealPlat> space(graph_cfg(1, 2), 1, 10);
+  LockTable<RealPlat> space(graph_cfg(1, 2), 1, 10);
   LockedGraph<RealPlat> g(space, LockedGraph<RealPlat>::ring(10));
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   for (std::uint32_t v = 0; v < 10; ++v) g.set_value(v, v * 100);
   for (int round = 0; round < 50; ++round) {
     for (std::uint32_t v = 0; v < 10; ++v) g.average_vertex(proc, v);
@@ -145,12 +145,12 @@ TEST(GraphSim, ConcurrentColouringUnderAdversarialSchedule) {
   const int procs = 4;
   const std::uint32_t n = 16;
   LockConfig cfg = graph_cfg(procs, 2);
-  LockSpace<SimPlat> space(cfg, procs, static_cast<int>(n));
+  LockTable<SimPlat> space(cfg, procs, static_cast<int>(n));
   LockedGraph<SimPlat> g(space, LockedGraph<SimPlat>::ring(n));
   Simulator sim(13);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       for (std::uint32_t v = static_cast<std::uint32_t>(p); v < n;
            v += static_cast<std::uint32_t>(procs)) {
         g.colour_vertex(proc, v);
@@ -167,12 +167,12 @@ TEST(GraphSim, DeterministicReplay) {
     const int procs = 3;
     const std::uint32_t n = 9;
     LockConfig cfg = graph_cfg(procs, 2);
-    LockSpace<SimPlat> space(cfg, procs, static_cast<int>(n));
+    LockTable<SimPlat> space(cfg, procs, static_cast<int>(n));
     LockedGraph<SimPlat> g(space, LockedGraph<SimPlat>::ring(n));
     Simulator sim(3);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
-        BasicSession proc(space.table());
+        BasicSession proc(space);
         for (std::uint32_t v = static_cast<std::uint32_t>(p); v < n;
              v += static_cast<std::uint32_t>(procs)) {
           g.colour_vertex(proc, v);

@@ -22,9 +22,9 @@ LockConfig map_cfg(int procs) {
 }
 
 TEST(HashMap, PutGetEraseBasics) {
-  LockSpace<RealPlat> space(map_cfg(1), 1, 16);
+  LockTable<RealPlat> space(map_cfg(1), 1, 16);
   LockedHashMap<RealPlat> map(space, 16, 256);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   EXPECT_EQ(map.put(proc, 1, 100), kMapOk);
   EXPECT_EQ(map.put(proc, 2, 200), kMapOk);
   std::uint32_t v = 0;
@@ -44,9 +44,9 @@ TEST(HashMap, PutGetEraseBasics) {
 
 TEST(HashMap, SingleBucketChainFillsToCapThenRejects) {
   // One bucket forces all keys into one chain.
-  LockSpace<RealPlat> space(map_cfg(1), 1, 1);
+  LockTable<RealPlat> space(map_cfg(1), 1, 1);
   LockedHashMap<RealPlat> map(space, 1, 64);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   for (std::uint64_t k = 1; k <= kMaxChain; ++k) {
     EXPECT_EQ(map.put(proc, k, static_cast<std::uint32_t>(k)), kMapOk);
   }
@@ -60,9 +60,9 @@ TEST(HashMap, SingleBucketChainFillsToCapThenRejects) {
 }
 
 TEST(HashMap, SwapExchangesValues) {
-  LockSpace<RealPlat> space(map_cfg(1), 1, 32);
+  LockTable<RealPlat> space(map_cfg(1), 1, 32);
   LockedHashMap<RealPlat> map(space, 32, 64);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   ASSERT_EQ(map.put(proc, 10, 1), kMapOk);
   ASSERT_EQ(map.put(proc, 20, 2), kMapOk);
   EXPECT_EQ(map.swap(proc, 10, 20), kMapOk);
@@ -80,9 +80,9 @@ TEST(HashMap, SwapExchangesValues) {
 }
 
 TEST(HashMap, RandomizedAgainstReferenceModel) {
-  LockSpace<RealPlat> space(map_cfg(1), 1, 16);
+  LockTable<RealPlat> space(map_cfg(1), 1, 16);
   LockedHashMap<RealPlat> map(space, 16, 512);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   std::map<std::uint64_t, std::uint32_t> model;
   Xoshiro256 rng(42);
   for (int i = 0; i < 800; ++i) {
@@ -130,13 +130,13 @@ TEST(HashMap, ConcurrentDisjointKeysAllLand) {
   // 400 keys over 256 buckets: deterministic max chain for these keys is
   // 6, comfortably under kMaxChain (64 buckets reaches 13 and trips the
   // documented chain cap).
-  LockSpace<RealPlat> space(map_cfg(threads), threads, 256);
+  LockTable<RealPlat> space(map_cfg(threads), threads, 256);
   LockedHashMap<RealPlat> map(space, 256, 2048);
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(31 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       for (std::uint64_t i = 0; i < 100; ++i) {
         EXPECT_EQ(map.put(proc, static_cast<std::uint64_t>(t) * 1000 + i,
                           static_cast<std::uint32_t>(i)),
@@ -154,10 +154,10 @@ TEST(HashMap, ConcurrentSwapsConserveValueMultiset) {
   const int threads = 4;
   const std::uint64_t nkeys = 16;
   // threads workers + 1 setup process register with the space.
-  LockSpace<RealPlat> space(map_cfg(threads + 1), threads + 1, 64);
+  LockTable<RealPlat> space(map_cfg(threads + 1), threads + 1, 64);
   LockedHashMap<RealPlat> map(space, 64, 256);
   {
-    BasicSession proc(space.table());
+    BasicSession proc(space);
     for (std::uint64_t k = 0; k < nkeys; ++k) {
       ASSERT_EQ(map.put(proc, k + 1, static_cast<std::uint32_t>(k + 1)),
                 kMapOk);
@@ -167,7 +167,7 @@ TEST(HashMap, ConcurrentSwapsConserveValueMultiset) {
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(63 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(t * 11 + 1);
       for (int i = 0; i < 400; ++i) {
         const std::uint64_t a = 1 + rng.next_below(nkeys);
@@ -196,13 +196,13 @@ TEST(HashMapSim, MixedChurnUnderStallBurstSchedule) {
   cfg.delay_mode = DelayMode::kTheory;
   cfg.c0 = 4.0;  // small constants keep the sim run short; overruns are
   cfg.c1 = 4.0;  // harmless for this safety-only test
-  LockSpace<SimPlat> space(cfg, procs, 8);
+  LockTable<SimPlat> space(cfg, procs, 8);
   LockedHashMap<SimPlat> map(space, 8, 512);
   Simulator sim(5);
   std::vector<std::map<std::uint64_t, std::uint32_t>> finals(procs);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(p * 9 + 2);
       auto& model = finals[static_cast<std::size_t>(p)];
       for (int i = 0; i < 25; ++i) {

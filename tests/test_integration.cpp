@@ -26,13 +26,13 @@ TEST(Integration, BankAndListShareALockSpace) {
   cfg.max_locks = 2;
   cfg.max_thunk_steps = 8;
   cfg.delay_mode = DelayMode::kOff;
-  LockSpace<Plat> space(cfg, threads, static_cast<int>(accounts + list_cap));
+  LockTable<Plat> space(cfg, threads, static_cast<int>(accounts + list_cap));
 
   Bank<Plat> bank(space, accounts, 100);
 
   // The list gets its own space (its lock ids are node indices); sharing
   // ids with the bank would alias locks.
-  LockSpace<Plat> list_space(cfg, threads, static_cast<int>(list_cap));
+  LockTable<Plat> list_space(cfg, threads, static_cast<int>(list_cap));
   LockedList<Plat> list(list_space, list_cap);
 
   std::vector<std::thread> ts;
@@ -40,8 +40,8 @@ TEST(Integration, BankAndListShareALockSpace) {
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       Plat::seed_rng(600 + static_cast<std::uint64_t>(t));
-      BasicSession bproc(space.table());
-      BasicSession lproc(list_space.table());
+      BasicSession bproc(space);
+      BasicSession lproc(list_space);
       Xoshiro256 rng(t * 5 + 1);
       for (int i = 0; i < 200; ++i) {
         const auto a = static_cast<std::uint32_t>(rng.next_below(accounts));
@@ -96,8 +96,8 @@ TEST(Integration, KnownAndAdaptiveAgreeOnOutcomeInvariants) {
   cfg.max_thunk_steps = 4;
   cfg.c0 = 8.0;
   cfg.c1 = 8.0;
-  LockSpace<SimPlat> known(cfg, 3, 2);
-  auto [kw, kc] = run_with(known.table());
+  LockTable<SimPlat> known(cfg, 3, 2);
+  auto [kw, kc] = run_with(known);
   EXPECT_EQ(kw, kc);  // every win incremented exactly once
 
   AdaptiveLockSpace<SimPlat> adaptive(3, 2);
@@ -117,12 +117,12 @@ TEST(Integration, PhilosopherHarnessAcrossProviders) {
     cfg.max_thunk_steps = 2;
     cfg.c0 = 8.0;
     cfg.c1 = 8.0;
-    auto space = std::make_unique<LockSpace<SimPlat>>(cfg, n, n);
+    auto space = std::make_unique<LockTable<SimPlat>>(cfg, n, n);
     std::vector<PhilosopherReport> reports(n);
     Simulator sim(66);
     for (int p = 0; p < n; ++p) {
       sim.add_process([&, p] {
-        BasicSession session(space->table());
+        BasicSession session(*space);
         const auto [l, r] = forks_of(p, n);
         const StaticLockSet<2> forks{l, r};
         run_philosopher_episodes<SimPlat>(
@@ -188,12 +188,12 @@ TEST(Integration, StallBurstTortureEndToEnd) {
   cfg.max_thunk_steps = 8;
   cfg.c0 = 8.0;
   cfg.c1 = 8.0;
-  LockSpace<SimPlat> space(cfg, procs, 8);
+  LockTable<SimPlat> space(cfg, procs, 8);
   Bank<SimPlat> bank(space, 8, 250);
   Simulator sim(77);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(p * 11 + 3);
       for (int i = 0; i < 20; ++i) {
         const auto a = static_cast<std::uint32_t>(rng.next_below(8));

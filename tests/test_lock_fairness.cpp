@@ -12,7 +12,11 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
+
+// The attempts here measure lock acquisition alone: an empty critical
+// section.
+constexpr auto kNoop = [](IdemCtx<SimPlat>&) {};
 
 struct FairnessResult {
   SuccessRate overall;
@@ -37,14 +41,13 @@ FairnessResult run_clique(int procs, int locks_per_attempt, int attempts,
   Simulator sim(seed);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
-      std::vector<std::uint32_t> ids;
+      Session<SimPlat> session(*space);
+      StaticLockSet<> ids;
       for (int l = 0; l < locks_per_attempt; ++l) {
-        ids.push_back(static_cast<std::uint32_t>(l));
+        ids.insert(static_cast<std::uint32_t>(l));
       }
       for (int a = 0; a < attempts; ++a) {
-        const bool won =
-            space->try_locks(proc, ids, typename Space::Thunk{});
+        const bool won = submit(session, ids, kNoop).won;
         res.per_proc[static_cast<std::size_t>(p)].add(won);
       }
     });
@@ -105,13 +108,13 @@ TEST(Fairness, DiningPhilosophersQuarterBound) {
   Simulator sim(29);
   for (int p = 0; p < n; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
+      Session<SimPlat> session(*space);
       Xoshiro256 rng(1000 + static_cast<std::uint64_t>(p));
       const std::uint32_t left = static_cast<std::uint32_t>(p);
       const std::uint32_t right = static_cast<std::uint32_t>((p + 1) % n);
-      const std::uint32_t ids[] = {left, right};
+      const StaticLockSet<2> ids({left, right}, cfg);
       for (int a = 0; a < meals_attempts; ++a) {
-        const bool ate = space->try_locks(proc, ids, typename Space::Thunk{});
+        const bool ate = submit(session, ids, kNoop).won;
         per[static_cast<std::size_t>(p)].add(ate);
         // Think for a random while (own steps), as the problem statement
         // demands — thinking is what keeps contention at the κ=2 bound.
@@ -148,18 +151,14 @@ TEST(Fairness, RetryUntilSuccessTerminatesFast) {
   Simulator sim(43);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
-      const std::uint32_t ids[] = {0, 1};
+      Session<SimPlat> session(*space);
+      const StaticLockSet<2> ids({0, 1}, cfg);
       for (int wins = 0; wins < 10; ++wins) {
-        std::uint64_t tries = 0;
-        for (;;) {
-          ++tries;
-          if (space->try_locks(proc, ids, typename Space::Thunk{})) break;
-          // Wait-freedom bound: P = 4 competitors, success >= 1/8 each try;
-          // 400 consecutive failures has probability ~1e-23.
-          ASSERT_LT(tries, 400u);
-        }
-        attempts_needed[static_cast<std::size_t>(p)] += tries;
+        // Wait-freedom bound: P = 4 competitors, success >= 1/8 each try;
+        // 400 consecutive failures has probability ~1e-23.
+        const Outcome o = submit(session, ids, kNoop, Policy::attempts(399));
+        ASSERT_TRUE(o.won);
+        attempts_needed[static_cast<std::size_t>(p)] += o.attempts;
       }
     });
   }

@@ -12,7 +12,7 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 enum class SchedKind { kRoundRobin, kUniform, kWeighted, kStallBurst };
 
@@ -71,23 +71,23 @@ TEST_P(LockProperty, MutualExclusionAndExactlyOnce) {
   Simulator sim(seed);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
+      Session<SimPlat> session(*space);
       Xoshiro256 rng(seed * 131 + static_cast<std::uint64_t>(p));
       for (int a = 0; a < attempts; ++a) {
         const auto r = static_cast<std::uint32_t>(rng.next_below(locks));
         const auto r2 = static_cast<std::uint32_t>((r + 1) % locks);
-        std::uint32_t ids_arr[2] = {r, r2};
+        const std::uint32_t ids_arr[2] = {r, r2};
         const std::uint32_t n = locks >= 2 ? 2u : 1u;
+        const StaticLockSet<2> ids(std::span(ids_arr, n));
         Cell<SimPlat>& flag = *busy[r];
         Cell<SimPlat>& cnt = *count[r];
         std::uint64_t* viol = &violations[r];
-        if (space->try_locks(proc, {ids_arr, n},
-                             [&flag, &cnt, viol](IdemCtx<SimPlat>& m) {
-                               if (m.load(flag) != 0) ++*viol;
-                               m.store(flag, 1);
-                               m.store(cnt, m.load(cnt) + 1);
-                               m.store(flag, 0);
-                             })) {
+        if (submit(session, ids, [&flag, &cnt, viol](IdemCtx<SimPlat>& m) {
+              if (m.load(flag) != 0) ++*viol;
+              m.store(flag, 1);
+              m.store(cnt, m.load(cnt) + 1);
+              m.store(flag, 0);
+            }).won) {
           ++wins_on[r];
         }
       }
@@ -140,23 +140,23 @@ TEST_P(AdaptiveProperty, MutualExclusionAndExactlyOnce) {
   Simulator sim(seed);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      auto proc = space->register_process();
+      AdaptiveSession<SimPlat> session(*space);
       Xoshiro256 rng(seed * 17 + static_cast<std::uint64_t>(p));
       for (int a = 0; a < 12; ++a) {
         const auto r = static_cast<std::uint32_t>(rng.next_below(locks));
         const auto r2 = static_cast<std::uint32_t>((r + 1) % locks);
-        std::uint32_t ids_arr[2] = {r, r2};
+        const std::uint32_t ids_arr[2] = {r, r2};
         const std::uint32_t n = locks >= 2 ? 2u : 1u;
+        const StaticLockSet<2> ids(std::span(ids_arr, n));
         Cell<SimPlat>& flag = *busy[r];
         Cell<SimPlat>& cnt = *count[r];
         std::uint64_t* viol = &violations[r];
-        if (space->try_locks(proc, {ids_arr, n},
-                             [&flag, &cnt, viol](IdemCtx<SimPlat>& m) {
-                               if (m.load(flag) != 0) ++*viol;
-                               m.store(flag, 1);
-                               m.store(cnt, m.load(cnt) + 1);
-                               m.store(flag, 0);
-                             })) {
+        if (submit(session, ids, [&flag, &cnt, viol](IdemCtx<SimPlat>& m) {
+              if (m.load(flag) != 0) ++*viol;
+              m.store(flag, 1);
+              m.store(cnt, m.load(cnt) + 1);
+              m.store(flag, 0);
+            }).won) {
           ++wins_on[r];
         }
       }

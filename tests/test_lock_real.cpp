@@ -13,7 +13,7 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<RealPlat>;
+using Space = LockTable<RealPlat>;
 
 struct RealStress {
   int threads = 4;
@@ -46,18 +46,18 @@ struct RealStress {
     for (int t = 0; t < threads; ++t) {
       ts.emplace_back([&, t] {
         RealPlat::seed_rng(0xBEEF + static_cast<std::uint64_t>(t));
-        auto proc = space->register_process();
+        Session<RealPlat> session(*space);
         Xoshiro256 rng(123 + static_cast<std::uint64_t>(t));
         for (int a = 0; a < attempts; ++a) {
           const std::uint32_t r =
               static_cast<std::uint32_t>(rng.next_below(locks));
           const std::uint32_t r2 =
               static_cast<std::uint32_t>((r + 1) % locks);
-          std::uint32_t ids[2] = {std::min(r, r2), std::max(r, r2)};
+          const StaticLockSet<2> ids({r, r2});
           Cell<RealPlat>& flag = *busy[r];
           Cell<RealPlat>& cnt = *count[r];
-          const bool won = space->try_locks(
-              proc, ids, [&flag, &cnt, &violations](IdemCtx<RealPlat>& m) {
+          const Outcome o = submit(
+              session, ids, [&flag, &cnt, &violations](IdemCtx<RealPlat>& m) {
                 if (m.load(flag) != 0) {
                   violations.fetch_add(1, std::memory_order_relaxed);
                 }
@@ -65,7 +65,7 @@ struct RealStress {
                 m.store(cnt, m.load(cnt) + 1);
                 m.store(flag, 0);
               });
-          if (won) {
+          if (o.won) {
             wins_on[r].fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -124,15 +124,14 @@ TEST(LockReal, RetryUntilSuccessAllThreadsComplete) {
   for (int t = 0; t < 4; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(0xABC + static_cast<std::uint64_t>(t));
-      auto proc = space->register_process();
-      const std::uint32_t ids[] = {0, 1};
+      Session<RealPlat> session(*space);
+      const StaticLockSet<2> ids({0, 1}, cfg);
       for (int wins = 0; wins < 50; ++wins) {
-        int tries = 0;
-        while (!space->try_locks(proc, ids, [&](IdemCtx<RealPlat>& m) {
-          m.store(total, m.load(total) + 1);
-        })) {
-          ASSERT_LT(++tries, 100000);
-        }
+        const Outcome o = submit(
+            session, ids,
+            [&](IdemCtx<RealPlat>& m) { m.store(total, m.load(total) + 1); },
+            Policy::attempts(100000));
+        ASSERT_TRUE(o.won);
       }
     });
   }

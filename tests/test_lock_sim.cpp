@@ -15,7 +15,7 @@ namespace wfl {
 using test::TestPlat;
 namespace {
 
-using Space = LockSpace<TestPlat>;
+using Space = LockTable<TestPlat>;
 
 struct SimWorkload {
   // Each process repeatedly tryLocks a lock set chosen by `pick` and runs a
@@ -53,24 +53,24 @@ struct SimWorkload {
         std::vector<std::uint64_t>(static_cast<std::size_t>(locks), 0));
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
-        auto proc = space->register_process();
+        Session<TestPlat> session(*space);
         Xoshiro256 rng(seed * 1000003 + static_cast<std::uint64_t>(p));
         for (int a = 0; a < attempts_per_proc; ++a) {
-          std::vector<std::uint32_t> ids = pick(p, a, rng);
+          const StaticLockSet<> ids(pick(p, a, rng), cfg);
           // The first lock id doubles as the "resource" the thunk touches.
           const std::uint32_t r = ids[0];
           Cell<TestPlat>& flag = *busy[r];
           Cell<TestPlat>& cnt = *count[r];
           std::uint64_t* viol = &violations[r];
-          const bool won = space->try_locks(
-              proc, ids, [&flag, &cnt, viol](IdemCtx<TestPlat>& m) {
+          const Outcome o = submit(
+              session, ids, [&flag, &cnt, viol](IdemCtx<TestPlat>& m) {
                 if (m.load(flag) != 0) ++*viol;  // someone else inside
                 m.store(flag, 1);
                 const std::uint32_t v = m.load(cnt);
                 m.store(cnt, v + 1);
                 m.store(flag, 0);
               });
-          if (won) ++local_wins[static_cast<std::size_t>(p)][r];
+          if (o.won) ++local_wins[static_cast<std::size_t>(p)][r];
         }
       });
     }
@@ -217,23 +217,21 @@ TEST(LockSim, PreRevealWorkFitsUnderT0) {
   LockConfig cfg = small_cfg();
   Space space(cfg, 4, 2);
   Simulator sim(7);
-  std::vector<AttemptInfo> infos;
-  std::vector<std::vector<AttemptInfo>> per_proc(4);
+  std::vector<std::vector<Outcome>> per_proc(4);
   for (int p = 0; p < 4; ++p) {
     sim.add_process([&, p] {
-      auto proc = space.register_process();
-      const std::uint32_t ids[] = {0, 1};
+      Session<TestPlat> session(space);
+      const StaticLockSet<2> ids({0, 1}, cfg);
       for (int a = 0; a < 20; ++a) {
-        AttemptInfo info;
-        space.try_locks(proc, ids, typename Space::Thunk{}, &info);
-        per_proc[static_cast<std::size_t>(p)].push_back(info);
+        per_proc[static_cast<std::size_t>(p)].push_back(
+            submit(session, ids, [](IdemCtx<TestPlat>&) {}));
       }
     });
   }
   UniformSchedule sched(4, 7);
   ASSERT_TRUE(sim.run(sched, 100'000'000));
   for (auto& v : per_proc) {
-    for (const AttemptInfo& i : v) {
+    for (const Outcome& i : v) {
       EXPECT_LE(i.pre_reveal_work, cfg.t0_steps());
       EXPECT_LE(i.post_reveal_work, cfg.t1_steps());
       // Total own-steps is the fixed T0 + T1 plus the reveal store and a

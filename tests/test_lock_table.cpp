@@ -52,15 +52,15 @@ TEST(LockTable, ShardOfIsMaskRouting) {
 TEST(LockTable, SingleLockAttemptsStayShardLocal) {
   Table t(cfg_for(2, 1), 2, 16, SpaceSizing{.shards = 4});
   ASSERT_EQ(t.num_shards(), 4u);
-  auto proc = t.register_process();
+  Session<RealPlat> session(t);
   Cell<RealPlat> c{0};
   std::uint32_t wins = 0;
   for (int a = 0; a < 500; ++a) {
     // Locks 0, 4, 8, 12 — all shard 0 under mask routing.
-    const std::uint32_t ids[] = {static_cast<std::uint32_t>((a % 4) * 4)};
-    wins += t.try_locks(proc, ids, [&c](IdemCtx<RealPlat>& m) {
-      m.store(c, m.load(c) + 1);
-    });
+    const StaticLockSet<1> ids({static_cast<std::uint32_t>((a % 4) * 4)});
+    wins += submit(session, ids, [&c](IdemCtx<RealPlat>& m) {
+              m.store(c, m.load(c) + 1);
+            }).won;
   }
   EXPECT_EQ(wins, 500u);  // uncontended: every attempt wins
   for (std::uint32_t s = 1; s < 4; ++s) {
@@ -90,19 +90,19 @@ TEST(LockTable, CrossShardMultiLockMutualExclusion) {
   for (int k = 0; k < threads; ++k) {
     ts.emplace_back([&, k] {
       RealPlat::seed_rng(0xFACE + static_cast<std::uint64_t>(k));
-      auto proc = t->register_process();
+      Session<RealPlat> session(*t);
       // Locks 1 and 2 live in shards 1 and 2.
-      const std::uint32_t ids[] = {1, 2};
+      const StaticLockSet<2> ids({1, 2});
       for (int a = 0; a < attempts; ++a) {
         const bool won =
-            t->try_locks(proc, ids, [&](IdemCtx<RealPlat>& m) {
+            submit(session, ids, [&](IdemCtx<RealPlat>& m) {
               if (m.load(flag) != 0) {
                 violations.fetch_add(1, std::memory_order_relaxed);
               }
               m.store(flag, 1);
               m.store(count, m.load(count) + 1);
               m.store(flag, 0);
-            });
+            }).won;
         if (won) wins.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -141,16 +141,16 @@ TEST(LockTable, StripedStatsMatchPerAttemptGroundTruth) {
   for (int k = 0; k < threads; ++k) {
     ts.emplace_back([&, k] {
       RealPlat::seed_rng(0xD00D + static_cast<std::uint64_t>(k));
-      auto proc = t->register_process();
+      Session<RealPlat> session(*t);
       Xoshiro256 rng(991 + static_cast<std::uint64_t>(k));
       for (int a = 0; a < attempts; ++a) {
         const auto r = static_cast<std::uint32_t>(rng.next_below(15));
-        const std::uint32_t ids[] = {r, r + 1};
+        const StaticLockSet<2> ids({r, r + 1});
         Cell<RealPlat>* cell = count[r].get();
         true_attempts.fetch_add(1, std::memory_order_relaxed);
-        if (t->try_locks(proc, ids, [cell](IdemCtx<RealPlat>& m) {
+        if (submit(session, ids, [cell](IdemCtx<RealPlat>& m) {
               m.store(*cell, m.load(*cell) + 1);
-            })) {
+            }).won) {
           true_wins.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -176,20 +176,18 @@ TEST(LockTable, StripedStatsMatchPerAttemptGroundTruth) {
 // re-entrant (depth-counted) across the whole table.
 TEST(LockTable, HandleWorksAcrossShardsAndGuardsAreReentrant) {
   Table t(cfg_for(2, 1), 2, 8, SpaceSizing{.shards = 4});
-  auto p0 = t.register_process();
-  auto p1 = t.register_process();
-  EXPECT_EQ(p0.ebr_pid, 0);
-  EXPECT_EQ(p1.ebr_pid, 1);
+  Session<RealPlat> s0(t);
+  Session<RealPlat> s1(t);
+  EXPECT_EQ(s0.pid(), 0);
+  EXPECT_EQ(s1.pid(), 1);
+  const auto p0 = s0.process();
 
   Cell<RealPlat> c{0};
+  const auto bump = [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); };
   for (std::uint32_t id = 0; id < 8; ++id) {
-    const std::uint32_t ids[] = {id};
-    EXPECT_TRUE(t.try_locks(p0, ids, [&c](IdemCtx<RealPlat>& m) {
-      m.store(c, m.load(c) + 1);
-    }));
-    EXPECT_TRUE(t.try_locks(p1, ids, [&c](IdemCtx<RealPlat>& m) {
-      m.store(c, m.load(c) + 1);
-    }));
+    const StaticLockSet<1> ids({id});
+    EXPECT_TRUE(submit(s0, ids, bump).won);
+    EXPECT_TRUE(submit(s1, ids, bump).won);
   }
   EXPECT_EQ(c.peek(), 16u);
   EXPECT_EQ(t.stats().attempts, 16u);
@@ -206,31 +204,26 @@ TEST(LockTable, HandleWorksAcrossShardsAndGuardsAreReentrant) {
   t.ebr_exit(p0);
 }
 
-// The facade still composes with everything that now takes the table layer:
-// a LockSpace flows into substrate constructors, txn and retry unchanged.
-TEST(LockTable, FacadeConvertsToTable) {
-  LockSpace<RealPlat> space(cfg_for(1, 2, 24), 1, 8);
-  EXPECT_EQ(space.num_shards(), 1u);
-  Table& t = space;  // implicit conversion
-  EXPECT_EQ(t.num_locks(), 8);
-
-  auto proc = space.register_process();
+// A prepared transaction and a plain retrying submission share one
+// session: both are submit() calls under Policy::retry().
+TEST(LockTable, TxnAndRetrySubmitThroughOneSession) {
+  Table t(cfg_for(1, 2, 24), 1, 8);
+  EXPECT_EQ(t.num_shards(), 1u);
+  Session<RealPlat> session(t);
   auto cell = std::make_unique<Cell<RealPlat>>(0u);
   Cell<RealPlat>* cp = cell.get();
   TxnBuilder<RealPlat> b;
   const std::uint32_t ids[] = {0, 1};
   b.op(ids, [cp](IdemCtx<RealPlat>& m) { m.store(*cp, m.load(*cp) + 1); });
   auto txn = std::move(b).build();
-  const RetryStats rs = txn.run(space, proc);
-  EXPECT_TRUE(rs.success);
+  EXPECT_TRUE(txn.submit(session, Policy::retry()).won);
   EXPECT_EQ(cell->peek(), 1u);
 
-  const std::uint32_t one[] = {2};
-  const RetryStats rr = retry_until_success<RealPlat>(
-      space, proc, one, [cp](IdemCtx<RealPlat>& m) {
-        m.store(*cp, m.load(*cp) + 1);
-      });
-  EXPECT_TRUE(rr.success);
+  const Outcome o = submit(
+      session, StaticLockSet<1>({2}),
+      [cp](IdemCtx<RealPlat>& m) { m.store(*cp, m.load(*cp) + 1); },
+      Policy::retry());
+  EXPECT_TRUE(o.won);
   EXPECT_EQ(cell->peek(), 2u);
 }
 
@@ -247,13 +240,14 @@ TEST(LockTable, SteadyStateUncontendedTouchesNoSharedFreelist) {
   LockConfig cfg = cfg_for(2, 1);
   cfg.fast_path = false;
   Table t(cfg, 2, 16, SpaceSizing{.shards = 4});
-  auto proc = t.register_process();
+  Session<RealPlat> session(t);
   Cell<RealPlat> c{0};
   auto attempt = [&] {
-    const std::uint32_t ids[] = {0};
-    ASSERT_TRUE(t.try_locks(proc, ids, [&c](IdemCtx<RealPlat>& m) {
-      m.store(c, m.load(c) + 1);
-    }));
+    ASSERT_TRUE(submit(session, StaticLockSet<1>({0}),
+                       [&c](IdemCtx<RealPlat>& m) {
+                         m.store(c, m.load(c) + 1);
+                       })
+                    .won);
   };
   // Warm-up: fill the caches, let grace periods start recycling.
   for (int a = 0; a < 600; ++a) attempt();
@@ -280,16 +274,16 @@ TEST(LockTable, CachedSlotsSpillOnRelease) {
   Table t(cfg, 2, 16, SpaceSizing{.shards = 4});
   Cell<RealPlat> c{0};
 
+  const auto bump = [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); };
+
   // Orderly: run enough attempts to populate the caches, then release.
-  auto p0 = t.register_process();
-  for (int a = 0; a < 300; ++a) {
-    const std::uint32_t ids[] = {0};
-    t.try_locks(p0, ids, [&c](IdemCtx<RealPlat>& m) {
-      m.store(c, m.load(c) + 1);
-    });
+  Table::Process p0;
+  {
+    Session<RealPlat> s0(t);
+    p0 = s0.process();
+    for (int a = 0; a < 300; ++a) submit(s0, StaticLockSet<1>({0}), bump);
+    EXPECT_GT(t.cached_slots(p0), 0u) << "caches never engaged";
   }
-  EXPECT_GT(t.cached_slots(p0), 0u) << "caches never engaged";
-  t.release_process(p0);
   EXPECT_EQ(t.cached_slots(p0), 0u) << "orderly release leaked cached slots";
 
   // Crash-abandoned: reuse the freed slot, warm it up again, then release
@@ -298,16 +292,14 @@ TEST(LockTable, CachedSlotsSpillOnRelease) {
   // cache. (A parked pid is not recycled: the next registration under a
   // 2-process table must fail-loudly only on the THIRD slot, so we just
   // check the spill here.)
-  auto p1 = t.register_process();
-  for (int a = 0; a < 300; ++a) {
-    const std::uint32_t ids[] = {4};
-    t.try_locks(p1, ids, [&c](IdemCtx<RealPlat>& m) {
-      m.store(c, m.load(c) + 1);
-    });
+  Table::Process p1;
+  {
+    Session<RealPlat> s1(t);
+    p1 = s1.process();
+    for (int a = 0; a < 300; ++a) submit(s1, StaticLockSet<1>({4}), bump);
+    EXPECT_GT(t.cached_slots(p1), 0u);
+    t.ebr_enter(p1);  // leaves guard depth nonzero: the crash-parked shape
   }
-  EXPECT_GT(t.cached_slots(p1), 0u);
-  t.ebr_enter(p1);  // leaves guard depth nonzero: the crash-parked shape
-  t.release_process(p1);
   EXPECT_EQ(t.cached_slots(p1), 0u)
       << "crash-abandoned release leaked cached slots";
 }
@@ -330,13 +322,13 @@ TEST(LockTable, DeterministicUnderSimWithShards) {
     Simulator sim(42);
     for (int p = 0; p < 4; ++p) {
       sim.add_process([&, p] {
-        auto proc = space->register_process();
+        Session<TestPlat> session(*space);
         for (int a = 0; a < 12; ++a) {
-          const std::uint32_t ids[] = {static_cast<std::uint32_t>(p % 4),
-                                       static_cast<std::uint32_t>((p + 1) % 4)};
-          if (space->try_locks(proc, ids, [cp](IdemCtx<TestPlat>& m) {
+          const StaticLockSet<2> ids({static_cast<std::uint32_t>(p % 4),
+                                      static_cast<std::uint32_t>((p + 1) % 4)});
+          if (submit(session, ids, [cp](IdemCtx<TestPlat>& m) {
                 m.store(*cp, m.load(*cp) + 1);
-              })) {
+              }).won) {
             ++wins;
           }
         }

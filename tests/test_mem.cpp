@@ -97,7 +97,7 @@ struct FreeLog {
 
 // Regression: the constructor must pre-size to the requested capacity even
 // though each grown segment refills the freelist (an early-return on
-// "free slots exist" here once livelocked every LockSpace construction).
+// "free slots exist" here once livelocked every LockTable construction).
 TEST(IndexPool, ConstructorPreSizesPastOneSegment) {
   IndexPool<int> pool(4096);  // many segments of 256
   EXPECT_GE(pool.capacity(), 4096u);

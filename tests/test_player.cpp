@@ -11,7 +11,7 @@
 namespace wfl {
 namespace {
 
-using Space = LockSpace<SimPlat>;
+using Space = LockTable<SimPlat>;
 
 LockConfig obs_cfg() {
   LockConfig cfg;

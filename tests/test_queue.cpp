@@ -22,9 +22,9 @@ LockConfig queue_cfg(int procs) {
 }
 
 TEST(Queue, FifoOrderSingleProcess) {
-  LockSpace<RealPlat> space(queue_cfg(1), 1, 2);
+  LockTable<RealPlat> space(queue_cfg(1), 1, 2);
   LockedQueue<RealPlat> q(space, 0, 1, 64);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   for (std::uint32_t i = 1; i <= 10; ++i) q.enqueue(proc, i);
   EXPECT_EQ(q.snapshot().size(), 10u);
   for (std::uint32_t i = 1; i <= 10; ++i) {
@@ -37,9 +37,9 @@ TEST(Queue, FifoOrderSingleProcess) {
 }
 
 TEST(Queue, EmptyThenRefillKeepsDummyInvariant) {
-  LockSpace<RealPlat> space(queue_cfg(1), 1, 2);
+  LockTable<RealPlat> space(queue_cfg(1), 1, 2);
   LockedQueue<RealPlat> q(space, 0, 1, 64);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   std::uint32_t v = 0;
   EXPECT_EQ(q.dequeue(proc, &v), kQueueEmpty);
   q.enqueue(proc, 7);
@@ -54,7 +54,7 @@ TEST(Queue, EmptyThenRefillKeepsDummyInvariant) {
 TEST(Queue, ConcurrentProducersConsumersConserveItems) {
   const int producers = 2, consumers = 2;
   const int per_producer = 300;
-  LockSpace<RealPlat> space(queue_cfg(producers + consumers),
+  LockTable<RealPlat> space(queue_cfg(producers + consumers),
                             producers + consumers, 2);
   LockedQueue<RealPlat> q(space, 0, 1, 4096);
   std::atomic<std::uint64_t> consumed_sum{0};
@@ -63,7 +63,7 @@ TEST(Queue, ConcurrentProducersConsumersConserveItems) {
   for (int t = 0; t < producers; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(101 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       for (int i = 1; i <= per_producer; ++i) {
         q.enqueue(proc, static_cast<std::uint32_t>(t * 10000 + i));
       }
@@ -73,7 +73,7 @@ TEST(Queue, ConcurrentProducersConsumersConserveItems) {
   for (int t = 0; t < consumers; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(201 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       std::uint32_t v = 0;
       while (consumed_count.load(std::memory_order_relaxed) < total) {
         if (q.dequeue(proc, &v) == kQueueOk) {
@@ -99,20 +99,20 @@ TEST(Queue, PerProducerOrderPreserved) {
   // increasing order even when interleaved with the other producer's.
   const int producers = 2;
   const int per_producer = 200;
-  LockSpace<RealPlat> space(queue_cfg(producers + 1), producers + 1, 2);
+  LockTable<RealPlat> space(queue_cfg(producers + 1), producers + 1, 2);
   LockedQueue<RealPlat> q(space, 0, 1, 2048);
   std::vector<std::thread> ts;
   for (int t = 0; t < producers; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(11 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       for (int i = 1; i <= per_producer; ++i) {
         q.enqueue(proc, static_cast<std::uint32_t>(t * 10000 + i));
       }
     });
   }
   for (auto& th : ts) th.join();
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   std::vector<std::uint32_t> last(producers, 0);
   std::uint32_t v = 0;
   while (q.dequeue(proc, &v) == kQueueOk) {
@@ -128,10 +128,10 @@ TEST(Queue, PerProducerOrderPreserved) {
 }
 
 TEST(Queue, TransferMovesFrontAtomically) {
-  LockSpace<RealPlat> space(queue_cfg(1), 1, 4);
+  LockTable<RealPlat> space(queue_cfg(1), 1, 4);
   LockedQueue<RealPlat> a(space, 0, 1, 64);
   LockedQueue<RealPlat> b(space, 2, 3, 64);
-  BasicSession proc(space.table());
+  BasicSession proc(space);
   a.enqueue(proc, 1);
   a.enqueue(proc, 2);
   EXPECT_EQ(LockedQueue<RealPlat>::transfer(proc, a, b), kQueueOk);
@@ -149,7 +149,7 @@ TEST(Queue, ConcurrentTransfersConserveTokens) {
   const int threads = 3;
   const int nqueues = 3;
   const int tokens = 30;
-  LockSpace<RealPlat> space(queue_cfg(threads + 1), threads + 1,
+  LockTable<RealPlat> space(queue_cfg(threads + 1), threads + 1,
                             2 * nqueues);
   std::vector<std::unique_ptr<LockedQueue<RealPlat>>> qs;
   for (int i = 0; i < nqueues; ++i) {
@@ -158,7 +158,7 @@ TEST(Queue, ConcurrentTransfersConserveTokens) {
         static_cast<std::uint32_t>(2 * i + 1), 4096));
   }
   {
-    BasicSession proc(space.table());
+    BasicSession proc(space);
     for (int i = 1; i <= tokens; ++i) {
       qs[0]->enqueue(proc, static_cast<std::uint32_t>(i));
     }
@@ -167,7 +167,7 @@ TEST(Queue, ConcurrentTransfersConserveTokens) {
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
       RealPlat::seed_rng(301 + static_cast<std::uint64_t>(t));
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(t * 5 + 1);
       for (int i = 0; i < 200; ++i) {
         const auto src = static_cast<std::size_t>(rng.next_below(nqueues));
@@ -192,18 +192,18 @@ TEST(Queue, ConcurrentTransfersConserveTokens) {
 TEST(QueueSim, TransfersUnderSkewedScheduleConserve) {
   const int procs = 3;
   LockConfig cfg = queue_cfg(procs + 1);
-  LockSpace<SimPlat> space(cfg, procs + 1, 4);
+  LockTable<SimPlat> space(cfg, procs + 1, 4);
   LockedQueue<SimPlat> a(space, 0, 1, 512);
   LockedQueue<SimPlat> b(space, 2, 3, 512);
   {
     // Pre-fill outside the simulation (quiescent).
-    BasicSession proc(space.table());
+    BasicSession proc(space);
     for (int i = 1; i <= 12; ++i) a.enqueue(proc, static_cast<std::uint32_t>(i));
   }
   Simulator sim(9);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       for (int i = 0; i < 15; ++i) {
         if (p % 2 == 0) {
           LockedQueue<SimPlat>::transfer(proc, a, b);

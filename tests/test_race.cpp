@@ -24,7 +24,7 @@ namespace {
 
 using race::RaceEngine;
 using Mutation = RaceEngine::Mutation;
-using Space = LockSpace<CheckedPlat>;
+using Space = LockTable<CheckedPlat>;
 
 // A small contended workload: every process hammers the same lock set and
 // bumps a per-resource counter through the idempotent cell — enough traffic
@@ -51,16 +51,14 @@ struct CheckedWorkload {
     Simulator sim(seed);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
-        auto proc = space->register_process();
+        Session<CheckedPlat> session(*space);
         for (int a = 0; a < attempts; ++a) {
-          std::vector<std::uint32_t> ids;
-          if (single_lock) {
-            ids = {static_cast<std::uint32_t>((p + a) % locks)};
-          } else {
-            ids = {0u, 1u};
-          }
+          const StaticLockSet<2> ids =
+              single_lock ? StaticLockSet<2>(
+                                {static_cast<std::uint32_t>((p + a) % locks)})
+                          : StaticLockSet<2>({0u, 1u});
           Cell<CheckedPlat>& cnt = *count[ids[0]];
-          space->try_locks(proc, ids, [&cnt](IdemCtx<CheckedPlat>& m) {
+          submit(session, ids, [&cnt](IdemCtx<CheckedPlat>& m) {
             const std::uint32_t v = m.load(cnt);
             m.store(cnt, v + 1);
           });

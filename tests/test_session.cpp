@@ -7,10 +7,9 @@
 //   * EbrGuard — scoped, re-entrant inspection guards, including around a
 //     whole submit() (the attempt path shares the depth counters);
 //   * StaticLockSet — sort + dedup + budget checks at construction;
-//   * Policy equivalence — submit() one-shot reproduces try_locks'
-//     AttemptInfo accounting exactly, and Policy::retry() reproduces
-//     retry_until_success's RetryStats accounting exactly, step for step,
-//     under the deterministic sim platform.
+//   * Policy equivalence — submit() one-shot reproduces the primitive
+//     attempt's (LockTable::try_locks) AttemptInfo accounting exactly, step
+//     for step, under the deterministic sim platform.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -34,7 +33,7 @@ LockConfig practical_cfg(int procs) {
 // --- Session RAII lifecycle ----------------------------------------------
 
 TEST(Session, ReleasedSlotIsReusedByTheNextSession) {
-  LockSpace<RealPlat> space(practical_cfg(2), 2, 4);
+  LockTable<RealPlat> space(practical_cfg(2), 2, 4);
   int first_pid = -1;
   {
     Session<RealPlat> s(space);
@@ -49,7 +48,7 @@ TEST(Session, ReleasedSlotIsReusedByTheNextSession) {
 TEST(Session, BoundedProcsServeUnboundedSessionGenerations) {
   // max_procs = 1: without slot reuse the second registration would blow
   // the EBR participant capacity. Sequential sessions must keep working.
-  LockSpace<RealPlat> space(practical_cfg(1), 1, 2);
+  LockTable<RealPlat> space(practical_cfg(1), 1, 2);
   Cell<RealPlat> x{0};
   for (int gen = 0; gen < 8; ++gen) {
     Session<RealPlat> s(space);
@@ -67,7 +66,7 @@ TEST(Session, BoundedProcsServeUnboundedSessionGenerations) {
 }
 
 TEST(Session, MoveTransfersOwnershipOfTheRegistration) {
-  LockSpace<RealPlat> space(practical_cfg(2), 2, 4);
+  LockTable<RealPlat> space(practical_cfg(2), 2, 4);
   Session<RealPlat> a(space);
   const int pid = a.pid();
   Session<RealPlat> b(std::move(a));
@@ -86,9 +85,9 @@ TEST(Session, MoveTransfersOwnershipOfTheRegistration) {
 
 TEST(Session, WorksOverTableFacadeAndAdaptiveSpace) {
   // The same BasicSession shape serves all three space types.
-  LockSpace<RealPlat> space(practical_cfg(2), 2, 2);
+  LockTable<RealPlat> space(practical_cfg(2), 2, 2);
   Session<RealPlat> via_facade(space);           // implicit conversion
-  BasicSession via_table(space.table());         // CTAD on the table
+  BasicSession via_table(space);         // CTAD on the table
   static_assert(std::is_same_v<decltype(via_table), Session<RealPlat>>);
 
   AdaptiveLockSpace<RealPlat> adaptive(2, 2);
@@ -127,7 +126,7 @@ TEST(Session, CrashParkedSessionIsAbandonedNotRecycled) {
     cfg.max_thunk_steps = 4;
     cfg.c0 = 8.0;
     cfg.c1 = 8.0;
-    LockSpace<SimPlat> space(cfg, 3, 1);
+    LockTable<SimPlat> space(cfg, 3, 1);
     Simulator sim(crash_slot + 7);
     int victim_pid = -1;
     bool victim_finished = false;
@@ -179,7 +178,7 @@ TEST(Session, CrashParkedSessionIsAbandonedNotRecycled) {
 // --- EbrGuard -------------------------------------------------------------
 
 TEST(Session, EbrGuardNestsAndWrapsAttempts) {
-  LockSpace<RealPlat> space(practical_cfg(1), 1, 4);
+  LockTable<RealPlat> space(practical_cfg(1), 1, 4);
   Session<RealPlat> s(space);
   Cell<RealPlat> x{0};
   const StaticLockSet<2> locks{0, 1};
@@ -255,7 +254,7 @@ TEST(Contracts, LockSetOverLBudgetFailsLoudly) {
 }
 
 TEST(Contracts, SubmitChecksTheLBudgetOnce) {
-  LockSpace<RealPlat> space(practical_cfg(1), 1, 8);
+  LockTable<RealPlat> space(practical_cfg(1), 1, 8);
   Session<RealPlat> s(space);
   // A capacity-4 set of 3 locks against max_locks = 2: the view carries 3
   // ids, and submit's single boundary check must reject it.
@@ -278,22 +277,23 @@ LockConfig sim_cfg(int procs) {
   return cfg;
 }
 
-// submit(Policy::one_shot()) must fill Outcome exactly as try_locks fills
-// AttemptInfo — same wins, same work segments, same totals, attempt for
-// attempt, when driven by the identical deterministic schedule.
+// submit(Policy::one_shot()) must fill Outcome exactly as the primitive
+// try_locks fills AttemptInfo — same wins, same work segments, same totals,
+// attempt for attempt, when driven by the identical deterministic schedule.
 TEST(PolicyEquivalence, OneShotReproducesTryLocksAccounting) {
   const int procs = 3;
   const int attempts_each = 12;
 
-  // Arm A: the raw veneer, recording AttemptInfo per attempt.
+  // Arm A: the primitive attempt submit() is built on, recording
+  // AttemptInfo per attempt. The one direct caller outside the library.
   std::vector<std::vector<AttemptInfo>> infos(procs);
   {
-    LockSpace<SimPlat> space(sim_cfg(procs), procs, 1);
+    LockTable<SimPlat> space(sim_cfg(procs), procs, 1);
     Simulator sim(91);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
         auto proc = space.register_process();
-        const std::uint32_t ids[] = {0};
+        const StaticLockSet<1> ids{0};
         auto x = std::make_shared<Cell<SimPlat>>(0u);
         for (int a = 0; a < attempts_each; ++a) {
           AttemptInfo info;
@@ -313,7 +313,7 @@ TEST(PolicyEquivalence, OneShotReproducesTryLocksAccounting) {
   // Arm B: identical seeds and schedule, through Session + submit().
   std::vector<std::vector<Outcome>> outcomes(procs);
   {
-    LockSpace<SimPlat> space(sim_cfg(procs), procs, 1);
+    LockTable<SimPlat> space(sim_cfg(procs), procs, 1);
     Simulator sim(91);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
@@ -350,74 +350,6 @@ TEST(PolicyEquivalence, OneShotReproducesTryLocksAccounting) {
   EXPECT_GT(total_wins, 0u);
 }
 
-// submit(Policy::retry()) must reproduce retry_until_success — same
-// attempt counts, same summed steps, call for call.
-TEST(PolicyEquivalence, RetryReproducesRetryUntilSuccessAccounting) {
-  const int procs = 3;
-  const int calls_each = 8;
-
-  std::vector<std::vector<RetryStats>> stats(procs);
-  {
-    LockSpace<SimPlat> space(sim_cfg(procs), procs, 1);
-    Simulator sim(137);
-    for (int p = 0; p < procs; ++p) {
-      sim.add_process([&, p] {
-        auto proc = space.register_process();
-        const std::uint32_t ids[] = {0};
-        auto x = std::make_shared<Cell<SimPlat>>(0u);
-        for (int c = 0; c < calls_each; ++c) {
-          Cell<SimPlat>* xp = x.get();
-          stats[static_cast<std::size_t>(p)].push_back(
-              retry_until_success<SimPlat>(
-                  space, proc, ids, [xp](IdemCtx<SimPlat>& m) {
-                    m.store(*xp, m.load(*xp) + 1);
-                  }));
-        }
-      });
-    }
-    UniformSchedule sched(procs, 29);
-    ASSERT_TRUE(sim.run(sched, 4'000'000'000ull));
-  }
-
-  std::vector<std::vector<Outcome>> outcomes(procs);
-  {
-    LockSpace<SimPlat> space(sim_cfg(procs), procs, 1);
-    Simulator sim(137);
-    for (int p = 0; p < procs; ++p) {
-      sim.add_process([&, p] {
-        Session<SimPlat> session(space);
-        const StaticLockSet<1> locks{0};
-        auto x = std::make_shared<Cell<SimPlat>>(0u);
-        for (int c = 0; c < calls_each; ++c) {
-          Cell<SimPlat>* xp = x.get();
-          outcomes[static_cast<std::size_t>(p)].push_back(submit(
-              session, locks,
-              [xp](IdemCtx<SimPlat>& m) { m.store(*xp, m.load(*xp) + 1); },
-              Policy::retry()));
-        }
-      });
-    }
-    UniformSchedule sched(procs, 29);
-    ASSERT_TRUE(sim.run(sched, 4'000'000'000ull));
-  }
-
-  std::uint64_t multi_attempt_calls = 0;
-  for (int p = 0; p < procs; ++p) {
-    const auto& ra = stats[static_cast<std::size_t>(p)];
-    const auto& ob = outcomes[static_cast<std::size_t>(p)];
-    ASSERT_EQ(ra.size(), ob.size());
-    for (std::size_t k = 0; k < ra.size(); ++k) {
-      EXPECT_EQ(ob[k].won, ra[k].success) << "proc " << p << " call " << k;
-      EXPECT_EQ(ob[k].attempts, ra[k].attempts);
-      EXPECT_EQ(ob[k].total_steps, ra[k].total_steps);
-      multi_attempt_calls += ob[k].attempts > 1 ? 1 : 0;
-    }
-  }
-  // The arena is contended: the equivalence must have been exercised on
-  // genuinely retried calls, not only trivial first-attempt wins.
-  EXPECT_GT(multi_attempt_calls, 0u);
-}
-
 // The backoff knob burns own steps between failed attempts in kOff mode
 // and is inert under the paper's fixed delays.
 TEST(PolicyEquivalence, BackoffOnlyAppliesWithDelaysOff) {
@@ -427,7 +359,7 @@ TEST(PolicyEquivalence, BackoffOnlyAppliesWithDelaysOff) {
     std::uint64_t retried_calls = 0;
     LockConfig cfg = sim_cfg(procs);
     cfg.delay_mode = mode;
-    LockSpace<SimPlat> space(cfg, procs, 1);
+    LockTable<SimPlat> space(cfg, procs, 1);
     Simulator sim(53);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {

@@ -136,30 +136,30 @@ TEST(ShmTableTest, RetiredPidNeverRecycledInProcess) {
   cfg.fast_path = false;  // force the descriptor path through the pools
   LockTable<RealPlat> t(cfg, 3, 4);
   Cell<RealPlat> c{0};
-  const std::uint32_t ids[] = {0};
+  const StaticLockSet<1> ids({0});
+  const auto bump = [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); };
 
-  auto p0 = t.register_process();
-  for (int i = 0; i < 200; ++i) {
-    t.try_locks(p0, ids,
-                [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); });
+  LockTable<RealPlat>::Process p0;
+  {
+    Session<RealPlat> s0(t);
+    p0 = s0.process();
+    for (int i = 0; i < 200; ++i) submit(s0, ids, bump);
+    // Crash-parked shape: released while an EBR guard is held.
+    t.ebr_enter(p0);
   }
-  // Crash-parked shape: released while an EBR guard is held.
-  t.ebr_enter(p0);
-  t.release_process(p0);
 
   // Churn pool segments with a fresh process, then register again: the
   // parked pid must not come back even after its old slots were recycled.
-  auto p1 = t.register_process();
-  EXPECT_NE(p1.ebr_pid, p0.ebr_pid);
-  for (int i = 0; i < 200; ++i) {
-    t.try_locks(p1, ids,
-                [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); });
+  int pid1 = -1;
+  {
+    Session<RealPlat> s1(t);
+    pid1 = s1.pid();
+    EXPECT_NE(pid1, p0.ebr_pid);
+    for (int i = 0; i < 200; ++i) submit(s1, ids, bump);
   }
-  t.release_process(p1);
-  auto p2 = t.register_process();
-  EXPECT_NE(p2.ebr_pid, p0.ebr_pid) << "parked pid recycled";
-  EXPECT_EQ(p2.ebr_pid, p1.ebr_pid) << "orderly pid should be reused";
-  t.release_process(p2);
+  Session<RealPlat> s2(t);
+  EXPECT_NE(s2.pid(), p0.ebr_pid) << "parked pid recycled";
+  EXPECT_EQ(s2.pid(), pid1) << "orderly pid should be reused";
 }
 
 struct ForkCrashRig {

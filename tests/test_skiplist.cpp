@@ -33,12 +33,12 @@ LockConfig skip_cfg(std::uint32_t kappa) {
 // --- sequential semantics (single process under sim) ---
 
 TEST(SkipList, SequentialInsertEraseContains) {
-  using Space = LockSpace<SimPlat>;
+  using Space = LockTable<SimPlat>;
   Space space(skip_cfg(1), 1, 64);
   LockedSkipList<SimPlat> sl(space, 64);
   Simulator sim(3);
   sim.add_process([&] {
-    BasicSession proc(space.table());
+    BasicSession proc(space);
     EXPECT_TRUE(sl.insert(proc, 10, 1));
     EXPECT_TRUE(sl.insert(proc, 5, 2));
     EXPECT_TRUE(sl.insert(proc, 20, 3));
@@ -60,12 +60,12 @@ class SkipListRandomized : public ::testing::TestWithParam<int> {};
 
 TEST_P(SkipListRandomized, MatchesStdSetSequentially) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  using Space = LockSpace<SimPlat>;
+  using Space = LockTable<SimPlat>;
   Space space(skip_cfg(1), 1, 256);
   LockedSkipList<SimPlat> sl(space, 256);
   Simulator sim(seed);
   sim.add_process([&] {
-    BasicSession proc(space.table());
+    BasicSession proc(space);
     Xoshiro256 rng(seed * 77);
     std::set<std::uint32_t> ref;
     for (int i = 0; i < 200; ++i) {
@@ -102,7 +102,7 @@ TEST_P(SkipListConcurrent, NetMembershipConsistent) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   constexpr int kProcs = 4;
   constexpr int kKeys = 12;
-  using Space = LockSpace<SimPlat>;
+  using Space = LockTable<SimPlat>;
   Space space(skip_cfg(kProcs), kProcs, 256);
   LockedSkipList<SimPlat> sl(space, 256);
 
@@ -112,7 +112,7 @@ TEST_P(SkipListConcurrent, NetMembershipConsistent) {
   Simulator sim(seed);
   for (int p = 0; p < kProcs; ++p) {
     sim.add_process([&, p] {
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(seed * 1009 + static_cast<std::uint64_t>(p));
       for (int i = 0; i < 25; ++i) {
         const auto key = static_cast<std::uint32_t>(1 + rng.next_below(kKeys));
@@ -152,7 +152,7 @@ TEST(SkipList, RealThreadStress) {
   constexpr int kThreads = 4;
   constexpr int kKeys = 32;
   constexpr int kOpsPerThread = 400;
-  using Space = LockSpace<RealPlat>;
+  using Space = LockTable<RealPlat>;
   LockConfig cfg = skip_cfg(kThreads);
   cfg.delay_mode = DelayMode::kOff;  // throughput mode; safety unaffected
   Space space(cfg, kThreads, 1024);
@@ -163,7 +163,7 @@ TEST(SkipList, RealThreadStress) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      BasicSession proc(space.table());
+      BasicSession proc(space);
       Xoshiro256 rng(0xABCD + static_cast<std::uint64_t>(t));
       for (int i = 0; i < kOpsPerThread; ++i) {
         const auto key = static_cast<std::uint32_t>(1 + rng.next_below(kKeys));

@@ -13,15 +13,15 @@ TEST(Smoke, SingleAttemptRealPlat) {
   cfg.max_locks = 2;
   cfg.max_thunk_steps = 4;
   cfg.delay_mode = DelayMode::kOff;
-  LockSpace<RealPlat> space(cfg, /*max_procs=*/2, /*num_locks=*/4);
-  auto proc = space.register_process();
+  LockTable<RealPlat> space(cfg, /*max_procs=*/2, /*num_locks=*/4);
+  Session<RealPlat> session(space);
 
   Cell<RealPlat> counter{10};
-  const std::uint32_t ids[] = {0, 2};
-  const bool won = space.try_locks(proc, ids, [&](IdemCtx<RealPlat>& m) {
-    m.store(counter, m.load(counter) + 5);
-  });
-  EXPECT_TRUE(won);
+  const Outcome o = submit(session, StaticLockSet<2>({0, 2}, cfg),
+                           [&](IdemCtx<RealPlat>& m) {
+                             m.store(counter, m.load(counter) + 5);
+                           });
+  EXPECT_TRUE(o.won);
   EXPECT_EQ(counter.peek(), 15u);
   EXPECT_EQ(space.stats().wins, 1u);
 }
@@ -31,17 +31,18 @@ TEST(Smoke, SingleAttemptSimPlat) {
   cfg.kappa = 2;
   cfg.max_locks = 1;
   cfg.max_thunk_steps = 4;
-  LockSpace<SimPlat> space(cfg, 2, 2);
-  auto proc = space.register_process();
+  LockTable<SimPlat> space(cfg, 2, 2);
+  Session<SimPlat> session(space);
   Cell<SimPlat> counter{0};
 
   Simulator sim(42);
   bool won = false;
   sim.add_process([&] {
-    const std::uint32_t ids[] = {1};
-    won = space.try_locks(proc, ids, [&](IdemCtx<SimPlat>& m) {
-      m.store(counter, m.load(counter) + 1);
-    });
+    won = submit(session, StaticLockSet<1>({1}, cfg),
+                 [&](IdemCtx<SimPlat>& m) {
+                   m.store(counter, m.load(counter) + 1);
+                 })
+              .won;
   });
   RoundRobinSchedule rr(1);
   ASSERT_TRUE(sim.run(rr, 1'000'000));
@@ -52,12 +53,12 @@ TEST(Smoke, SingleAttemptSimPlat) {
 TEST(Smoke, EmptyLockSetRunsThunkImmediately) {
   LockConfig cfg;
   cfg.delay_mode = DelayMode::kOff;
-  LockSpace<RealPlat> space(cfg, 1, 1);
-  auto proc = space.register_process();
+  LockTable<RealPlat> space(cfg, 1, 1);
+  Session<RealPlat> session(space);
   Cell<RealPlat> c{0};
-  EXPECT_TRUE(space.try_locks(proc, {}, [&](IdemCtx<RealPlat>& m) {
-    m.store(c, 7);
-  }));
+  EXPECT_TRUE(submit(session, LockSetView{}, [&](IdemCtx<RealPlat>& m) {
+                m.store(c, 7);
+              }).won);
   EXPECT_EQ(c.peek(), 7u);
 }
 

@@ -1,7 +1,7 @@
 // TxnBuilder / PreparedTxn: static-transaction composition (lock-set
 // dedup, sequential sub-thunks over one shared log, per-op step budgets)
 // through the unified session/executor API, plus the submit() retry
-// policies that subsume the retry_until_success helper.
+// policies.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,7 +23,7 @@ LockConfig txn_cfg(int procs, std::uint32_t max_locks) {
 }
 
 TEST(Txn, SingleOpRunsLikePlainTryLocks) {
-  LockSpace<RealPlat> space(txn_cfg(1, 2), 1, 8);
+  LockTable<RealPlat> space(txn_cfg(1, 2), 1, 8);
   Session<RealPlat> session(space);
   Cell<RealPlat> x{10};
   const std::uint32_t ids[] = {3};
@@ -60,7 +60,7 @@ TEST(Txn, LockSetsAreDedupedAndSorted) {
 }
 
 TEST(Txn, SubThunksRunInOrderOverSharedLog) {
-  LockSpace<RealPlat> space(txn_cfg(1, 3), 1, 8);
+  LockTable<RealPlat> space(txn_cfg(1, 3), 1, 8);
   Session<RealPlat> session(space);
   Cell<RealPlat> x{0};
   Cell<RealPlat> y{0};
@@ -82,7 +82,7 @@ TEST(Txn, SubThunksRunInOrderOverSharedLog) {
 }
 
 TEST(Txn, IsReusableAndCopyable) {
-  LockSpace<RealPlat> space(txn_cfg(1, 1), 1, 4);
+  LockTable<RealPlat> space(txn_cfg(1, 1), 1, 4);
   Session<RealPlat> session(space);
   Cell<RealPlat> x{0};
   TxnBuilder<RealPlat> b;
@@ -99,28 +99,10 @@ TEST(Txn, IsReusableAndCopyable) {
   EXPECT_EQ(x.peek(), 10u);
 }
 
-// The compatibility veneer (raw table + process) still runs the same
-// transaction — out-of-tree callers keep compiling and agreeing.
-TEST(Txn, TableProcessVeneerStillRuns) {
-  LockSpace<RealPlat> space(txn_cfg(1, 1), 1, 4);
-  auto proc = space.register_process();
-  Cell<RealPlat> x{0};
-  TxnBuilder<RealPlat> b;
-  const std::uint32_t ids[] = {0};
-  b.op(ids, [&x](IdemCtx<RealPlat>& m) { m.store(x, m.load(x) + 1); });
-  auto txn = std::move(b).build();
-  AttemptInfo info;
-  EXPECT_TRUE(txn.try_run(space, proc, &info));
-  EXPECT_TRUE(info.won);
-  const RetryStats rs = txn.run(space, proc);
-  EXPECT_TRUE(rs.success);
-  EXPECT_EQ(x.peek(), 2u);
-}
-
 TEST(Txn, ComposedTransferPairAcrossFourAccounts) {
   // Two transfers composed into one atomic transaction: either both legs
   // happen or neither (here: both, uncontended).
-  LockSpace<RealPlat> space(txn_cfg(1, 4), 1, 8);
+  LockTable<RealPlat> space(txn_cfg(1, 4), 1, 8);
   Session<RealPlat> session(space);
   std::vector<std::unique_ptr<Cell<RealPlat>>> acct;
   for (int i = 0; i < 4; ++i) {
@@ -156,7 +138,7 @@ TEST(Txn, ComposedTransferPairAcrossFourAccounts) {
 TEST(Txn, ConcurrentComposedTransfersConserveTotal) {
   const int threads = 4;
   const int accounts = 8;
-  LockSpace<RealPlat> space(txn_cfg(threads, 4), threads, accounts);
+  LockTable<RealPlat> space(txn_cfg(threads, 4), threads, accounts);
   std::vector<std::unique_ptr<Cell<RealPlat>>> acct;
   for (int i = 0; i < accounts; ++i) {
     acct.push_back(std::make_unique<Cell<RealPlat>>(1000u));
@@ -201,7 +183,7 @@ TEST(Txn, ConcurrentComposedTransfersConserveTotal) {
 // check_budgets must validate the summed per-op step budgets against the
 // configured T bound, not just the lock count against L.
 TEST(Contracts, TxnOverTStepBudgetFailsLoudly) {
-  LockSpace<RealPlat> space(txn_cfg(1, 4), 1, 8);
+  LockTable<RealPlat> space(txn_cfg(1, 4), 1, 8);
   Session<RealPlat> session(space);
   Cell<RealPlat> x{0};
   TxnBuilder<RealPlat> b;
@@ -227,7 +209,7 @@ TEST(Contracts, TxnTouchAfterBuildFailsLoudly) {
 // --- retry policies through submit() --------------------------------------
 
 TEST(Retry, UncontendedSucceedsFirstAttempt) {
-  LockSpace<RealPlat> space(txn_cfg(1, 2), 1, 4);
+  LockTable<RealPlat> space(txn_cfg(1, 2), 1, 4);
   Session<RealPlat> session(space);
   Cell<RealPlat> x{0};
   const StaticLockSet<2> locks{0, 1};
@@ -245,7 +227,7 @@ TEST(Retry, MaxAttemptsBoundsTheLoop) {
   // Policy::attempts(3) with an uncontended lock still succeeds on attempt
   // 1; the bound only matters under contention, but the accounting must be
   // exact either way.
-  LockSpace<RealPlat> space(txn_cfg(1, 1), 1, 2);
+  LockTable<RealPlat> space(txn_cfg(1, 1), 1, 2);
   Session<RealPlat> session(space);
   Cell<RealPlat> x{0};
   const StaticLockSet<1> locks{0};
@@ -267,7 +249,7 @@ TEST(RetrySim, ContendedAttemptsFollowFairnessBound) {
   cfg.delay_mode = DelayMode::kTheory;
   cfg.c0 = 8.0;
   cfg.c1 = 8.0;
-  LockSpace<SimPlat> space(cfg, procs, 1);
+  LockTable<SimPlat> space(cfg, procs, 1);
   Simulator sim(21);
   std::vector<std::uint64_t> attempts(procs, 0);
   auto x_owner = std::make_unique<Cell<SimPlat>>(0u);
