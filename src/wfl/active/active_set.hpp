@@ -1,13 +1,13 @@
 // Algorithm 1: linearizable active set with adaptive step complexity.
 //
-// A C-slot announcement array; each slot holds an owner item and a pointer
-// to an immutable *snapshot* — the set of owners of this slot and every
+// A C-slot announcement array; each slot holds an owner item and a handle
+// of an immutable *snapshot* — the set of owners of this slot and every
 // slot above it. insert() claims the first ownerless slot with one CAS and
 // climbs; remove() clears its slot and climbs; climb(i) walks from slot i
 // down to slot 0, twice per slot, rebuilding `set[j] = set[j+1] + owner[j]`
 // with a CAS. The double pass is the usual helping trick that makes a
 // concurrent climber's stale CAS harmless. getSet() is one load of
-// slot 0's snapshot pointer — O(1), as Theorem 5.2 requires; insert/remove
+// slot 0's snapshot handle — O(1), as Theorem 5.2 requires; insert/remove
 // are O(set size + contention).
 //
 // The pseudocode's corner case (`announcements[C].set` above the top slot)
@@ -17,9 +17,15 @@
 //
 // Snapshots are immutable once published; replaced snapshots are retired
 // through EBR (readers hold a guard across their use of getSet results).
+//
+// Placement. Slots name snapshots by pool HANDLE, never by pointer, and
+// the sentinel is a reserved handle of the set's SetMem, so the same code
+// runs with its slots on the heap (in-process tables, IndexPool) or in a
+// ShmArena shared by several processes (the shm table, ShmPool).
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "wfl/mem/arena.hpp"
 #include "wfl/mem/ebr.hpp"
@@ -36,7 +42,6 @@ inline constexpr std::uint32_t kMaxSetCap = 64;
 template <typename T>
 struct SetSnap {
   std::uint32_t count = 0;
-  std::uint32_t self_index = 0;  // pool slot, recorded at allocation
   T items[kMaxSetCap];
 
   bool contains(T x) const {
@@ -47,44 +52,121 @@ struct SetSnap {
   }
 };
 
-// Shared memory-management context for all active sets of one lock space.
-template <typename T>
+// Shared memory-management context for all active sets of one lock space:
+// the snapshot pool, the EBR domain that reclaims it, and the reserved
+// all-empty sentinel snapshot.
+template <typename T, typename PoolT = IndexPool<SetSnap<T>>>
 struct SetMem {
-  IndexPool<SetSnap<T>>& pool;
-  EbrDomain& ebr;
-  // Optional per-process snapshot-slot caches, indexed by EBR pid and owned
-  // by the lock space. When present, climb() allocates and retires snapshot
-  // slots through the calling process's cache, so a steady-state attempt
-  // touches no shared freelist line (lock spaces install these; standalone
-  // sets — baselines, unit tests — run directly against the pool).
-  CachePadded<SlotCache<SetSnap<T>>>* caches = nullptr;
+  using Snap = SetSnap<T>;
+  using Cache = SlotCache<Snap, 64, PoolT>;
+  // Called when a fixed-capacity pool (ShmPool) is empty; returns a slot
+  // once reclamation has freed one. It may exit and re-enter the caller's
+  // EBR guard, which is why climb() allocates before it reads any handle.
+  using Stall = std::uint32_t (*)(void* ctx, int pid);
 
-  SlotCache<SetSnap<T>>* cache(int pid) {
+  // Heap placement: reserves the sentinel from `pool`. Optional
+  // per-process snapshot-slot caches, indexed by EBR pid and owned by the
+  // lock space: when present, climb() allocates and retires snapshot slots
+  // through the calling process's cache, so a steady-state attempt touches
+  // no shared freelist line (standalone sets — unit tests, benches — run
+  // directly against the pool).
+  SetMem(PoolT& p, EbrDomain& e, CachePadded<Cache>* c = nullptr)
+      : pool(p), ebr(e), empty(reserve_empty(p)), caches(c) {}
+
+  // Arena placement: every attached accessor shares the sentinel reserved
+  // once by reserve_empty() when the pool was created.
+  SetMem(PoolT& p, EbrDomain& e, std::uint32_t empty_snap, Stall st,
+         void* st_ctx)
+      : pool(p), ebr(e), empty(empty_snap), stall(st), stall_ctx(st_ctx) {}
+
+  static std::uint32_t reserve_empty(PoolT& p) {
+    const std::uint32_t h = p.alloc();
+    p.at(h).count = 0;
+    return h;
+  }
+
+  Cache* cache(int pid) {
     return caches == nullptr ? nullptr : &*caches[pid];
   }
 
-  static void free_snap(void* ctx, std::uint32_t handle) {
-    static_cast<IndexPool<SetSnap<T>>*>(ctx)->free(handle);
+  std::uint32_t alloc(int pid) {
+    if (Cache* c = cache(pid)) return c->alloc();
+    if constexpr (requires(PoolT& q) { q.try_alloc(); }) {
+      const std::uint32_t idx = pool.try_alloc();
+      return idx != kNullIndex ? idx : stall(stall_ctx, pid);
+    } else {
+      return pool.alloc();
+    }
   }
+
+  // A snapshot that was never published: straight back to the caller.
+  void free(std::uint32_t idx, int pid) {
+    if (Cache* c = cache(pid)) {
+      c->free(idx);
+    } else {
+      pool.free(idx);
+    }
+  }
+
+  void retire(std::uint32_t idx, int pid) {
+    if (idx == empty) return;  // the sentinel is never reclaimed
+    // With caches installed the expired slot comes back to the retiring
+    // process's own cache (deleters run on the retiring participant — see
+    // EbrDomain::retire/collect — or under quiescent domain teardown).
+    if (Cache* c = cache(pid)) {
+      ebr.retire(pid, c, idx, &Cache::free_to_cache);
+    } else {
+      ebr.retire(pid, &pool, idx, &free_snap);
+    }
+  }
+
+  static void free_snap(void* ctx, std::uint32_t handle) {
+    static_cast<PoolT*>(ctx)->free(handle);
+  }
+
+  PoolT& pool;
+  EbrDomain& ebr;
+  std::uint32_t empty;  // reserved all-empty snapshot: the above-top slot
+  CachePadded<Cache>* caches = nullptr;
+  Stall stall = nullptr;
+  void* stall_ctx = nullptr;
 };
 
-template <typename Plat, typename T>
+template <typename Plat, typename T, typename PoolT = IndexPool<SetSnap<T>>>
 class ActiveSet {
  public:
   using Snap = SetSnap<T>;
+  using Mem = SetMem<T, PoolT>;
 
-  ActiveSet(std::uint32_t capacity, SetMem<T>& mem)
-      : capacity_(capacity), mem_(mem), slots_(capacity) {
+  struct Slot {
+    typename Plat::template Atomic<T> owner;
+    typename Plat::template Atomic<std::uint32_t> set;  // snapshot handle
+  };
+
+  // Heap placement: the set owns its slots.
+  ActiveSet(std::uint32_t capacity, Mem& mem)
+      : ActiveSet(capacity, mem, nullptr) {}
+
+  // Arena placement: `slots` is caller-owned storage for `capacity` slots,
+  // formatted once by format() and shared by every attached process.
+  ActiveSet(std::uint32_t capacity, Mem& mem, Slot* slots)
+      : capacity_(capacity),
+        mem_(mem),
+        owned_(slots == nullptr ? capacity : 0),
+        slots_(slots == nullptr ? owned_.data() : slots) {
     WFL_CHECK(capacity > 0 && capacity <= kMaxSetCap);
-    empty_.count = 0;
-    for (auto& s : slots_) {
-      s.owner.init(T{});
-      s.set.init(&empty_);
-    }
+    if (slots == nullptr) format(slots_, capacity_, mem_.empty);
   }
 
   ActiveSet(const ActiveSet&) = delete;
   ActiveSet& operator=(const ActiveSet&) = delete;
+
+  static void format(Slot* slots, std::size_t n, std::uint32_t empty_snap) {
+    for (std::size_t i = 0; i < n; ++i) {
+      slots[i].owner.init(T{});
+      slots[i].set.init(empty_snap);
+    }
+  }
 
   std::uint32_t capacity() const { return capacity_; }
 
@@ -115,22 +197,21 @@ class ActiveSet {
   // Clears the slot claimed by the previous insert and propagates.
   void remove(int slot, int ebr_pid) {
     WFL_CHECK(slot >= 0 && slot < static_cast<int>(capacity_));
-    slots_[static_cast<std::size_t>(slot)].owner.store(T{});
+    slots_[slot].owner.store(T{});
     climb(slot, ebr_pid);
   }
 
+  // The current owner of one slot (crash recovery scans these to remove a
+  // dead owner whose private slot indices died with it).
+  T owner(std::uint32_t slot) { return slots_[slot].owner.load(); }
+
   // O(1): returns the current slot-0 snapshot. Valid while the caller's EBR
   // guard (entered before this call) remains held.
-  const Snap* get_set() { return slots_[0].set.load(); }
+  const Snap* get_set() { return &mem_.pool.at(slots_[0].set.load()); }
 
  private:
   static constexpr int kMaxInsertPasses = 8;
   static constexpr std::uint32_t kPoolLowWater = 64;
-
-  struct Slot {
-    typename Plat::template Atomic<T> owner;
-    typename Plat::template Atomic<Snap*> set;
-  };
 
   // Rebuilds snapshots from slot i down to slot 0 (two attempts per slot).
   void climb(int i, int ebr_pid) {
@@ -139,28 +220,23 @@ class ActiveSet {
     if (mem_.pool.free_count() < kPoolLowWater) {
       mem_.ebr.collect(ebr_pid);
     }
-    SlotCache<Snap>* cache = mem_.cache(ebr_pid);
     for (int j = i; j >= 0; --j) {
       for (int k = 0; k < 2; ++k) {
-        Snap* cur = slots_[static_cast<std::size_t>(j)].set.load();
-        Snap* above = (j + 1 == static_cast<int>(capacity_))
-                          ? &empty_
-                          : slots_[static_cast<std::size_t>(j) + 1].set.load();
-        const T member = slots_[static_cast<std::size_t>(j)].owner.load();
-        const std::uint32_t idx =
-            cache != nullptr ? cache->alloc() : mem_.pool.alloc();
-        Snap& fresh = mem_.pool.at(idx);
-        fresh.self_index = idx;
-        build(fresh, *above, member);
-        if (slots_[static_cast<std::size_t>(j)].set.cas(cur, &fresh)) {
-          retire(cur, ebr_pid);
+        // Allocate BEFORE reading cur/above: a fixed-capacity pool's stall
+        // may bounce the EBR guard, and no handle read under the old guard
+        // may be used after re-entry. Allocation is not a step, so the
+        // step sequence is the same either way.
+        const std::uint32_t fresh = mem_.alloc(ebr_pid);
+        const std::uint32_t cur = slots_[j].set.load();
+        const std::uint32_t above = (j + 1 == static_cast<int>(capacity_))
+                                        ? mem_.empty
+                                        : slots_[j + 1].set.load();
+        const T member = slots_[j].owner.load();
+        build(mem_.pool.at(fresh), mem_.pool.at(above), member);
+        if (slots_[j].set.cas(cur, fresh)) {
+          mem_.retire(cur, ebr_pid);
         } else {
-          // Never published: straight back to the caller's cache.
-          if (cache != nullptr) {
-            cache->free(idx);
-          } else {
-            mem_.pool.free(idx);
-          }
+          mem_.free(fresh, ebr_pid);
         }
       }
     }
@@ -178,25 +254,10 @@ class ActiveSet {
     }
   }
 
-  void retire(Snap* snap, int ebr_pid) {
-    if (snap == &empty_) return;  // the sentinel is never reclaimed
-    // With caches installed the expired slot comes back to the retiring
-    // process's own cache (deleters run on the retiring participant — see
-    // EbrDomain::retire/collect — or under quiescent domain teardown).
-    SlotCache<Snap>* cache = mem_.cache(ebr_pid);
-    if (cache != nullptr) {
-      mem_.ebr.retire(ebr_pid, cache, snap->self_index,
-                      &SlotCache<Snap>::free_to_cache);
-    } else {
-      mem_.ebr.retire(ebr_pid, &mem_.pool, snap->self_index,
-                      &SetMem<T>::free_snap);
-    }
-  }
-
   std::uint32_t capacity_;
-  SetMem<T>& mem_;
-  std::vector<Slot> slots_;
-  Snap empty_;
+  Mem& mem_;
+  std::vector<Slot> owned_;  // heap placement only
+  Slot* slots_;
 };
 
 }  // namespace wfl

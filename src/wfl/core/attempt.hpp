@@ -104,7 +104,7 @@ struct AttemptEngine {
 
   // Help-phase drive of a revealed competitor (tryLocks lines 17-20).
   //
-  // With cooperative helping off (kTheory, or the ablation knob) this is
+  // With cooperative helping off (kTheory, and the shm table) this is
   // exactly run(): every observer drives every stalled attempt, which is
   // what the fairness lemma's proof assumes. With it on, a per-descriptor
   // claim word lets ONE helper at a time do the full drive while everyone

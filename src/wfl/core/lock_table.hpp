@@ -223,8 +223,7 @@ class LockTable {
     // fast-path tree (the thin words are never published, and the slow
     // path's probes are skipped entirely).
     fast_enabled_ = cfg_.delay_mode == DelayMode::kOff && cfg_.fast_path;
-    cooperative_ =
-        cfg_.delay_mode == DelayMode::kOff && cfg_.cooperative_help;
+    cooperative_ = cfg_.delay_mode == DelayMode::kOff;
   }
 
   // Registers the calling logical process: one participant slot in every
@@ -683,9 +682,9 @@ class LockTable {
   }
 
  public:
-  // Diagnostics for the fast path (tests, bench_scaling).
+  // Diagnostics for the kOff optimizations (tests, bench_scaling).
   bool fast_path_enabled() const { return fast_enabled_; }
-  bool cooperative_help_enabled() const { return cooperative_; }
+  bool claim_helping_enabled() const { return cooperative_; }
   // Quiescent-only peek at a lock's thin word (0 = free).
   std::uint64_t thin_word_peek(std::uint32_t lock_id) const {
     return thin_[lock_id]->peek();

@@ -3,24 +3,25 @@
 //
 // ShmLockTable is the pointer-free sibling of LockTable: every piece of
 // shared state — descriptors, set snapshots, announcement slots, EBR
-// participants, session records — lives in a ShmArena and is addressed by
+// announcements, session records — lives in a ShmArena and is addressed by
 // pool handle or byte offset, so independent OS processes can attach the
-// same table at different base addresses. The competition core is the SAME
-// AttemptEngine the in-process table runs (core/attempt.hpp is duck-typed
-// over its context); what changes is the context: sets are read through a
-// handle-resolving view, thunks are interpretable POD programs instead of
-// closures, and there is no thin-word fast path or cooperative helping
-// (both are single-address-space optimizations; the descriptor path is the
-// paper's algorithm and needs neither).
+// same table at different base addresses. It runs the SAME code as the
+// in-process table wherever placement allows: the AttemptEngine
+// (core/attempt.hpp, duck-typed over its context), ActiveSet over a
+// ShmPool with its slots in the arena, and EbrDomain with its shared part
+// in the arena. What differs is the context: sets are read through a view
+// that resolves owner handles to descriptors, thunks are interpretable POD
+// programs instead of closures, and there is no thin-word fast path or
+// cooperative helping (both are single-address-space optimizations; the
+// descriptor path is the paper's algorithm and needs neither).
 //
 // The honest part of the paper's fault model lives here. A "crashed
 // process" is a real SIGKILL, and recovery is SURVIVOR-DRIVEN:
 //
-//   * each session binds its OS pid and heartbeats a lease word in its
-//     shared EBR participant on every attempt;
-//   * any attacher that observes a dead pid (kill(0) probe) or a stalled
-//     lease claims the victim's session record with one CAS (kLive ->
-//     kReaping, exactly one reaper wins) and recovers:
+//   * each session records its OS pid in its shared session record;
+//   * any attacher that observes a dead pid (kill(0) probe) claims the
+//     victim's session record with one CAS (kLive -> kReaping, exactly one
+//     reaper wins) and recovers:
 //       - the victim's EBR guard is abandoned (legal: the SIGKILL evidence
 //         is the no-further-steps proof EbrDomain::abandon requires),
 //         un-pinning the global epoch;
@@ -53,6 +54,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "wfl/active/active_set.hpp"
 #include "wfl/active/multi_set.hpp"
@@ -141,14 +143,6 @@ struct ShmThunk {
 
 using ShmDesc = Descriptor<RealPlat, ShmThunk>;
 
-// One announcement slot of a shm active set: owner is a descriptor handle
-// + 1 (0 = free), set is a snapshot handle in the table's snapshot pool.
-// Same Algorithm 1 discipline as ActiveSet, minus the pointers.
-struct ShmSetSlot {
-  RealPlat::Atomic<std::uint32_t> owner;
-  RealPlat::Atomic<std::uint32_t> set;
-};
-
 // Session lifecycle states (shared record). Pids move kFree -> kLive ->
 // {kClosed, kReaping -> kReaped} and never back: a crashed or closed pid's
 // slot is retired forever (its guard-depth/log state cannot be proven
@@ -170,6 +164,9 @@ struct alignas(kCacheLine) ShmSessionRec {
   // the in-process table never needed: there, the abandoning thread could
   // inspect the victim's stack; here the stack died with the process.
   std::atomic<std::uint32_t> cur_desc;
+  // The session's OS pid, written before the kFree -> kLive CAS publishes
+  // the record; reap_dead probes it with kill(0).
+  std::atomic<int> os_pid;
 };
 
 struct ShmTableHeader {
@@ -181,7 +178,7 @@ struct ShmTableHeader {
   std::uint64_t desc_pool_off = 0;
   std::uint64_t snap_pool_off = 0;
   std::uint64_t ebr_off = 0;
-  std::uint64_t sets_off = 0;      // ShmSetSlot[num_locks * set_cap]
+  std::uint64_t sets_off = 0;      // Set::Slot[num_locks * set_cap]
   std::uint64_t sessions_off = 0;  // ShmSessionRec[max_procs]
   std::atomic<std::uint64_t> serial_hwm{1};
 };
@@ -190,6 +187,7 @@ class ShmLockTable {
  public:
   using Desc = ShmDesc;
   using Snap = SetSnap<std::uint32_t>;  // members are owner words (handle+1)
+  using Set = ActiveSet<RealPlat, std::uint32_t, ShmPool<Snap>>;
 
   struct Sizing {
     std::uint32_t desc_pool_capacity;  // 0 = auto
@@ -212,22 +210,25 @@ class ShmLockTable {
   class SetView {
    public:
     const LocalSnap* get_set() {
-      t_->snapshot_members(lock_id_, *buf_);
+      const Snap* snap = set_->get_set();
+      buf_->count = snap->count;
+      for (std::uint32_t i = 0; i < snap->count; ++i) {
+        buf_->items[i] = t_->desc_pool_.ptr(snap->items[i] - 1);
+      }
       return buf_;
     }
 
    private:
     friend class ShmLockTable;
     ShmLockTable* t_ = nullptr;
+    Set* set_ = nullptr;
     LocalSnap* buf_ = nullptr;
-    std::uint32_t lock_id_ = 0;
   };
 
-  // Per-process session state. The shared part is the EBR participant
-  // (announcement + lease) and the ShmSessionRec; everything here — stats,
-  // scratch, slot cache, serial block — is private to the owning process
-  // and dies with it (the cached slots leak on a crash; see the header
-  // comment).
+  // Per-process session state. The shared part is the EBR announcement and
+  // the ShmSessionRec; everything here — stats, scratch, slot cache, serial
+  // block — is private to the owning process and dies with it (the cached
+  // slots leak on a crash; see the header comment).
   class Session {
    public:
     int pid() const { return pid_; }
@@ -306,29 +307,21 @@ class ShmLockTable {
 
     h->desc_pool_off = ShmPool<Desc>::create_in(shm, desc_cap);
     h->snap_pool_off = ShmPool<Snap>::create_in(shm, snap_cap);
-    h->ebr_off = ShmEbrDomain::create_in(shm, max_procs);
+    h->ebr_off = EbrDomain::create_in(shm, max_procs);
     h->sessions_off =
         shm.create_array<ShmSessionRec>(static_cast<std::size_t>(max_procs));
-    h->sets_off = shm.create_array<ShmSetSlot>(
-        static_cast<std::size_t>(h->num_locks) * h->set_cap);
+    const std::size_t n_slots =
+        static_cast<std::size_t>(h->num_locks) * h->set_cap;
+    h->sets_off = shm.create_array<Set::Slot>(n_slots);
 
-    auto t = std::unique_ptr<ShmLockTable>(new ShmLockTable());
-    t->bind(shm, header_off);
+    // Reserve the one sentinel snapshot every accessor's SetMem shares, and
+    // point every slot of every lock at it.
+    ShmPool<Snap> snaps;
+    snaps.attach(shm, h->snap_pool_off);
+    h->empty_snap = Set::Mem::reserve_empty(snaps);
+    Set::format(shm.at<Set::Slot>(h->sets_off), n_slots, h->empty_snap);
 
-    // Reserve the permanently-empty sentinel snapshot (the `set[C]` corner
-    // case of Algorithm 1) and point every slot at it.
-    const std::uint32_t empty = t->snap_pool_.alloc();
-    Snap& es = t->snap_pool_.at(empty);
-    es.count = 0;
-    es.self_index = empty;
-    h->empty_snap = empty;
-    ShmSetSlot* slots = shm.at<ShmSetSlot>(h->sets_off);
-    for (std::uint64_t i = 0;
-         i < static_cast<std::uint64_t>(h->num_locks) * h->set_cap; ++i) {
-      slots[i].owner.init(0);
-      slots[i].set.init(empty);
-    }
-
+    auto t = std::unique_ptr<ShmLockTable>(new ShmLockTable(shm, header_off));
     shm.set_root(header_off);
     shm.publish_ready();
     return t;
@@ -339,14 +332,10 @@ class ShmLockTable {
   static std::unique_ptr<ShmLockTable> attach(ShmArena& shm) {
     WFL_CHECK_MSG(shm.root() != ShmArena::kNullOffset,
                   "ShmLockTable::attach: arena has no table root");
-    auto t = std::unique_ptr<ShmLockTable>(new ShmLockTable());
-    t->bind(shm, shm.root());
-    return t;
+    return std::unique_ptr<ShmLockTable>(new ShmLockTable(shm, shm.root()));
   }
 
-  ~ShmLockTable() {
-    if (arena_ != nullptr) shm_detail::unregister_thunk_arena(arena_);
-  }
+  ~ShmLockTable() { shm_detail::unregister_thunk_arena(arena_); }
 
   ShmLockTable(const ShmLockTable&) = delete;
   ShmLockTable& operator=(const ShmLockTable&) = delete;
@@ -362,13 +351,14 @@ class ShmLockTable {
     s->pid_ = ebr_.register_participant();
     s->dcache_.bind(&desc_pool_);
     ShmSessionRec& r = rec(s->pid_);
+    r.os_pid.store(static_cast<int>(::getpid()), std::memory_order_relaxed);
+    r.cur_desc.store(0, std::memory_order_relaxed);
     std::uint32_t expect = kSessFree;
     WFL_CHECK_MSG(
         r.state.compare_exchange_strong(expect, kSessLive,
                                         std::memory_order_acq_rel),
         "session slot not fresh: pids are never recycled");
-    r.cur_desc.store(0, std::memory_order_relaxed);
-    ebr_.bind_os_pid(s->pid_, static_cast<int>(::getpid()));
+    open_[static_cast<std::size_t>(s->pid_)] = s.get();
     return s;
   }
 
@@ -380,11 +370,8 @@ class ShmLockTable {
     ebr_.abandon(s.pid_);
     s.dcache_.drain();
     rec(s.pid_).state.store(kSessClosed, std::memory_order_release);
+    open_[static_cast<std::size_t>(s.pid_)] = nullptr;
   }
-
-  void heartbeat(Session& s) { ebr_.heartbeat(s.pid_); }
-  std::uint64_t lease(int pid) const { return ebr_.lease(pid); }
-  int os_pid(int pid) const { return ebr_.os_pid(pid); }
 
   // --- the attempt path ----------------------------------------------------
 
@@ -398,8 +385,9 @@ class ShmLockTable {
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
       WFL_CHECK(lock_ids[i] < h_->num_locks);
     }
+    WFL_CHECK_MSG(thunk.n_cells <= ShmThunk::kMaxCells,
+                  "ShmThunk n_cells exceeds kMaxCells");
     s.stats_.add_attempt();
-    ebr_.heartbeat(s.pid_);
 
     const std::uint32_t didx = alloc_desc(s);
     Desc& d = desc_pool_.at(didx);
@@ -428,7 +416,7 @@ class ShmLockTable {
       }
     }
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      d.slot_of_lock[i] = set_insert(d.lock_ids[i], didx + 1, s);
+      d.slot_of_lock[i] = locks_[d.lock_ids[i]]->insert(didx + 1, s.pid_);
     }
     guard_exit(s);
 
@@ -444,7 +432,7 @@ class ShmLockTable {
     Engine::run(cx, d);
     d.clear_flag();
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      set_remove(d.lock_ids[i], d.slot_of_lock[i], s);
+      locks_[d.lock_ids[i]]->remove(d.slot_of_lock[i], s.pid_);
     }
     guard_exit(s);
 
@@ -463,28 +451,77 @@ class ShmLockTable {
   // rest skip).
   int reap_dead(Session& s) {
     int reaped = 0;
-    const int n = ebr_.participant_count();
-    for (int pid = 0; pid < n; ++pid) {
+    for (int pid = 0; pid < h_->max_procs; ++pid) {
       if (pid == s.pid_) continue;
-      if (rec(pid).state.load(std::memory_order_acquire) != kSessLive) {
-        continue;
-      }
-      const int os = ebr_.os_pid(pid);
-      if (os == 0 || shm_pid_alive(os)) continue;
+      const ShmSessionRec& r = rec(pid);
+      if (r.state.load(std::memory_order_acquire) != kSessLive) continue;
+      if (shm_pid_alive(r.os_pid.load(std::memory_order_relaxed))) continue;
       if (reap(s, pid)) ++reaped;
     }
     return reaped;
   }
 
-  // Reaps one victim. The caller owns the liveness evidence: a dead-pid
-  // probe (reap_dead), or a lease stalled past the harness's threshold —
-  // abandon() is only legal against a process that takes no further steps,
-  // and a false positive here is the ONE way this layer can corrupt
-  // itself, so lease thresholds must be chosen against worst-case
-  // preemption, not typical latency (DESIGN.md §10).
+  // --- diagnostics ---------------------------------------------------------
+
+  std::uint32_t desc_free() const { return desc_pool_.free_count(); }
+  std::uint32_t snap_free() const { return snap_pool_.free_count(); }
+  std::uint64_t epoch() const { return ebr_.epoch(); }
+  std::uint32_t session_state(int pid) const {
+    return rec(pid).state.load(std::memory_order_acquire);
+  }
+
+  // Quiescent-only wedge probe: true iff some lock's set still announces a
+  // descriptor that is active-and-revealed (a holder nobody can finish) or
+  // belongs to an unreaped corpse. Mirrors exp_crash's any_held probe.
+  bool any_holder(Session& s) {
+    bool held = false;
+    guard_enter(s);
+    for (std::uint32_t lock = 0; lock < h_->num_locks && !held; ++lock) {
+      Set& set = *locks_[lock];
+      for (std::uint32_t j = 0; j < set.capacity() && !held; ++j) {
+        const std::uint32_t owner = set.owner(j);
+        if (owner == 0) continue;
+        Desc& d = desc_pool_.at(owner - 1);
+        held = d.status.load() == kStatusActive && d.priority.load() > 0;
+      }
+    }
+    guard_exit(s);
+    return held;
+  }
+
+ private:
+  struct AttemptCtx;
+  using Engine = AttemptEngine<RealPlat, AttemptCtx>;
+
+  static constexpr std::uint32_t kCrashSlackSlots = 8;
+  static constexpr std::uint64_t kSerialBlock = 1024;
+
+  ShmLockTable(ShmArena& shm, std::uint64_t header_off)
+      : arena_(&shm),
+        h_(shm.at<ShmTableHeader>(header_off)),
+        ebr_(shm, h_->ebr_off),
+        sessions_(shm.at<ShmSessionRec>(h_->sessions_off)),
+        set_mem_(snap_pool_, ebr_, h_->empty_snap, &snap_stall, this),
+        open_(static_cast<std::size_t>(h_->max_procs), nullptr) {
+    desc_pool_.attach(shm, h_->desc_pool_off);
+    snap_pool_.attach(shm, h_->snap_pool_off);
+    auto* slots = shm.at<Set::Slot>(h_->sets_off);
+    locks_.reserve(h_->num_locks);
+    for (std::uint32_t i = 0; i < h_->num_locks; ++i) {
+      locks_.push_back(std::make_unique<Set>(
+          h_->set_cap, set_mem_,
+          slots + static_cast<std::size_t>(i) * h_->set_cap));
+    }
+    shm_detail::register_thunk_arena(&shm);
+  }
+
+  ShmSessionRec& rec(int pid) const { return sessions_[pid]; }
+
+  // Reaps one victim whose OS pid is dead. abandon() is only legal against
+  // a process that takes no further steps, and a false positive here is
+  // the ONE way this layer can corrupt itself — hence the dead-pid
+  // evidence (DESIGN.md §10).
   bool reap(Session& s, int victim_pid) {
-    WFL_CHECK(victim_pid >= 0 && victim_pid < h_->max_procs &&
-              victim_pid != s.pid_);
     ShmSessionRec& r = rec(victim_pid);
     std::uint32_t expect = kSessLive;
     if (!r.state.compare_exchange_strong(expect, kSessReaping,
@@ -515,12 +552,9 @@ class ShmLockTable {
       // private state that may have died mid-update; the owner-scan is the
       // crash-safe equivalent (bounded: L · C slots).
       for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        ShmSetSlot* slots = set_slots(d.lock_ids[i]);
-        for (std::uint32_t j = 0; j < h_->set_cap; ++j) {
-          if (slots[j].owner.load() == cd) {
-            slots[j].owner.store(0);
-            climb(d.lock_ids[i], static_cast<int>(j), s);
-          }
+        Set& set = *locks_[d.lock_ids[i]];
+        for (std::uint32_t j = 0; j < set.capacity(); ++j) {
+          if (set.owner(j) == cd) set.remove(static_cast<int>(j), s.pid_);
         }
       }
       // The victim's descriptor slot is NOT retired to the pool: its
@@ -531,74 +565,6 @@ class ShmLockTable {
     r.cur_desc.store(0, std::memory_order_release);
     r.state.store(kSessReaped, std::memory_order_release);
     return true;
-  }
-
-  // --- diagnostics ---------------------------------------------------------
-
-  std::uint32_t desc_free() const { return desc_pool_.free_count(); }
-  std::uint32_t snap_free() const { return snap_pool_.free_count(); }
-  std::uint64_t snap_alloc_total() const { return snap_pool_.alloc_total(); }
-  std::uint64_t snap_free_total() const { return snap_pool_.free_total(); }
-  std::uint64_t epoch() const { return ebr_.epoch(); }
-  std::size_t pending_retired(const Session& s) const {
-    return ebr_.pending_retired(s.pid_);
-  }
-  std::uint32_t session_state(int pid) const {
-    return rec(pid).state.load(std::memory_order_acquire);
-  }
-  int participant_count() const { return ebr_.participant_count(); }
-  bool participant_active(int pid) const {
-    return ebr_.participant_active(pid);
-  }
-  std::uint64_t participant_epoch(int pid) const {
-    return ebr_.participant_epoch(pid);
-  }
-  int participant_os_pid(int pid) const { return ebr_.os_pid(pid); }
-
-  // Quiescent-only wedge probe: true iff some lock's set still announces a
-  // descriptor that is active-and-revealed (a holder nobody can finish) or
-  // belongs to an unreaped corpse. Mirrors exp_crash's any_held probe.
-  bool any_holder(Session& s) {
-    bool held = false;
-    guard_enter(s);
-    for (std::uint32_t lock = 0; lock < h_->num_locks && !held; ++lock) {
-      ShmSetSlot* slots = set_slots(lock);
-      for (std::uint32_t j = 0; j < h_->set_cap && !held; ++j) {
-        const std::uint32_t owner = slots[j].owner.load();
-        if (owner == 0) continue;
-        Desc& d = desc_pool_.at(owner - 1);
-        held = d.status.load() == kStatusActive && d.priority.load() > 0;
-      }
-    }
-    guard_exit(s);
-    return held;
-  }
-
- private:
-  struct AttemptCtx;
-  using Engine = AttemptEngine<RealPlat, AttemptCtx>;
-
-  static constexpr std::uint32_t kCrashSlackSlots = 8;
-  static constexpr std::uint32_t kPoolLowWater = 64;
-  static constexpr std::uint64_t kSerialBlock = 1024;
-
-  ShmLockTable() = default;
-
-  void bind(ShmArena& shm, std::uint64_t header_off) {
-    arena_ = &shm;
-    h_ = shm.at<ShmTableHeader>(header_off);
-    desc_pool_.attach(shm, h_->desc_pool_off);
-    snap_pool_.attach(shm, h_->snap_pool_off);
-    ebr_.attach(shm, h_->ebr_off);
-    sessions_ = shm.at<ShmSessionRec>(h_->sessions_off);
-    shm_detail::register_thunk_arena(&shm);
-  }
-
-  ShmSessionRec& rec(int pid) const { return sessions_[pid]; }
-
-  ShmSetSlot* set_slots(std::uint32_t lock_id) const {
-    return arena_->at<ShmSetSlot>(h_->sets_off) +
-           static_cast<std::uint64_t>(lock_id) * h_->set_cap;
   }
 
   std::uint64_t next_serial(Session& s) {
@@ -642,13 +608,13 @@ class ShmLockTable {
   struct AttemptCtx {
     ShmLockTable* t;
     Session* s;
-    SetView view;
+    SetView view{};
     using Desc = ShmLockTable::Desc;
 
     SetView& set(std::uint32_t lock_id) {
       view.t_ = t;
+      view.set_ = t->locks_[lock_id].get();
       view.buf_ = &s->snap_buf_;
-      view.lock_id_ = lock_id;
       return view;
     }
     StatsSlab& stats() { return s->stats_; }
@@ -660,74 +626,6 @@ class ShmLockTable {
     std::uint32_t claim_patience() { return ~std::uint32_t{0}; }  // unused
   };
   friend struct AttemptCtx;
-
-  // Resolve the current slot-0 snapshot's handles into local pointers.
-  // Caller holds the EBR guard (the snapshot cannot be reclaimed, so the
-  // handles cannot be recycled, while we copy).
-  void snapshot_members(std::uint32_t lock_id, LocalSnap& out) {
-    ShmSetSlot* slots = set_slots(lock_id);
-    const std::uint32_t snap_h = slots[0].set.load();
-    const Snap& snap = snap_pool_.at(snap_h);
-    out.count = 0;
-    for (std::uint32_t i = 0; i < snap.count && i < kMaxSetCap; ++i) {
-      const std::uint32_t owner = snap.items[i];
-      if (owner != 0) out.items[out.count++] = desc_pool_.ptr(owner - 1);
-    }
-  }
-
-  // Algorithm 1 over handles (ActiveSet's insert/remove/climb verbatim,
-  // with pool indices in place of pointers and the reserved empty-snapshot
-  // handle as the above-top sentinel).
-  int set_insert(std::uint32_t lock_id, std::uint32_t owner_val, Session& s) {
-    ShmSetSlot* slots = set_slots(lock_id);
-    for (int pass = 0; pass < 8; ++pass) {
-      for (std::uint32_t i = 0; i < h_->set_cap; ++i) {
-        if (slots[i].owner.load() == 0 && slots[i].owner.cas(0, owner_val)) {
-          climb(lock_id, static_cast<int>(i), s);
-          return static_cast<int>(i);
-        }
-      }
-    }
-    WFL_CHECK_MSG(false,
-                  "shm set insert found no free slot: point contention "
-                  "exceeds kappa + crash slack (unreaped corpses?)");
-    return -1;
-  }
-
-  void set_remove(std::uint32_t lock_id, int slot, Session& s) {
-    ShmSetSlot* slots = set_slots(lock_id);
-    slots[static_cast<std::uint32_t>(slot)].owner.store(0);
-    climb(lock_id, slot, s);
-  }
-
-  void climb(std::uint32_t lock_id, int i, Session& s) {
-    if (snap_pool_.free_count() < kPoolLowWater) ebr_.collect(s.pid_);
-    ShmSetSlot* slots = set_slots(lock_id);
-    for (int j = i; j >= 0; --j) {
-      for (int k = 0; k < 2; ++k) {
-        // Allocate BEFORE reading cur/above: alloc_snap may bounce the EBR
-        // guard to wait out a reclamation stall, and no snapshot handle
-        // read under the old guard may be used after re-entry.
-        const std::uint32_t idx = alloc_snap(s);
-        Snap& fresh = snap_pool_.at(idx);
-        fresh.self_index = idx;
-        const std::uint32_t cur =
-            slots[static_cast<std::uint32_t>(j)].set.load();
-        const std::uint32_t above =
-            (j + 1 == static_cast<int>(h_->set_cap))
-                ? h_->empty_snap
-                : slots[static_cast<std::uint32_t>(j) + 1].set.load();
-        const std::uint32_t member =
-            slots[static_cast<std::uint32_t>(j)].owner.load();
-        build(fresh, snap_pool_.at(above), member);
-        if (slots[static_cast<std::uint32_t>(j)].set.cas(cur, idx)) {
-          retire_snap(cur, s);
-        } else {
-          snap_pool_.free(idx);  // never published
-        }
-      }
-    }
-  }
 
   // --- allocation backpressure ---------------------------------------------
   //
@@ -748,13 +646,12 @@ class ShmLockTable {
   // (a waiter announced at epoch E otherwise pins global at E+1 and its
   // own current-epoch bucket — holding most of the pool after a long peer
   // stall — could never reach the E+2 drain bar). Callers therefore must
-  // not hold any guard-protected pointer across an alloc_* call; climb()
-  // is ordered alloc-first for exactly this reason.
+  // not hold any guard-protected pointer across an allocation; ActiveSet's
+  // climb() allocates before it reads any handle for exactly this reason.
   static constexpr std::uint32_t kAllocPatienceSpins = 100000;  // ~10 s
 
   template <typename TryAlloc>
-  std::uint32_t alloc_backpressure(Session& s, TryAlloc&& try_alloc,
-                                   const char* what) {
+  std::uint32_t alloc_backpressure(Session& s, TryAlloc&& try_alloc) {
     const std::uint32_t depth = s.guard_depth_;
     if (depth > 0) {
       s.guard_depth_ = 0;
@@ -770,7 +667,6 @@ class ShmLockTable {
       if (idx != kNullIndex) break;
       if ((spin & 63u) == 63u) reap_dead(s);
       ::usleep(100);
-      (void)what;
     }
     if (depth > 0) {
       ebr_.enter(s.pid_);
@@ -779,39 +675,18 @@ class ShmLockTable {
     return idx;
   }
 
-  std::uint32_t alloc_snap(Session& s) {
-    const std::uint32_t idx = snap_pool_.try_alloc();
-    if (idx != kNullIndex) return idx;
-    return alloc_backpressure(
-        s, [this] { return snap_pool_.try_alloc(); }, "snapshot");
+  // SetMem's stall hook: the snapshot pool ran dry under `pid`'s climb.
+  static std::uint32_t snap_stall(void* ctx, int pid) {
+    auto* t = static_cast<ShmLockTable*>(ctx);
+    Session* s = t->open_[static_cast<std::size_t>(pid)];
+    WFL_CHECK(s != nullptr);
+    return t->alloc_backpressure(*s, [t] { return t->snap_pool_.try_alloc(); });
   }
 
   std::uint32_t alloc_desc(Session& s) {
     const std::uint32_t idx = s.dcache_.try_alloc();
     if (idx != kNullIndex) return idx;
-    return alloc_backpressure(
-        s, [&s] { return s.dcache_.try_alloc(); }, "descriptor");
-  }
-
-  void build(Snap& out, const Snap& above, std::uint32_t member) {
-    WFL_CHECK(above.count <= kMaxSetCap);
-    out.count = 0;
-    for (std::uint32_t i = 0; i < above.count; ++i) {
-      if (above.items[i] != member) out.items[out.count++] = above.items[i];
-    }
-    if (member != 0) {
-      WFL_CHECK_MSG(out.count < kMaxSetCap, "shm set snapshot overflow");
-      out.items[out.count++] = member;
-    }
-  }
-
-  void retire_snap(std::uint32_t snap_h, Session& s) {
-    if (snap_h == h_->empty_snap) return;
-    ebr_.retire(s.pid_, this, snap_h, &free_snap);
-  }
-
-  static void free_snap(void* ctx, std::uint32_t handle) {
-    static_cast<ShmLockTable*>(ctx)->snap_pool_.free(handle);
+    return alloc_backpressure(s, [&s] { return s.dcache_.try_alloc(); });
   }
 
   // EBR deleter for an orderly attempt's descriptor (single domain, so
@@ -825,12 +700,19 @@ class ShmLockTable {
     if (prev == 1) cache->free(handle);
   }
 
-  const ShmArena* arena_ = nullptr;
-  ShmTableHeader* h_ = nullptr;
+  // Declaration order is construction order: set_mem_ references the pool
+  // and domain, and the sets reference set_mem_.
+  const ShmArena* arena_;
+  ShmTableHeader* h_;
   ShmPool<Desc> desc_pool_;
   ShmPool<Snap> snap_pool_;
-  ShmEbrDomain ebr_;
-  ShmSessionRec* sessions_ = nullptr;
+  EbrDomain ebr_;
+  ShmSessionRec* sessions_;
+  Set::Mem set_mem_;
+  std::vector<std::unique_ptr<Set>> locks_;
+  // Process-local: the Session this process opened under each pid (the
+  // snapshot stall hook is keyed by EBR pid).
+  std::vector<Session*> open_;
 };
 
 // The placement factories declared on LockTable (the API callers reach

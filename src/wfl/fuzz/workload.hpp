@@ -139,7 +139,6 @@ inline LockConfig fuzz_cfg(int procs) {
   cfg.c1 = 8.0;
   cfg.delay_mode = DelayMode::kOff;  // fast path + helping + async live here
   cfg.fast_path = true;
-  cfg.cooperative_help = true;
   return cfg;
 }
 

@@ -304,8 +304,6 @@ struct ShmPoolState {
   alignas(kCacheLine) std::atomic<std::uint64_t> head;
   alignas(kCacheLine) std::atomic<std::uint32_t> free_count;
   std::atomic<std::uint64_t> freelist_ops;
-  std::atomic<std::uint64_t> alloc_total;
-  std::atomic<std::uint64_t> free_total;
 };
 
 template <typename T>
@@ -334,8 +332,6 @@ class ShmPool {
     st->head.store(pack(0, 0), std::memory_order_relaxed);
     st->free_count.store(capacity, std::memory_order_relaxed);
     st->freelist_ops.store(0, std::memory_order_relaxed);
-    st->alloc_total.store(0, std::memory_order_relaxed);
-    st->free_total.store(0, std::memory_order_relaxed);
     return state_off;
   }
 
@@ -376,7 +372,6 @@ class ShmPool {
             "ShmPool alloc popped a node not on the freelist (corruption)");
         st_->free_count.fetch_sub(1, std::memory_order_relaxed);
         st_->freelist_ops.fetch_add(1, std::memory_order_relaxed);
-        st_->alloc_total.fetch_add(1, std::memory_order_relaxed);
         return idx;
       }
     }
@@ -412,7 +407,6 @@ class ShmPool {
         }
         st_->free_count.fetch_sub(got, std::memory_order_relaxed);
         st_->freelist_ops.fetch_add(1, std::memory_order_relaxed);
-        st_->alloc_total.fetch_add(got, std::memory_order_relaxed);
         return got;
       }
     }
@@ -437,7 +431,6 @@ class ShmPool {
                                           std::memory_order_acquire)) {
         st_->free_count.fetch_add(1, std::memory_order_relaxed);
         st_->freelist_ops.fetch_add(1, std::memory_order_relaxed);
-        st_->free_total.fetch_add(1, std::memory_order_relaxed);
         return;
       }
     }
@@ -463,7 +456,6 @@ class ShmPool {
                                           std::memory_order_acquire)) {
         st_->free_count.fetch_add(n, std::memory_order_relaxed);
         st_->freelist_ops.fetch_add(1, std::memory_order_relaxed);
-        st_->free_total.fetch_add(n, std::memory_order_relaxed);
         return;
       }
     }
@@ -478,13 +470,6 @@ class ShmPool {
     return items_[idx];
   }
   T* ptr(std::uint32_t idx) { return &at(idx); }
-
-  std::uint64_t alloc_total() const {
-    return st_->alloc_total.load(std::memory_order_relaxed);
-  }
-  std::uint64_t free_total() const {
-    return st_->free_total.load(std::memory_order_relaxed);
-  }
 
  private:
   static std::uint64_t pack(std::uint32_t idx, std::uint32_t tag) {

@@ -14,10 +14,31 @@
 //
 // Reclamation is not part of the algorithms' step accounting (DESIGN.md
 // substitution #2): all internals are raw std::atomic.
+//
+// Placement (DESIGN.md §4.4, §10). A domain has two parts:
+//
+//   * the SHARED part — global epoch, participant count and each
+//     participant's active/epoch announcement — is what every collector
+//     scans. It lives on the heap (in-process tables) or in a ShmArena
+//     (create_in, then one attaching accessor per process), where a guard
+//     held in one process blocks reclamation in every other;
+//   * the RETIRE buckets stay process-local, because a deleter is a
+//     function pointer plus a ctx pointer, neither of which survives an
+//     address-space boundary. Retire/collect are per-participant and only
+//     ever run in the owning process.
+//
+// The split decides the crash story: a SIGKILLed process's announced guard
+// (shared) would pin the epoch forever until a reaper abandon()s it, and
+// its pending retirements (local) vanish with its address space — a bounded
+// leak, priced into the shm pools' fixed sizing. It also decides teardown:
+// only a domain that owns its shared part (the heap case) drains its
+// buckets and checks that no guard is held. An attached accessor runs no
+// deleter when destroyed, because other processes may still hold guards.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "wfl/check/race.hpp"
@@ -31,39 +52,51 @@ class EbrDomain {
  public:
   using Deleter = void (*)(void* ctx, std::uint32_t handle);
 
+  // Heap placement: this domain owns its shared part.
   explicit EbrDomain(int max_participants)
-      : parts_(static_cast<std::size_t>(max_participants)) {
-    WFL_CHECK(max_participants > 0);
-    // Lifetime hooks: domains are heap members of LockTables, so their raw
-    // atomics land on reused addresses across table generations; reset the
-    // analysis layer's shadow state at construction.
-    race::created(&global_epoch_, 0);
-    race::created(&next_participant_, 0);
+      : owned_(std::make_unique<Shared>(max_participants)),
+        owned_parts_(std::make_unique<Announce[]>(
+            static_cast<std::size_t>(max_participants))),
+        sh_(owned_.get()),
+        parts_(owned_parts_.get()),
+        local_(static_cast<std::size_t>(max_participants)) {}
+
+  // Arena placement: formats a shared part in `arena` and returns its
+  // offset. Every process, the creator included, then attaches an accessor
+  // with EbrDomain(arena, offset).
+  static std::uint64_t create_in(ShmArena& arena, int max_participants) {
+    const std::uint64_t off = arena.create<Shared>(max_participants);
+    arena.at<Shared>(off)->parts_off = arena.create_array<Announce>(
+        static_cast<std::size_t>(max_participants));
+    return off;
   }
+
+  // Attaches a process-local accessor (retire buckets only) to a shared
+  // part placed by create_in. The arena must outlive the accessor.
+  EbrDomain(const ShmArena& arena, std::uint64_t off)
+      : sh_(arena.at<Shared>(off)),
+        parts_(arena.at<Announce>(sh_->parts_off)),
+        local_(sh_->max_participants) {}
 
   EbrDomain(const EbrDomain&) = delete;
   EbrDomain& operator=(const EbrDomain&) = delete;
 
   ~EbrDomain() {
-    // Domain teardown implies quiescence; drain everything unconditionally.
-    for (auto& padded : parts_) {
-      Participant& p = *padded;
-      WFL_CHECK_MSG(!p.active.load(std::memory_order_relaxed),
+    if (owned_ == nullptr) return;  // attached: peers may still hold guards
+    // Owned-domain teardown implies quiescence; drain everything.
+    for (std::uint32_t pid = 0; pid < sh_->max_participants; ++pid) {
+      WFL_CHECK_MSG(!parts_[pid].active.load(std::memory_order_relaxed),
                     "EbrDomain destroyed while a participant holds a guard");
-      for (auto& bucket : p.buckets) {
-        for (const Retired& r : bucket.items) r.deleter(r.ctx, r.handle);
-        bucket.items.clear();
-      }
+      for (Bucket& b : local_[pid]->buckets) drain(b);
     }
-    race::destroyed(&global_epoch_);
-    race::destroyed(&next_participant_);
   }
 
   int register_participant() {
-    const int id = next_participant_.fetch_add(1, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&next_participant_, kFetchAdd, relaxed,
+    const int id =
+        sh_->next_participant.fetch_add(1, std::memory_order_relaxed);
+    WFL_CHK_ATOMIC(&sh_->next_participant, kFetchAdd, relaxed,
                    kEbrParticipantCount, id + 1);
-    WFL_CHECK_MSG(id < static_cast<int>(parts_.size()),
+    WFL_CHECK_MSG(id < static_cast<int>(sh_->max_participants),
                   "EbrDomain participant capacity exceeded");
     return id;
   }
@@ -87,18 +120,19 @@ class EbrDomain {
   //
   // While the re-announce loop runs, active is already true with a stale
   // epoch — that conservatively blocks advancement, so the loop settles
-  // after at most one more epoch move. Validated by the TSan CI matrix and
-  // the crash/chaos tests.
+  // after at most one more epoch move. The argument does not care which
+  // process the announcing thread lives in. Validated by the TSan CI matrix
+  // and the crash/chaos tests.
   void enter(int pid) {
-    Participant& p = part(pid);
+    Announce& p = part(pid);
     WFL_CHECK_MSG(!p.active.load(std::memory_order_relaxed),
                   "EBR enter() while already in a critical region");
     p.active.store(true, std::memory_order_relaxed);
     WFL_CHK_ATOMIC(&p.active, kStore, relaxed, kEbrAnnounce, 1);
     std::atomic_thread_fence(std::memory_order_seq_cst);  // publication point
     WFL_CHK_FENCE(seq_cst, kEbrPublishFence);
-    std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&global_epoch_, kLoad, seq_cst, kEbrVerifyLoad, e);
+    std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
+    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrVerifyLoad, e);
     const std::uint64_t mine = p.epoch.load(std::memory_order_relaxed);
     WFL_CHK_ATOMIC(&p.epoch, kLoad, relaxed, kEbrEpochSelfLoad, mine);
     if (e == mine) return;
@@ -108,15 +142,15 @@ class EbrDomain {
       std::atomic_thread_fence(std::memory_order_seq_cst);
       WFL_CHK_FENCE(seq_cst, kEbrPublishFence);
       const std::uint64_t e2 =
-          global_epoch_.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&global_epoch_, kLoad, seq_cst, kEbrVerifyLoad, e2);
+          sh_->global_epoch.load(std::memory_order_seq_cst);
+      WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrVerifyLoad, e2);
       if (e2 == e) return;
       e = e2;
     }
   }
 
   void exit(int pid) {
-    Participant& p = part(pid);
+    Announce& p = part(pid);
     WFL_CHECK(p.active.load(std::memory_order_relaxed));
     // Release: the guard's critical-section reads are sequenced before this
     // store, and a collector's seq_cst scan that observes false acquires
@@ -127,11 +161,12 @@ class EbrDomain {
 
   // Crash support: drops `pid`'s guard (if held) on its behalf. ONLY legal
   // when the participant provably takes no further steps — a simulator
-  // fiber that a CrashSchedule parked forever, or a joined thread. A guard
-  // held by a genuinely running process must never be force-released: the
-  // process may still dereference retired objects. Crash harnesses call
-  // this before tearing the domain down; it also un-stalls reclamation for
-  // any post-crash measurement phase.
+  // fiber that a CrashSchedule parked forever, a joined thread, or a
+  // process the shm reaper saw die. A guard held by a genuinely running
+  // process must never be force-released: the process may still
+  // dereference retired objects. Crash harnesses call this before tearing
+  // the domain down; it also un-stalls reclamation for any post-crash
+  // measurement phase.
   void abandon(int pid) {
     part(pid).active.store(false, std::memory_order_seq_cst);
     WFL_CHK_ATOMIC(&part(pid).active, kStore, seq_cst, kEbrAbandon, 0);
@@ -140,10 +175,11 @@ class EbrDomain {
   // Defers `deleter(ctx, handle)` until two epoch advances have passed since
   // the epoch observed here. See the safety contract above.
   void retire(int pid, void* ctx, std::uint32_t handle, Deleter deleter) {
-    Participant& p = part(pid);
-    const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&global_epoch_, kLoad, seq_cst, kEbrRetireEpochLoad, e);
-    Bucket& b = p.buckets[e % kBuckets];
+    Local& l = local(pid);
+    const std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
+    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrRetireEpochLoad,
+                   e);
+    Bucket& b = l.buckets[e % kBuckets];
     if (!b.items.empty() && b.epoch != e) {
       // Same slot, older epoch: epochs sharing a slot differ by >= kBuckets,
       // so its contents are already past their grace period.
@@ -152,33 +188,34 @@ class EbrDomain {
     }
     b.epoch = e;
     b.items.push_back(Retired{ctx, handle, deleter});
-    if (++p.retire_ops >= kCollectEvery) {
-      p.retire_ops = 0;
+    if (++l.retire_ops >= kCollectEvery) {
+      l.retire_ops = 0;
       collect(pid);
     }
   }
 
   // Attempts an epoch advance, then frees this participant's safe buckets.
   void collect(int pid) {
-    const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&global_epoch_, kLoad, seq_cst, kEbrCollectEpochLoad, e);
+    const std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
+    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrCollectEpochLoad,
+                   e);
     if (all_participants_at(e)) {
       std::uint64_t expected = e;  // racing collectors: one advance per value
-      const bool advanced = global_epoch_.compare_exchange_strong(
+      const bool advanced = sh_->global_epoch.compare_exchange_strong(
           expected, e + 1, std::memory_order_seq_cst);
       if (advanced) {
-        WFL_CHK_ATOMIC(&global_epoch_, kCasOk, seq_cst, kEbrEpochAdvanceCas,
-                       e + 1);
+        WFL_CHK_ATOMIC(&sh_->global_epoch, kCasOk, seq_cst,
+                       kEbrEpochAdvanceCas, e + 1);
       } else {
-        WFL_CHK_ATOMIC(&global_epoch_, kCasFail, seq_cst, kEbrEpochAdvanceCas,
-                       expected);
+        WFL_CHK_ATOMIC(&sh_->global_epoch, kCasFail, seq_cst,
+                       kEbrEpochAdvanceCas, expected);
       }
     }
     free_safe_buckets(pid);
   }
 
   std::uint64_t epoch() const {
-    return global_epoch_.load(std::memory_order_relaxed);
+    return sh_->global_epoch.load(std::memory_order_relaxed);
   }
 
   class Guard {
@@ -199,6 +236,43 @@ class EbrDomain {
   static constexpr int kBuckets = 3;
   static constexpr int kCollectEvery = 16;
 
+  // One participant's announcement (shared part). Line-aligned, so the
+  // array pads neighbours apart in either placement.
+  struct alignas(kCacheLine) Announce {
+    Announce() {
+      race::created(&active, 0);
+      race::created(&epoch, 0);
+    }
+    ~Announce() {
+      race::destroyed(&active);
+      race::destroyed(&epoch);
+    }
+    std::atomic<bool> active{false};
+    std::atomic<std::uint64_t> epoch{0};
+  };
+
+  // Lifetime hooks: heap domains are members of LockTables, so their raw
+  // atomics land on reused addresses across table generations; reset the
+  // analysis layer's shadow state at construction.
+  struct Shared {
+    explicit Shared(int max)
+        : max_participants(static_cast<std::uint32_t>(max)) {
+      WFL_CHECK(max > 0);
+      race::created(&global_epoch, 0);
+      race::created(&next_participant, 0);
+    }
+    ~Shared() {
+      race::destroyed(&global_epoch);
+      race::destroyed(&next_participant);
+    }
+    std::uint32_t max_participants;
+    std::uint64_t parts_off = 0;  // arena placement: Announce[max]
+    // The globally-hammered epoch word gets its own line so advances don't
+    // invalidate the registration counter's line (and vice versa).
+    alignas(kCacheLine) std::atomic<std::uint64_t> global_epoch{0};
+    alignas(kCacheLine) std::atomic<int> next_participant{0};
+  };
+
   struct Retired {
     void* ctx;
     std::uint32_t handle;
@@ -210,17 +284,7 @@ class EbrDomain {
     std::vector<Retired> items;
   };
 
-  struct Participant {
-    Participant() {
-      race::created(&active, 0);
-      race::created(&epoch, 0);
-    }
-    ~Participant() {
-      race::destroyed(&active);
-      race::destroyed(&epoch);
-    }
-    std::atomic<bool> active{false};
-    std::atomic<std::uint64_t> epoch{0};
+  struct Local {
     Bucket buckets[kBuckets];
     int retire_ops = 0;
   };
@@ -230,17 +294,18 @@ class EbrDomain {
     b.items.clear();
   }
 
-  Participant& part(int pid) {
-    WFL_DASSERT(pid >= 0 && pid < static_cast<int>(parts_.size()));
-    return *parts_[static_cast<std::size_t>(pid)];
+  Announce& part(int pid) {
+    WFL_DASSERT(pid >= 0 && pid < static_cast<int>(sh_->max_participants));
+    return parts_[pid];
   }
+  Local& local(int pid) { return *local_[static_cast<std::size_t>(pid)]; }
 
   bool all_participants_at(std::uint64_t e) const {
-    const int n = next_participant_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&next_participant_, kLoad, acquire, kEbrParticipantCount,
-                   n);
+    const int n = sh_->next_participant.load(std::memory_order_acquire);
+    WFL_CHK_ATOMIC(&sh_->next_participant, kLoad, acquire,
+                   kEbrParticipantCount, n);
     for (int i = 0; i < n; ++i) {
-      const Participant& p = *parts_[static_cast<std::size_t>(i)];
+      const Announce& p = parts_[i];
       const bool act = p.active.load(std::memory_order_seq_cst);
       WFL_CHK_ATOMIC(&p.active, kLoad, seq_cst, kEbrScanActive, act ? 1 : 0);
       if (!act) continue;
@@ -252,248 +317,23 @@ class EbrDomain {
   }
 
   void free_safe_buckets(int pid) {
-    Participant& p = part(pid);
-    const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&global_epoch_, kLoad, seq_cst, kEbrCollectEpochLoad, e);
-    for (Bucket& b : p.buckets) {
+    const std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
+    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrCollectEpochLoad,
+                   e);
+    for (Bucket& b : local(pid).buckets) {
       if (!b.items.empty() && b.epoch + 2 <= e) drain(b);
     }
   }
 
-  std::vector<CachePadded<Participant>> parts_;
-  // The globally-hammered epoch word gets its own line so advances don't
-  // invalidate the registration counter's line (and vice versa).
-  alignas(kCacheLine) std::atomic<std::uint64_t> global_epoch_{0};
-  alignas(kCacheLine) std::atomic<int> next_participant_{0};
-};
-
-// --- Shared-memory EBR domain (DESIGN.md §10) ------------------------------
-//
-// The cross-process variant splits the domain in two:
-//
-//   * the LIVENESS state — global epoch, participant announcements — lives
-//     in the ShmArena, because a guard held in one process must block
-//     reclamation in every other;
-//   * the RETIRED-object buckets stay process-local, because a deleter is a
-//     function pointer plus a ctx pointer, neither of which survives an
-//     address-space boundary. Retire/collect are per-participant and only
-//     ever run in the owning process, so locality is free.
-//
-// The split decides the crash story: when a process dies by SIGKILL, its
-// announced guard (shared) would pin the global epoch forever, and its
-// pending retirements (local) vanish with the address space. The reaper
-// fixes the former with abandon() — legal because a SIGKILLed process
-// provably takes no further steps — and the latter is a bounded leak: at
-// most one bucket-load of slots per crash, priced into the shm pools'
-// fixed sizing exactly like the crashed pid's own retired-forever slots.
-//
-// Each shared participant additionally carries the liveness lease: the OS
-// pid driving it and a heartbeat counter bumped by the owner on every
-// attempt. Survivors detect a victim either way — a dead pid (probe via
-// kill(0), instant and precise when pids are visible) or a stalled lease
-// (no pid visibility needed, e.g. across containers; threshold picked by
-// the harness). Detection lives here, recovery policy in the table layer.
-struct alignas(kCacheLine) ShmEbrParticipant {
-  std::atomic<std::uint32_t> active;
-  std::atomic<std::uint64_t> epoch;
-  std::atomic<int> os_pid;        // 0 = never bound
-  std::atomic<std::uint64_t> lease;  // heartbeat counter, owner-bumped
-};
-
-struct ShmEbrShared {
-  std::uint32_t max_participants;
-  std::uint32_t pad_;
-  std::uint64_t parts_off;  // ShmEbrParticipant[max_participants]
-  alignas(kCacheLine) std::atomic<std::uint64_t> global_epoch;
-  alignas(kCacheLine) std::atomic<int> next_participant;
-};
-
-class ShmEbrDomain {
- public:
-  using Deleter = EbrDomain::Deleter;
-
-  static std::uint64_t create_in(ShmArena& a, int max_participants) {
-    WFL_CHECK(max_participants > 0);
-    const std::uint64_t off = a.create<ShmEbrShared>();
-    ShmEbrShared* sh = a.at<ShmEbrShared>(off);
-    sh->max_participants = static_cast<std::uint32_t>(max_participants);
-    sh->parts_off = a.create_array<ShmEbrParticipant>(
-        static_cast<std::size_t>(max_participants));
-    sh->global_epoch.store(0, std::memory_order_relaxed);
-    sh->next_participant.store(0, std::memory_order_relaxed);
-    return off;
-  }
-
-  ShmEbrDomain() = default;
-  ShmEbrDomain(const ShmEbrDomain&) = delete;
-  ShmEbrDomain& operator=(const ShmEbrDomain&) = delete;
-
-  void attach(const ShmArena& a, std::uint64_t off) {
-    sh_ = a.at<ShmEbrShared>(off);
-    parts_ = a.at<ShmEbrParticipant>(sh_->parts_off);
-    buckets_.resize(sh_->max_participants);
-  }
-
-  int register_participant() {
-    const int id =
-        sh_->next_participant.fetch_add(1, std::memory_order_acq_rel);
-    WFL_CHECK_MSG(id < static_cast<int>(sh_->max_participants),
-                  "ShmEbrDomain participant capacity exceeded");
-    return id;
-  }
-
-  int participant_count() const {
-    return sh_->next_participant.load(std::memory_order_acquire);
-  }
-
-  // Lease surface. bind_os_pid is called once at session open; heartbeat on
-  // every attempt. Writes are owner-only, reads are anyone's.
-  void bind_os_pid(int pid, int os_pid) {
-    part(pid).os_pid.store(os_pid, std::memory_order_release);
-    part(pid).lease.store(1, std::memory_order_release);
-  }
-  int os_pid(int pid) const {
-    return part(pid).os_pid.load(std::memory_order_acquire);
-  }
-  void heartbeat(int pid) {
-    std::atomic<std::uint64_t>& l = part(pid).lease;
-    l.store(l.load(std::memory_order_relaxed) + 1, std::memory_order_release);
-  }
-  std::uint64_t lease(int pid) const {
-    return part(pid).lease.load(std::memory_order_acquire);
-  }
-
-  // Guard protocol: identical announce-then-verify to EbrDomain (see the
-  // long comment there); the fence/verify argument does not care which
-  // process the announcing thread lives in.
-  void enter(int pid) {
-    ShmEbrParticipant& p = part(pid);
-    WFL_CHECK_MSG(p.active.load(std::memory_order_relaxed) == 0,
-                  "shm EBR enter() while already in a critical region");
-    p.active.store(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
-    if (e == p.epoch.load(std::memory_order_relaxed)) return;
-    for (;;) {
-      p.epoch.store(e, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      const std::uint64_t e2 =
-          sh_->global_epoch.load(std::memory_order_seq_cst);
-      if (e2 == e) return;
-      e = e2;
-    }
-  }
-
-  void exit(int pid) {
-    ShmEbrParticipant& p = part(pid);
-    WFL_CHECK(p.active.load(std::memory_order_relaxed) != 0);
-    p.active.store(0, std::memory_order_release);
-  }
-
-  // Same legality contract as EbrDomain::abandon — the participant must
-  // take no further steps. For the shm domain that is established by the
-  // reaper's waitpid/pid-probe evidence, not by in-process joining.
-  void abandon(int pid) {
-    part(pid).active.store(0, std::memory_order_seq_cst);
-  }
-
-  void retire(int pid, void* ctx, std::uint32_t handle, Deleter deleter) {
-    const std::uint64_t e =
-        sh_->global_epoch.load(std::memory_order_seq_cst);
-    LocalBuckets& lb = buckets_[static_cast<std::size_t>(pid)];
-    Bucket& b = lb.buckets[e % kBuckets];
-    if (!b.items.empty() && b.epoch != e) {
-      WFL_CHECK(b.epoch + 2 <= e);
-      drain(b);
-    }
-    b.epoch = e;
-    b.items.push_back(Retired{ctx, handle, deleter});
-    if (++lb.retire_ops >= kCollectEvery) {
-      lb.retire_ops = 0;
-      collect(pid);
-    }
-  }
-
-  void collect(int pid) {
-    const std::uint64_t e =
-        sh_->global_epoch.load(std::memory_order_seq_cst);
-    if (all_participants_at(e)) {
-      std::uint64_t expected = e;
-      sh_->global_epoch.compare_exchange_strong(expected, e + 1,
-                                                std::memory_order_seq_cst);
-    }
-    LocalBuckets& lb = buckets_[static_cast<std::size_t>(pid)];
-    const std::uint64_t now =
-        sh_->global_epoch.load(std::memory_order_seq_cst);
-    for (Bucket& b : lb.buckets) {
-      if (!b.items.empty() && b.epoch + 2 <= now) drain(b);
-    }
-  }
-
-  std::uint64_t epoch() const {
-    return sh_->global_epoch.load(std::memory_order_relaxed);
-  }
-
-  // Diagnostic: this process's not-yet-drained retirements for `pid` (the
-  // crash experiments chart it to show reclaim keeps up with churn).
-  std::size_t pending_retired(int pid) const {
-    const LocalBuckets& lb = buckets_[static_cast<std::size_t>(pid)];
-    std::size_t n = 0;
-    for (const Bucket& b : lb.buckets) n += b.items.size();
-    return n;
-  }
-
-  // Diagnostics for the reaper and the crash experiments: who is inside a
-  // guard, and at which announced epoch. Racy snapshots, advisory only.
-  bool participant_active(int pid) const {
-    return part(pid).active.load(std::memory_order_seq_cst) != 0;
-  }
-  std::uint64_t participant_epoch(int pid) const {
-    return part(pid).epoch.load(std::memory_order_seq_cst);
-  }
-
- private:
-  static constexpr int kBuckets = 3;
-  static constexpr int kCollectEvery = 16;
-
-  struct Retired {
-    void* ctx;
-    std::uint32_t handle;
-    Deleter deleter;
-  };
-  struct Bucket {
-    std::uint64_t epoch = 0;
-    std::vector<Retired> items;
-  };
-  struct LocalBuckets {
-    Bucket buckets[kBuckets];
-    int retire_ops = 0;
-  };
-
-  static void drain(Bucket& b) {
-    for (const Retired& r : b.items) r.deleter(r.ctx, r.handle);
-    b.items.clear();
-  }
-
-  ShmEbrParticipant& part(int pid) const {
-    WFL_DASSERT(pid >= 0 &&
-                pid < static_cast<int>(sh_->max_participants));
-    return parts_[pid];
-  }
-
-  bool all_participants_at(std::uint64_t e) const {
-    const int n = participant_count();
-    for (int i = 0; i < n; ++i) {
-      const ShmEbrParticipant& p = parts_[i];
-      if (p.active.load(std::memory_order_seq_cst) == 0) continue;
-      if (p.epoch.load(std::memory_order_seq_cst) != e) return false;
-    }
-    return true;
-  }
-
-  ShmEbrShared* sh_ = nullptr;       // shared, in the arena
-  ShmEbrParticipant* parts_ = nullptr;  // shared, resolved locally
-  std::vector<LocalBuckets> buckets_;   // process-local retired objects
+  // Heap placement owns the shared part; an attached accessor leaves these
+  // null and points into the arena.
+  std::unique_ptr<Shared> owned_;
+  std::unique_ptr<Announce[]> owned_parts_;
+  Shared* sh_;
+  Announce* parts_;
+  // Process-local retire buckets, one line-padded entry per pid so one
+  // pid's push_back never false-shares with another's.
+  std::vector<CachePadded<Local>> local_;
 };
 
 }  // namespace wfl

@@ -47,10 +47,11 @@
 namespace wfl {
 
 // Probe whether an OS process is alive. kill(pid, 0) delivers nothing but
-// performs the existence + permission check: ESRCH means the pid is gone
-// (or was recycled into a different session's process — the table layer
-// guards against recycling with lease generations). EPERM means it exists
-// but belongs to someone else; for our purposes that is "alive".
+// performs the existence + permission check: ESRCH means the pid is gone.
+// EPERM means it exists but belongs to someone else; for our purposes that
+// is "alive". A dead pid the OS already recycled also reads as alive, so
+// its session is not reaped — the safe side, since a false "dead" is the
+// one answer recovery cannot survive.
 inline bool shm_pid_alive(int pid) {
   if (pid <= 0) return false;
   if (::kill(pid, 0) == 0) return true;

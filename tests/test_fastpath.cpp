@@ -85,7 +85,7 @@ TEST(FastPath, DisabledUnderTheoryDelays) {
   cfg.c1 = 4.0;
   Table t(cfg, 2, 8);
   EXPECT_FALSE(t.fast_path_enabled());
-  EXPECT_FALSE(t.cooperative_help_enabled());
+  EXPECT_FALSE(t.claim_helping_enabled());
   Session<RealPlat> session(t);
   Cell<RealPlat> c{0};
   ASSERT_TRUE(submit(session, StaticLockSet<1>({3}), [&c](IdemCtx<RealPlat>& m) {
@@ -331,7 +331,7 @@ TEST(HelpClaim, EngagesUnderContentionAndConserves) {
   const int threads = 4;
   const int per_thread = 400;
   auto t = std::make_unique<Table>(off_cfg(threads, 1), threads, 2);
-  ASSERT_TRUE(t->cooperative_help_enabled());
+  ASSERT_TRUE(t->claim_helping_enabled());
   Cell<RealPlat> cnt{0};
   std::atomic<std::uint64_t> wins{0};
   std::vector<std::thread> ts;

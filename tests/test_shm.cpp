@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "wfl/wfl.hpp"
 
@@ -102,6 +103,57 @@ TEST(ShmTableTest, AttemptsApplyThunksExactlyOnce) {
   EXPECT_EQ(st.wins, wins);
   EXPECT_FALSE(t->any_holder(*s));
   t->close_session(*s);
+}
+
+// ShmThunk holds kMaxCells cell offsets; a larger n_cells would make the
+// interpreter read past the array, so try_locks refuses it up front.
+TEST(ShmTableTest, OversizedThunkIsRefused) {
+  ShmArena a = ShmArena::create_anon(8u << 20);
+  auto t = LockTable<RealPlat>::create_in(a, shm_cfg(2), 2, 2);
+  auto s = t->open_session();
+  ShmThunk th;
+  th.op = ShmThunk::kAddCells;
+  th.n_cells = ShmThunk::kMaxCells + 1;
+  const std::uint32_t ids[] = {0};
+  EXPECT_DEATH(t->try_locks(*s, ids, th), "kMaxCells");
+  t->close_session(*s);
+}
+
+// The arena-placed EbrDomain: two accessors attached to one arena share
+// the epoch and every announcement, while each keeps its own retire
+// buckets. A guard held through A blocks B's reclamation; abandoning A's
+// participant unblocks it; and an attached accessor never runs deleters
+// at teardown, because peers may still hold guards.
+TEST(ShmEbrTest, AttachedAccessorsShareGuards) {
+  ShmArena arena = ShmArena::create_anon(1u << 20);
+  const std::uint64_t off = EbrDomain::create_in(arena, 4);
+  std::vector<std::uint32_t> freed;
+  const auto deleter = +[](void* ctx, std::uint32_t h) {
+    static_cast<std::vector<std::uint32_t>*>(ctx)->push_back(h);
+  };
+
+  EbrDomain a(arena, off);
+  const int pa = a.register_participant();
+  {
+    EbrDomain b(arena, off);
+    const int pb = b.register_participant();
+    EXPECT_NE(pa, pb) << "accessors must share the participant count";
+
+    a.enter(pa);
+    b.retire(pb, &freed, 7, deleter);
+    for (int i = 0; i < 10; ++i) b.collect(pb);
+    EXPECT_TRUE(freed.empty()) << "freed under a guard held through A";
+
+    b.abandon(pa);  // the reaper's move once A's process is dead
+    for (int i = 0; i < 10; ++i) b.collect(pb);
+    ASSERT_EQ(freed.size(), 1u);
+    EXPECT_EQ(freed[0], 7u);
+
+    a.enter(pa);  // a peer inside a guard while B is torn down
+    b.retire(pb, &freed, 8, deleter);
+  }
+  EXPECT_EQ(freed.size(), 1u) << "attached accessor ran a deleter";
+  a.exit(pa);
 }
 
 // Pids are an audit trail, not a recyclable resource: a closed shm session
