@@ -146,9 +146,10 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   for (const auto& r : rows) {
     const double floor = 1.0 / r.c_p;
-    // The floor "holds" when the Wilson upper bound clears it — i.e. the
-    // data cannot refute rate >= floor at 99% confidence.
-    const bool held = r.rate.wilson_upper() >= floor;
+    // The floor "holds" when the Wilson lower bound clears it — i.e. the
+    // data show rate >= floor at 99% confidence, not merely fail to
+    // refute it.
+    const bool held = r.rate.wilson_lower() >= floor;
     all_ok = all_ok && held && r.overruns == 0;
     t.cell(r.workload).cell(r.schedule).cell(r.rate.trials())
         .cell(r.rate.rate(), 3).cell(r.rate.wilson_lower(), 3)

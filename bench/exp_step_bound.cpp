@@ -149,9 +149,10 @@ int main(int argc, char** argv) {
                 r.overruns == 0 ? "(ok)" : "(VIOLATION)");
     ok = ok && r.overruns == 0;
   }
+  // The exit status is the printed verdict, so CI can gate on it.
+  const bool consistent = ok && exp_kappa <= 2.3 && exp_l <= 2.3;
   std::printf("\nE1 verdict: %s\n",
-              ok && exp_kappa <= 2.3 && exp_l <= 2.3
-                  ? "consistent with O(k^2 L^2 T)"
-                  : "INCONSISTENT — investigate");
-  return ok ? 0 : 1;
+              consistent ? "consistent with O(k^2 L^2 T)"
+                         : "INCONSISTENT — investigate");
+  return consistent ? 0 : 1;
 }

@@ -20,8 +20,8 @@
 //
 // Placement. Slots name snapshots by pool HANDLE, never by pointer, and
 // the sentinel is a reserved handle of the set's SetMem, so the same code
-// runs with its slots on the heap (in-process tables, IndexPool) or in a
-// ShmArena shared by several processes (the shm table, ShmPool).
+// runs with its slots and its IndexPool on the heap (in-process tables) or
+// in a ShmArena shared by several processes (the shm table).
 #pragma once
 
 #include <cstdint>
@@ -55,11 +55,12 @@ struct SetSnap {
 // Shared memory-management context for all active sets of one lock space:
 // the snapshot pool, the EBR domain that reclaims it, and the reserved
 // all-empty sentinel snapshot.
-template <typename T, typename PoolT = IndexPool<SetSnap<T>>>
+template <typename T>
 struct SetMem {
   using Snap = SetSnap<T>;
-  using Cache = SlotCache<Snap, 64, PoolT>;
-  // Called when a fixed-capacity pool (ShmPool) is empty; returns a slot
+  using Pool = IndexPool<Snap>;
+  using Cache = SlotCache<Snap>;
+  // Called when an arena pool (which cannot grow) is empty; returns a slot
   // once reclamation has freed one. It may exit and re-enter the caller's
   // EBR guard, which is why climb() allocates before it reads any handle.
   using Stall = std::uint32_t (*)(void* ctx, int pid);
@@ -70,16 +71,16 @@ struct SetMem {
   // through the calling process's cache, so a steady-state attempt touches
   // no shared freelist line (standalone sets — unit tests, benches — run
   // directly against the pool).
-  SetMem(PoolT& p, EbrDomain& e, CachePadded<Cache>* c = nullptr)
+  SetMem(Pool& p, EbrDomain& e, CachePadded<Cache>* c = nullptr)
       : pool(p), ebr(e), empty(reserve_empty(p)), caches(c) {}
 
   // Arena placement: every attached accessor shares the sentinel reserved
   // once by reserve_empty() when the pool was created.
-  SetMem(PoolT& p, EbrDomain& e, std::uint32_t empty_snap, Stall st,
+  SetMem(Pool& p, EbrDomain& e, std::uint32_t empty_snap, Stall st,
          void* st_ctx)
       : pool(p), ebr(e), empty(empty_snap), stall(st), stall_ctx(st_ctx) {}
 
-  static std::uint32_t reserve_empty(PoolT& p) {
+  static std::uint32_t reserve_empty(Pool& p) {
     const std::uint32_t h = p.alloc();
     p.at(h).count = 0;
     return h;
@@ -91,12 +92,9 @@ struct SetMem {
 
   std::uint32_t alloc(int pid) {
     if (Cache* c = cache(pid)) return c->alloc();
-    if constexpr (requires(PoolT& q) { q.try_alloc(); }) {
-      const std::uint32_t idx = pool.try_alloc();
-      return idx != kNullIndex ? idx : stall(stall_ctx, pid);
-    } else {
-      return pool.alloc();
-    }
+    if (stall == nullptr) return pool.alloc();
+    const std::uint32_t idx = pool.try_alloc();
+    return idx != kNullIndex ? idx : stall(stall_ctx, pid);
   }
 
   // A snapshot that was never published: straight back to the caller.
@@ -121,10 +119,10 @@ struct SetMem {
   }
 
   static void free_snap(void* ctx, std::uint32_t handle) {
-    static_cast<PoolT*>(ctx)->free(handle);
+    static_cast<Pool*>(ctx)->free(handle);
   }
 
-  PoolT& pool;
+  Pool& pool;
   EbrDomain& ebr;
   std::uint32_t empty;  // reserved all-empty snapshot: the above-top slot
   CachePadded<Cache>* caches = nullptr;
@@ -132,11 +130,11 @@ struct SetMem {
   void* stall_ctx = nullptr;
 };
 
-template <typename Plat, typename T, typename PoolT = IndexPool<SetSnap<T>>>
+template <typename Plat, typename T>
 class ActiveSet {
  public:
   using Snap = SetSnap<T>;
-  using Mem = SetMem<T, PoolT>;
+  using Mem = SetMem<T>;
 
   struct Slot {
     typename Plat::template Atomic<T> owner;
@@ -222,7 +220,7 @@ class ActiveSet {
     }
     for (int j = i; j >= 0; --j) {
       for (int k = 0; k < 2; ++k) {
-        // Allocate BEFORE reading cur/above: a fixed-capacity pool's stall
+        // Allocate BEFORE reading cur/above: an arena pool's stall
         // may bounce the EBR guard, and no handle read under the old guard
         // may be used after re-entry. Allocation is not a step, so the
         // step sequence is the same either way.

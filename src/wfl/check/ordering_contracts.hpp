@@ -28,8 +28,9 @@
 //
 // Sites NOT listed here are intentionally unhooked: pool segment-directory
 // publication (serialized by grow()'s mutex, consumed with acquire loads),
-// pure monotone gauges (freelist_ops, executor wake/park counters), and
-// quiescent teardown reads. A hooked atomic operation that arrives with a
+// pool membership bits (a corruption check whose verdict needs only RMW
+// atomicity), pure monotone gauges (freelist_ops, executor wake/park
+// counters), and quiescent teardown reads. A hooked atomic operation that arrives with a
 // weakened order and NO site is itself a finding ("undeclared weakening").
 #pragma once
 

@@ -7,9 +7,9 @@
 // pool handle or byte offset, so independent OS processes can attach the
 // same table at different base addresses. It runs the SAME code as the
 // in-process table wherever placement allows: the AttemptEngine
-// (core/attempt.hpp, duck-typed over its context), ActiveSet over a
-// ShmPool with its slots in the arena, and EbrDomain with its shared part
-// in the arena. What differs is the context: sets are read through a view
+// (core/attempt.hpp, duck-typed over its context), and IndexPool,
+// ActiveSet and EbrDomain with their shared state placed in the arena.
+// What differs is the context: sets are read through a view
 // that resolves owner handles to descriptors, thunks are interpretable POD
 // programs instead of closures, and there is no thin-word fast path or
 // cooperative helping (both are single-address-space optimizations; the
@@ -36,7 +36,7 @@
 //         re-climbed, removing it from every lock's set;
 //   * the victim's pool slots — its in-flight descriptor, anything parked
 //     in its private SlotCache, its pending local retirements — leak
-//     forever, bounded per crash and priced into the fixed pool sizing.
+//     forever, bounded per crash and priced into the fixed pool capacity.
 //     Its pid is never recycled to a new session.
 //
 // Survivors' wait-freedom is preserved: recovery adds a bounded amount of
@@ -187,12 +187,7 @@ class ShmLockTable {
  public:
   using Desc = ShmDesc;
   using Snap = SetSnap<std::uint32_t>;  // members are owner words (handle+1)
-  using Set = ActiveSet<RealPlat, std::uint32_t, ShmPool<Snap>>;
-
-  struct Sizing {
-    std::uint32_t desc_pool_capacity;  // 0 = auto
-    std::uint32_t snap_pool_capacity;  // 0 = auto
-  };
+  using Set = ActiveSet<RealPlat, std::uint32_t>;
 
   // A process-local member view of one lock's set: get_set() resolves the
   // current slot-0 snapshot's handles into descriptor pointers in THIS
@@ -251,7 +246,7 @@ class ShmLockTable {
     MemberList<Desc*> help_scratch_;
     MemberList<Desc*> run_scratch_;
     LocalSnap snap_buf_;
-    SlotCache<Desc, 64, ShmPool<Desc>> dcache_;
+    SlotCache<Desc> dcache_;
   };
 
   // --- construction --------------------------------------------------------
@@ -261,8 +256,7 @@ class ShmLockTable {
   // through the returned local accessor.
   static std::unique_ptr<ShmLockTable> create_in(ShmArena& shm,
                                                  const LockConfig& cfg,
-                                                 int max_procs, int num_locks,
-                                                 Sizing sizing = Sizing{0, 0}) {
+                                                 int max_procs, int num_locks) {
     cfg.validate();
     WFL_CHECK(max_procs > 0 && num_locks > 0);
     WFL_CHECK(cfg.max_locks <= kMaxLocksPerAttempt);
@@ -290,10 +284,7 @@ class ShmLockTable {
     // descriptor, one SlotCache of cached slots, and one retirement
     // bucket's worth of snapshots.
     const auto procs = static_cast<std::uint32_t>(max_procs);
-    const std::uint32_t desc_cap =
-        sizing.desc_pool_capacity != 0
-            ? sizing.desc_pool_capacity
-            : std::max<std::uint32_t>(1024, procs * 256);
+    const std::uint32_t desc_cap = std::max<std::uint32_t>(1024, procs * 256);
     // Snapshot demand is retire-rate times reclamation latency, and on an
     // oversubscribed host the latency is scheduling quanta (a preempted
     // guard holder pins the epoch for milliseconds), not instruction
@@ -301,12 +292,10 @@ class ShmLockTable {
     // backpressure path below makes undersizing degrade throughput rather
     // than abort, but headroom is what keeps the common case wait-free.
     const std::uint32_t snap_cap =
-        sizing.snap_pool_capacity != 0
-            ? sizing.snap_pool_capacity
-            : std::max<std::uint32_t>(16384, procs * 2048);
+        std::max<std::uint32_t>(16384, procs * 2048);
 
-    h->desc_pool_off = ShmPool<Desc>::create_in(shm, desc_cap);
-    h->snap_pool_off = ShmPool<Snap>::create_in(shm, snap_cap);
+    h->desc_pool_off = IndexPool<Desc>::create_in(shm, desc_cap);
+    h->snap_pool_off = IndexPool<Snap>::create_in(shm, snap_cap);
     h->ebr_off = EbrDomain::create_in(shm, max_procs);
     h->sessions_off =
         shm.create_array<ShmSessionRec>(static_cast<std::size_t>(max_procs));
@@ -316,8 +305,7 @@ class ShmLockTable {
 
     // Reserve the one sentinel snapshot every accessor's SetMem shares, and
     // point every slot of every lock at it.
-    ShmPool<Snap> snaps;
-    snaps.attach(shm, h->snap_pool_off);
+    IndexPool<Snap> snaps(shm, h->snap_pool_off);
     h->empty_snap = Set::Mem::reserve_empty(snaps);
     Set::format(shm.at<Set::Slot>(h->sets_off), n_slots, h->empty_snap);
 
@@ -385,8 +373,19 @@ class ShmLockTable {
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
       WFL_CHECK(lock_ids[i] < h_->num_locks);
     }
+    // Every helper and reaper replays a revealed thunk, so one bad program
+    // would crash every process that touches the lock: check its offsets
+    // here, once, before it is published.
     WFL_CHECK_MSG(thunk.n_cells <= ShmThunk::kMaxCells,
                   "ShmThunk n_cells exceeds kMaxCells");
+    for (std::uint32_t i = 0; i < thunk.n_cells; ++i) {
+      WFL_CHECK_MSG(thunk.cells[i].fits(*arena_),
+                    "ShmThunk cell offset is null, misaligned or outside "
+                    "the arena");
+    }
+    WFL_CHECK_MSG(thunk.trap_flag.null() || thunk.trap_flag.fits(*arena_),
+                  "ShmThunk trap_flag offset is misaligned or outside the "
+                  "arena");
     s.stats_.add_attempt();
 
     const std::uint32_t didx = alloc_desc(s);
@@ -499,12 +498,12 @@ class ShmLockTable {
   ShmLockTable(ShmArena& shm, std::uint64_t header_off)
       : arena_(&shm),
         h_(shm.at<ShmTableHeader>(header_off)),
+        desc_pool_(shm, h_->desc_pool_off),
+        snap_pool_(shm, h_->snap_pool_off),
         ebr_(shm, h_->ebr_off),
         sessions_(shm.at<ShmSessionRec>(h_->sessions_off)),
         set_mem_(snap_pool_, ebr_, h_->empty_snap, &snap_stall, this),
         open_(static_cast<std::size_t>(h_->max_procs), nullptr) {
-    desc_pool_.attach(shm, h_->desc_pool_off);
-    snap_pool_.attach(shm, h_->snap_pool_off);
     auto* slots = shm.at<Set::Slot>(h_->sets_off);
     locks_.reserve(h_->num_locks);
     for (std::uint32_t i = 0; i < h_->num_locks; ++i) {
@@ -629,11 +628,10 @@ class ShmLockTable {
 
   // --- allocation backpressure ---------------------------------------------
   //
-  // The pools are fixed-size shared arrays, so the unbounded-memory
-  // assumption behind the paper's wait-freedom does not literally hold
-  // here: a process preempted (or killed) inside an EBR guard pins the
-  // epoch, and while it is pinned every retirement stays pending and the
-  // pools only drain. On an oversubscribed host a single scheduling
+  // The arena pools never grow, so the unbounded-memory assumption behind
+  // the paper's wait-freedom does not literally hold here: a process
+  // preempted (or killed) inside an EBR guard pins the epoch, and while it
+  // is pinned every retirement stays pending and the pools only drain. On an oversubscribed host a single scheduling
   // quantum is enough churn to empty a correctly-sized snapshot pool.
   // The honest response is backpressure, not abort: stop allocating, push
   // reclamation (collect), probe for corpses to reap (a SIGKILLed guard
@@ -693,7 +691,7 @@ class ShmLockTable {
   // retire_refs is 1 and the slot goes straight back to the owner's
   // cache). Crashed descriptors never reach this — they leak by design.
   static void release_descriptor(void* ctx, std::uint32_t handle) {
-    auto* cache = static_cast<SlotCache<Desc, 64, ShmPool<Desc>>*>(ctx);
+    auto* cache = static_cast<SlotCache<Desc>*>(ctx);
     Desc& d = cache->pool().at(handle);
     const std::uint32_t prev =
         d.retire_refs.fetch_sub(1, std::memory_order_acq_rel);
@@ -704,8 +702,8 @@ class ShmLockTable {
   // and domain, and the sets reference set_mem_.
   const ShmArena* arena_;
   ShmTableHeader* h_;
-  ShmPool<Desc> desc_pool_;
-  ShmPool<Snap> snap_pool_;
+  IndexPool<Desc> desc_pool_;
+  IndexPool<Snap> snap_pool_;
   EbrDomain ebr_;
   ShmSessionRec* sessions_;
   Set::Mem set_mem_;

@@ -288,6 +288,13 @@ struct Offset {
 
   bool null() const { return raw == ShmArena::kNullOffset; }
   T* in(const ShmArena& a) const { return null() ? nullptr : a.at<T>(raw); }
+  // True iff the offset names a whole, aligned T inside `a`. ShmArena::at
+  // only debug-asserts its bounds, so an offset taken from caller-supplied
+  // data must pass this before anyone resolves it.
+  bool fits(const ShmArena& a) const {
+    return !null() && raw % alignof(T) == 0 && raw <= a.size() &&
+           a.size() - raw >= sizeof(T);
+  }
   static Offset of(const ShmArena& a, const T* p) {
     return Offset{a.offset_of(p)};
   }

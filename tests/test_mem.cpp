@@ -1,4 +1,5 @@
-// Unit tests for the memory substrate: IndexPool and EbrDomain.
+// Unit tests for the memory substrate: IndexPool (both placements) and
+// EbrDomain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -113,6 +114,68 @@ TEST(IndexPool, FreshPoolAllocatesLowIndicesFirst) {
   for (std::uint32_t i = 0; i < 64; ++i) {
     EXPECT_EQ(pool.alloc(), i);
   }
+}
+
+// The membership bit turns a double free into a loud failure in both
+// placements, instead of a freelist cycle that hands one slot to two
+// owners.
+TEST(IndexPool, DoubleFreeIsALoudFailure) {
+  IndexPool<int> pool(16);
+  const std::uint32_t idx = pool.alloc();
+  pool.free(idx);
+  EXPECT_DEATH(pool.free(idx), "double free");
+}
+
+// Two accessors attached to one arena pool share one freelist: a slot
+// allocated through A is the slot B resolves, and every alloc and free,
+// through either accessor, moves the one shared free count.
+TEST(IndexPoolArena, AttachedAccessorsShareOneFreelist) {
+  ShmArena arena = ShmArena::create_anon(1u << 20);
+  const std::uint64_t off = IndexPool<int>::create_in(arena, 512);
+  IndexPool<int> a(arena, off);
+  IndexPool<int> b(arena, off);
+  const std::uint32_t cap = a.capacity();
+  EXPECT_EQ(cap, 512u);
+  EXPECT_EQ(b.capacity(), cap);
+
+  const std::uint32_t idx = a.alloc();
+  EXPECT_EQ(idx, 0u) << "a fresh arena pool pops its lowest index first";
+  a.at(idx) = 42;
+  EXPECT_EQ(b.at(idx), 42);
+  EXPECT_EQ(b.free_count(), cap - 1);
+
+  std::uint32_t batch[8];
+  const std::uint32_t got = b.alloc_batch(batch, 8);
+  EXPECT_EQ(a.free_count(), cap - 1 - got);
+  a.free_batch(batch, got);
+  b.free(idx);
+  EXPECT_EQ(a.free_count(), cap);
+  EXPECT_EQ(b.free_count(), cap);
+  EXPECT_EQ(a.alloc(), idx) << "B's free must be A's next pop (LIFO)";
+}
+
+// An arena pool is formatted at full capacity and never grows: at
+// capacity the try_ variants report exhaustion, the backpressure signal,
+// and the must-succeed alloc() dies.
+TEST(IndexPoolArena, AtCapacityReportsExhaustionWithoutGrowing) {
+  ShmArena arena = ShmArena::create_anon(1u << 20);
+  IndexPool<int> pool(arena, IndexPool<int>::create_in(arena, 256));
+  std::set<std::uint32_t> seen;
+  for (int i = 0; i < 256; ++i) EXPECT_TRUE(seen.insert(pool.alloc()).second);
+  EXPECT_EQ(pool.try_alloc(), kNullIndex);
+  std::uint32_t out[4];
+  EXPECT_EQ(pool.try_alloc_batch(out, 4), 0u);
+  EXPECT_EQ(pool.capacity(), 256u);
+  EXPECT_EQ(pool.free_count(), 0u);
+  EXPECT_DEATH((void)pool.alloc(), "exhausted");
+}
+
+TEST(IndexPoolArena, DoubleFreeIsALoudFailure) {
+  ShmArena arena = ShmArena::create_anon(1u << 20);
+  IndexPool<int> pool(arena, IndexPool<int>::create_in(arena, 256));
+  const std::uint32_t idx = pool.alloc();
+  pool.free(idx);
+  EXPECT_DEATH(pool.free(idx), "double free");
 }
 
 // abandon() drops a guard on behalf of a participant that provably takes

@@ -119,6 +119,35 @@ TEST(ShmTableTest, OversizedThunkIsRefused) {
   t->close_session(*s);
 }
 
+// Every helper and reaper replays a revealed thunk, so a cell offset that
+// does not name a Cell inside the arena is refused before the attempt
+// publishes anything — not discovered as a segfault in every process that
+// later touches the lock.
+TEST(ShmTableTest, NullCellOffsetIsRefused) {
+  ShmArena a = ShmArena::create_anon(8u << 20);
+  auto t = LockTable<RealPlat>::create_in(a, shm_cfg(2), 2, 2);
+  auto s = t->open_session();
+  ShmThunk th;
+  th.op = ShmThunk::kAddCells;
+  th.n_cells = 1;  // cells[0] left null
+  const std::uint32_t ids[] = {0};
+  EXPECT_DEATH(t->try_locks(*s, ids, th), "cell offset");
+  t->close_session(*s);
+}
+
+TEST(ShmTableTest, OutOfRangeCellOffsetIsRefused) {
+  ShmArena a = ShmArena::create_anon(8u << 20);
+  auto t = LockTable<RealPlat>::create_in(a, shm_cfg(2), 2, 2);
+  auto s = t->open_session();
+  ShmThunk th;
+  th.op = ShmThunk::kAddCells;
+  th.n_cells = 1;
+  th.cells[0] = Offset<Cell<RealPlat>>{a.size() + 4096};
+  const std::uint32_t ids[] = {0};
+  EXPECT_DEATH(t->try_locks(*s, ids, th), "cell offset");
+  t->close_session(*s);
+}
+
 // The arena-placed EbrDomain: two accessors attached to one arena share
 // the epoch and every announcement, while each keeps its own retire
 // buckets. A guard held through A blocks B's reclamation; abandoning A's
@@ -360,6 +389,50 @@ TEST(ShmCrashTest, MidThunkVictimCompletesExactlyOnce) {
       << "abandoned victim still pins the EBR epoch";
   EXPECT_EQ(rig.cell0(), 301u);
   EXPECT_EQ(rig.cell1(), 301u);
+  rig.table->close_session(*parent);
+}
+
+// Allocation backpressure must reap a dead guard holder on its own. The
+// victim dies mid-thunk still inside its EBR guard, which pins the epoch;
+// the survivor never calls reap_dead, so every descriptor and snapshot it
+// retires stays pending until its pools run dry (the 1024-slot descriptor
+// pool first). alloc_backpressure then has to find and reap the corpse,
+// and every attempt still wins.
+TEST(ShmCrashTest, AllocationBackpressureReapsDeadGuardHolder) {
+  ForkCrashRig rig;
+  auto parent = rig.table->open_session();
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    auto s = rig.table->open_session();
+    const std::uint32_t ids[] = {0, 1};
+    rig.table->try_locks(*s, ids,
+                         rig.thunk(static_cast<int>(::getpid())));
+    ::_exit(1);  // unreachable: the thunk traps and never returns
+  }
+  for (int spins = 0; rig.flag().load(std::memory_order_acquire) == 0;
+       ++spins) {
+    ASSERT_LT(spins, 200000) << "victim never reached the thunk trap";
+    ::usleep(100);
+  }
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  ForkCrashRig::reap_os_child(child);
+  const int victim = 1;  // the parent opened pid 0 before the fork
+  ASSERT_EQ(rig.table->session_state(victim), kSessLive);
+
+  const std::uint32_t ids[] = {0, 1};
+  constexpr std::uint64_t kAttempts = 2000;
+  std::uint64_t wins = 0;
+  for (std::uint64_t i = 0; i < kAttempts; ++i) {
+    if (rig.table->try_locks(*parent, ids, rig.thunk())) ++wins;
+  }
+  EXPECT_EQ(wins, kAttempts);
+  EXPECT_EQ(rig.table->session_state(victim), kSessReaped)
+      << "allocation backpressure never reaped the dead guard holder";
+  EXPECT_EQ(rig.cell0(), 1 + kAttempts);
+  EXPECT_EQ(rig.cell1(), 1 + kAttempts);
+  EXPECT_FALSE(rig.table->any_holder(*parent));
   rig.table->close_session(*parent);
 }
 
