@@ -169,7 +169,7 @@ struct WflRig {
     cfg.max_locks = 2;
     cfg.max_thunk_steps = 8;
     cfg.delay_mode = DelayMode::kOff;
-    table = LockTable<RealPlat>::create_in(arena, cfg, 2 * kProcs, 2);
+    table = ShmLockTable::create_in(arena, cfg, 2 * kProcs, 2);
     c0 = arena.create<Cell<RealPlat>>(0u);
     c1 = arena.create<Cell<RealPlat>>(0u);
     ctl_off = arena.create<Ctl>();

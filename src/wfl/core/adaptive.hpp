@@ -138,7 +138,8 @@ class AdaptiveLockSpace {
         snap_caches_(static_cast<std::size_t>(std::max(max_procs, 1))),
         ebr_(max_procs),
         mem_{snap_pool_, ebr_, snap_caches_.data()},
-        serial_block_(sizing.serial_block != 0 ? sizing.serial_block : 1024),
+        serial_block_(sizing.serial_block != 0 ? sizing.serial_block
+                                               : kDefaultSerialBlock),
         handles_(static_cast<std::size_t>(std::max(max_procs, 1))) {
     WFL_CHECK(max_procs > 0 && num_locks > 0);
     WFL_CHECK(static_cast<std::uint32_t>(max_procs) <= kMaxSetCap);
@@ -183,8 +184,8 @@ class AdaptiveLockSpace {
   // Inspector guard (re-entrant through the handle's depth counter) and the
   // session lifecycle hooks — the same surface LockTable exposes, so
   // BasicSession serves both spaces.
-  void ebr_enter(Process p) { guard_enter(handle(p)); }
-  void ebr_exit(Process p) { guard_exit(handle(p)); }
+  void ebr_enter(Process p) { handle(p).guard_enter(ebr_, 0); }
+  void ebr_exit(Process p) { handle(p).guard_exit(ebr_, 0); }
 
   void abandon_process(Process p) {
     WFL_CHECK(p.ebr_pid >= 0);
@@ -250,7 +251,7 @@ class AdaptiveLockSpace {
     // still in its TBD window has no revealed priority yet, so it is not a
     // "known-priority" threat and is skipped (run() would defer on it
     // anyway); everyone revealed is driven to a decision.
-    guard_enter(h);
+    h.guard_enter(ebr_, 0);
     {
       MemberList<Desc*>& members = h.help_scratch();
       for (std::uint32_t i = 0; i < d.lock_count; ++i) {
@@ -267,7 +268,7 @@ class AdaptiveLockSpace {
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
       d.slot_of_lock[i] = locks_[d.lock_ids[i]]->insert(&d, proc.ebr_pid);
     }
-    guard_exit(h);
+    h.guard_exit(ebr_, 0);
     const std::uint64_t pre_reveal_work = Plat::steps() - start_steps;
 
     // Guess-and-double: pad the variable-length pre-participation work to
@@ -279,22 +280,22 @@ class AdaptiveLockSpace {
     // Freeze the competition: snapshot every lock's membership. These
     // snapshots fix the potential-threatener set *before* our priority
     // exists anywhere.
-    guard_enter(h);
+    h.guard_enter(ebr_, 0);
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
       multi_get_set<Plat>(*locks_[d.lock_ids[i]], d.snaps[i]);
     }
-    guard_exit(h);
+    h.guard_exit(ebr_, 0);
 
     d.priority.store(draw_priority<Plat>());  // priority-reveal
     const std::uint64_t reveal_steps = Plat::steps();
 
-    guard_enter(h);
+    h.guard_enter(ebr_, 0);
     run(cx, d);
     d.clear_flag();
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
       locks_[d.lock_ids[i]]->remove(d.slot_of_lock[i], proc.ebr_pid);
     }
-    guard_exit(h);
+    h.guard_exit(ebr_, 0);
     const std::uint64_t post_reveal_work = Plat::steps() - reveal_steps;
 
     // Pad the post-reveal segment the same way, fixing the attempt's end
@@ -349,6 +350,7 @@ class AdaptiveLockSpace {
     Handle& h;
     using Desc = AdaptiveLockSpace::Desc;
     StatsSlab& stats() { return h.stats(); }
+    void run_thunk(Desc& p, IdemCtx<Plat>& m) { p.thunk(m); }
   };
   friend struct AdaptiveCtx;
   using Engine = AttemptEngine<Plat, AdaptiveCtx>;
@@ -358,16 +360,6 @@ class AdaptiveLockSpace {
               proc.ebr_pid < static_cast<int>(handles_.size()) &&
               handles_[static_cast<std::size_t>(proc.ebr_pid)] != nullptr);
     return *handles_[static_cast<std::size_t>(proc.ebr_pid)];
-  }
-
-  // Re-entrant guard over the single EBR domain, through the handle's
-  // depth counter — so an inspector's EbrGuard can wrap a whole attempt.
-  void guard_enter(Handle& h) {
-    if (h.guard_depth(0)++ == 0) ebr_.enter(h.pid());
-  }
-  void guard_exit(Handle& h) {
-    WFL_DASSERT(h.guard_depth(0) > 0);
-    if (--h.guard_depth(0) == 0) ebr_.exit(h.pid());
   }
 
   // The competition, against the subject's frozen snapshots. Callable for

@@ -1,34 +1,44 @@
-// The attempt engine: Algorithm 3's competition core, and nothing else.
+// The attempt engine: Algorithm 3's tryLock, and nothing else.
 //
-// This header owns the pure per-attempt procedures — run / decide /
-// eliminate / celebrateIfWon (lines 26-37) and the fixed-delay spin
-// (lines 10-11, 24) — parameterized over a *context* that supplies memory
-// and accounting. The engine has no idea how locks are stored, how
-// descriptors are pooled, or how statistics are aggregated; that is the
-// LockTable's and ProcessHandle's business (core/lock_table.hpp,
-// core/process.hpp). Keeping the competition core free of storage policy is
-// what lets the same five procedures serve both the single-shard facade and
-// the sharded table, and is what the proofs actually constrain.
+// This header owns the per-attempt procedures — tryLock's descriptor path
+// (attempt: help phase, multiInsert, reveal, run, multiRemove; lines
+// 17-24), run / decide / eliminate / celebrateIfWon (lines 26-37) and the
+// fixed-delay spin (lines 10-11, 24) — parameterized over a *context* that
+// supplies memory and accounting. How locks are stored, how descriptors
+// are pooled or addressed and how statistics are aggregated is the
+// tables' and ProcessHandle's business (core/lock_table.hpp,
+// core/shm_table.hpp, core/process.hpp); that is what lets one body serve
+// the in-process and the shared-memory table, and it is what the proofs
+// actually constrain.
 //
-// Context requirements (duck-typed; LockTable::AttemptCtx is the model):
-//   using Desc = ...;                     // descriptor type (status/priority)
-//   SetT&       set(std::uint32_t id);    // lock id -> active set
-//   StatsT&     stats();                  // striped per-process counters
-//   MemberList<Desc*>& run_scratch();     // scratch for run()'s getSets
-//   GuardScopeT lock_guards(Desc& p);     // RAII: EBR guards covering every
-//                                         // shard p's lock set touches
-//   Desc* thin_rival(std::uint32_t id);   // the lock's thin-word publication
-//                                         // (nullptr when free/own/absent);
-//                                         // performs the observe protocol
-//   int  pid();                           // caller's dense process id
-//   bool cooperative();                   // claim-gated helping enabled?
-//   std::uint32_t claim_patience();       // foreign observations a claim
-//                                         // survives before revocation
+// Context requirements (duck-typed; LockTable::AttemptCtx is the model;
+// contexts that only borrow run/decide/eliminate/celebrateIfWon, like the
+// adaptive space's, need just stats() and run_thunk()):
+//   using Desc = ...;                        // descriptor (status/priority)
+//   SetT& set(std::uint32_t id);             // lock id -> active set
+//   int  insert(std::uint32_t id, Desc& d);  // announce d; returns its slot
+//   void remove(std::uint32_t id, int slot); // withdraw that slot
+//   StatsSlab& stats();                      // striped per-process counters
+//   MemberList<Desc*>& help_scratch();       // getSet scratch: help phase
+//   MemberList<Desc*>& run_scratch();        // getSet scratch: run()
+//   GuardScopeT lock_guards(Desc& p);        // RAII: EBR guards covering
+//                                            // every shard of p's lock set
+//   Desc* thin_rival(std::uint32_t id);      // the lock's thin-word
+//                                            // publication (nullptr when
+//                                            // free/own/absent); performs
+//                                            // the observe protocol
+//   void run_thunk(Desc& p, IdemCtx<Plat>&); // call p's thunk
+//   int  pid();                              // dense process id
+//   bool help_phase();                       // E10's help-phase switch
+//   bool cooperative();                      // claim-gated helping on?
+//   std::uint32_t claim_patience();          // see LockConfig
+//   void before_reveal(std::uint64_t start); // hooks: T0 delay/crash trap,
+//   void after_reveal();                     // crash trap, and wake
+//   void after_release(Desc&, std::uint64_t reveal);  // events + T1 delay
 //
-// The stats object only needs add_elimination()/add_thunk_run(); it is the
-// caller's striped slab, so nothing the engine does writes a cacheline
-// shared between processes — the only shared-memory writes issued here are
-// the algorithm's own status CASes, priority loads and set reads.
+// The stats object is the caller's striped slab, so nothing the engine
+// does writes a cacheline shared between processes except the algorithm's
+// own status CASes, priority stores and set operations.
 #pragma once
 
 #include <atomic>
@@ -159,6 +169,74 @@ struct AttemptEngine {
     }
   }
 
+  // The descriptor path of tryLock (lines 17-24) for `d`, whose line group
+  // A (lock ids, thunk, serial) the caller has allocated and filled.
+  // `start_steps` is the caller's step count when the attempt began; the
+  // T0/T1 delays (the LockTable's before_reveal/after_release hooks) are
+  // pinned to it. Returns the outcome; fills `info` when non-null. The
+  // caller retires `d`.
+  //
+  // EBR guards are held across the two *work* segments (help+insert, and
+  // run+remove) and released across the hooks, where the delays spin: a
+  // process stalled there holds no borrowed references (its own descriptor
+  // is not retired until the caller is done with it).
+  static bool attempt(Ctx& cx, Desc& d, std::uint64_t start_steps,
+                      AttemptInfo* info) {
+    // --- work segment 1: help phase + multiInsert (lines 17-21) ---
+    {
+      auto guards = cx.lock_guards(d);
+      if (cx.help_phase()) {
+        MemberList<Desc*>& members = cx.help_scratch();
+        for (std::uint32_t i = 0; i < d.lock_count; ++i) {
+          multi_get_set<Plat>(cx.set(d.lock_ids[i]), members);
+          for (Desc* q : members) {
+            cx.stats().add_help();
+            help(cx, *q);
+          }
+          // A thin-word publication on this lock is a revealed competitor
+          // like any set member: drive it too (fast-path owners are
+          // helped, not just dueled).
+          if (Desc* r = cx.thin_rival(d.lock_ids[i])) {
+            cx.stats().add_help();
+            help(cx, *r);
+          }
+        }
+      }
+      for (std::uint32_t i = 0; i < d.lock_count; ++i) {
+        d.slot_of_lock[i] = cx.insert(d.lock_ids[i], d);
+      }
+    }
+    const std::uint64_t pre_reveal_work = Plat::steps() - start_steps;
+
+    // --- the reveal step (lines 10-11) ---
+    cx.before_reveal(start_steps);
+    d.priority.store(draw_priority<Plat>());
+    const std::uint64_t reveal_steps = Plat::steps();
+    cx.after_reveal();
+
+    // --- work segment 2: compete, then multiRemove (lines 22-23) ---
+    {
+      auto guards = cx.lock_guards(d);
+      run(cx, d);
+      d.clear_flag();
+      for (std::uint32_t i = 0; i < d.lock_count; ++i) {
+        cx.remove(d.lock_ids[i], d.slot_of_lock[i]);
+      }
+    }
+    const std::uint64_t post_reveal_work = Plat::steps() - reveal_steps;
+    cx.after_release(d, reveal_steps);
+
+    const bool won = d.status.load() == kStatusWon;
+    if (won) cx.stats().add_win();
+    if (info != nullptr) {
+      info->won = won;
+      info->pre_reveal_work = pre_reveal_work;
+      info->post_reveal_work = post_reveal_work;
+      info->total_steps = Plat::steps() - start_steps;
+    }
+    return won;
+  }
+
   static void decide(Desc& p) { p.status.cas(kStatusActive, kStatusWon); }
 
   static void eliminate(Ctx& cx, Desc& p) {
@@ -174,7 +252,7 @@ struct AttemptEngine {
     cx.stats().add_thunk_run();
     if (p.thunk) {
       IdemCtx<Plat> m(p.log, p.tag_base);
-      p.thunk(m);
+      cx.run_thunk(p, m);
       // Completed replay: record the exact slot high-water mark so the
       // post-grace reinit resets only the slots consumed (idem.hpp).
       p.log.note_used(m.ops_used());

@@ -38,21 +38,21 @@ struct LockConfig {
   // phase (tryLocks lines 17–20). Fairness-breaking; safety preserved.
   bool help_phase = true;
 
-  // Practical-mode (DelayMode::kOff only) contended-path optimizations
-  // (DESIGN.md §5). Neither changes kTheory executions at all — with the
-  // paper's delays on, both are off so the reveal-timing argument
-  // (Observation 6.7) and the helping discipline (Lemma 6.4) stay exactly
-  // the paper's.
+  // Practical-mode (DelayMode::kOff) contended-path optimizations
+  // (DESIGN.md §5), always on under kOff and always off under kTheory, so
+  // the reveal-timing argument (Observation 6.7) and the helping
+  // discipline (Lemma 6.4) stay exactly the paper's:
   //
-  //   * fast_path — uncontended single-lock attempts publish through a
-  //     per-lock thin word instead of allocating a descriptor and climbing
-  //     the active set; contenders revoke the word and compete against the
-  //     owner's embedded descriptor (safety argument in DESIGN.md §5.1).
-  //   * cooperative helping (always on under kOff) — the pre-insert help
-  //     phase lets one helper at a time drive a stalled attempt through a
-  //     revocable per-descriptor claim; the rest settle for celebrate-if-won
-  //     and move on (starvation-freedom argument in DESIGN.md §5.2).
-  bool fast_path = true;
+  //   * the thin-word fast path — uncontended single-lock attempts publish
+  //     through a per-lock thin word instead of allocating a descriptor and
+  //     climbing the active set; contenders revoke the word and compete
+  //     against the owner's embedded descriptor (safety argument in
+  //     DESIGN.md §5.1). Multi-lock attempts take the descriptor path.
+  //   * cooperative helping — the pre-insert help phase lets one helper at
+  //     a time drive a stalled attempt through a revocable per-descriptor
+  //     claim; the rest settle for celebrate-if-won and move on
+  //     (starvation-freedom argument in DESIGN.md §5.2).
+
   // How many foreign observations a help claim survives before the next
   // observer revokes it and drives the attempt itself (DESIGN.md §5.2).
   // Bounds the celebrate-only delay any single stalled claimer can impose;

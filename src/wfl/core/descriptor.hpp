@@ -19,6 +19,7 @@
 #include <cstdint>
 
 #include "wfl/check/race.hpp"
+#include "wfl/fuzz/sites.hpp"
 #include "wfl/idem/idem.hpp"
 #include "wfl/util/align.hpp"
 #include "wfl/util/assert.hpp"
@@ -49,8 +50,8 @@ enum : std::uint32_t {
 // (core/shm_table.hpp) instantiates Descriptor with a POD thunk *program*
 // instead: a FixedFunction captures pointers, which are meaningless in
 // another address space, so the cross-process thunk must be interpretable
-// data (opcode + cell offsets). Any ThunkT needs reset(), operator bool,
-// and operator()(IdemCtx<Plat>&).
+// data (opcode + cell offsets). Any ThunkT needs reset() and operator
+// bool; the table's engine context calls it (AttemptCtx::run_thunk).
 template <typename Plat,
           typename ThunkT = FixedFunction<void(IdemCtx<Plat>&), 64>>
 struct alignas(kCacheLine) Descriptor {
@@ -88,7 +89,7 @@ struct alignas(kCacheLine) Descriptor {
   // the step model, DESIGN.md substitution #2) ---
   // A descriptor visible in k shards is retired into all k EBR domains;
   // each expiring grace period drops one reference and the last frees the
-  // pool slot (see LockTable::release_descriptor). Set by the owner before
+  // pool slot (see release_descriptor below). Set by the owner before
   // the first retire; untouched by reinit.
   std::atomic<std::uint32_t> retire_refs{0};
 
@@ -137,6 +138,27 @@ struct alignas(kCacheLine) Descriptor {
     return log.reset_used();
   }
 };
+
+// EBR deleter for a pooled descriptor: drops one shard's reference; the
+// last one returns the slot to the owner's cache, which is ctx (a
+// SlotCache<Desc>). Deleters run on the retiring participant, or under
+// quiescent domain teardown — single-owner either way.
+template <typename Desc, typename Cache>
+void release_descriptor(void* ctx, std::uint32_t handle) {
+  auto* cache = static_cast<Cache*>(ctx);
+  Desc& d = cache->pool().at(handle);
+  const std::uint32_t prev =
+      d.retire_refs.fetch_sub(1, std::memory_order_acq_rel);
+  WFL_CHK_ATOMIC(&d.retire_refs, kFetchAdd, acq_rel, kRetireRefsDrop,
+                 prev - 1);
+  if (prev == 1) {
+    cache->free(handle);
+  } else {
+    // Multi-shard descriptor: another shard's grace period still holds a
+    // reference. Only reachable when the attempt's lock set spans shards.
+    WFL_FUZZ_SITE(kSiteMultiShardRetire);
+  }
+}
 
 // Draws a positive 62-bit priority. Uniqueness is probabilistic; ties are
 // handled by the both-lose rule (paper footnote 3).

@@ -2,8 +2,9 @@
 //
 // A LockTable owns a family of locks, each represented by one active set
 // (Algorithm 1); together they form the multi active set (Algorithm 2) the
-// attempts are inserted into. try_locks(lockList, thunk) is Algorithm 3
-// line-for-line:
+// attempts are inserted into. try_locks(lockList, thunk) is Algorithm 3;
+// its descriptor path is AttemptEngine::attempt (core/attempt.hpp), which
+// this table drives through its AttemptCtx:
 //
 //   1. Help phase (lines 17–20): getSet every lock in the list; run() every
 //      revealed descriptor found. Any competitor whose priority the player
@@ -15,9 +16,8 @@
 //      uniformly random priority. The fixed delay makes the reveal time a
 //      pure function of the start time (Observation 6.7), which is what
 //      denies the adversary any priority-dependent timing leverage.
-//   3. run(p) (lines 26–37): the attempt engine's competition core — see
-//      core/attempt.hpp, which owns the safety-critical celebrate-before-
-//      decide ordering (Definition 4.3).
+//   3. run(p) (lines 26–37): the competition core, which owns the
+//      safety-critical celebrate-before-decide ordering (Definition 4.3).
 //   4. multiRemove (line 23) and the trailing delay to T1 = c1·κLT own
 //      steps after the reveal, fixing the attempt's end time as well.
 //
@@ -57,9 +57,7 @@
 // EBR guards are held across the two *work* segments (help+insert, and
 // run+remove) and released across the delay segments, which dominate an
 // attempt's steps; this keeps reclamation flowing while a slow process
-// stalls in a delay. Releasing the guard there is safe: during a delay the
-// process holds no borrowed references (its own descriptor is not retired
-// until the end of the attempt).
+// stalls in a delay (core/attempt.hpp).
 //
 // --- Thin-word fast path (DelayMode::kOff only) ----------------------------
 //
@@ -142,8 +140,6 @@ class WakeSink {
   ~WakeSink() = default;
 };
 
-class ShmLockTable;  // core/shm_table.hpp: cross-process placement
-
 template <typename Plat>
 class LockTable {
  public:
@@ -152,17 +148,6 @@ class LockTable {
   using Thunk = typename Desc::Thunk;
   using Set = ActiveSet<Plat, Desc*>;
   using Handle = ProcessHandle<Plat, Desc>;
-
-  // Shared-memory placement factories (defined in core/shm_table.hpp,
-  // which callers include to use them). The shm table is a distinct type —
-  // offset-addressed, POD thunks, single shard — not this class placed in
-  // a mapping; these exist so "give me a lock table in that arena" reads
-  // at the same API surface as the in-process constructor. RealPlat only.
-  static std::unique_ptr<ShmLockTable> create_in(ShmArena& shm,
-                                                 const LockConfig& cfg,
-                                                 int max_procs,
-                                                 int num_locks);
-  static std::unique_ptr<ShmLockTable> attach(ShmArena& shm);
 
   // A per-logical-process name (dense id; also the participant id in every
   // shard's EBR domain). Cheap value type; each OS thread / sim fiber
@@ -222,7 +207,7 @@ class LockTable {
     // paper's delays on, every execution is bit-identical to the pre-
     // fast-path tree (the thin words are never published, and the slow
     // path's probes are skipped entirely).
-    fast_enabled_ = cfg_.delay_mode == DelayMode::kOff && cfg_.fast_path;
+    fast_enabled_ = cfg_.delay_mode == DelayMode::kOff;
     cooperative_ = cfg_.delay_mode == DelayMode::kOff;
   }
 
@@ -337,11 +322,10 @@ class LockTable {
 
     // The attempt's shard footprint. `home` (the first lock's shard) hosts
     // the descriptor; for a single-lock attempt the footprint is exactly
-    // {home} and nothing below touches any other shard.
+    // {home} and nothing the attempt does touches any other shard.
     std::uint32_t att_shards[kMaxLocksPerAttempt];
     const std::uint32_t n_att_shards = shard_footprint(lock_ids, att_shards);
     const std::uint32_t home = shard_of(lock_ids[0]);
-    ShardMem& hm = *mem_[home];
 
     // Descriptor slots flow through the process's home-shard cache: alloc
     // pops it here and the EBR deleter pushes the slot back to it, so a
@@ -349,85 +333,28 @@ class LockTable {
     SlotCache<Desc>& dcache =
         *caches_[home]->desc[static_cast<std::size_t>(h.pid())];
     const std::uint32_t didx = dcache.alloc();
-    Desc& d = hm.desc_pool.at(didx);
+    Desc& d = mem_[home]->desc_pool.at(didx);
     h.stats().add_log_slot_resets(d.reinit(h.next_serial()));
     d.lock_count = static_cast<std::uint32_t>(lock_ids.size());
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
       d.lock_ids[i] = lock_ids[i];
     }
     d.thunk = std::move(thunk);
-    // Line group A is complete; the set insert below publishes it.
+    // Line group A is complete; the set insert publishes it.
     WFL_PLAIN_WRITE(&d, kDescPlain);
     d.retire_refs.store(n_att_shards, std::memory_order_relaxed);
     WFL_CHK_ATOMIC(&d.retire_refs, kStore, relaxed, kRetireRefsInit,
                    n_att_shards);
 
     AttemptCtx cx{*this, h};
+    const bool won = Engine::attempt(cx, d, start_steps, info);
 
-    // --- work segment 1: help phase + multiInsert (lines 17-21) ---
-    enter_shards(h, att_shards, n_att_shards);
-    if (cfg_.help_phase) {
-      MemberList<Desc*>& members = h.help_scratch();
-      for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        multi_get_set<Plat>(*locks_[d.lock_ids[i]], members);
-        for (Desc* q : members) {
-          h.stats().add_help();
-          Engine::help(cx, *q);
-        }
-        // A thin-word publication on this lock is a revealed competitor
-        // like any set member: drive it too (fast-path owners are helped,
-        // not just dueled).
-        if (Desc* r = cx.thin_rival(d.lock_ids[i])) {
-          h.stats().add_help();
-          Engine::help(cx, *r);
-        }
-      }
-    }
-    for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      d.slot_of_lock[i] = locks_[d.lock_ids[i]]->insert(&d, h.pid());
-    }
-    exit_shards(h, att_shards, n_att_shards);
-    const std::uint64_t pre_reveal_work = Plat::steps() - start_steps;
-
-    // --- the reveal step, pinned to exactly T0 own steps (lines 10-11) ---
-    Engine::delay_until(cfg_.delay_mode, start_steps, cfg_.t0_steps(),
-                        [&h] { h.stats().add_t0_overrun(); });
-    d.priority.store(draw_priority<Plat>());
-    const std::uint64_t reveal_steps = Plat::steps();
-
-    // --- work segment 2: compete, then multiRemove (lines 22-23) ---
-    enter_shards(h, att_shards, n_att_shards);
-    Engine::run(cx, d);
-    d.clear_flag();
-    for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      locks_[d.lock_ids[i]]->remove(d.slot_of_lock[i], h.pid());
-    }
-    exit_shards(h, att_shards, n_att_shards);
-    const std::uint64_t post_reveal_work = Plat::steps() - reveal_steps;
-
-    // The descriptor left every lock's set: waiters parked on those locks
-    // may now be able to win — post the release events (no-op without a
-    // sink; never reached with one under kTheory).
-    notify_release(lock_ids, h.pid());
-
-    // --- trailing delay pins the attempt's end time (line 24) ---
-    Engine::delay_until(cfg_.delay_mode, reveal_steps, cfg_.t1_steps(),
-                        [&h] { h.stats().add_t1_overrun(); });
-
-    const bool won = d.status.load() == kStatusWon;
-    if (won) h.stats().add_win();
     // Retire into every shard the descriptor was visible in; the slot is
     // recycled — back into this process's home-shard cache — by the last
     // grace period to expire (see retire_refs).
     for (std::uint32_t s = 0; s < n_att_shards; ++s) {
       ebr_[att_shards[s]]->retire(h.pid(), &dcache, didx,
-                                  &release_descriptor);
-    }
-    if (info != nullptr) {
-      info->won = won;
-      info->pre_reveal_work = pre_reveal_work;
-      info->post_reveal_work = post_reveal_work;
-      info->total_steps = Plat::steps() - start_steps;
+                                  &release_descriptor<Desc, SlotCache<Desc>>);
     }
     return won;
   }
@@ -614,22 +541,22 @@ class LockTable {
   // table.
   void guard_shard_enter(Process p, std::uint32_t shard) {
     WFL_DASSERT(shard < num_shards_);
-    shard_guard_enter(handle(p), shard);
+    handle(p).guard_enter(*ebr_[shard], shard);
   }
   void guard_shard_exit(Process p, std::uint32_t shard) {
     WFL_DASSERT(shard < num_shards_);
-    shard_guard_exit(handle(p), shard);
+    handle(p).guard_exit(*ebr_[shard], shard);
   }
 
   // Inspector guard over the whole table (all shards): the player adversary
   // may look at any lock, so it gets reclamation protection everywhere.
   void ebr_enter(Process p) {
     Handle& h = handle(p);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) shard_guard_enter(h, s);
+    for (std::uint32_t s = 0; s < num_shards_; ++s) h.guard_enter(*ebr_[s], s);
   }
   void ebr_exit(Process p) {
     Handle& h = handle(p);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) shard_guard_exit(h, s);
+    for (std::uint32_t s = 0; s < num_shards_; ++s) h.guard_exit(*ebr_[s], s);
   }
 
   // Crash-harness support: release `p`'s EBR guards on its behalf. Legal
@@ -694,7 +621,6 @@ class LockTable {
   struct AttemptCtx;
   using Engine = AttemptEngine<Plat, AttemptCtx>;
   using ThinWord = typename Plat::template Atomic<std::uint64_t>;
-  static constexpr std::uint32_t kDefaultSerialBlock = 1024;
 
   struct ShardMem {
     IndexPool<SetSnap<Desc*>> snap_pool;
@@ -724,9 +650,15 @@ class LockTable {
    public:
     GuardScope(LockTable& t, Handle& h, const Desc& p) : t_(t), h_(h) {
       n_ = t_.shard_footprint({p.lock_ids, p.lock_count}, shards_);
-      t_.enter_shards(h_, shards_, n_);
+      for (std::uint32_t j = 0; j < n_; ++j) {
+        h_.guard_enter(*t_.ebr_[shards_[j]], shards_[j]);
+      }
     }
-    ~GuardScope() { t_.exit_shards(h_, shards_, n_); }
+    ~GuardScope() {
+      for (std::uint32_t j = 0; j < n_; ++j) {
+        h_.guard_exit(*t_.ebr_[shards_[j]], shards_[j]);
+      }
+    }
     GuardScope(const GuardScope&) = delete;
     GuardScope& operator=(const GuardScope&) = delete;
 
@@ -744,15 +676,41 @@ class LockTable {
     using Desc = LockTable::Desc;
 
     Set& set(std::uint32_t lock_id) { return *t.locks_[lock_id]; }
+    int insert(std::uint32_t lock_id, Desc& d) {
+      return t.locks_[lock_id]->insert(&d, h.pid());
+    }
+    void remove(std::uint32_t lock_id, int slot) {
+      t.locks_[lock_id]->remove(slot, h.pid());
+    }
     StatsSlab& stats() { return h.stats(); }
+    MemberList<Desc*>& help_scratch() { return h.help_scratch(); }
     MemberList<Desc*>& run_scratch() { return h.run_scratch(); }
     GuardScope lock_guards(Desc& p) { return GuardScope(t, h, p); }
     Desc* thin_rival(std::uint32_t lock_id) {
       return t.thin_rival(h, lock_id);
     }
+    void run_thunk(Desc& p, IdemCtx<Plat>& m) { p.thunk(m); }
     int pid() { return h.pid(); }
+    bool help_phase() { return t.cfg_.help_phase; }
     bool cooperative() { return t.cooperative_; }
     std::uint32_t claim_patience() { return t.cfg_.claim_patience; }
+
+    // The reveal is pinned to exactly T0 own steps after the attempt's
+    // start (Observation 6.7)...
+    void before_reveal(std::uint64_t start_steps) {
+      Engine::delay_until(t.cfg_.delay_mode, start_steps, t.cfg_.t0_steps(),
+                          [this] { h.stats().add_t0_overrun(); });
+    }
+    void after_reveal() {}
+    // ...and its end to T1 own steps after the reveal (line 24). First,
+    // the descriptor left every lock's set: waiters parked on those locks
+    // may now be able to win — post the release events (no-op without a
+    // sink; never reached with one under kTheory).
+    void after_release(Desc& d, std::uint64_t reveal_steps) {
+      t.notify_release({d.lock_ids, d.lock_count}, h.pid());
+      Engine::delay_until(t.cfg_.delay_mode, reveal_steps, t.cfg_.t1_steps(),
+                          [this] { h.stats().add_t1_overrun(); });
+    }
   };
   friend struct AttemptCtx;
 
@@ -811,39 +769,6 @@ class LockTable {
     for (const std::uint32_t id : lock_ids) sink->on_release(id, origin_pid);
   }
 
-  void shard_guard_enter(Handle& h, std::uint32_t s) {
-    if (h.guard_depth(s)++ == 0) ebr_[s]->enter(h.pid());
-  }
-  void shard_guard_exit(Handle& h, std::uint32_t s) {
-    WFL_DASSERT(h.guard_depth(s) > 0);
-    if (--h.guard_depth(s) == 0) ebr_[s]->exit(h.pid());
-  }
-  void enter_shards(Handle& h, const std::uint32_t* shards, std::uint32_t n) {
-    for (std::uint32_t j = 0; j < n; ++j) shard_guard_enter(h, shards[j]);
-  }
-  void exit_shards(Handle& h, const std::uint32_t* shards, std::uint32_t n) {
-    for (std::uint32_t j = 0; j < n; ++j) shard_guard_exit(h, shards[j]);
-  }
-
-  // EBR deleter for descriptors: drop one shard's reference; the last one
-  // returns the pool slot to the owner's home-shard cache. ctx is that
-  // cache (deleters run on the retiring participant, or under quiescent
-  // domain teardown — single-owner either way).
-  static void release_descriptor(void* ctx, std::uint32_t handle) {
-    auto* cache = static_cast<SlotCache<Desc>*>(ctx);
-    Desc& d = cache->pool().at(handle);
-    const std::uint32_t prev =
-        d.retire_refs.fetch_sub(1, std::memory_order_acq_rel);
-    WFL_CHK_ATOMIC(&d.retire_refs, kFetchAdd, acq_rel, kRetireRefsDrop,
-                   prev - 1);
-    if (prev == 1) {
-      cache->free(handle);
-    } else {
-      // Multi-shard descriptor: another shard's grace period still holds a
-      // reference. Only reachable when the attempt's lock set spans shards.
-      WFL_FUZZ_SITE(kSiteMultiShardRetire);
-    }
-  }
 
   LockConfig cfg_;
   int max_procs_;

@@ -26,9 +26,11 @@
 //     per-process on both platforms (a thread_local under RealPlat, the
 //     per-fiber stream under SimPlat) and owns simulator determinism.
 //
-// Handles are created by LockTable::register_process and owned by the
-// table; the cheap `Process` value (an index) is what travels through
-// application code, exactly as before the decomposition.
+// Handles are created by LockTable::register_process (and owned by the
+// table), by AdaptiveLockSpace, and by ShmLockTable::open_session (owned by
+// the process-local Session, since none of this state crosses address
+// spaces); the cheap `Process` value (an index) is what travels through
+// application code.
 #pragma once
 
 #include <atomic>
@@ -113,6 +115,9 @@ struct StatsSlab {
 // One writer's slab plus padding; the slab itself must not straddle into a
 // neighbour's stripe.
 static_assert(sizeof(CachePadded<StatsSlab>) % kCacheLine == 0);
+
+// Serials per block carved off a table's shared high-water mark.
+inline constexpr std::uint32_t kDefaultSerialBlock = 1024;
 
 // Per-process handle; DescT is the descriptor type whose pointers the
 // scratch lists carry (Descriptor<Plat> for the known-bounds table,
@@ -216,6 +221,15 @@ class ProcessHandle {
     WFL_DASSERT(shard < guard_depth_.size());
     return guard_depth_[shard];
   }
+  template <typename Domain>
+  void guard_enter(Domain& domain, std::uint32_t shard) {
+    if (guard_depth(shard)++ == 0) domain.enter(pid_);
+  }
+  template <typename Domain>
+  void guard_exit(Domain& domain, std::uint32_t shard) {
+    WFL_DASSERT(guard_depth(shard) > 0);
+    if (--guard_depth(shard) == 0) domain.exit(pid_);
+  }
 
   // True if this process currently holds any shard's EBR guard. A fiber
   // must never suspend while this is true — a parked fiber would stall
@@ -248,6 +262,26 @@ class ProcessHandle {
   std::atomic<bool> fast_ready_{true};
   std::vector<std::uint32_t> guard_depth_;
   Xoshiro256 rng_;
+};
+
+// RAII hold of one shard's guard through a handle's re-entrant depth
+// counter (ProcessHandle::guard_enter/guard_exit). Neither copyable nor
+// movable; returned by value through guaranteed elision.
+template <typename HandleT, typename Domain>
+class ShardGuard {
+ public:
+  ShardGuard(HandleT& h, Domain& domain, std::uint32_t shard)
+      : h_(h), domain_(domain), shard_(shard) {
+    h_.guard_enter(domain_, shard_);
+  }
+  ~ShardGuard() { h_.guard_exit(domain_, shard_); }
+  ShardGuard(const ShardGuard&) = delete;
+  ShardGuard& operator=(const ShardGuard&) = delete;
+
+ private:
+  HandleT& h_;
+  Domain& domain_;
+  std::uint32_t shard_;
 };
 
 }  // namespace wfl

@@ -6,14 +6,22 @@
 // announcements, session records — lives in a ShmArena and is addressed by
 // pool handle or byte offset, so independent OS processes can attach the
 // same table at different base addresses. It runs the SAME code as the
-// in-process table wherever placement allows: the AttemptEngine
-// (core/attempt.hpp, duck-typed over its context), and IndexPool,
-// ActiveSet and EbrDomain with their shared state placed in the arena.
-// What differs is the context: sets are read through a view
-// that resolves owner handles to descriptors, thunks are interpretable POD
-// programs instead of closures, and there is no thin-word fast path or
-// cooperative helping (both are single-address-space optimizations; the
-// descriptor path is the paper's algorithm and needs neither).
+// in-process table wherever placement allows: tryLock's descriptor path
+// (AttemptEngine::attempt, core/attempt.hpp), the per-process
+// ProcessHandle (serials, stats, scratch, re-entrant guard depth), and
+// IndexPool, ActiveSet and EbrDomain with their shared state placed in the
+// arena. What differs is the engine context (AttemptCtx below):
+//
+//   * set members are owner words (descriptor handle + 1), not pointers:
+//     insert() announces the owner word, and sets are read through a view
+//     that resolves owner words to descriptors in this process's mapping;
+//   * thunks are interpretable POD programs (ShmThunk) run against the
+//     accessor's own arena, not closures;
+//   * the reveal hooks are the crash harness's traps, not the T0/T1
+//     delays (create_in enforces DelayMode::kOff);
+//   * there is one shard, no thin-word fast path and no cooperative
+//     helping (both are single-address-space optimizations; the descriptor
+//     path is the paper's algorithm and needs neither).
 //
 // The honest part of the paper's fault model lives here. A "crashed
 // process" is a real SIGKILL, and recovery is SURVIVOR-DRIVEN:
@@ -72,32 +80,14 @@
 
 namespace wfl {
 
-namespace shm_detail {
-// The thunk interpreter needs an arena to resolve cell offsets, but
-// Engine::celebrate_if_won calls thunks with only an IdemCtx — so the
-// attached arena is registered process-globally. One arena per process is
-// the supported shape (the experiments and tests need exactly one); a
-// second, different registration is a loud failure, not a silent misread.
-inline std::atomic<const ShmArena*> g_thunk_arena{nullptr};
-
-inline void register_thunk_arena(const ShmArena* a) {
-  const ShmArena* cur = g_thunk_arena.load(std::memory_order_acquire);
-  WFL_CHECK_MSG(cur == nullptr || cur == a,
-                "one ShmArena per process: a different arena is registered");
-  g_thunk_arena.store(a, std::memory_order_release);
-}
-inline void unregister_thunk_arena(const ShmArena* a) {
-  const ShmArena* cur = g_thunk_arena.load(std::memory_order_acquire);
-  if (cur == a) g_thunk_arena.store(nullptr, std::memory_order_release);
-}
-}  // namespace shm_detail
-
 // The cross-process thunk: an interpretable program over arena-resident
 // cells, not a closure. A FixedFunction captures pointers that are garbage
 // in another address space; survivors must be able to REPLAY the victim's
 // thunk, so the thunk itself has to be data. kAddCells covers the locked
 // read-modify-write shape every crash experiment and test in this repo
-// uses; the opcode space leaves room for richer programs.
+// uses; the opcode space leaves room for richer programs. The cell offsets
+// resolve against the arena of the accessor that runs the program (the
+// engine calls it through ShmLockTable's AttemptCtx::run_thunk).
 //
 // The trap fields are crash-harness hooks: when the interpreting process's
 // OS pid matches trap_os_pid, the thunk raises trap_flag after its first
@@ -121,18 +111,15 @@ struct ShmThunk {
   void reset() { *this = ShmThunk{}; }
   explicit operator bool() const { return op != kNone; }
 
-  void operator()(IdemCtx<RealPlat>& m) const {
+  void run(const ShmArena& a, IdemCtx<RealPlat>& m) const {
     if (op != kAddCells) return;
-    const ShmArena* a =
-        shm_detail::g_thunk_arena.load(std::memory_order_acquire);
-    WFL_CHECK_MSG(a != nullptr, "ShmThunk run with no arena registered");
     for (std::uint32_t i = 0; i < n_cells; ++i) {
-      Cell<RealPlat>& c = *cells[i].in(*a);
+      Cell<RealPlat>& c = *cells[i].in(a);
       m.store(c, m.load(c) + delta);
       if (i == 0 && trap_os_pid != 0 && trap_os_pid == ::getpid()) {
         // No IdemCtx ops inside the trap branch: the logged op sequence
         // must be identical for the victim and its replayers.
-        if (auto* f = trap_flag.in(*a)) {
+        if (auto* f = trap_flag.in(a)) {
           f->store(1, std::memory_order_release);
         }
         for (;;) ::usleep(1000);  // hold the win; the harness SIGKILLs us
@@ -188,46 +175,17 @@ class ShmLockTable {
   using Desc = ShmDesc;
   using Snap = SetSnap<std::uint32_t>;  // members are owner words (handle+1)
   using Set = ActiveSet<RealPlat, std::uint32_t>;
-
-  // A process-local member view of one lock's set: get_set() resolves the
-  // current slot-0 snapshot's handles into descriptor pointers in THIS
-  // process's mapping, into a persistent per-session buffer. Shaped so
-  // multi_get_set's duck-typing (snap->count / snap->items / flag filter)
-  // works unchanged. Caller holds the EBR guard across get_set() and every
-  // use of the members, exactly as with ActiveSet.
-  struct LocalSnap {
-    std::uint32_t count = 0;
-    Desc* items[kMaxSetCap];
-  };
-
-  class Session;
-
-  class SetView {
-   public:
-    const LocalSnap* get_set() {
-      const Snap* snap = set_->get_set();
-      buf_->count = snap->count;
-      for (std::uint32_t i = 0; i < snap->count; ++i) {
-        buf_->items[i] = t_->desc_pool_.ptr(snap->items[i] - 1);
-      }
-      return buf_;
-    }
-
-   private:
-    friend class ShmLockTable;
-    ShmLockTable* t_ = nullptr;
-    Set* set_ = nullptr;
-    LocalSnap* buf_ = nullptr;
-  };
+  using Handle = ProcessHandle<RealPlat, Desc>;
 
   // Per-process session state. The shared part is the EBR announcement and
-  // the ShmSessionRec; everything here — stats, scratch, slot cache, serial
-  // block — is private to the owning process and dies with it (the cached
-  // slots leak on a crash; see the header comment).
+  // the ShmSessionRec; everything here — the ProcessHandle (stats, scratch,
+  // serial block, guard depth) and the slot cache — is private to the
+  // owning process and dies with it (the cached slots leak on a crash; see
+  // the header comment).
   class Session {
    public:
-    int pid() const { return pid_; }
-    StatsSlab& stats() { return stats_; }
+    int pid() const { return h_.pid(); }
+    StatsSlab& stats() { return h_.stats(); }
 
     // Crash-harness hooks: run at the two descriptor-path points a real
     // crash is most interesting (announced-but-unrevealed, and revealed-
@@ -238,14 +196,9 @@ class ShmLockTable {
 
    private:
     friend class ShmLockTable;
-    int pid_ = -1;
-    std::uint32_t guard_depth_ = 0;
-    std::uint64_t serial_next_ = 0;
-    std::uint64_t serial_end_ = 0;
-    StatsSlab stats_;
-    MemberList<Desc*> help_scratch_;
-    MemberList<Desc*> run_scratch_;
-    LocalSnap snap_buf_;
+    Session(int pid, std::atomic<std::uint64_t>& serial_hwm)
+        : h_(pid, /*num_shards=*/1, serial_hwm, kDefaultSerialBlock) {}
+    Handle h_;
     SlotCache<Desc> dcache_;
   };
 
@@ -323,8 +276,6 @@ class ShmLockTable {
     return std::unique_ptr<ShmLockTable>(new ShmLockTable(shm, shm.root()));
   }
 
-  ~ShmLockTable() { shm_detail::unregister_thunk_arena(arena_); }
-
   ShmLockTable(const ShmLockTable&) = delete;
   ShmLockTable& operator=(const ShmLockTable&) = delete;
 
@@ -335,10 +286,10 @@ class ShmLockTable {
   // --- sessions ------------------------------------------------------------
 
   std::unique_ptr<Session> open_session() {
-    auto s = std::make_unique<Session>();
-    s->pid_ = ebr_.register_participant();
+    auto s = std::unique_ptr<Session>(
+        new Session(ebr_.register_participant(), h_->serial_hwm));
     s->dcache_.bind(&desc_pool_);
-    ShmSessionRec& r = rec(s->pid_);
+    ShmSessionRec& r = rec(s->pid());
     r.os_pid.store(static_cast<int>(::getpid()), std::memory_order_relaxed);
     r.cur_desc.store(0, std::memory_order_relaxed);
     std::uint32_t expect = kSessFree;
@@ -346,7 +297,7 @@ class ShmLockTable {
         r.state.compare_exchange_strong(expect, kSessLive,
                                         std::memory_order_acq_rel),
         "session slot not fresh: pids are never recycled");
-    open_[static_cast<std::size_t>(s->pid_)] = s.get();
+    open_[static_cast<std::size_t>(s->pid())] = s.get();
     return s;
   }
 
@@ -354,18 +305,19 @@ class ShmLockTable {
   // the slot closed. The pid is still not recycled — pool slots are the
   // recyclable resource, pids are the audit trail.
   void close_session(Session& s) {
-    WFL_CHECK(s.guard_depth_ == 0);
-    ebr_.abandon(s.pid_);
+    WFL_CHECK(!s.h_.any_guard_depth());
+    ebr_.abandon(s.pid());
     s.dcache_.drain();
-    rec(s.pid_).state.store(kSessClosed, std::memory_order_release);
-    open_[static_cast<std::size_t>(s.pid_)] = nullptr;
+    rec(s.pid()).state.store(kSessClosed, std::memory_order_release);
+    open_[static_cast<std::size_t>(s.pid())] = nullptr;
   }
 
   // --- the attempt path ----------------------------------------------------
 
-  // One tryLock attempt. Mirrors LockTable::attempt minus the pieces that
-  // do not cross address spaces: no thin-word fast path, no cooperative
-  // claims, no theory delays (create_in enforces kOff), single EBR domain.
+  // One tryLock attempt: the engine's descriptor path (the same body
+  // LockTable runs) minus the pieces that do not cross address spaces — no
+  // thin-word fast path, no cooperative claims, no theory delays (create_in
+  // enforces kOff), single EBR domain.
   bool try_locks(Session& s, std::span<const std::uint32_t> lock_ids,
                  const ShmThunk& thunk) {
     WFL_CHECK(!lock_ids.empty() &&
@@ -386,11 +338,13 @@ class ShmLockTable {
     WFL_CHECK_MSG(thunk.trap_flag.null() || thunk.trap_flag.fits(*arena_),
                   "ShmThunk trap_flag offset is misaligned or outside the "
                   "arena");
-    s.stats_.add_attempt();
+    Handle& h = s.h_;
+    h.stats().add_attempt();
+    const std::uint64_t start_steps = RealPlat::steps();
 
     const std::uint32_t didx = alloc_desc(s);
     Desc& d = desc_pool_.at(didx);
-    s.stats_.add_log_slot_resets(d.reinit(next_serial(s)));
+    h.stats().add_log_slot_resets(d.reinit(h.next_serial()));
     d.lock_count = static_cast<std::uint32_t>(lock_ids.size());
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
       d.lock_ids[i] = lock_ids[i];
@@ -399,46 +353,17 @@ class ShmLockTable {
     d.retire_refs.store(1, std::memory_order_relaxed);
     // Publish the in-flight handle for a potential reaper BEFORE the first
     // set insert: from here on a crash leaves recoverable state.
-    rec(s.pid_).cur_desc.store(didx + 1, std::memory_order_release);
+    rec(s.pid()).cur_desc.store(didx + 1, std::memory_order_release);
 
-    AttemptCtx cx{this, &s};
+    AttemptCtx cx{this, &s, didx + 1};
+    const bool won = Engine::attempt(cx, d, start_steps, nullptr);
 
-    // --- work segment 1: help phase + multiInsert ---
-    guard_enter(s);
-    if (h_->cfg.help_phase) {
-      for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        multi_get_set<RealPlat>(cx.set(d.lock_ids[i]), s.help_scratch_);
-        for (Desc* q : s.help_scratch_) {
-          s.stats_.add_help();
-          Engine::help(cx, *q);
-        }
-      }
-    }
-    for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      d.slot_of_lock[i] = locks_[d.lock_ids[i]]->insert(didx + 1, s.pid_);
-    }
-    guard_exit(s);
-
-    if (s.trap_pre_reveal) s.trap_pre_reveal();
-
-    // --- the reveal step ---
-    d.priority.store(draw_priority<RealPlat>());
-
-    if (s.trap_post_reveal) s.trap_post_reveal();
-
-    // --- work segment 2: compete, then multiRemove ---
-    guard_enter(s);
-    Engine::run(cx, d);
-    d.clear_flag();
-    for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-      locks_[d.lock_ids[i]]->remove(d.slot_of_lock[i], s.pid_);
-    }
-    guard_exit(s);
-
-    rec(s.pid_).cur_desc.store(0, std::memory_order_release);
-    const bool won = d.status.load() == kStatusWon;
-    if (won) s.stats_.add_win();
-    ebr_.retire(s.pid_, &s.dcache_, didx, &release_descriptor);
+    rec(s.pid()).cur_desc.store(0, std::memory_order_release);
+    // Single domain, so retire_refs is 1 and the slot goes straight back to
+    // the owner's cache. A crashed attempt never gets here: its descriptor
+    // leaks by design.
+    ebr_.retire(s.pid(), &s.dcache_, didx,
+                &release_descriptor<Desc, SlotCache<Desc>>);
     return won;
   }
 
@@ -451,7 +376,7 @@ class ShmLockTable {
   int reap_dead(Session& s) {
     int reaped = 0;
     for (int pid = 0; pid < h_->max_procs; ++pid) {
-      if (pid == s.pid_) continue;
+      if (pid == s.pid()) continue;
       const ShmSessionRec& r = rec(pid);
       if (r.state.load(std::memory_order_acquire) != kSessLive) continue;
       if (shm_pid_alive(r.os_pid.load(std::memory_order_relaxed))) continue;
@@ -474,7 +399,7 @@ class ShmLockTable {
   // belongs to an unreaped corpse. Mirrors exp_crash's any_held probe.
   bool any_holder(Session& s) {
     bool held = false;
-    guard_enter(s);
+    const auto guard = guard_of(s);
     for (std::uint32_t lock = 0; lock < h_->num_locks && !held; ++lock) {
       Set& set = *locks_[lock];
       for (std::uint32_t j = 0; j < set.capacity() && !held; ++j) {
@@ -484,7 +409,6 @@ class ShmLockTable {
         held = d.status.load() == kStatusActive && d.priority.load() > 0;
       }
     }
-    guard_exit(s);
     return held;
   }
 
@@ -493,7 +417,6 @@ class ShmLockTable {
   using Engine = AttemptEngine<RealPlat, AttemptCtx>;
 
   static constexpr std::uint32_t kCrashSlackSlots = 8;
-  static constexpr std::uint64_t kSerialBlock = 1024;
 
   ShmLockTable(ShmArena& shm, std::uint64_t header_off)
       : arena_(&shm),
@@ -511,7 +434,6 @@ class ShmLockTable {
           h_->set_cap, set_mem_,
           slots + static_cast<std::size_t>(i) * h_->set_cap));
     }
-    shm_detail::register_thunk_arena(&shm);
   }
 
   ShmSessionRec& rec(int pid) const { return sessions_[pid]; }
@@ -531,98 +453,121 @@ class ShmLockTable {
     // recovery below is still running.
     ebr_.abandon(victim_pid);
 
-    guard_enter(s);
-    AttemptCtx cx{this, &s};
-    const std::uint32_t cd = r.cur_desc.load(std::memory_order_acquire);
-    if (cd != 0) {
-      Desc& d = desc_pool_.at(cd - 1);
-      if (d.priority.load() > 0) {
-        // Revealed: finish the victim's competition on its behalf —
-        // celebrate-if-won replays its thunk to completion (exactly once,
-        // by the agreement log).
-        Engine::run(cx, d);
-      } else if (d.status.cas(kStatusActive, kStatusLost)) {
-        // Announced but never revealed: the flag filter means no getSet
-        // surfaced it and nobody can have helped it win; eliminate.
-        s.stats_.add_elimination();
-      }
-      d.clear_flag();
-      // multiRemove on the victim's behalf. Its slot_of_lock is owner-
-      // private state that may have died mid-update; the owner-scan is the
-      // crash-safe equivalent (bounded: L · C slots).
-      for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        Set& set = *locks_[d.lock_ids[i]];
-        for (std::uint32_t j = 0; j < set.capacity(); ++j) {
-          if (set.owner(j) == cd) set.remove(static_cast<int>(j), s.pid_);
+    {
+      const auto guard = guard_of(s);
+      AttemptCtx cx{this, &s};
+      const std::uint32_t cd = r.cur_desc.load(std::memory_order_acquire);
+      if (cd != 0) {
+        Desc& d = desc_pool_.at(cd - 1);
+        if (d.priority.load() > 0) {
+          // Revealed: finish the victim's competition on its behalf —
+          // celebrate-if-won replays its thunk to completion (exactly
+          // once, by the agreement log).
+          Engine::run(cx, d);
+        } else if (d.status.cas(kStatusActive, kStatusLost)) {
+          // Announced but never revealed: the flag filter means no getSet
+          // surfaced it and nobody can have helped it win; eliminate.
+          s.stats().add_elimination();
         }
+        d.clear_flag();
+        // multiRemove on the victim's behalf. Its slot_of_lock is owner-
+        // private state that may have died mid-update; the owner-scan is
+        // the crash-safe equivalent (bounded: L · C slots).
+        for (std::uint32_t i = 0; i < d.lock_count; ++i) {
+          Set& set = *locks_[d.lock_ids[i]];
+          for (std::uint32_t j = 0; j < set.capacity(); ++j) {
+            if (set.owner(j) == cd) set.remove(static_cast<int>(j), s.pid());
+          }
+        }
+        // The victim's descriptor slot is NOT retired to the pool: its
+        // private cache state died with it, so the slot leaks — bounded at
+        // one per crash, priced into create_in's sizing.
       }
-      // The victim's descriptor slot is NOT retired to the pool: its
-      // private cache state died with it, so the slot leaks — bounded at
-      // one per crash, priced into create_in's sizing.
     }
-    guard_exit(s);
     r.cur_desc.store(0, std::memory_order_release);
     r.state.store(kSessReaped, std::memory_order_release);
     return true;
   }
 
-  std::uint64_t next_serial(Session& s) {
-    if (s.serial_next_ == s.serial_end_) {
-      s.serial_next_ =
-          h_->serial_hwm.fetch_add(kSerialBlock, std::memory_order_acq_rel);
-      s.serial_end_ = s.serial_next_ + kSerialBlock;
+  // The session's guard on the table's single EBR domain, re-entrant
+  // through its handle (the engine's lock_guards nests inside an attempt's
+  // work-segment guard).
+  ShardGuard<Handle, EbrDomain> guard_of(Session& s) {
+    return ShardGuard<Handle, EbrDomain>(s.h_, ebr_, 0);
+  }
+
+  // A process-local member view of one lock's set: get_set() resolves the
+  // current slot-0 snapshot's owner words into descriptor pointers in THIS
+  // process's mapping. Shaped so multi_get_set's duck-typing (snap->count /
+  // snap->items / flag filter) works unchanged. Caller holds the EBR guard
+  // across get_set() and every use of the members, exactly as with
+  // ActiveSet; multi_get_set copies the members out before the view is
+  // pointed at another set.
+  struct SetView {
+    struct Members {
+      std::uint32_t count = 0;
+      Desc* items[kMaxSetCap];
+    };
+    ShmLockTable* t = nullptr;
+    Set* set = nullptr;
+    Members buf;
+
+    const Members* get_set() {
+      const Snap* snap = set->get_set();
+      buf.count = snap->count;
+      for (std::uint32_t i = 0; i < snap->count; ++i) {
+        buf.items[i] = t->desc_pool_.ptr(snap->items[i] - 1);
+      }
+      return &buf;
     }
-    return s.serial_next_++;
-  }
-
-  // Re-entrant single-domain guard (the engine's lock_guards nests inside
-  // the attempt's work-segment guard, exactly like the sharded table's
-  // depth counters).
-  void guard_enter(Session& s) {
-    if (s.guard_depth_++ == 0) ebr_.enter(s.pid_);
-  }
-  void guard_exit(Session& s) {
-    WFL_DASSERT(s.guard_depth_ > 0);
-    if (--s.guard_depth_ == 0) ebr_.exit(s.pid_);
-  }
-
-  class GuardScope {
-   public:
-    GuardScope(ShmLockTable& t, Session& s) : t_(t), s_(s) {
-      t_.guard_enter(s_);
-    }
-    ~GuardScope() { t_.guard_exit(s_); }
-    GuardScope(const GuardScope&) = delete;
-    GuardScope& operator=(const GuardScope&) = delete;
-
-   private:
-    ShmLockTable& t_;
-    Session& s_;
   };
 
-  // The engine context (core/attempt.hpp's duck-typed contract). No thin
-  // words and no cooperative claims in shm mode: thin_rival is always
-  // null, cooperative() false (help() degenerates to run(), the paper's
-  // everyone-drives discipline).
+  // The engine context (core/attempt.hpp's duck-typed contract). Set
+  // members are owner words; no thin words and no cooperative claims in
+  // shm mode: thin_rival is always null, cooperative() false (help()
+  // degenerates to run(), the paper's everyone-drives discipline). The
+  // reveal hooks are the session's crash-harness traps.
   struct AttemptCtx {
     ShmLockTable* t;
     Session* s;
+    std::uint32_t owner = 0;  // the attempt's owner word (handle + 1)
     SetView view{};
     using Desc = ShmLockTable::Desc;
 
     SetView& set(std::uint32_t lock_id) {
-      view.t_ = t;
-      view.set_ = t->locks_[lock_id].get();
-      view.buf_ = &s->snap_buf_;
+      view.t = t;
+      view.set = t->locks_[lock_id].get();
       return view;
     }
-    StatsSlab& stats() { return s->stats_; }
-    MemberList<Desc*>& run_scratch() { return s->run_scratch_; }
-    GuardScope lock_guards(Desc&) { return GuardScope(*t, *s); }
+    int insert(std::uint32_t lock_id, Desc& d) {
+      WFL_DASSERT(t->desc_pool_.ptr(owner - 1) == &d);
+      (void)d;
+      return t->locks_[lock_id]->insert(owner, s->pid());
+    }
+    void remove(std::uint32_t lock_id, int slot) {
+      t->locks_[lock_id]->remove(slot, s->pid());
+    }
+    StatsSlab& stats() { return s->h_.stats(); }
+    MemberList<Desc*>& help_scratch() { return s->h_.help_scratch(); }
+    MemberList<Desc*>& run_scratch() { return s->h_.run_scratch(); }
+    ShardGuard<Handle, EbrDomain> lock_guards(Desc&) {
+      return t->guard_of(*s);
+    }
     Desc* thin_rival(std::uint32_t) { return nullptr; }
-    int pid() { return s->pid_; }
+    void run_thunk(Desc& p, IdemCtx<RealPlat>& m) {
+      p.thunk.run(*t->arena_, m);
+    }
+    int pid() { return s->pid(); }
+    bool help_phase() { return t->h_->cfg.help_phase; }
     bool cooperative() { return false; }
     std::uint32_t claim_patience() { return ~std::uint32_t{0}; }  // unused
+    void before_reveal(std::uint64_t) {
+      if (s->trap_pre_reveal) s->trap_pre_reveal();
+    }
+    void after_reveal() {
+      if (s->trap_post_reveal) s->trap_post_reveal();
+    }
+    void after_release(Desc&, std::uint64_t) {}
   };
   friend struct AttemptCtx;
 
@@ -650,25 +595,26 @@ class ShmLockTable {
 
   template <typename TryAlloc>
   std::uint32_t alloc_backpressure(Session& s, TryAlloc&& try_alloc) {
-    const std::uint32_t depth = s.guard_depth_;
+    std::uint32_t& depth_ref = s.h_.guard_depth(0);
+    const std::uint32_t depth = depth_ref;
     if (depth > 0) {
-      s.guard_depth_ = 0;
-      ebr_.exit(s.pid_);
+      depth_ref = 0;
+      ebr_.exit(s.pid());
     }
     std::uint32_t idx = kNullIndex;
     for (std::uint32_t spin = 0; idx == kNullIndex; ++spin) {
       WFL_CHECK_MSG(spin < kAllocPatienceSpins,
                     "shm pool allocation stalled past patience: pool "
                     "undersized, or a live peer wedged inside a guard");
-      ebr_.collect(s.pid_);
+      ebr_.collect(s.pid());
       idx = try_alloc();
       if (idx != kNullIndex) break;
       if ((spin & 63u) == 63u) reap_dead(s);
       ::usleep(100);
     }
     if (depth > 0) {
-      ebr_.enter(s.pid_);
-      s.guard_depth_ = depth;
+      ebr_.enter(s.pid());
+      depth_ref = depth;
     }
     return idx;
   }
@@ -687,17 +633,6 @@ class ShmLockTable {
     return alloc_backpressure(s, [&s] { return s.dcache_.try_alloc(); });
   }
 
-  // EBR deleter for an orderly attempt's descriptor (single domain, so
-  // retire_refs is 1 and the slot goes straight back to the owner's
-  // cache). Crashed descriptors never reach this — they leak by design.
-  static void release_descriptor(void* ctx, std::uint32_t handle) {
-    auto* cache = static_cast<SlotCache<Desc>*>(ctx);
-    Desc& d = cache->pool().at(handle);
-    const std::uint32_t prev =
-        d.retire_refs.fetch_sub(1, std::memory_order_acq_rel);
-    if (prev == 1) cache->free(handle);
-  }
-
   // Declaration order is construction order: set_mem_ references the pool
   // and domain, and the sets reference set_mem_.
   const ShmArena* arena_;
@@ -712,23 +647,5 @@ class ShmLockTable {
   // snapshot stall hook is keyed by EBR pid).
   std::vector<Session*> open_;
 };
-
-// The placement factories declared on LockTable (the API callers reach
-// first). Only the real platform can cross address spaces; simulated plats
-// have no second process to attach from.
-template <typename Plat>
-std::unique_ptr<ShmLockTable> LockTable<Plat>::create_in(
-    ShmArena& shm, const LockConfig& cfg, int max_procs, int num_locks) {
-  static_assert(!Plat::kSimulated,
-                "shared-memory placement requires RealPlat");
-  return ShmLockTable::create_in(shm, cfg, max_procs, num_locks);
-}
-
-template <typename Plat>
-std::unique_ptr<ShmLockTable> LockTable<Plat>::attach(ShmArena& shm) {
-  static_assert(!Plat::kSimulated,
-                "shared-memory placement requires RealPlat");
-  return ShmLockTable::attach(shm);
-}
 
 }  // namespace wfl

@@ -23,8 +23,8 @@
 //     logic.
 //
 // This header is include-light on purpose (only <atomic>/<cstdint>): it
-// is pulled into core headers (lock_table/attempt/process/work_queue/
-// async_executor) that must not grow dependencies.
+// is pulled into core headers (descriptor/lock_table/attempt/process/
+// work_queue/async_executor) that must not grow dependencies.
 #pragma once
 
 #include <atomic>
@@ -54,7 +54,7 @@ enum Site : int {
                             // (async_executor.hpp)
   kSiteMultiShardRetire,    // a multi-shard descriptor's retire dropped a
                             // non-final reference — another shard's grace
-                            // period still pins it (lock_table.hpp)
+                            // period still pins it (descriptor.hpp)
   kSiteCount
 };
 

@@ -138,7 +138,6 @@ inline LockConfig fuzz_cfg(int procs) {
   cfg.c0 = 8.0;
   cfg.c1 = 8.0;
   cfg.delay_mode = DelayMode::kOff;  // fast path + helping + async live here
-  cfg.fast_path = true;
   return cfg;
 }
 

@@ -94,21 +94,6 @@ TEST(FastPath, DisabledUnderTheoryDelays) {
   EXPECT_EQ(t.stats().fastpath_hits, 0u);
 }
 
-TEST(FastPath, DisabledByConfigKnob) {
-  LockConfig cfg = off_cfg(2, 1);
-  cfg.fast_path = false;
-  Table t(cfg, 2, 8);
-  EXPECT_FALSE(t.fast_path_enabled());
-  Session<RealPlat> session(t);
-  Cell<RealPlat> c{0};
-  ASSERT_TRUE(submit(session, StaticLockSet<1>({0}), [&c](IdemCtx<RealPlat>& m) {
-                m.store(c, m.load(c) + 1);
-              }).won);
-  EXPECT_EQ(t.stats().fastpath_hits, 0u);
-  EXPECT_LT(t.shard_desc_free(0), t.shard_desc_capacity(0))
-      << "descriptor path not taken";
-}
-
 // Multi-lock attempts always take the descriptor path; the fast path is a
 // single-lock specialization.
 TEST(FastPath, MultiLockAttemptsTakeDescriptorPath) {

@@ -234,17 +234,16 @@ TEST(LockTable, TxnAndRetrySubmitThroughOneSession) {
 // slots circulate entirely through the owner's caches (alloc pops the
 // cache, the EBR deleters push expired slots back).
 TEST(LockTable, SteadyStateUncontendedTouchesNoSharedFreelist) {
-  // This test exercises the DESCRIPTOR path's cache circulation, so the
-  // thin-word fast path (which skips descriptor allocation entirely and
-  // would make the assertion vacuous) is disabled. test_fastpath covers
-  // the fast path's own zero-pool-traffic property.
-  LockConfig cfg = cfg_for(2, 1);
-  cfg.fast_path = false;
-  Table t(cfg, 2, 16, SpaceSizing{.shards = 4});
+  // This test exercises the DESCRIPTOR path's cache circulation, so it
+  // uses two locks in one shard: the thin-word fast path (which skips
+  // descriptor allocation entirely and would make the assertion vacuous)
+  // only takes single-lock attempts. test_fastpath covers the fast path's
+  // own zero-pool-traffic property.
+  Table t(cfg_for(2, 2), 2, 16, SpaceSizing{.shards = 4});
   Session<RealPlat> session(t);
   Cell<RealPlat> c{0};
   auto attempt = [&] {
-    ASSERT_TRUE(submit(session, StaticLockSet<1>({0}),
+    ASSERT_TRUE(submit(session, StaticLockSet<2>({0, 4}),
                        [&c](IdemCtx<RealPlat>& m) {
                          m.store(c, m.load(c) + 1);
                        })
@@ -268,11 +267,9 @@ TEST(LockTable, SteadyStateUncontendedTouchesNoSharedFreelist) {
 // crash-abandoned process (released while parked inside a guard) both
 // spill their caches back to the shared pools.
 TEST(LockTable, CachedSlotsSpillOnRelease) {
-  // Descriptor-path machinery under test: disable the fast path so
-  // single-lock attempts actually populate the slot caches.
-  LockConfig cfg = cfg_for(2, 1);
-  cfg.fast_path = false;
-  Table t(cfg, 2, 16, SpaceSizing{.shards = 4});
+  // Descriptor-path machinery under test: two-lock attempts inside one
+  // shard skip the thin-word fast path and populate the slot caches.
+  Table t(cfg_for(2, 2), 2, 16, SpaceSizing{.shards = 4});
   Cell<RealPlat> c{0};
 
   const auto bump = [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); };
@@ -282,7 +279,7 @@ TEST(LockTable, CachedSlotsSpillOnRelease) {
   {
     Session<RealPlat> s0(t);
     p0 = s0.process();
-    for (int a = 0; a < 300; ++a) submit(s0, StaticLockSet<1>({0}), bump);
+    for (int a = 0; a < 300; ++a) submit(s0, StaticLockSet<2>({0, 4}), bump);
     EXPECT_GT(t.cached_slots(p0), 0u) << "caches never engaged";
   }
   EXPECT_EQ(t.cached_slots(p0), 0u) << "orderly release leaked cached slots";
@@ -297,7 +294,7 @@ TEST(LockTable, CachedSlotsSpillOnRelease) {
   {
     Session<RealPlat> s1(t);
     p1 = s1.process();
-    for (int a = 0; a < 300; ++a) submit(s1, StaticLockSet<1>({4}), bump);
+    for (int a = 0; a < 300; ++a) submit(s1, StaticLockSet<2>({4, 8}), bump);
     EXPECT_GT(t.cached_slots(p1), 0u);
     t.ebr_enter(p1);  // leaves guard depth nonzero: the crash-parked shape
   }

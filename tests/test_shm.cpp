@@ -78,7 +78,7 @@ TEST(ShmArenaTest, PidProbe) {
 // exactly once (both cells move together), losses apply nothing.
 TEST(ShmTableTest, AttemptsApplyThunksExactlyOnce) {
   ShmArena a = ShmArena::create_anon(8u << 20);
-  auto t = LockTable<RealPlat>::create_in(a, shm_cfg(2), 2, 4);
+  auto t = ShmLockTable::create_in(a, shm_cfg(2), 2, 4);
   auto s = t->open_session();
 
   const std::uint64_t c0 = a.create<Cell<RealPlat>>(0u);
@@ -109,7 +109,7 @@ TEST(ShmTableTest, AttemptsApplyThunksExactlyOnce) {
 // interpreter read past the array, so try_locks refuses it up front.
 TEST(ShmTableTest, OversizedThunkIsRefused) {
   ShmArena a = ShmArena::create_anon(8u << 20);
-  auto t = LockTable<RealPlat>::create_in(a, shm_cfg(2), 2, 2);
+  auto t = ShmLockTable::create_in(a, shm_cfg(2), 2, 2);
   auto s = t->open_session();
   ShmThunk th;
   th.op = ShmThunk::kAddCells;
@@ -125,7 +125,7 @@ TEST(ShmTableTest, OversizedThunkIsRefused) {
 // later touches the lock.
 TEST(ShmTableTest, NullCellOffsetIsRefused) {
   ShmArena a = ShmArena::create_anon(8u << 20);
-  auto t = LockTable<RealPlat>::create_in(a, shm_cfg(2), 2, 2);
+  auto t = ShmLockTable::create_in(a, shm_cfg(2), 2, 2);
   auto s = t->open_session();
   ShmThunk th;
   th.op = ShmThunk::kAddCells;
@@ -137,7 +137,7 @@ TEST(ShmTableTest, NullCellOffsetIsRefused) {
 
 TEST(ShmTableTest, OutOfRangeCellOffsetIsRefused) {
   ShmArena a = ShmArena::create_anon(8u << 20);
-  auto t = LockTable<RealPlat>::create_in(a, shm_cfg(2), 2, 2);
+  auto t = ShmLockTable::create_in(a, shm_cfg(2), 2, 2);
   auto s = t->open_session();
   ShmThunk th;
   th.op = ShmThunk::kAddCells;
@@ -190,7 +190,7 @@ TEST(ShmEbrTest, AttachedAccessorsShareGuards) {
 // a process released while parked in a guard.
 TEST(ShmTableTest, RetiredPidNeverRecycledShm) {
   ShmArena a = ShmArena::create_anon(8u << 20);
-  auto t = LockTable<RealPlat>::create_in(a, shm_cfg(4), 4, 2);
+  auto t = ShmLockTable::create_in(a, shm_cfg(4), 4, 2);
 
   auto s0 = t->open_session();
   const int pid0 = s0->pid();
@@ -214,10 +214,11 @@ TEST(ShmTableTest, RetiredPidNeverRecycledShm) {
 
 TEST(ShmTableTest, RetiredPidNeverRecycledInProcess) {
   LockConfig cfg = shm_cfg(3);
-  cfg.fast_path = false;  // force the descriptor path through the pools
-  LockTable<RealPlat> t(cfg, 3, 4);
+  LockTable<RealPlat> t(cfg, 3, 8, SpaceSizing{.shards = 4});
   Cell<RealPlat> c{0};
-  const StaticLockSet<1> ids({0});
+  // Two locks in one shard: multi-lock attempts take the descriptor path
+  // through the pools.
+  const StaticLockSet<2> ids({0, 4});
   const auto bump = [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); };
 
   LockTable<RealPlat>::Process p0;
@@ -243,6 +244,73 @@ TEST(ShmTableTest, RetiredPidNeverRecycledInProcess) {
   EXPECT_EQ(s2.pid(), pid1) << "orderly pid should be reused";
 }
 
+// ShmLockTable::attach is documented for "same process or another one":
+// destroying a second accessor in the same process must leave the first
+// one's thunks runnable (each accessor resolves cell offsets against its
+// own arena).
+TEST(ShmTableTest, SecondAccessorTeardownKeepsThunksRunnable) {
+  ShmArena a = ShmArena::create_anon(8u << 20);
+  auto t = ShmLockTable::create_in(a, shm_cfg(2), 2, 2);
+  const std::uint64_t c0 = a.create<Cell<RealPlat>>(0u);
+  ShmThunk th;
+  th.op = ShmThunk::kAddCells;
+  th.n_cells = 1;
+  th.cells[0] = Offset<Cell<RealPlat>>{c0};
+  const std::uint32_t ids[] = {0};
+
+  {
+    auto peer = ShmLockTable::attach(a);
+    auto ps = peer->open_session();
+    ASSERT_TRUE(peer->try_locks(*ps, ids, th));
+    peer->close_session(*ps);
+  }
+
+  auto s = t->open_session();
+  ASSERT_TRUE(t->try_locks(*s, ids, th));
+  EXPECT_EQ(a.at<Cell<RealPlat>>(c0)->peek(), 2u);
+  t->close_session(*s);
+}
+
+// The shm help phase. Session A is revealed but has not run yet when its
+// post-reveal trap hands control to session B on the same two locks. B's
+// help phase must find A, drive it to a win and replay its thunk, and
+// then win itself; when A resumes it finds itself won. Each program
+// applies exactly once.
+TEST(ShmTableTest, RevealedAttemptIsHelpedBySameProcessPeer) {
+  ShmArena a = ShmArena::create_anon(8u << 20);
+  auto t = ShmLockTable::create_in(a, shm_cfg(2), 2, 2);
+  const std::uint64_t c0 = a.create<Cell<RealPlat>>(0u);
+  const std::uint64_t c1 = a.create<Cell<RealPlat>>(0u);
+  ShmThunk th;
+  th.op = ShmThunk::kAddCells;
+  th.n_cells = 2;
+  th.cells[0] = Offset<Cell<RealPlat>>{c0};
+  th.cells[1] = Offset<Cell<RealPlat>>{c1};
+  const std::uint32_t ids[] = {0, 1};
+
+  auto sa = t->open_session();
+  auto sb = t->open_session();
+  bool b_won = false;
+  std::uint64_t cell0_after_b = 0;
+  sa->trap_post_reveal = [&] {
+    b_won = t->try_locks(*sb, ids, th);
+    cell0_after_b = a.at<Cell<RealPlat>>(c0)->peek();
+  };
+  const bool a_won = t->try_locks(*sa, ids, th);
+
+  EXPECT_TRUE(b_won) << "B must win once it has driven A to completion";
+  EXPECT_EQ(cell0_after_b, 2u) << "B must replay A's thunk before its own";
+  EXPECT_TRUE(a_won) << "A was driven to a win by B's help phase";
+  EXPECT_EQ(a.at<Cell<RealPlat>>(c0)->peek(), 2u);
+  EXPECT_EQ(a.at<Cell<RealPlat>>(c1)->peek(), 2u);
+  LockStats st;
+  sb->stats().accumulate_into(st);
+  EXPECT_GE(st.helps, 1u);
+  EXPECT_FALSE(t->any_holder(*sa));
+  t->close_session(*sb);
+  t->close_session(*sa);
+}
+
 struct ForkCrashRig {
   ShmArena arena = ShmArena::create_anon(16u << 20);
   std::unique_ptr<ShmLockTable> table;
@@ -250,7 +318,7 @@ struct ForkCrashRig {
   std::uint64_t trap_flag = 0;  // Offset<std::atomic<uint32>>
 
   ForkCrashRig() {
-    table = LockTable<RealPlat>::create_in(arena, shm_cfg(4), 4, 2);
+    table = ShmLockTable::create_in(arena, shm_cfg(4), 4, 2);
     c0 = arena.create<Cell<RealPlat>>(0u);
     c1 = arena.create<Cell<RealPlat>>(0u);
     trap_flag = arena.create<std::atomic<std::uint32_t>>();
