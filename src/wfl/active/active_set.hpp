@@ -36,7 +36,7 @@ namespace wfl {
 
 // Upper bound on members of one snapshot; also bounds the announcement
 // array capacity C. 64 covers every experiment in this repo (κ per lock for
-// the known-bounds algorithm, P for the adaptive variant).
+// the known-bounds algorithm, P under DelayMode::kUnknownBounds).
 inline constexpr std::uint32_t kMaxSetCap = 64;
 
 template <typename T>

@@ -10,7 +10,6 @@
 #include "wfl/baseline/mutex2pl_backend.hpp"
 #include "wfl/baseline/spin2pl_backend.hpp"
 #include "wfl/baseline/turek_backend.hpp"
-#include "wfl/core/adaptive_backend.hpp"
 #include "wfl/core/backend.hpp"
 #include "wfl/platform/real.hpp"
 #include "wfl/platform/sim.hpp"
@@ -24,10 +23,6 @@ static_assert(LockBackend<TurekBackend<RealPlat>>);
 static_assert(LockBackend<Spin2plBackend<SimPlat>>);
 static_assert(LockBackend<Spin2plBackend<RealPlat>>);
 static_assert(LockBackend<Mutex2plBackend>);
-// The §6.2 unknown-bounds variant also satisfies the concept (it is kept
-// out of the sweep registries below — see core/adaptive_backend.hpp).
-static_assert(LockBackend<AdaptiveWflBackend<SimPlat>>);
-static_assert(LockBackend<AdaptiveWflBackend<RealPlat>>);
 
 // Deterministic-simulator sweeps: every discipline that can run as fibers.
 // (Mutex2PL blocks the OS thread all fibers share, so it is real-only.)

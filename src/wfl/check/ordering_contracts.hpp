@@ -117,6 +117,7 @@ enum class Site : std::uint8_t {
 
   // --- Annotated plain-memory regions (FastTrack-style epochs) ---
   kDescPlain,           // descriptor line group A: owner-written, helper-read
+  kFrozenSnaps,         // §6.2 frozen snapshots: published by priority reveal
   kSlotCacheBatch,      // SlotCache slot array (single owner)
   kFiberStack,          // fiber stack re-arm (pool reuse)
   kAsyncOutcome,        // AsyncOp outcome fields (runner-written, ticket-read)
@@ -301,6 +302,9 @@ inline constexpr SiteInfo kSiteTable[] = {
     {Site::kDescPlain, "desc.plain_fields", Contract::kOrderedWrites,
      "line group A: owner-written before publication, helper-read after "
      "observing the publication (set insert or thin word)"},
+    {Site::kFrozenSnaps, "desc.frozen_snaps", Contract::kOrderedWrites,
+     "kUnknownBounds: owner-written between the TBD and the priority "
+     "reveal, read only by competitions of a revealed descriptor"},
     {Site::kSlotCacheBatch, "pool.slot_cache", Contract::kOrderedWrites,
      "single-owner by construction (arena.hpp); deleters run on the owner"},
     {Site::kFiberStack, "fiber.stack", Contract::kOrderedWrites,

@@ -11,16 +11,18 @@
 // the in-process and the shared-memory table, and it is what the proofs
 // actually constrain.
 //
-// Context requirements (duck-typed; LockTable::AttemptCtx is the model;
-// contexts that only borrow run/decide/eliminate/celebrateIfWon, like the
-// adaptive space's, need just stats() and run_thunk()):
+// Context requirements (duck-typed; LockTable::AttemptCtx is the model):
 //   using Desc = ...;                        // descriptor (status/priority)
 //   SetT& set(std::uint32_t id);             // lock id -> active set
 //   int  insert(std::uint32_t id, Desc& d);  // announce d; returns its slot
 //   void remove(std::uint32_t id, int slot); // withdraw that slot
 //   StatsSlab& stats();                      // striped per-process counters
 //   MemberList<Desc*>& help_scratch();       // getSet scratch: help phase
-//   MemberList<Desc*>& run_scratch();        // getSet scratch: run()
+//   bool revealed(Desc& q);                  // help q? (§6.2 skips TBD)
+//   const MemberList<Desc*>& competitors(Desc& p, std::uint32_t i);
+//                                            // p's rivals on its i-th lock:
+//                                            // a live getSet, or §6.2's
+//                                            // frozen snapshot
 //   GuardScopeT lock_guards(Desc& p);        // RAII: EBR guards covering
 //                                            // every shard of p's lock set
 //   Desc* thin_rival(std::uint32_t id);      // the lock's thin-word
@@ -32,13 +34,18 @@
 //   bool help_phase();                       // E10's help-phase switch
 //   bool cooperative();                      // claim-gated helping on?
 //   std::uint32_t claim_patience();          // see LockConfig
-//   void before_reveal(std::uint64_t start); // hooks: T0 delay/crash trap,
-//   void after_reveal();                     // crash trap, and wake
-//   void after_release(Desc&, std::uint64_t reveal);  // events + T1 delay
+//   void before_reveal(Desc&, std::uint64_t start);  // hooks: T0 delay,
+//                                            // or §6.2 padding + TBD +
+//                                            // snapshots; crash trap
+//   void after_reveal();                     // crash trap
+//   void after_release(Desc&, std::uint64_t reveal);  // wake events + T1
+//                                            // delay or §6.2 padding
 //
 // The stats object is the caller's striped slab, so nothing the engine
 // does writes a cacheline shared between processes except the algorithm's
-// own status CASes, priority stores and set operations.
+// own status CASes, priority stores and set operations. Under the known-
+// bounds modes the hooks add no step: revealed() returns true without a
+// load and competitors() is exactly the getSet run() always made.
 #pragma once
 
 #include <atomic>
@@ -86,9 +93,8 @@ struct AttemptEngine {
     // Reads line group A (lock_ids/lock_count) — must be ordered after the
     // owner's publication writes.
     WFL_PLAIN_READ(&p, kDescPlain);
-    auto& members = cx.run_scratch();
     for (std::uint32_t i = 0; i < p.lock_count; ++i) {
-      multi_get_set<Plat>(cx.set(p.lock_ids[i]), members);
+      const MemberList<Desc*>& members = cx.competitors(p, i);
       if (p.status.load() != kStatusActive) continue;
       for (Desc* q : members) duel(cx, p, *q);
       if (Desc* r = cx.thin_rival(p.lock_ids[i])) duel(cx, p, *r);
@@ -99,11 +105,21 @@ struct AttemptEngine {
 
   // One pairwise competition step between `p` and an observed rival `q`
   // (set member or thin-word publication).
+  //
+  // A TBD rival exists only under DelayMode::kUnknownBounds (known-bounds
+  // priorities are pending or positive, so the branch is dead there and
+  // costs no step): q participated but its priority has not landed. Re-read
+  // once — it may just have — and if it is still TBD, eliminate q
+  // (seer-eliminates; the safety argument is in core/lock_table.hpp).
   static void duel(Ctx& cx, Desc& p, Desc& q) {
     if (q.status.load() == kStatusActive && &q != &p) {
       const std::int64_t pp = p.priority.load();
-      const std::int64_t qp = q.priority.load();
-      if (pp > qp) {
+      std::int64_t qp = q.priority.load();
+      if (qp == kPriorityTbd) qp = q.priority.load();
+      if (qp == kPriorityTbd) {
+        cx.stats().add_tbd_elimination();
+        eliminate(cx, q);
+      } else if (pp > qp) {
         eliminate(cx, q);
       } else {
         eliminate(cx, p);  // covers qp > pp and the tie (self loses)
@@ -172,9 +188,9 @@ struct AttemptEngine {
   // The descriptor path of tryLock (lines 17-24) for `d`, whose line group
   // A (lock ids, thunk, serial) the caller has allocated and filled.
   // `start_steps` is the caller's step count when the attempt began; the
-  // T0/T1 delays (the LockTable's before_reveal/after_release hooks) are
-  // pinned to it. Returns the outcome; fills `info` when non-null. The
-  // caller retires `d`.
+  // T0/T1 delays or §6.2 padding (the LockTable's before_reveal/
+  // after_release hooks) are pinned to it. Returns the outcome; fills
+  // `info` when non-null. The caller retires `d`.
   //
   // EBR guards are held across the two *work* segments (help+insert, and
   // run+remove) and released across the hooks, where the delays spin: a
@@ -190,6 +206,7 @@ struct AttemptEngine {
         for (std::uint32_t i = 0; i < d.lock_count; ++i) {
           multi_get_set<Plat>(cx.set(d.lock_ids[i]), members);
           for (Desc* q : members) {
+            if (!cx.revealed(*q)) continue;
             cx.stats().add_help();
             help(cx, *q);
           }
@@ -209,7 +226,7 @@ struct AttemptEngine {
     const std::uint64_t pre_reveal_work = Plat::steps() - start_steps;
 
     // --- the reveal step (lines 10-11) ---
-    cx.before_reveal(start_steps);
+    cx.before_reveal(d, start_steps);
     d.priority.store(draw_priority<Plat>());
     const std::uint64_t reveal_steps = Plat::steps();
     cx.after_reveal();

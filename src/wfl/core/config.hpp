@@ -13,7 +13,17 @@ namespace wfl {
 // delays (and with them the fairness bound, NOT safety); it is the
 // "flock-style" practical mode used by the throughput benchmark and the
 // delay-ablation experiment.
-enum class DelayMode { kTheory, kOff };
+//
+// kUnknownBounds is §6.2 (Theorem 6.10): the same attempt without knowing
+// κ, L or T — sets sized by max_procs (the paper's P), guess-and-double
+// padding in place of the fixed delays (log(κLT) possible reveal times:
+// the theorem's fairness loss), a TBD participation-reveal, and frozen
+// per-lock snapshots as the competitors, so the threatener set is fixed
+// before the priority exists. A member still TBD when examined is
+// eliminated by its observer (seer-eliminates); core/lock_table.hpp has
+// the design and the safety argument. Only max_locks (the submit-side L
+// budget) is read; κ, T, c0 and c1 are ignored.
+enum class DelayMode { kTheory, kOff, kUnknownBounds };
 
 struct LockConfig {
   // κ: promised upper bound on the point contention of any single lock
@@ -39,7 +49,7 @@ struct LockConfig {
   bool help_phase = true;
 
   // Practical-mode (DelayMode::kOff) contended-path optimizations
-  // (DESIGN.md §5), always on under kOff and always off under kTheory, so
+  // (DESIGN.md §5), always on under kOff and always off otherwise, so
   // the reveal-timing argument (Observation 6.7) and the helping
   // discipline (Lemma 6.4) stay exactly the paper's:
   //
@@ -92,11 +102,14 @@ struct LockStats {
   std::uint64_t t1_overruns = 0;    // post-reveal work exceeded T1 (must be 0)
   std::uint64_t log_slot_resets = 0;  // thunk-log slots re-inited by reinit
                                       // (lazy reset: O(ops used) per attempt)
-  // Contended-path optimizations (DESIGN.md §5; all 0 under kTheory):
+  // Contended-path optimizations (DESIGN.md §5; all 0 outside kOff):
   std::uint64_t fastpath_hits = 0;         // attempts decided via thin word
   std::uint64_t fastpath_revocations = 0;  // thin words observed by rivals
   std::uint64_t help_claim_skips = 0;      // help-phase drives ceded to the
                                            // current claim holder
+  // kUnknownBounds only: TBD snapshot members eliminated by the
+  // seer-eliminates rule (DESIGN.md substitution #4).
+  std::uint64_t tbd_eliminations = 0;
 };
 
 }  // namespace wfl

@@ -4,8 +4,8 @@
 // set, carries the thunk and its idempotence log, and holds the two pieces
 // of shared state the competition is decided on:
 //   * priority — doubles as the multi-active-set flag: -1 means unflagged
-//     (pending), kPriorityTbd is the adaptive variant's participation-reveal
-//     sentinel, positive values are revealed priorities;
+//     (pending), kPriorityTbd is DelayMode::kUnknownBounds' participation-
+//     reveal sentinel, positive values are revealed priorities;
 //   * status — {active, won, lost}; transitions only by CAS, only away from
 //     active, so a descriptor's fate is decided exactly once (the property
 //     Lemma 6.3 leans on).
@@ -15,9 +15,12 @@
 // read it for the duration of its guard.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
+#include "wfl/active/multi_set.hpp"
 #include "wfl/check/race.hpp"
 #include "wfl/fuzz/sites.hpp"
 #include "wfl/idem/idem.hpp"
@@ -30,7 +33,7 @@ namespace wfl {
 inline constexpr std::uint32_t kMaxLocksPerAttempt = 8;
 
 inline constexpr std::int64_t kPriorityPending = -1;
-inline constexpr std::int64_t kPriorityTbd = -2;  // adaptive variant only
+inline constexpr std::int64_t kPriorityTbd = -2;  // kUnknownBounds only
 
 enum : std::uint32_t {
   kStatusActive = 0,
@@ -82,6 +85,14 @@ struct alignas(kCacheLine) Descriptor {
   std::uint32_t tag_base = 0;  // idem_tag_base(serial); see IdemCtx contract
   std::uint64_t serial = 0;
 
+  // DelayMode::kUnknownBounds only: each lock's frozen competitor snapshot
+  // (§6.2). Null until the pool slot first serves such an attempt, then
+  // owned by the slot, so it is reclaimed exactly like the descriptor. The
+  // owner fills it between the participation reveal (TBD) and the priority
+  // reveal, whose seq_cst store publishes it to every competitor.
+  using FrozenSnaps = std::array<MemberList<Descriptor*>, kMaxLocksPerAttempt>;
+  std::unique_ptr<FrozenSnaps> snaps;
+
   // --- owner-private bookkeeping (never read by helpers) ---
   int slot_of_lock[kMaxLocksPerAttempt] = {};
 
@@ -114,7 +125,10 @@ struct alignas(kCacheLine) Descriptor {
 
   // Multi-active-set flag interface (Algorithm 3 lines 7-13; the delay that
   // precedes the reveal lives in LockTable, which owns the step counting).
-  bool flag() { return priority.load() > 0; }
+  // Participation is what flags: a TBD descriptor is visible to getSet.
+  // Under known bounds a priority is only ever pending or positive, so this
+  // is the paper's `priority > 0`.
+  bool flag() { return priority.load() != kPriorityPending; }
   void clear_flag() { priority.store(kPriorityPending); }
 
   // Quiescent reset on (re)allocation from the pool. Returns the number of

@@ -24,6 +24,45 @@
 // Wait-freedom is structural: every loop on the attempt path is bounded by
 // κ, L, or T. There are no unbounded retries anywhere.
 //
+// --- Unknown bounds (DelayMode::kUnknownBounds, §6.2, Theorem 6.10) -------
+//
+// The same attempt without κ, L or T. Only the reveal schedule changes, and
+// each change is one AttemptCtx hook:
+//
+//   * sets are sized by max_procs (the paper's P) — set sizes, and with
+//     them step costs, stay proportional to the true contention;
+//   * before_reveal pads the pre-participation work to the next power of
+//     two of the attempt's own steps (guess-and-double: log(κLT) possible
+//     reveal times, the theorem's fairness loss), stores TBD — the
+//     *participation-reveal*: visible as a competitor, priority still
+//     hidden — and snapshots every lock's set into the descriptor's frozen
+//     snapshots. Only then does the engine store the priority, so the
+//     adversary learns it after the set of potential threateners is fixed;
+//   * competitors() hands run() those snapshots instead of live sets, and
+//     the help phase drives only revealed members (revealed());
+//   * after_release pads the post-reveal work the same way.
+//
+// One case the PODC text leaves to the full version: a snapshot member
+// whose priority is still TBD when the competition examines it. Skipping
+// it is unsafe — two descriptors that each snapshot the other before its
+// priority-reveal could both win a shared lock:
+//
+//   p inserts, snapshots {..no q..}; q inserts, snapshots {..p(TBD)..};
+//   if q skips p and p never sees q, both decide won.
+//
+// Inserts complete before snapshots are taken, so of any conflicting pair
+// at least one sees the other (their insert/snapshot windows cannot both
+// precede each other). The engine's duel() therefore applies a
+// *seer-eliminates* rule: re-read the member's priority once more and, if
+// it is still TBD, eliminate it. That happens before either priority is
+// known, so it cannot bias the priority distribution — it costs success
+// probability, which experiment E8 measures (column tbd-elims) and which
+// stays inside the theorem's log factor. Safety then follows from the same
+// celebrate-before-decide ordering as Algorithm 3. The thin-word fast path
+// and cooperative helping stay off, as under kTheory: the fast path needs
+// a priority at publication, and the adaptivity argument leans on every
+// observer finishing revealed competitors (DESIGN.md §5.2).
+//
 // --- Sharding -------------------------------------------------------------
 //
 // Locks are distributed over S = 2^k independent shards (lock id & (S-1)).
@@ -172,7 +211,11 @@ class LockTable {
                   "thin-word owner encoding caps max_procs at 2^15 - 1");
     WFL_CHECK(cfg_.max_locks <= kMaxLocksPerAttempt);
     WFL_CHECK(cfg_.max_thunk_steps <= kMaxThunkOps);
-    WFL_CHECK(cfg_.kappa <= kMaxSetCap);
+    // §6.2 knows no κ: its sets are sized by max_procs (the paper's P).
+    unknown_bounds_ = cfg_.delay_mode == DelayMode::kUnknownBounds;
+    const std::uint32_t set_cap =
+        unknown_bounds_ ? static_cast<std::uint32_t>(max_procs) : cfg_.kappa;
+    WFL_CHECK(set_cap <= kMaxSetCap);
     WFL_CHECK_MSG(num_shards_ >= 1 && num_shards_ <= kMaxShards &&
                       (num_shards_ & (num_shards_ - 1)) == 0,
                   "shard count must be a power of two in [1, kMaxShards]");
@@ -201,7 +244,7 @@ class LockTable {
     locks_.reserve(static_cast<std::size_t>(num_locks));
     for (int i = 0; i < num_locks; ++i) {
       locks_.push_back(std::make_unique<Set>(
-          cfg_.kappa, set_mem_[shard_of(static_cast<std::uint32_t>(i))]));
+          set_cap, set_mem_[shard_of(static_cast<std::uint32_t>(i))]));
     }
     // The practical-mode optimizations are hard-gated on kOff: with the
     // paper's delays on, every execution is bit-identical to the pre-
@@ -340,6 +383,9 @@ class LockTable {
       d.lock_ids[i] = lock_ids[i];
     }
     d.thunk = std::move(thunk);
+    if (unknown_bounds_ && d.snaps == nullptr) {
+      d.snaps = std::make_unique<typename Desc::FrozenSnaps>();
+    }
     // Line group A is complete; the set insert publishes it.
     WFL_PLAIN_WRITE(&d, kDescPlain);
     d.retire_refs.store(n_att_shards, std::memory_order_relaxed);
@@ -684,7 +730,19 @@ class LockTable {
     }
     StatsSlab& stats() { return h.stats(); }
     MemberList<Desc*>& help_scratch() { return h.help_scratch(); }
-    MemberList<Desc*>& run_scratch() { return h.run_scratch(); }
+    // §6.2: a member still in its TBD window has no priority yet, so it is
+    // no known-priority threat; only revealed members are driven.
+    bool revealed(Desc& q) {
+      return !t.unknown_bounds_ || q.priority.load() > 0;
+    }
+    const MemberList<Desc*>& competitors(Desc& p, std::uint32_t i) {
+      if (t.unknown_bounds_) {
+        WFL_PLAIN_READ(p.snaps.get(), kFrozenSnaps);
+        return (*p.snaps)[i];
+      }
+      multi_get_set<Plat>(set(p.lock_ids[i]), h.run_scratch());
+      return h.run_scratch();
+    }
     GuardScope lock_guards(Desc& p) { return GuardScope(t, h, p); }
     Desc* thin_rival(std::uint32_t lock_id) {
       return t.thin_rival(h, lock_id);
@@ -696,20 +754,43 @@ class LockTable {
     std::uint32_t claim_patience() { return t.cfg_.claim_patience; }
 
     // The reveal is pinned to exactly T0 own steps after the attempt's
-    // start (Observation 6.7)...
-    void before_reveal(std::uint64_t start_steps) {
-      Engine::delay_until(t.cfg_.delay_mode, start_steps, t.cfg_.t0_steps(),
-                          [this] { h.stats().add_t0_overrun(); });
+    // start (Observation 6.7)... Under §6.2 it is padded instead, then
+    // preceded by the participation-reveal and the frozen snapshots.
+    void before_reveal(Desc& d, std::uint64_t start_steps) {
+      if (!t.unknown_bounds_) {
+        Engine::delay_until(t.cfg_.delay_mode, start_steps, t.cfg_.t0_steps(),
+                            [this] { h.stats().add_t0_overrun(); });
+        return;
+      }
+      pad_to_power_of_two(start_steps);
+      d.priority.store(kPriorityTbd);
+      auto guards = lock_guards(d);
+      for (std::uint32_t i = 0; i < d.lock_count; ++i) {
+        multi_get_set<Plat>(set(d.lock_ids[i]), (*d.snaps)[i]);
+        WFL_PLAIN_WRITE(d.snaps.get(), kFrozenSnaps);
+      }
     }
     void after_reveal() {}
-    // ...and its end to T1 own steps after the reveal (line 24). First,
-    // the descriptor left every lock's set: waiters parked on those locks
-    // may now be able to win — post the release events (no-op without a
-    // sink; never reached with one under kTheory).
+    // ...and its end to T1 own steps after the reveal (line 24), or padded
+    // under §6.2. First, the descriptor left every lock's set: waiters
+    // parked on those locks may now be able to win — post the release
+    // events (no-op without a sink; never reached with one outside kOff).
     void after_release(Desc& d, std::uint64_t reveal_steps) {
       t.notify_release({d.lock_ids, d.lock_count}, h.pid());
+      if (t.unknown_bounds_) {
+        pad_to_power_of_two(reveal_steps);
+        return;
+      }
       Engine::delay_until(t.cfg_.delay_mode, reveal_steps, t.cfg_.t1_steps(),
                           [this] { h.stats().add_t1_overrun(); });
+    }
+    // Guess-and-double: spin own steps until the work since `base` is a
+    // power of two.
+    static void pad_to_power_of_two(std::uint64_t base) {
+      const std::uint64_t w = Plat::steps() - base;
+      std::uint64_t target = 1;
+      while (target < w) target <<= 1;
+      while (Plat::steps() - base < target) Plat::step();
     }
   };
   friend struct AttemptCtx;
@@ -776,6 +857,7 @@ class LockTable {
   std::uint32_t serial_block_;
   bool fast_enabled_ = false;
   bool cooperative_ = false;
+  bool unknown_bounds_ = false;
   // One thin word per lock, line-padded: under contention rivals hammer a
   // lock's word with observe CASes and the owner with publish/release
   // CASes — neighbouring locks must not share that line.

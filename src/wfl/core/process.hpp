@@ -27,8 +27,8 @@
 //     per-fiber stream under SimPlat) and owns simulator determinism.
 //
 // Handles are created by LockTable::register_process (and owned by the
-// table), by AdaptiveLockSpace, and by ShmLockTable::open_session (owned by
-// the process-local Session, since none of this state crosses address
+// table, whatever its DelayMode) and by ShmLockTable::open_session (owned
+// by the process-local Session, since none of this state crosses address
 // spaces); the cheap `Process` value (an index) is what travels through
 // application code.
 #pragma once
@@ -62,8 +62,7 @@ struct StatsSlab {
   std::atomic<std::uint64_t> thunk_runs{0};
   std::atomic<std::uint64_t> t0_overruns{0};
   std::atomic<std::uint64_t> t1_overruns{0};
-  // Adaptive variant only (§6.2 seer-eliminates rule); unused by the
-  // known-bounds table but striped the same way.
+  // DelayMode::kUnknownBounds only (§6.2 seer-eliminates rule).
   std::atomic<std::uint64_t> tbd_eliminations{0};
   // Thunk-log slots re-initialized by descriptor reinit (the lazy-reset
   // figure: O(ops used) per attempt instead of O(kThunkLogCap)).
@@ -109,6 +108,7 @@ struct StatsSlab {
     s.fastpath_revocations +=
         fastpath_revocations.load(std::memory_order_relaxed);
     s.help_claim_skips += help_claim_skips.load(std::memory_order_relaxed);
+    s.tbd_eliminations += tbd_eliminations.load(std::memory_order_relaxed);
   }
 };
 
@@ -120,14 +120,13 @@ static_assert(sizeof(CachePadded<StatsSlab>) % kCacheLine == 0);
 inline constexpr std::uint32_t kDefaultSerialBlock = 1024;
 
 // Per-process handle; DescT is the descriptor type whose pointers the
-// scratch lists carry (Descriptor<Plat> for the known-bounds table,
-// AdaptiveDescriptor<Plat> for the adaptive space).
+// scratch lists carry (Descriptor<Plat> for LockTable, ShmDesc for the shm
+// table).
 template <typename Plat, typename DescT>
 class ProcessHandle {
  public:
-  // `with_fast_desc` allocates the embedded fast-path descriptor (the
-  // known-bounds LockTable wants it; the adaptive space, whose descriptors
-  // carry kMaxLocksPerAttempt frozen snapshots each, does not pay for it).
+  // `with_fast_desc` allocates the embedded fast-path descriptor (LockTable
+  // wants it; the shm table, which has no thin words, does not).
   ProcessHandle(int pid, std::uint32_t num_shards,
                 std::atomic<std::uint64_t>& serial_hwm,
                 std::uint32_t serial_block, bool with_fast_desc = false)

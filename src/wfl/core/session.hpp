@@ -22,9 +22,10 @@
 //     (PlayerObserver, adversary harnesses) — re-entrant, because the
 //     underlying per-shard guard depths are.
 //
-// BasicSession is parameterized over the space type so the same RAII shape
-// serves the known-bounds LockTable and the §6.2 AdaptiveLockSpace.
-// `Session<Plat>` is the alias virtually all code wants. Locks are taken
+// BasicSession is parameterized over the space type (the duck-typed
+// requirements below); `Session<Plat>` — a session of a LockTable, in any
+// DelayMode, §6.2's unknown bounds included — is the alias virtually all
+// code wants. Locks are taken
 // through executor.hpp's submit(session, locks, f, policy) — the one
 // acquisition entry point.
 #pragma once

@@ -549,7 +549,11 @@ class ShmLockTable {
     }
     StatsSlab& stats() { return s->h_.stats(); }
     MemberList<Desc*>& help_scratch() { return s->h_.help_scratch(); }
-    MemberList<Desc*>& run_scratch() { return s->h_.run_scratch(); }
+    bool revealed(Desc&) { return true; }
+    const MemberList<Desc*>& competitors(Desc& p, std::uint32_t i) {
+      multi_get_set<RealPlat>(set(p.lock_ids[i]), s->h_.run_scratch());
+      return s->h_.run_scratch();
+    }
     ShardGuard<Handle, EbrDomain> lock_guards(Desc&) {
       return t->guard_of(*s);
     }
@@ -561,7 +565,7 @@ class ShmLockTable {
     bool help_phase() { return t->h_->cfg.help_phase; }
     bool cooperative() { return false; }
     std::uint32_t claim_patience() { return ~std::uint32_t{0}; }  // unused
-    void before_reveal(std::uint64_t) {
+    void before_reveal(Desc&, std::uint64_t) {
       if (s->trap_pre_reveal) s->trap_pre_reveal();
     }
     void after_reveal() {

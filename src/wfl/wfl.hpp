@@ -37,8 +37,6 @@
 #include "wfl/baseline/spin2pl_backend.hpp"
 #include "wfl/baseline/turek.hpp"
 #include "wfl/baseline/turek_backend.hpp"
-#include "wfl/core/adaptive.hpp"
-#include "wfl/core/adaptive_backend.hpp"
 #include "wfl/core/async_executor.hpp"
 #include "wfl/core/attempt.hpp"
 #include "wfl/core/backend.hpp"

@@ -1,17 +1,30 @@
-// The §6.2 unknown-bounds variant: safety under the same adversarial
-// workloads as the known-bounds algorithm, plus its specific mechanisms
-// (participation reveal, snapshot competition, power-of-two padding).
+// The §6.2 unknown-bounds variant (DelayMode::kUnknownBounds): safety
+// under the same adversarial workloads as the known-bounds algorithm, plus
+// its specific mechanisms (participation reveal, snapshot competition,
+// power-of-two padding). Written against test::TestPlat, so the checked
+// twin re-runs every workload under the race & ordering audit.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "test_plat.hpp"
 #include "wfl/wfl.hpp"
 
 namespace wfl {
 namespace {
 
-using ASpace = AdaptiveLockSpace<SimPlat>;
+using test::TestPlat;
+
+using ASpace = LockTable<TestPlat>;
+
+// A table that knows no κ/L/T bound: max_procs sizes its sets, and only
+// the default max_locks (2, the submit-side L budget) is read.
+LockConfig unknown_bounds() {
+  LockConfig cfg;
+  cfg.delay_mode = DelayMode::kUnknownBounds;
+  return cfg;
+}
 
 struct AdaptiveWorkload {
   int procs = 4;
@@ -22,11 +35,11 @@ struct AdaptiveWorkload {
 
   template <typename Sched>
   void run(Sched& sched, std::uint64_t max_slots) {
-    auto space = std::make_unique<ASpace>(procs, locks);
-    std::vector<std::unique_ptr<Cell<SimPlat>>> busy, count;
+    auto space = std::make_unique<ASpace>(unknown_bounds(), procs, locks);
+    std::vector<std::unique_ptr<Cell<TestPlat>>> busy, count;
     for (int i = 0; i < locks; ++i) {
-      busy.push_back(std::make_unique<Cell<SimPlat>>(0u));
-      count.push_back(std::make_unique<Cell<SimPlat>>(0u));
+      busy.push_back(std::make_unique<Cell<TestPlat>>(0u));
+      count.push_back(std::make_unique<Cell<TestPlat>>(0u));
     }
     std::vector<std::uint64_t> violations(static_cast<std::size_t>(locks), 0);
     std::vector<std::uint64_t> wins_on(static_cast<std::size_t>(locks), 0);
@@ -34,7 +47,7 @@ struct AdaptiveWorkload {
     Simulator sim(seed);
     for (int p = 0; p < procs; ++p) {
       sim.add_process([&, p] {
-        AdaptiveSession<SimPlat> session(*space);
+        Session<TestPlat> session(*space);
         Xoshiro256 rng(seed + static_cast<std::uint64_t>(p) * 17);
         for (int a = 0; a < attempts_per_proc; ++a) {
           const std::uint32_t r =
@@ -44,11 +57,11 @@ struct AdaptiveWorkload {
           const std::uint32_t ids_arr[2] = {r, r2};
           const std::uint32_t n = (locks >= 2) ? 2u : 1u;
           const StaticLockSet<2> ids(std::span(ids_arr, n));
-          Cell<SimPlat>& flag = *busy[r];
-          Cell<SimPlat>& cnt = *count[r];
+          Cell<TestPlat>& flag = *busy[r];
+          Cell<TestPlat>& cnt = *count[r];
           std::uint64_t* viol = &violations[r];
           const Outcome o = submit(
-              session, ids, [&flag, &cnt, viol](IdemCtx<SimPlat>& m) {
+              session, ids, [&flag, &cnt, viol](IdemCtx<TestPlat>& m) {
                 if (m.load(flag) != 0) ++*viol;
                 m.store(flag, 1);
                 m.store(cnt, m.load(cnt) + 1);
@@ -98,14 +111,14 @@ TEST(Adaptive, MutualExclusionStallBursts) {
 }
 
 TEST(Adaptive, SucceedsAloneQuickly) {
-  ASpace space(2, 2);
-  Cell<SimPlat> c{0};
+  ASpace space(unknown_bounds(), 2, 2);
+  Cell<TestPlat> c{0};
   Simulator sim(3);
   bool won = false;
   sim.add_process([&] {
-    AdaptiveSession<SimPlat> session(space);
+    Session<TestPlat> session(space);
     won = submit(session, StaticLockSet<2>({0, 1}),
-                 [&c](IdemCtx<SimPlat>& m) { m.store(c, 1); })
+                 [&c](IdemCtx<TestPlat>& m) { m.store(c, 1); })
               .won;
   });
   RoundRobinSchedule rr(1);
@@ -122,17 +135,17 @@ TEST(Adaptive, FairnessStaysWithinLogFactorOfKnownBounds) {
   // Clique of 4 on 2 locks: known-bounds floor is 1/8; the adaptive variant
   // is allowed a log(κLT) haircut. Assert it keeps at least 1/(8·log2(16)).
   const int procs = 4, locks = 2, attempts = 120;
-  auto space = std::make_unique<ASpace>(procs, locks);
+  auto space = std::make_unique<ASpace>(unknown_bounds(), procs, locks);
   SuccessRate rate;
   std::vector<SuccessRate> per(static_cast<std::size_t>(procs));
   Simulator sim(21);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      AdaptiveSession<SimPlat> session(*space);
+      Session<TestPlat> session(*space);
       const StaticLockSet<2> ids({0, 1});
       for (int a = 0; a < attempts; ++a) {
         per[static_cast<std::size_t>(p)].add(
-            submit(session, ids, [](IdemCtx<SimPlat>&) {}).won);
+            submit(session, ids, [](IdemCtx<TestPlat>&) {}).won);
       }
     });
   }
@@ -149,14 +162,14 @@ TEST(Adaptive, FairnessStaysWithinLogFactorOfKnownBounds) {
 }
 
 TEST(Adaptive, RetryUntilSuccessBounded) {
-  ASpace space(3, 2);
+  ASpace space(unknown_bounds(), 3, 2);
   Simulator sim(31);
   for (int p = 0; p < 3; ++p) {
     sim.add_process([&] {
-      AdaptiveSession<SimPlat> session(space);
+      Session<TestPlat> session(space);
       const StaticLockSet<2> ids({0, 1});
       for (int wins = 0; wins < 8; ++wins) {
-        ASSERT_TRUE(submit(session, ids, [](IdemCtx<SimPlat>&) {},
+        ASSERT_TRUE(submit(session, ids, [](IdemCtx<TestPlat>&) {},
                            Policy::attempts(500))
                         .won);
       }

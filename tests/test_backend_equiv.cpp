@@ -294,17 +294,19 @@ TEST(BackendEquiv, SessionSlotsRecycleAcrossGenerations) {
   });
 }
 
-// The §6.2 unknown-bounds variant satisfies the same concept; the same
-// deterministic script must land in the same final state. Unlike the
-// known-bounds backends it has no delays-off mode, so its SimPlat
-// instantiation must run inside a simulation for steps to advance.
+// The §6.2 unknown-bounds mode of the same backend: the same deterministic
+// script must land in the same final state. Its padding spins own steps,
+// so its SimPlat instantiation must run inside a simulation for steps to
+// advance.
 TEST(BackendEquiv, AdaptiveBackendMatchesSequentialBankScript) {
   const std::uint64_t seed = 7;
   const auto reference = bank_balances_after_script<WflBackend<SimPlat>>(seed);
 
-  using B = AdaptiveWflBackend<SimPlat>;
+  using B = WflBackend<SimPlat>;
   constexpr int kAccounts = 6;
-  auto space = B::make_space(sim_cfg(1, 2, 8, kAccounts));
+  BackendConfig cfg = sim_cfg(1, 2, 8, kAccounts);
+  cfg.lock.delay_mode = DelayMode::kUnknownBounds;
+  auto space = B::make_space(cfg);
   Bank<B> bank(*space, kAccounts, 100);
   Simulator sim(seed);
   typename B::Session session(*space);

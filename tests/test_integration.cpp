@@ -62,10 +62,10 @@ TEST(Integration, BankAndListShareALockSpace) {
   EXPECT_EQ(keys.size(), static_cast<std::size_t>(audit_key.load() - 1));
 }
 
-// The known-bounds and adaptive spaces produce identical application-level
-// results on the same deterministic workload (different fairness, same
-// safety). Both run through the one generic session/submit path — the
-// executor's whole point.
+// The known-bounds and unknown-bounds (§6.2) tables produce identical
+// application-level results on the same deterministic workload (different
+// fairness, same safety). Both run through the one generic session/submit
+// path — the executor's whole point.
 TEST(Integration, KnownAndAdaptiveAgreeOnOutcomeInvariants) {
   auto run_with = [](auto& space) {
     Cell<SimPlat> counter{0};
@@ -100,7 +100,9 @@ TEST(Integration, KnownAndAdaptiveAgreeOnOutcomeInvariants) {
   auto [kw, kc] = run_with(known);
   EXPECT_EQ(kw, kc);  // every win incremented exactly once
 
-  AdaptiveLockSpace<SimPlat> adaptive(3, 2);
+  LockConfig unknown;
+  unknown.delay_mode = DelayMode::kUnknownBounds;
+  LockTable<SimPlat> adaptive(unknown, 3, 2);
   auto [aw, ac] = run_with(adaptive);
   EXPECT_EQ(aw, ac);
 }

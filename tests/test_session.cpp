@@ -83,16 +83,18 @@ TEST(Session, MoveTransfersOwnershipOfTheRegistration) {
   EXPECT_EQ(c.pid(), pid);
 }
 
-TEST(Session, WorksOverTableFacadeAndAdaptiveSpace) {
-  // The same BasicSession shape serves all three space types.
+TEST(Session, WorksOverKnownAndUnknownBoundsTables) {
+  // The same Session type serves every delay mode, §6.2's included.
   LockTable<RealPlat> space(practical_cfg(2), 2, 2);
-  Session<RealPlat> via_facade(space);           // implicit conversion
+  Session<RealPlat> via_alias(space);
   BasicSession via_table(space);         // CTAD on the table
   static_assert(std::is_same_v<decltype(via_table), Session<RealPlat>>);
 
-  AdaptiveLockSpace<RealPlat> adaptive(2, 2);
+  LockConfig unknown = practical_cfg(2);
+  unknown.delay_mode = DelayMode::kUnknownBounds;
+  LockTable<RealPlat> adaptive(unknown, 2, 2);
   {
-    AdaptiveSession<RealPlat> s(adaptive);
+    Session<RealPlat> s(adaptive);
     Cell<RealPlat> x{0};
     const StaticLockSet<1> locks{1};
     const Outcome o = submit(
@@ -101,13 +103,13 @@ TEST(Session, WorksOverTableFacadeAndAdaptiveSpace) {
     EXPECT_TRUE(o.won);
     EXPECT_EQ(x.peek(), 7u);
     const int pid = s.pid();
-    // Adaptive slots recycle the same way.
-    AdaptiveSession<RealPlat> t(adaptive);
+    // Unknown-bounds slots recycle the same way.
+    Session<RealPlat> t(adaptive);
     EXPECT_NE(t.pid(), pid);
   }
   // Both released (t with pid 1 first, then s with pid 0); the free list
   // is LIFO, so the next session reuses s's slot 0.
-  AdaptiveSession<RealPlat> u(adaptive);
+  Session<RealPlat> u(adaptive);
   EXPECT_EQ(u.pid(), 0);
 }
 
