@@ -7,8 +7,9 @@
 //                                    (alloc + insert + compete + remove +
 //                                    retire, all shard-local)
 //   Hotpath_MultiShard_Uncontended   the same attempt straddling two
-//                                    shards (two EBR domains per segment,
-//                                    refcounted retire)
+//                                    shards (pools of both; still one
+//                                    guard and one retire, the table's
+//                                    EBR domain being table-wide)
 //   Hotpath_SingleLock_Contended     κ processes hammering one lock
 //   Hotpath_IdemReplay/N             descriptor reinit + owner run +
 //                                    helper replay of an N-op thunk — the

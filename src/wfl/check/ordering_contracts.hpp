@@ -20,8 +20,8 @@
 //     fence (the EBR publication-point pattern, DESIGN.md §4.4);
 //   * kOrderedWrites runs a happens-before race check over all writes to
 //     the word: relaxed is sound only because every pair of writes is
-//     ordered by some *other* hooked synchronization (e.g. retire_refs:
-//     all drops run on the retiring participant);
+//     ordered by some *other* hooked synchronization (e.g. the striped
+//     stats counters: every bump runs on the owning process);
 //   * kAdvisory and kAtomicOnly document that the value is never trusted
 //     for safety (claims, gauges) or that only RMW atomicity is load-
 //     bearing (serial refill); no dynamic check beyond event logging.
@@ -63,8 +63,6 @@ enum class Site : std::uint8_t {
   kPoolNextStore,       // next-link relaxed store (pre-CAS linking)
 
   // --- Descriptor bookkeeping (core/descriptor.hpp, core/lock_table.hpp) ---
-  kRetireRefsInit,      // retire_refs relaxed store, pre-publication
-  kRetireRefsDrop,      // retire_refs acq_rel fetch_sub (last frees)
   kHelpClaimLoad,       // help_claim relaxed load (DESIGN.md §5.2)
   kHelpClaimStore,      // help_claim relaxed store (take/revoke)
   kHelpClaimRelease,    // help_claim relaxed CAS (release own claim)
@@ -194,11 +192,6 @@ inline constexpr SiteInfo kSiteTable[] = {
     {Site::kPoolNextStore, "pool.next_store", Contract::kAdvisory,
      "private until the head CAS publishes the chain"},
 
-    {Site::kRetireRefsInit, "desc.retire_refs_init", Contract::kOrderedWrites,
-     "owner-written before publication; ordered by the set-insert CAS"},
-    {Site::kRetireRefsDrop, "desc.retire_refs_drop", Contract::kOrderedWrites,
-     "all drops run on the retiring participant (EBR deleters), so acq_rel "
-     "chains them; checked as writes that must be pairwise ordered"},
     {Site::kHelpClaimLoad, "desc.help_claim_load", Contract::kAdvisory,
      "claim is revocable; correctness never depends on who holds it"},
     {Site::kHelpClaimStore, "desc.help_claim_store", Contract::kAdvisory,

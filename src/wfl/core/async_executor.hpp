@@ -86,8 +86,8 @@
 // step-identical to submit() (asserted in test_async.cpp).
 //
 // Guard-drop rule: a cycle must end — park or complete — with no EBR
-// guard held (a parked op holding a guard would stall reclamation for a
-// whole shard indefinitely). The engine already brackets guards inside
+// guard held (a parked op holding a guard would stall the table's
+// reclamation indefinitely). The engine already brackets guards inside
 // try_locks; the cycle WFL_CHECKs Space::any_guard_held on its way out.
 //
 // Modes: async submission is a DelayMode::kOff facility (checked at
@@ -374,6 +374,7 @@ class AsyncExecutor {
                   "simulated platforms require workers == 0 (inline "
                   "mode): worker threads cannot drive the fiber "
                   "scheduler");
+    race::created(&in_flight_, 0);  // hooked raw atomic: fresh shadow state
     sink_.exec = this;
     space_->set_wake_sink(&sink_);
     workers_.reserve(static_cast<std::size_t>(options_.workers));
@@ -386,7 +387,10 @@ class AsyncExecutor {
     }
   }
 
-  ~AsyncExecutor() { shutdown(); }
+  ~AsyncExecutor() {
+    shutdown();
+    race::destroyed(&in_flight_);
+  }
 
   AsyncExecutor(const AsyncExecutor&) = delete;
   AsyncExecutor& operator=(const AsyncExecutor&) = delete;
@@ -949,7 +953,7 @@ class AsyncExecutor {
       owed_signal = false;  // the attempt was the retry the signal owed
       slot.store(nullptr, std::memory_order_relaxed);
       // Guard-drop rule: parking (or finishing) with an EBR guard held
-      // would stall a shard's reclamation behind a suspended op.
+      // would stall the table's reclamation behind a suspended op.
       WFL_CHECK(!space_->any_guard_held(session.process()));
       if (won || policy_exhausted(op->policy, op->out)) {
         complete(op);

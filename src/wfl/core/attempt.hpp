@@ -23,8 +23,8 @@
 //                                            // p's rivals on its i-th lock:
 //                                            // a live getSet, or §6.2's
 //                                            // frozen snapshot
-//   GuardScopeT lock_guards(Desc& p);        // RAII: EBR guards covering
-//                                            // every shard of p's lock set
+//   GuardT guard();                          // RAII: the table's EBR guard
+//                                            // (re-entrant)
 //   Desc* thin_rival(std::uint32_t id);      // the lock's thin-word
 //                                            // publication (nullptr when
 //                                            // free/own/absent); performs
@@ -40,6 +40,11 @@
 //   void after_reveal();                     // crash trap
 //   void after_release(Desc&, std::uint64_t reveal);  // wake events + T1
 //                                            // delay or §6.2 padding
+//
+// The hooks run inside the attempt's guard, and a hook that spins (a T0/T1
+// delay, §6.2 padding) must exit it for the spin — the table's
+// delay_until/pad_to_power_of_two do, through core/process.hpp's
+// GuardRelease.
 //
 // The stats object is the caller's striped slab, so nothing the engine
 // does writes a cacheline shared between processes except the algorithm's
@@ -77,9 +82,9 @@ struct AttemptEngine {
 
   // The core competition procedure (lines 26-37). `p` may be the caller's
   // own descriptor or one being helped; the code cannot tell and must not.
-  // The guard scope covers every shard p's locks live in, so a helper that
-  // wandered into another shard's territory still reads its snapshots and
-  // descriptors under that shard's reclamation protection.
+  // The guard covers the whole table, so a helper that wandered into
+  // another shard's territory still reads its snapshots and descriptors
+  // under reclamation protection; inside an attempt it is a depth bump.
   //
   // Besides the set members, each lock's *thin word* (DESIGN.md §5.1) is
   // probed for a fast-path publication and dueled exactly like a member:
@@ -89,7 +94,7 @@ struct AttemptEngine {
   // both seq_cst) guarantees two conflicting attempts cannot both miss
   // each other — the same visibility property Lemma 6.3 needs.
   static void run(Ctx& cx, Desc& p) {
-    auto guards = cx.lock_guards(p);
+    auto guard = cx.guard();
     // Reads line group A (lock_ids/lock_count) — must be ordered after the
     // owner's publication writes.
     WFL_PLAIN_READ(&p, kDescPlain);
@@ -192,36 +197,37 @@ struct AttemptEngine {
   // after_release hooks) are pinned to it. Returns the outcome; fills
   // `info` when non-null. The caller retires `d`.
   //
-  // EBR guards are held across the two *work* segments (help+insert, and
-  // run+remove) and released across the hooks, where the delays spin: a
-  // process stalled there holds no borrowed references (its own descriptor
-  // is not retired until the caller is done with it).
+  // The attempt enters its EBR guard once, here, and every nested guard
+  // (run(), helping) is a depth bump. Under DelayMode::kOff that one guard
+  // spans the attempt. Under the paper's delays the hooks exit it while a
+  // T0/T1 delay or §6.2 padding spins, so only the two *work* segments
+  // (help+insert, and run+remove) are guarded: a process stalled in a
+  // delay holds no borrowed references (its own descriptor is not retired
+  // until the caller is done with it) and must not stall reclamation.
   static bool attempt(Ctx& cx, Desc& d, std::uint64_t start_steps,
                       AttemptInfo* info) {
+    auto guard = cx.guard();
     // --- work segment 1: help phase + multiInsert (lines 17-21) ---
-    {
-      auto guards = cx.lock_guards(d);
-      if (cx.help_phase()) {
-        MemberList<Desc*>& members = cx.help_scratch();
-        for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-          multi_get_set<Plat>(cx.set(d.lock_ids[i]), members);
-          for (Desc* q : members) {
-            if (!cx.revealed(*q)) continue;
-            cx.stats().add_help();
-            help(cx, *q);
-          }
-          // A thin-word publication on this lock is a revealed competitor
-          // like any set member: drive it too (fast-path owners are
-          // helped, not just dueled).
-          if (Desc* r = cx.thin_rival(d.lock_ids[i])) {
-            cx.stats().add_help();
-            help(cx, *r);
-          }
+    if (cx.help_phase()) {
+      MemberList<Desc*>& members = cx.help_scratch();
+      for (std::uint32_t i = 0; i < d.lock_count; ++i) {
+        multi_get_set<Plat>(cx.set(d.lock_ids[i]), members);
+        for (Desc* q : members) {
+          if (!cx.revealed(*q)) continue;
+          cx.stats().add_help();
+          help(cx, *q);
+        }
+        // A thin-word publication on this lock is a revealed competitor
+        // like any set member: drive it too (fast-path owners are helped,
+        // not just dueled).
+        if (Desc* r = cx.thin_rival(d.lock_ids[i])) {
+          cx.stats().add_help();
+          help(cx, *r);
         }
       }
-      for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        d.slot_of_lock[i] = cx.insert(d.lock_ids[i], d);
-      }
+    }
+    for (std::uint32_t i = 0; i < d.lock_count; ++i) {
+      d.slot_of_lock[i] = cx.insert(d.lock_ids[i], d);
     }
     const std::uint64_t pre_reveal_work = Plat::steps() - start_steps;
 
@@ -232,13 +238,10 @@ struct AttemptEngine {
     cx.after_reveal();
 
     // --- work segment 2: compete, then multiRemove (lines 22-23) ---
-    {
-      auto guards = cx.lock_guards(d);
-      run(cx, d);
-      d.clear_flag();
-      for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        cx.remove(d.lock_ids[i], d.slot_of_lock[i]);
-      }
+    run(cx, d);
+    d.clear_flag();
+    for (std::uint32_t i = 0; i < d.lock_count; ++i) {
+      cx.remove(d.lock_ids[i], d.slot_of_lock[i]);
     }
     const std::uint64_t post_reveal_work = Plat::steps() - reveal_steps;
     cx.after_release(d, reveal_steps);
@@ -280,11 +283,10 @@ struct AttemptEngine {
   // Starting beyond the target is an overrun: the constants were too small
   // for the workload — counted (through the caller's striped slab, via
   // `on_overrun`), surfaced by exp_step_bound, asserted zero in tests with
-  // default constants.
+  // default constants. The caller has exited its attempt guard.
   template <typename OnOverrun>
-  static void delay_until(DelayMode mode, std::uint64_t base,
-                          std::uint64_t delta, OnOverrun&& on_overrun) {
-    if (mode == DelayMode::kOff) return;
+  static void delay_until(std::uint64_t base, std::uint64_t delta,
+                          OnOverrun&& on_overrun) {
     const std::uint64_t target = base + delta;
     if (Plat::steps() > target) {
       on_overrun();

@@ -22,7 +22,6 @@
 
 #include "wfl/active/multi_set.hpp"
 #include "wfl/check/race.hpp"
-#include "wfl/fuzz/sites.hpp"
 #include "wfl/idem/idem.hpp"
 #include "wfl/util/align.hpp"
 #include "wfl/util/assert.hpp"
@@ -44,11 +43,11 @@ enum : std::uint32_t {
 // Field layout is cache-line segregated (DESIGN.md "Hot-path memory
 // discipline"): helpers decide the competition by CAS-hammering `priority`
 // and `status`, and that invalidation storm must not evict the owner's
-// publication-time and bookkeeping fields (lock_ids, slot_of_lock, thunk,
-// retire_refs) from the owner's cache. The thunk log gets its own line
-// start too — it is CAS'd only during replays, on a different schedule
-// than the status words. The struct itself is line-aligned so pool-array
-// neighbours never share the boundary lines.
+// publication-time and bookkeeping fields (lock_ids, slot_of_lock, thunk)
+// from the owner's cache. The thunk log gets its own line start too — it
+// is CAS'd only during replays, on a different schedule than the status
+// words. The struct itself is line-aligned so pool-array neighbours never
+// share the boundary lines.
 // ThunkT defaults to the in-process closure type. The shared-memory table
 // (core/shm_table.hpp) instantiates Descriptor with a POD thunk *program*
 // instead: a FixedFunction captures pointers, which are meaningless in
@@ -64,12 +63,10 @@ struct alignas(kCacheLine) Descriptor {
   // segments whose heap addresses get reused across table generations, so
   // the analysis layer must see construction reset their shadow state.
   Descriptor() {
-    race::created(&retire_refs, 0);
     race::created(&help_claim, 0);
     race::created(&claim_skips, 0);
   }
   ~Descriptor() {
-    race::destroyed(&retire_refs);
     race::destroyed(&help_claim);
     race::destroyed(&claim_skips);
   }
@@ -95,14 +92,6 @@ struct alignas(kCacheLine) Descriptor {
 
   // --- owner-private bookkeeping (never read by helpers) ---
   int slot_of_lock[kMaxLocksPerAttempt] = {};
-
-  // --- reclamation bookkeeping (raw atomic: memory management is outside
-  // the step model, DESIGN.md substitution #2) ---
-  // A descriptor visible in k shards is retired into all k EBR domains;
-  // each expiring grace period drops one reference and the last frees the
-  // pool slot (see release_descriptor below). Set by the owner before
-  // the first retire; untouched by reinit.
-  std::atomic<std::uint32_t> retire_refs{0};
 
   // --- line group B: shared competition state, helper-CAS'd ---
   alignas(kCacheLine) typename Plat::template Atomic<std::int64_t> priority;
@@ -136,8 +125,8 @@ struct alignas(kCacheLine) Descriptor {
   // surfaced through the lock-space stats).
   std::uint32_t reinit(std::uint64_t new_serial) {
     // The owner re-claims line group A; any helper of the previous
-    // generation must be ordered before this point (EBR grace + retire_refs
-    // chain — the analysis layer checks exactly that).
+    // generation must be ordered before this point (the EBR grace period —
+    // the analysis layer checks exactly that).
     WFL_PLAIN_WRITE(this, kDescPlain);
     lock_count = 0;
     thunk.reset();
@@ -152,27 +141,6 @@ struct alignas(kCacheLine) Descriptor {
     return log.reset_used();
   }
 };
-
-// EBR deleter for a pooled descriptor: drops one shard's reference; the
-// last one returns the slot to the owner's cache, which is ctx (a
-// SlotCache<Desc>). Deleters run on the retiring participant, or under
-// quiescent domain teardown — single-owner either way.
-template <typename Desc, typename Cache>
-void release_descriptor(void* ctx, std::uint32_t handle) {
-  auto* cache = static_cast<Cache*>(ctx);
-  Desc& d = cache->pool().at(handle);
-  const std::uint32_t prev =
-      d.retire_refs.fetch_sub(1, std::memory_order_acq_rel);
-  WFL_CHK_ATOMIC(&d.retire_refs, kFetchAdd, acq_rel, kRetireRefsDrop,
-                 prev - 1);
-  if (prev == 1) {
-    cache->free(handle);
-  } else {
-    // Multi-shard descriptor: another shard's grace period still holds a
-    // reference. Only reachable when the attempt's lock set spans shards.
-    WFL_FUZZ_SITE(kSiteMultiShardRetire);
-  }
-}
 
 // Draws a positive 62-bit priority. Uniqueness is probabilistic; ties are
 // handled by the both-lose rule (paper footnote 3).

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <span>
 #include <type_traits>
 
@@ -240,70 +241,6 @@ Outcome submit(BasicSession<Space>& session, LockSetView locks, const F& f,
   }
 }
 
-// RAII guard-amortization primitive shared by submit_batch and
-// submit_txn_batch: add() every lock id of the batch, then enter() once;
-// the destructor exits whatever was entered. On spaces with shard routing
-// (the LockTable surface: shard_of + guard_shard_enter/exit) exactly the
-// batch's shard footprint is covered, leaving reclamation everywhere else
-// untouched; other spaces fall back to the whole-space inspector guard.
-template <typename Space>
-class BatchShardGuard {
-  static constexpr bool kSharded =
-      requires(Space& s, typename Space::Process p) {
-        s.shard_of(std::uint32_t{0});
-        s.guard_shard_enter(p, std::uint32_t{0});
-        s.guard_shard_exit(p, std::uint32_t{0});
-      };
-
- public:
-  BatchShardGuard(Space& space, typename Space::Process proc)
-      : space_(space), proc_(proc) {}
-
-  ~BatchShardGuard() {
-    if (!entered_) return;
-    if constexpr (kSharded) {
-      for (std::uint32_t j = 0; j < n_; ++j) {
-        space_.guard_shard_exit(proc_, shards_[j]);
-      }
-    } else {
-      space_.ebr_exit(proc_);
-    }
-  }
-
-  BatchShardGuard(const BatchShardGuard&) = delete;
-  BatchShardGuard& operator=(const BatchShardGuard&) = delete;
-
-  void add(std::uint32_t lock_id) {
-    WFL_DASSERT(!entered_);
-    if constexpr (kSharded) {
-      const std::uint32_t s = space_.shard_of(lock_id);
-      for (std::uint32_t j = 0; j < n_; ++j) {
-        if (shards_[j] == s) return;
-      }
-      WFL_DASSERT(n_ < kMaxShards);
-      shards_[n_++] = s;
-    }
-  }
-
-  void enter() {
-    if constexpr (kSharded) {
-      for (std::uint32_t j = 0; j < n_; ++j) {
-        space_.guard_shard_enter(proc_, shards_[j]);
-      }
-    } else {
-      space_.ebr_enter(proc_);
-    }
-    entered_ = true;
-  }
-
- private:
-  Space& space_;
-  typename Space::Process proc_;
-  std::uint32_t shards_[kMaxShards] = {};
-  std::uint32_t n_ = 0;
-  bool entered_ = false;
-};
-
 // Submits every op of `ops` in order through `session` under one `policy`,
 // amortizing the per-op fixed costs across the batch:
 //
@@ -311,24 +248,21 @@ class BatchShardGuard {
 //     construction; only the L budget is checked, once per op, up front;
 //   * thunk marshalling — arming an attempt is a memcpy of the op's
 //     inline closure;
-//   * EBR guard entry — in DelayMode::kOff the guards of the shards the
-//     batch's lock sets touch (only those — reclamation elsewhere keeps
-//     flowing) are pre-entered once around the whole batch, so every
-//     per-attempt guard acquisition inside collapses to a re-entrancy
-//     depth bump (plain private increment) instead of a fence + seq_cst
-//     epoch validation. Spaces without shard routing fall back to the
-//     whole-space inspector guard. The guards are NOT pre-entered in
-//     kTheory mode: there an attempt deliberately releases them across
-//     its delay segments to keep reclamation flowing, and a batch-held
-//     guard would defeat that.
+//   * EBR guard entry — in DelayMode::kOff the session's inspector guard
+//     (BasicSession::guard()) is held around the whole batch, so every per-attempt guard acquisition
+//     inside collapses to a re-entrancy depth bump (plain private
+//     increment) instead of a fence + seq_cst epoch validation. The guard
+//     is NOT pre-entered under the paper's delays: there an attempt
+//     releases it across its delay segments to keep reclamation flowing,
+//     and a batch-held guard would defeat that.
 //
 // Op-visible semantics are identical to a loop of submit() calls — the
 // pre-entered guard is invisible to the step model (reclamation is outside
 // it, DESIGN.md #2): an uncontended batch is step-for-step equivalent to
 // the loop (asserted by test_fastpath's sim test; under contention only
-// reclamation timing — never an outcome — can differ). Reclamation in the
-// touched shards stalls for the duration of the batch; callers pick batch
-// sizes accordingly (tens to hundreds, not millions).
+// reclamation timing — never an outcome — can differ). Reclamation stalls
+// table-wide for the duration of the batch; callers pick batch sizes
+// accordingly (tens to hundreds, not millions).
 //
 // `per_op`, when non-null, must point at ops.size() Outcomes and receives
 // each op's individual accounting.
@@ -348,13 +282,8 @@ BatchOutcome submit_batch(BasicSession<Space>& session,
         space.config().delay_mode == DelayMode::kOff && ops.size() > 1;
   }
 
-  BatchShardGuard<Space> guard(space, session.process());
-  if (hold_guards) {
-    for (const auto& op : ops) {
-      for (const std::uint32_t id : op.locks()) guard.add(id);
-    }
-    guard.enter();
-  }
+  std::optional<typename BasicSession<Space>::EbrGuard> guard;
+  if (hold_guards) guard.emplace(session);
 
   BatchOutcome out;
   for (std::size_t i = 0; i < ops.size(); ++i) {

@@ -65,38 +65,27 @@
 //
 // --- Sharding -------------------------------------------------------------
 //
-// Locks are distributed over S = 2^k independent shards (lock id & (S-1)).
-// Each shard owns a descriptor pool, a snapshot pool, and an EBR domain of
-// its own, so the memory-management traffic of an attempt — pool freelist
-// CASes, snapshot churn, epoch advancement — stays inside the shards its
-// lock set touches. A single-lock attempt is routed entirely through its
-// home shard: it allocates, competes, and reclaims there and writes no
-// other shard's cachelines. The per-process counters that the monolith
-// shared globally (serial, stats) are striped into ProcessHandles
-// (core/process.hpp), so the only cross-shard communication left is the
-// algorithm's own descriptor CASes — which the competition semantics
-// require and the paper's step bounds already price in.
+// Locks are distributed over S = 2^k shards (lock id & (S-1)). Each shard
+// owns a descriptor pool and a snapshot pool, fronted by per-process slot
+// caches, so the allocation traffic of an attempt — pool freelist CASes,
+// snapshot churn — stays inside the shards its lock set touches: a
+// single-lock attempt allocates only from its home shard. The per-process
+// counters that the monolith shared globally (serial, stats) are striped
+// into ProcessHandles (core/process.hpp).
 //
-// A multi-lock attempt whose locks straddle shards works unchanged: the
-// descriptor (homed in the shard of its first lock) is inserted into every
-// lock's set, and the shared-descriptor competition proceeds exactly as in
-// the monolith. Two things make that safe:
+// Reclamation is table-wide: ONE EBR domain covers every shard, as in the
+// shm table. An attempt enters its guard once, and that one guard covers
+// every descriptor and snapshot it may read, in any shard — helping a
+// descriptor homed elsewhere costs a re-entrancy depth bump, not a fence.
+// A descriptor is retired exactly once, into that domain, and its pool
+// slot goes back to the owner's home-shard cache when the grace period
+// expires. The price: a guard held anywhere delays the freeing of slots
+// retired in every shard, not only in the shards it could read.
 //
-//   * guard coverage — every read of a shard's snapshots/descriptors
-//     happens under *that shard's* EBR guard. The attempt enters the guards
-//     of all shards its lock set touches around each work segment, and the
-//     engine's run() (which may be helping a descriptor whose lock set
-//     touches other shards) re-enters whatever extra shards it needs
-//     through the handle's re-entrant depth counters.
-//   * refcounted retire — a descriptor that was visible in k shards is
-//     retired into all k domains with a k-valued refcount; the pool slot is
-//     freed by the last domain whose grace period expires, so a helper
-//     parked inside any one shard's guard keeps the descriptor alive.
-//
-// EBR guards are held across the two *work* segments (help+insert, and
-// run+remove) and released across the delay segments, which dominate an
-// attempt's steps; this keeps reclamation flowing while a slow process
-// stalls in a delay (core/attempt.hpp).
+// Under DelayMode::kOff the guard is held across the whole attempt. Under
+// the paper's delays the attempt exits it while a T0/T1 delay or §6.2
+// padding spins, which dominate an attempt's steps; this keeps reclamation
+// flowing while a slow process stalls in a delay (core/attempt.hpp).
 //
 // --- Thin-word fast path (DelayMode::kOff only) ----------------------------
 //
@@ -115,11 +104,11 @@
 // the idempotence log — so helping semantics and the step bound are
 // preserved verbatim. The owner, finding its release CAS failed, clears
 // the word and *cools down*: the embedded descriptor may not be reused
-// until a grace period of the publishing shard's EBR domain has passed
-// (a cooldown token retired into that domain flips the handle's
-// fast_ready flag back), because the observer may still be reading it.
-// Until then the process's single-lock attempts take the descriptor path.
-// Safety argument in DESIGN.md §5.1.
+// until a grace period of the table's EBR domain has passed (a cooldown
+// token retired into that domain flips the handle's fast_ready flag back),
+// because the observer may still be reading it. Until then the process's
+// single-lock attempts take the descriptor path. Safety argument in
+// DESIGN.md §5.1.
 #pragma once
 
 #include <algorithm>
@@ -188,8 +177,8 @@ class LockTable {
   using Set = ActiveSet<Plat, Desc*>;
   using Handle = ProcessHandle<Plat, Desc>;
 
-  // A per-logical-process name (dense id; also the participant id in every
-  // shard's EBR domain). Cheap value type; each OS thread / sim fiber
+  // A per-logical-process name (dense id; also the participant id in the
+  // table's EBR domain). Cheap value type; each OS thread / sim fiber
   // holds one through a Session (core/session.hpp).
   struct Process {
     int ebr_pid = -1;
@@ -204,7 +193,12 @@ class LockTable {
         serial_block_(sizing.serial_block != 0 ? sizing.serial_block
                                                : kDefaultSerialBlock),
         thin_(static_cast<std::size_t>(std::max(num_locks, 1))),
-        handles_(static_cast<std::size_t>(std::max(max_procs, 1))) {
+        handles_(static_cast<std::size_t>(std::max(max_procs, 1))),
+        ebr_(max_procs) {
+    // Raw atomics with hooked accessors: seed their shadow state so a
+    // table built on a reused heap address starts clean.
+    race::created(&serial_hwm_, 1);
+    race::created(&wake_sink_, 0);
     cfg_.validate();
     WFL_CHECK(max_procs > 0 && num_locks > 0);
     WFL_CHECK_MSG(max_procs < (1 << 15),
@@ -231,14 +225,12 @@ class LockTable {
 
     mem_.reserve(num_shards_);
     caches_.reserve(num_shards_);
-    ebr_.reserve(num_shards_);
     set_mem_.reserve(num_shards_);
     for (std::uint32_t s = 0; s < num_shards_; ++s) {
       mem_.push_back(std::make_unique<ShardMem>(snap_cap, desc_cap));
       caches_.push_back(std::make_unique<ShardCaches>(
           static_cast<std::size_t>(max_procs), *mem_[s]));
-      ebr_.push_back(std::make_unique<EbrDomain>(max_procs));
-      set_mem_.push_back(SetMem<Desc*>{mem_[s]->snap_pool, *ebr_[s],
+      set_mem_.push_back(SetMem<Desc*>{mem_[s]->snap_pool, ebr_,
                                        caches_[s]->snap.data()});
     }
     locks_.reserve(static_cast<std::size_t>(num_locks));
@@ -254,13 +246,20 @@ class LockTable {
     cooperative_ = cfg_.delay_mode == DelayMode::kOff;
   }
 
-  // Registers the calling logical process: one participant slot in every
-  // shard's EBR domain (all under one id) plus a ProcessHandle carrying its
-  // striped hot state. A slot released by a destroyed Session is reused
-  // (its handle — stats, serial block, scratch — carries over, so table-
-  // level stats stay monotone across session generations). Not on the
-  // attempt path; serialized by a mutex so the per-shard participant ids
-  // stay aligned.
+  ~LockTable() {
+    race::destroyed(&serial_hwm_);
+    race::destroyed(&wake_sink_);
+  }
+
+  LockTable(const LockTable&) = delete;
+  LockTable& operator=(const LockTable&) = delete;
+
+  // Registers the calling logical process: one participant slot in the
+  // table's EBR domain plus a ProcessHandle carrying its striped hot
+  // state. A slot released by a destroyed Session is reused (its handle —
+  // stats, serial block, scratch — carries over, so table-level stats stay
+  // monotone across session generations). Not on the attempt path;
+  // serialized by a mutex with the free list.
   Process register_process() {
     std::lock_guard<std::mutex> lk(reg_mutex_);
     if (!free_pids_.empty()) {
@@ -268,17 +267,10 @@ class LockTable {
       free_pids_.pop_back();
       return Process{pid};
     }
-    int pid = -1;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      const int p = ebr_[s]->register_participant();
-      WFL_CHECK_MSG(s == 0 || p == pid,
-                    "shard EBR domains disagree on participant id");
-      pid = p;
-    }
+    const int pid = ebr_.register_participant();
     WFL_CHECK(pid >= 0 && pid < static_cast<int>(handles_.size()));
     handles_[static_cast<std::size_t>(pid)] = std::make_unique<Handle>(
-        pid, num_shards_, serial_hwm_, serial_block_,
-        /*with_fast_desc=*/true);
+        pid, serial_hwm_, serial_block_, /*with_fast_desc=*/true);
     registered_.store(pid + 1, std::memory_order_release);
     return Process{pid};
   }
@@ -301,11 +293,11 @@ class LockTable {
                    reinterpret_cast<std::uintptr_t>(sink));
   }
 
-  // True iff `p` currently holds any shard's EBR guard. Attempts exit all
-  // guards before returning, so this is false between attempts — the
-  // async executor asserts it before parking a submission (a parked
-  // session holding a guard would stall reclamation indefinitely).
-  bool any_guard_held(Process p) { return handle(p).any_guard_depth(); }
+  // True iff `p` currently holds its EBR guard. Attempts exit the guard
+  // before returning, so this is false between attempts — the async
+  // executor asserts it before parking a submission (a parked session
+  // holding a guard would stall reclamation table-wide).
+  bool any_guard_held(Process p) { return handle(p).guard_depth() != 0; }
 
   Handle& handle(Process proc) {
     WFL_CHECK(proc.ebr_pid >= 0 &&
@@ -363,16 +355,11 @@ class LockTable {
 
     const std::uint64_t start_steps = Plat::steps();
 
-    // The attempt's shard footprint. `home` (the first lock's shard) hosts
-    // the descriptor; for a single-lock attempt the footprint is exactly
-    // {home} and nothing the attempt does touches any other shard.
-    std::uint32_t att_shards[kMaxLocksPerAttempt];
-    const std::uint32_t n_att_shards = shard_footprint(lock_ids, att_shards);
+    // The descriptor is homed in the first lock's shard. Its slot flows
+    // through the process's cache for that shard: alloc pops it here and
+    // the EBR deleter pushes the slot back to it, so a steady-state attempt
+    // never touches the shared freelist (arena.hpp).
     const std::uint32_t home = shard_of(lock_ids[0]);
-
-    // Descriptor slots flow through the process's home-shard cache: alloc
-    // pops it here and the EBR deleter pushes the slot back to it, so a
-    // steady-state attempt never touches the shared freelist (arena.hpp).
     SlotCache<Desc>& dcache =
         *caches_[home]->desc[static_cast<std::size_t>(h.pid())];
     const std::uint32_t didx = dcache.alloc();
@@ -388,20 +375,11 @@ class LockTable {
     }
     // Line group A is complete; the set insert publishes it.
     WFL_PLAIN_WRITE(&d, kDescPlain);
-    d.retire_refs.store(n_att_shards, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&d.retire_refs, kStore, relaxed, kRetireRefsInit,
-                   n_att_shards);
 
     AttemptCtx cx{*this, h};
     const bool won = Engine::attempt(cx, d, start_steps, info);
-
-    // Retire into every shard the descriptor was visible in; the slot is
-    // recycled — back into this process's home-shard cache — by the last
-    // grace period to expire (see retire_refs).
-    for (std::uint32_t s = 0; s < n_att_shards; ++s) {
-      ebr_[att_shards[s]]->retire(h.pid(), &dcache, didx,
-                                  &release_descriptor<Desc, SlotCache<Desc>>);
-    }
+    ebr_.retire(h.pid(), &dcache, didx,
+                &SlotCache<Desc>::free_to_cache);
     return won;
   }
 
@@ -449,7 +427,7 @@ class LockTable {
 
     // Compete exactly as a slow-path attempt would: the engine reads the
     // lock's set members AND the thin word (skipping our own publication)
-    // under the shard's guard, then decides and celebrates.
+    // under the table's guard, then decides and celebrates.
     AttemptCtx cx{*this, h};
     const std::uint64_t reveal_steps = Plat::steps();
     Engine::run(cx, fd);
@@ -459,16 +437,15 @@ class LockTable {
     if (!released) {
       // A rival set the observed bit (the only transition a non-owner
       // makes) and may still be reading the embedded descriptor; clear the
-      // word, then cool the descriptor down through a grace period of this
-      // lock's shard before any reuse. Rivals that probe from here on see
-      // 0 — and any attempt that started after our publication already
-      // found us through the word or will see our effects as decided.
+      // word, then cool the descriptor down through a grace period before
+      // any reuse. Rivals that probe from here on see 0 — and any attempt
+      // that started after our publication already found us through the
+      // word or will see our effects as decided.
       WFL_CHK_TAG(kThinRelease);
       WFL_FUZZ_SITE(kSiteThinRevocation);
       w.store(0);
       h.begin_fast_cooldown();
-      ebr_[shard_of(lock_id)]->retire(h.pid(), &h, 0,
-                                      &Handle::fast_cooldown_expired);
+      ebr_.retire(h.pid(), &h, 0, &Handle::fast_cooldown_expired);
       h.stats().add_fastpath_revocation();
     }
     // Publication gone (released or revoked+cleared): post the release
@@ -489,20 +466,20 @@ class LockTable {
     return true;
   }
 
-  // The observe protocol, called by the engine (under the shard's guard —
-  // every call site covers shard_of(lock_id)). Returns the lock's current
-  // fast-path publication as a duel-able descriptor, or nullptr when the
-  // word is free, owned by the caller, or too unstable to pin.
+  // The observe protocol, called by the engine under the table's guard.
+  // Returns the lock's current fast-path publication as a duel-able
+  // descriptor, or nullptr when the word is free, owned by the caller, or
+  // too unstable to pin.
   //
   // Setting the observed bit BEFORE dereferencing is what makes the
   // returned pointer stable: once the bit is set the owner's release CAS
   // fails, so the owner clears the word and cools the descriptor through a
-  // grace period of this shard — which cannot expire while the caller
-  // holds the shard's guard. Giving up after two changed-word passes is
-  // safe: the word changing means the previous publication completed
-  // (decided and released), and any NEWER publication's competition scan
-  // happens after its publish CAS — which is after our own set insert —
-  // so the newer owner is guaranteed to see and duel us instead.
+  // grace period — which cannot expire while the caller holds its guard.
+  // Giving up after two changed-word passes is safe: the word changing
+  // means the previous publication completed (decided and released), and
+  // any NEWER publication's competition scan happens after its publish
+  // CAS — which is after our own set insert — so the newer owner is
+  // guaranteed to see and duel us instead.
   Desc* thin_rival(Handle& h, std::uint32_t lock_id) {
     if (!fast_enabled_) return nullptr;
     ThinWord& w = *thin_[lock_id];
@@ -581,42 +558,22 @@ class LockTable {
   // play the model's adaptive player, which may see all of history.
   Set& lock_set(std::uint32_t id) { return *locks_[id]; }
 
-  // Batch support (executor::submit_batch): pre-enter/exit ONE shard's
-  // guard through the handle's re-entrant depth counters, so a batch can
-  // cover exactly its lock sets' shard footprint instead of the whole
-  // table.
-  void guard_shard_enter(Process p, std::uint32_t shard) {
-    WFL_DASSERT(shard < num_shards_);
-    handle(p).guard_enter(*ebr_[shard], shard);
-  }
-  void guard_shard_exit(Process p, std::uint32_t shard) {
-    WFL_DASSERT(shard < num_shards_);
-    handle(p).guard_exit(*ebr_[shard], shard);
-  }
+  // Inspector guard (re-entrant through the handle's depth counter): the
+  // player adversary may look at any lock, and a batch holds it across its
+  // ops (executor::submit_batch).
+  void ebr_enter(Process p) { handle(p).guard_enter(ebr_); }
+  void ebr_exit(Process p) { handle(p).guard_exit(ebr_); }
 
-  // Inspector guard over the whole table (all shards): the player adversary
-  // may look at any lock, so it gets reclamation protection everywhere.
-  void ebr_enter(Process p) {
-    Handle& h = handle(p);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) h.guard_enter(*ebr_[s], s);
-  }
-  void ebr_exit(Process p) {
-    Handle& h = handle(p);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) h.guard_exit(*ebr_[s], s);
-  }
-
-  // Crash-harness support: release `p`'s EBR guards on its behalf. Legal
+  // Crash-harness support: release `p`'s EBR guard on its behalf. Legal
   // ONLY when the process provably takes no further steps (a fiber parked
   // forever by a CrashSchedule). See EbrDomain::abandon. The pid stays
   // retired — a crashed process's slot is never handed to a new session.
   void abandon_process(Process p) {
     WFL_CHECK(p.ebr_pid >= 0);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      ebr_[s]->abandon(p.ebr_pid);
-    }
+    ebr_.abandon(p.ebr_pid);
   }
 
-  // End-of-session (Session's destructor): drops any EBR guards on the
+  // End-of-session (Session's destructor): drops the EBR guard on the
   // process's behalf. Legal for the same reason abandon_process is: the
   // caller guarantees the process takes no further steps under this
   // registration. Two cases:
@@ -626,19 +583,15 @@ class LockTable {
   //     participant id, handle, striped stats — is reused by the next
   //     register_process();
   //   * crash-parked mid-attempt (a CrashSchedule stopped the fiber inside
-  //     one of the attempt's guarded work segments, so its re-entrancy
-  //     depths are still nonzero): the guards are force-dropped exactly
-  //     like abandon_process, and the slot is retired forever — the stale
-  //     depth counters mean the handle can never re-enter a guard
-  //     correctly, so it must not be handed to a new session.
+  //     the attempt's guard, so its re-entrancy depth is still nonzero):
+  //     the guard is force-dropped exactly like abandon_process, and the
+  //     slot is retired forever — the stale depth counter means the handle
+  //     can never re-enter a guard correctly, so it must not be handed to a
+  //     new session.
   void release_process(Process p) {
     WFL_CHECK(p.ebr_pid >= 0);
-    Handle& h = handle(p);
-    bool parked_in_guard = false;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      parked_in_guard = parked_in_guard || h.guard_depth(s) != 0;
-      ebr_[s]->abandon(p.ebr_pid);
-    }
+    const bool parked_in_guard = any_guard_held(p);
+    ebr_.abandon(p.ebr_pid);
     // Spill the process's slot caches back to the shared pools in both
     // cases — in particular a crash-parked process must not leak its
     // cached slots (its pid is retired forever, so nothing would ever
@@ -688,33 +641,6 @@ class LockTable {
     }
   };
 
-  // RAII guard coverage for one descriptor's shard footprint, on top of the
-  // handle's re-entrant depth counters. Returned by value from
-  // AttemptCtx::lock_guards (guaranteed elision); neither copyable nor
-  // movable.
-  class GuardScope {
-   public:
-    GuardScope(LockTable& t, Handle& h, const Desc& p) : t_(t), h_(h) {
-      n_ = t_.shard_footprint({p.lock_ids, p.lock_count}, shards_);
-      for (std::uint32_t j = 0; j < n_; ++j) {
-        h_.guard_enter(*t_.ebr_[shards_[j]], shards_[j]);
-      }
-    }
-    ~GuardScope() {
-      for (std::uint32_t j = 0; j < n_; ++j) {
-        h_.guard_exit(*t_.ebr_[shards_[j]], shards_[j]);
-      }
-    }
-    GuardScope(const GuardScope&) = delete;
-    GuardScope& operator=(const GuardScope&) = delete;
-
-   private:
-    LockTable& t_;
-    Handle& h_;
-    std::uint32_t shards_[kMaxLocksPerAttempt];
-    std::uint32_t n_ = 0;
-  };
-
   // The engine's memory/stats context (see core/attempt.hpp).
   struct AttemptCtx {
     LockTable& t;
@@ -743,7 +669,7 @@ class LockTable {
       multi_get_set<Plat>(set(p.lock_ids[i]), h.run_scratch());
       return h.run_scratch();
     }
-    GuardScope lock_guards(Desc& p) { return GuardScope(t, h, p); }
+    HandleGuard<Handle, EbrDomain> guard() { return {h, t.ebr_}; }
     Desc* thin_rival(std::uint32_t lock_id) {
       return t.thin_rival(h, lock_id);
     }
@@ -758,13 +684,12 @@ class LockTable {
     // preceded by the participation-reveal and the frozen snapshots.
     void before_reveal(Desc& d, std::uint64_t start_steps) {
       if (!t.unknown_bounds_) {
-        Engine::delay_until(t.cfg_.delay_mode, start_steps, t.cfg_.t0_steps(),
-                            [this] { h.stats().add_t0_overrun(); });
+        delay_until(start_steps, t.cfg_.t0_steps(),
+                    [this] { h.stats().add_t0_overrun(); });
         return;
       }
       pad_to_power_of_two(start_steps);
       d.priority.store(kPriorityTbd);
-      auto guards = lock_guards(d);
       for (std::uint32_t i = 0; i < d.lock_count; ++i) {
         multi_get_set<Plat>(set(d.lock_ids[i]), (*d.snaps)[i]);
         WFL_PLAIN_WRITE(d.snaps.get(), kFrozenSnaps);
@@ -781,12 +706,22 @@ class LockTable {
         pad_to_power_of_two(reveal_steps);
         return;
       }
-      Engine::delay_until(t.cfg_.delay_mode, reveal_steps, t.cfg_.t1_steps(),
-                          [this] { h.stats().add_t1_overrun(); });
+      delay_until(reveal_steps, t.cfg_.t1_steps(),
+                  [this] { h.stats().add_t1_overrun(); });
+    }
+    // The delay and padding helpers spin outside the attempt's guard (see
+    // core/attempt.hpp): the attempt holds no borrowed reference there.
+    template <typename OnOverrun>
+    void delay_until(std::uint64_t base, std::uint64_t delta,
+                     OnOverrun&& on_overrun) {
+      if (t.cfg_.delay_mode == DelayMode::kOff) return;
+      GuardRelease<Handle, EbrDomain> unguarded(h, t.ebr_);
+      Engine::delay_until(base, delta, on_overrun);
     }
     // Guess-and-double: spin own steps until the work since `base` is a
     // power of two.
-    static void pad_to_power_of_two(std::uint64_t base) {
+    void pad_to_power_of_two(std::uint64_t base) {
+      GuardRelease<Handle, EbrDomain> unguarded(h, t.ebr_);
       const std::uint64_t w = Plat::steps() - base;
       std::uint64_t target = 1;
       while (target < w) target <<= 1;
@@ -823,20 +758,6 @@ class LockTable {
     return s;
   }
 
-  // Distinct shards of an attempt's lock set, home shard first. At most
-  // L <= kMaxLocksPerAttempt entries.
-  std::uint32_t shard_footprint(std::span<const std::uint32_t> lock_ids,
-                                std::uint32_t* out) const {
-    std::uint32_t n = 0;
-    for (std::size_t i = 0; i < lock_ids.size(); ++i) {
-      const std::uint32_t s = shard_of(lock_ids[i]);
-      bool seen = false;
-      for (std::uint32_t j = 0; j < n; ++j) seen = seen || out[j] == s;
-      if (!seen) out[n++] = s;
-    }
-    return n;
-  }
-
   // Posts release events to the installed sink, if any. One relaxed load
   // on the hot path when no sink is installed; the sink's own ordering
   // obligations are the executor's (its park protocol re-validates under
@@ -862,17 +783,16 @@ class LockTable {
   // lock's word with observe CASes and the owner with publish/release
   // CASes — neighbouring locks must not share that line.
   std::vector<CachePadded<ThinWord>> thin_;
-  // Order matters: each EbrDomain's destructor drains retired objects back
-  // into the per-process caches and pools — possibly of *other* shards
-  // (cross-shard descriptors) — and runs any pending fast-path cooldown
-  // deleters against their handles, so every pool, cache AND handle must
-  // outlive every domain: mem_, caches_ and handles_ are declared before
-  // ebr_ (members are destroyed in reverse order), and locks_/set_mem_
-  // (which reference both) come after.
+  // Order matters: the EbrDomain's destructor drains retired objects back
+  // into every shard's per-process caches and pools and runs any pending
+  // fast-path cooldown deleters against their handles, so every pool,
+  // cache AND handle must outlive the domain: mem_, caches_ and handles_
+  // are declared before ebr_ (members are destroyed in reverse order), and
+  // locks_/set_mem_ (which reference both) come after.
   std::vector<std::unique_ptr<ShardMem>> mem_;
   std::vector<std::unique_ptr<ShardCaches>> caches_;
   std::vector<std::unique_ptr<Handle>> handles_;  // indexed by pid; fixed size
-  std::vector<std::unique_ptr<EbrDomain>> ebr_;
+  EbrDomain ebr_;
   std::vector<SetMem<Desc*>> set_mem_;
   std::vector<std::unique_ptr<Set>> locks_;
 

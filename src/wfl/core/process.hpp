@@ -16,10 +16,9 @@
 //     global fetch_add on every attempt.
 //   * scratch MemberLists — getSet results for the help phase and the
 //     competition loop; fixed-capacity, reused across attempts.
-//   * per-shard EBR guard depths — the table's shards have independent
-//     reclamation domains; the depth counters make guard acquisition
-//     re-entrant so a helper can pick up whatever extra shards a helped
-//     descriptor's lock set needs without tracking what it already holds.
+//   * the EBR guard depth — guard acquisition is re-entrant, so a helper
+//     driving another descriptor, a batch or an inspector can nest inside
+//     an attempt's guard at the cost of a private increment.
 //   * an auxiliary RNG, seeded from the pid — for harness-side choices
 //     (workload generators, shard-aware benches). The *algorithm's*
 //     priority draws stay on Plat::rand_u64(), which is already
@@ -55,6 +54,17 @@ namespace wfl {
 // writer it is exact, and it keeps the hot path free of lock-prefixed
 // read-modify-writes entirely.
 struct StatsSlab {
+  // Lifetime hooks for the hooked counters: a handle built on a reused
+  // heap address must not inherit the previous occupant's shadow state.
+  StatsSlab() {
+    each([](std::atomic<std::uint64_t>& c) { race::created(&c, 0); });
+  }
+  ~StatsSlab() {
+    each([](std::atomic<std::uint64_t>& c) { race::destroyed(&c); });
+  }
+  StatsSlab(const StatsSlab&) = delete;
+  StatsSlab& operator=(const StatsSlab&) = delete;
+
   std::atomic<std::uint64_t> attempts{0};
   std::atomic<std::uint64_t> wins{0};
   std::atomic<std::uint64_t> helps{0};
@@ -95,6 +105,16 @@ struct StatsSlab {
   void add_fastpath_revocation() { bump(fastpath_revocations); }
   void add_help_claim_skip() { bump(help_claim_skips); }
 
+  template <typename F>
+  void each(F&& f) {
+    for (auto* c : {&attempts, &wins, &helps, &eliminations, &thunk_runs,
+                    &t0_overruns, &t1_overruns, &tbd_eliminations,
+                    &log_slot_resets, &fastpath_hits, &fastpath_revocations,
+                    &help_claim_skips}) {
+      f(*c);
+    }
+  }
+
   void accumulate_into(LockStats& s) const {
     s.attempts += attempts.load(std::memory_order_relaxed);
     s.wins += wins.load(std::memory_order_relaxed);
@@ -127,16 +147,14 @@ class ProcessHandle {
  public:
   // `with_fast_desc` allocates the embedded fast-path descriptor (LockTable
   // wants it; the shm table, which has no thin words, does not).
-  ProcessHandle(int pid, std::uint32_t num_shards,
-                std::atomic<std::uint64_t>& serial_hwm,
+  ProcessHandle(int pid, std::atomic<std::uint64_t>& serial_hwm,
                 std::uint32_t serial_block, bool with_fast_desc = false)
       : pid_(pid),
         serial_block_(serial_block),
         serial_hwm_(&serial_hwm),
         fast_desc_(with_fast_desc ? std::make_unique<DescT>() : nullptr),
-        guard_depth_(num_shards, 0),
         rng_(0x5EEDF00Du + static_cast<std::uint64_t>(pid) * 0x9E3779B9ULL) {
-    WFL_CHECK(pid >= 0 && num_shards > 0 && serial_block > 0);
+    WFL_CHECK(pid >= 0 && serial_block > 0);
     // fast_ready_ is a raw std::atomic with hooked accessors; seed its
     // shadow and retire it in the dtor so heap reuse of the handle's
     // storage cannot alias stale tracked state from a prior object.
@@ -186,7 +204,7 @@ class ProcessHandle {
   // safety comes from the thin-word observation protocol: the descriptor
   // may be re-initialized only while fast_ready() is true — either no
   // rival ever observed the previous publication (the release CAS
-  // succeeded untouched), or a full grace period of the publishing shard
+  // succeeded untouched), or a full grace period of the table's domain
   // has passed since (the table retires a cooldown token whose deleter
   // calls end_fast_cooldown()). Allocated only when the owning space
   // requested it (with_fast_desc).
@@ -213,32 +231,18 @@ class ProcessHandle {
     static_cast<ProcessHandle*>(ctx)->end_fast_cooldown();
   }
 
-  // Re-entrancy depth of this process's EBR guard on `shard`. The table
-  // enters the shard's domain when the depth rises from 0 and exits when it
-  // returns to 0; everything in between is a plain private increment.
-  std::uint32_t& guard_depth(std::uint32_t shard) {
-    WFL_DASSERT(shard < guard_depth_.size());
-    return guard_depth_[shard];
+  // Re-entrancy depth of this process's EBR guard. The table enters its
+  // domain when the depth rises from 0 and exits when it returns to 0;
+  // everything in between is a plain private increment.
+  std::uint32_t& guard_depth() { return guard_depth_; }
+  template <typename Domain>
+  void guard_enter(Domain& domain) {
+    if (guard_depth_++ == 0) domain.enter(pid_);
   }
   template <typename Domain>
-  void guard_enter(Domain& domain, std::uint32_t shard) {
-    if (guard_depth(shard)++ == 0) domain.enter(pid_);
-  }
-  template <typename Domain>
-  void guard_exit(Domain& domain, std::uint32_t shard) {
-    WFL_DASSERT(guard_depth(shard) > 0);
-    if (--guard_depth(shard) == 0) domain.exit(pid_);
-  }
-
-  // True if this process currently holds any shard's EBR guard. A fiber
-  // must never suspend while this is true — a parked fiber would stall
-  // reclamation for the whole shard. The async executor asserts this at
-  // every park point.
-  bool any_guard_depth() const {
-    for (const std::uint32_t d : guard_depth_) {
-      if (d != 0) return true;
-    }
-    return false;
+  void guard_exit(Domain& domain) {
+    WFL_DASSERT(guard_depth_ > 0);
+    if (--guard_depth_ == 0) domain.exit(pid_);
   }
 
   // Harness-side randomness (workload generation, shard picking). NOT the
@@ -259,28 +263,45 @@ class ProcessHandle {
   // Raw atomic: flipped by the EBR cooldown deleter, which runs on the
   // owning participant or under quiescent domain teardown (another thread).
   std::atomic<bool> fast_ready_{true};
-  std::vector<std::uint32_t> guard_depth_;
+  std::uint32_t guard_depth_ = 0;
   Xoshiro256 rng_;
 };
 
-// RAII hold of one shard's guard through a handle's re-entrant depth
-// counter (ProcessHandle::guard_enter/guard_exit). Neither copyable nor
-// movable; returned by value through guaranteed elision.
+// RAII hold of a handle's guard on `Domain` through its re-entrant depth
+// counter. Neither copyable nor movable; returned by value through
+// guaranteed elision.
 template <typename HandleT, typename Domain>
-class ShardGuard {
+class HandleGuard {
  public:
-  ShardGuard(HandleT& h, Domain& domain, std::uint32_t shard)
-      : h_(h), domain_(domain), shard_(shard) {
-    h_.guard_enter(domain_, shard_);
+  HandleGuard(HandleT& h, Domain& domain) : h_(h), domain_(domain) {
+    h_.guard_enter(domain_);
   }
-  ~ShardGuard() { h_.guard_exit(domain_, shard_); }
-  ShardGuard(const ShardGuard&) = delete;
-  ShardGuard& operator=(const ShardGuard&) = delete;
+  ~HandleGuard() { h_.guard_exit(domain_); }
+  HandleGuard(const HandleGuard&) = delete;
+  HandleGuard& operator=(const HandleGuard&) = delete;
 
  private:
   HandleT& h_;
   Domain& domain_;
-  std::uint32_t shard_;
+};
+
+// The inverse, for an attempt's delay segments: exits one level of the
+// handle's guard — the attempt's own — for the scope and re-enters it on
+// exit. An enclosing holder (an inspector) keeps its guard; the attempt's
+// own guard never stalls reclamation across a delay.
+template <typename HandleT, typename Domain>
+class GuardRelease {
+ public:
+  GuardRelease(HandleT& h, Domain& domain) : h_(h), domain_(domain) {
+    h_.guard_exit(domain_);
+  }
+  ~GuardRelease() { h_.guard_enter(domain_); }
+  GuardRelease(const GuardRelease&) = delete;
+  GuardRelease& operator=(const GuardRelease&) = delete;
+
+ private:
+  HandleT& h_;
+  Domain& domain_;
 };
 
 }  // namespace wfl

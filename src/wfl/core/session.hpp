@@ -20,7 +20,7 @@
 //     and transfers explicitly;
 //   * guard() hands out a scoped EbrGuard for inspector-style reads
 //     (PlayerObserver, adversary harnesses) — re-entrant, because the
-//     underlying per-shard guard depths are.
+//     process's guard depth is.
 //
 // BasicSession is parameterized over the space type (the duck-typed
 // requirements below); `Session<Plat>` — a session of a LockTable, in any
@@ -77,7 +77,7 @@ class BasicSession {
 
   // Scoped reclamation protection for inspector-style reads of shared
   // descriptors/snapshots (the adaptive-player pattern). Nesting is fine:
-  // guard acquisition is re-entrant per shard.
+  // guard acquisition is re-entrant.
   class EbrGuard {
    public:
     explicit EbrGuard(BasicSession& session) : session_(&session) {

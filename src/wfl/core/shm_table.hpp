@@ -197,7 +197,7 @@ class ShmLockTable {
    private:
     friend class ShmLockTable;
     Session(int pid, std::atomic<std::uint64_t>& serial_hwm)
-        : h_(pid, /*num_shards=*/1, serial_hwm, kDefaultSerialBlock) {}
+        : h_(pid, serial_hwm, kDefaultSerialBlock) {}
     Handle h_;
     SlotCache<Desc> dcache_;
   };
@@ -305,7 +305,7 @@ class ShmLockTable {
   // the slot closed. The pid is still not recycled — pool slots are the
   // recyclable resource, pids are the audit trail.
   void close_session(Session& s) {
-    WFL_CHECK(!s.h_.any_guard_depth());
+    WFL_CHECK(s.h_.guard_depth() == 0);
     ebr_.abandon(s.pid());
     s.dcache_.drain();
     rec(s.pid()).state.store(kSessClosed, std::memory_order_release);
@@ -350,7 +350,6 @@ class ShmLockTable {
       d.lock_ids[i] = lock_ids[i];
     }
     d.thunk = thunk;
-    d.retire_refs.store(1, std::memory_order_relaxed);
     // Publish the in-flight handle for a potential reaper BEFORE the first
     // set insert: from here on a crash leaves recoverable state.
     rec(s.pid()).cur_desc.store(didx + 1, std::memory_order_release);
@@ -359,11 +358,10 @@ class ShmLockTable {
     const bool won = Engine::attempt(cx, d, start_steps, nullptr);
 
     rec(s.pid()).cur_desc.store(0, std::memory_order_release);
-    // Single domain, so retire_refs is 1 and the slot goes straight back to
-    // the owner's cache. A crashed attempt never gets here: its descriptor
-    // leaks by design.
+    // The slot goes back to the owner's cache after the grace period. A
+    // crashed attempt never gets here: its descriptor leaks by design.
     ebr_.retire(s.pid(), &s.dcache_, didx,
-                &release_descriptor<Desc, SlotCache<Desc>>);
+                &SlotCache<Desc>::free_to_cache);
     return won;
   }
 
@@ -489,12 +487,9 @@ class ShmLockTable {
     return true;
   }
 
-  // The session's guard on the table's single EBR domain, re-entrant
-  // through its handle (the engine's lock_guards nests inside an attempt's
-  // work-segment guard).
-  ShardGuard<Handle, EbrDomain> guard_of(Session& s) {
-    return ShardGuard<Handle, EbrDomain>(s.h_, ebr_, 0);
-  }
+  // The session's guard on the table's EBR domain, re-entrant through its
+  // handle (the engine's run() nests inside the attempt's guard).
+  HandleGuard<Handle, EbrDomain> guard_of(Session& s) { return {s.h_, ebr_}; }
 
   // A process-local member view of one lock's set: get_set() resolves the
   // current slot-0 snapshot's owner words into descriptor pointers in THIS
@@ -554,9 +549,7 @@ class ShmLockTable {
       multi_get_set<RealPlat>(set(p.lock_ids[i]), s->h_.run_scratch());
       return s->h_.run_scratch();
     }
-    ShardGuard<Handle, EbrDomain> lock_guards(Desc&) {
-      return t->guard_of(*s);
-    }
+    HandleGuard<Handle, EbrDomain> guard() { return t->guard_of(*s); }
     Desc* thin_rival(std::uint32_t) { return nullptr; }
     void run_thunk(Desc& p, IdemCtx<RealPlat>& m) {
       p.thunk.run(*t->arena_, m);
@@ -599,7 +592,7 @@ class ShmLockTable {
 
   template <typename TryAlloc>
   std::uint32_t alloc_backpressure(Session& s, TryAlloc&& try_alloc) {
-    std::uint32_t& depth_ref = s.h_.guard_depth(0);
+    std::uint32_t& depth_ref = s.h_.guard_depth();
     const std::uint32_t depth = depth_ref;
     if (depth > 0) {
       depth_ref = 0;

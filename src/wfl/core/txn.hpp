@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -146,8 +147,7 @@ class PreparedTxn {
 
 // Batch submission of several prepared transactions through one session:
 // the same per-batch EBR guard amortization as executor::submit_batch
-// (kOff mode only — see that function's contract), entering exactly the
-// shards the transactions' combined lock sets touch. Each transaction's L
+// (kOff mode only — see that function's contract). Each transaction's L
 // and T budgets are still checked by its own submit() — once per
 // submission, off the attempt path, same as a plain loop. Transactions
 // keep their shared-program lifetime semantics, so helpers may replay a
@@ -160,13 +160,8 @@ BatchOutcome submit_txn_batch(Session<Plat>& session,
   LockTable<Plat>& space = session.space();
   const bool hold_guards =
       space.config().delay_mode == DelayMode::kOff && txns.size() > 1;
-  BatchShardGuard<LockTable<Plat>> guard(space, session.process());
-  if (hold_guards) {
-    for (const auto& txn : txns) {
-      for (const std::uint32_t id : txn.lock_set()) guard.add(id);
-    }
-    guard.enter();
-  }
+  std::optional<typename Session<Plat>::EbrGuard> guard;
+  if (hold_guards) guard.emplace(session);
   BatchOutcome out;
   for (std::size_t i = 0; i < txns.size(); ++i) {
     const Outcome o = txns[i].submit(session, policy);

@@ -52,9 +52,6 @@ enum Site : int {
                             // fix's re-post branch)
   kSiteAsyncCancelSweep,    // a cancellation sweep claimed a parked op
                             // (async_executor.hpp)
-  kSiteMultiShardRetire,    // a multi-shard descriptor's retire dropped a
-                            // non-final reference — another shard's grace
-                            // period still pins it (descriptor.hpp)
   kSiteCount
 };
 
@@ -66,7 +63,6 @@ inline const char* site_name(int s) {
     case kSiteDrainAllRival: return "drain_all_rival";
     case kSiteAsyncSignalOnDone: return "async_signal_on_done";
     case kSiteAsyncCancelSweep: return "async_cancel_sweep";
-    case kSiteMultiShardRetire: return "multi_shard_retire";
     default: return "?";
   }
 }

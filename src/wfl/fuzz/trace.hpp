@@ -37,7 +37,7 @@ enum class WorkloadKind : std::uint8_t {
   kEngine = 0,     // direct submit() rounds: fast path, helping, crashes
   kAsync,          // AsyncExecutor inline mode: park/wake, cancellation
   kEngineSharded,  // sharded-table engine rounds: shard-straddling lock
-                   // sets (refcounted multi-shard retire), own-lane
+                   // sets (cross-shard helping), own-lane
                    // fast-path reuse (cooldown expiry), hot-lock helping
                    // bursts (stale-claim revocation)
 };

@@ -15,9 +15,10 @@
 //     deliberately small per-shard pools and a three-beat lock pattern:
 //     own-lane singles (fast-path publish/release, then a re-acquire that
 //     lands inside or just past the EBR cooldown — kSiteCooldownResume),
-//     shard-straddling pairs {l, l+1} (refcounted descriptor retire where
-//     a sibling shard's grace period still holds a reference —
-//     kSiteMultiShardRetire), and all-procs hot-lock beats run at
+//     shard-straddling pairs {l, l+1} (a descriptor homed in one shard
+//     whose helpers read it from another, under the table's one guard;
+//     its slot returns to the home shard's pool), and all-procs hot-lock
+//     beats run at
 //     claim_patience 2, where overlapping help-claim tenures go stale
 //     inside a run — kSiteClaimExpiry (see EngineShape::claim_patience for
 //     why the production threshold is out of reach of any bounded

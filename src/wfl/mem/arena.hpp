@@ -241,12 +241,21 @@ class IndexPool {
   struct Segment {
     T items[kSegSize];
   };
+  // Lifetime hooks for the hooked raw atomics (next links, head): heap
+  // pools reuse addresses across tables, so construction resets the
+  // analysis layer's shadow state.
   struct Links {
-    std::atomic<std::uint32_t> next[kSegSize];
+    Links() {
+      for (auto& n : next) race::created(&n, 0);
+    }
+    ~Links() {
+      for (auto& n : next) race::destroyed(&n);
+    }
+    std::atomic<std::uint32_t> next[kSegSize] = {};
     // 1 while the slot is on the freelist. A corruption check only: RMW
     // atomicity alone makes its verdict exact, so it is relaxed and
     // outside the ordering contracts.
-    std::atomic<std::uint8_t> member[kSegSize];
+    std::atomic<std::uint8_t> member[kSegSize] = {};
   };
 
   // Read-mostly words (geometry, capacity) share a line; the two words
@@ -256,7 +265,9 @@ class IndexPool {
   struct Shared {
     explicit Shared(std::uint32_t max) : max_capacity(round_up(max)) {
       WFL_CHECK(max > 0 && max <= (kNullIndex & ~kSegMask));
+      race::created(&head, pack(kNullIndex, 0));
     }
+    ~Shared() { race::destroyed(&head); }
     std::uint32_t max_capacity;
     std::uint64_t segs_off = 0;   // arena placement: Segment[max / kSegSize]
     std::uint64_t links_off = 0;  // arena placement: Links[max / kSegSize]

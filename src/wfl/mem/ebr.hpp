@@ -101,8 +101,8 @@ class EbrDomain {
     return id;
   }
 
-  // Announce-then-verify, restructured for the guard hot path (an attempt
-  // enters/exits every shard it touches around each work segment):
+  // Announce-then-verify, restructured for the guard hot path (every
+  // attempt enters and exits once):
   //
   //   * ONE seq_cst fence at the publication point orders the relaxed
   //     active/epoch announcement stores before the seq_cst verify load.
@@ -195,23 +195,38 @@ class EbrDomain {
   }
 
   // Attempts an epoch advance, then frees this participant's safe buckets.
+  //
+  // The advance scan runs only when the epoch has not moved since this
+  // participant's previous collect (its own advance counts as not moved).
+  // When someone else advanced in between, a scan now would mostly find
+  // the participants that have not yet re-announced since that advance,
+  // so the collect only frees. Safety is untouched: an advance still needs
+  // every active participant at e. Liveness too: a stalled epoch equals
+  // the value recorded here, so the next collect scans it.
   void collect(int pid) {
-    const std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
+    Local& l = local(pid);
+    std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
     WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrCollectEpochLoad,
                    e);
-    if (all_participants_at(e)) {
+    if (e == l.seen_epoch && all_participants_at(e)) {
       std::uint64_t expected = e;  // racing collectors: one advance per value
-      const bool advanced = sh_->global_epoch.compare_exchange_strong(
-          expected, e + 1, std::memory_order_seq_cst);
-      if (advanced) {
+      if (sh_->global_epoch.compare_exchange_strong(
+              expected, e + 1, std::memory_order_seq_cst)) {
         WFL_CHK_ATOMIC(&sh_->global_epoch, kCasOk, seq_cst,
                        kEbrEpochAdvanceCas, e + 1);
+        e += 1;
       } else {
         WFL_CHK_ATOMIC(&sh_->global_epoch, kCasFail, seq_cst,
                        kEbrEpochAdvanceCas, expected);
+        e = expected;
       }
     }
-    free_safe_buckets(pid);
+    l.seen_epoch = e;
+    // A bucket is safe once the epoch is two past its retires; e is a
+    // value the global epoch held, and it only grows.
+    for (Bucket& b : l.buckets) {
+      if (!b.items.empty() && b.epoch + 2 <= e) drain(b);
+    }
   }
 
   std::uint64_t epoch() const {
@@ -287,6 +302,7 @@ class EbrDomain {
   struct Local {
     Bucket buckets[kBuckets];
     int retire_ops = 0;
+    std::uint64_t seen_epoch = 0;  // the epoch after the previous collect
   };
 
   static void drain(Bucket& b) {
@@ -314,15 +330,6 @@ class EbrDomain {
       if (pe != e) return false;
     }
     return true;
-  }
-
-  void free_safe_buckets(int pid) {
-    const std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrCollectEpochLoad,
-                   e);
-    for (Bucket& b : local(pid).buckets) {
-      if (!b.items.empty() && b.epoch + 2 <= e) drain(b);
-    }
   }
 
   // Heap placement owns the shared part; an attached accessor leaves these

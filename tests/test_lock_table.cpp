@@ -229,38 +229,80 @@ TEST(LockTable, TxnAndRetrySubmitThroughOneSession) {
 }
 
 // Allocation locality: once the per-process slot caches and the EBR
-// pipeline are warm, a steady-state uncontended single-lock workload must
-// perform ZERO shared-freelist transactions — descriptor and snapshot
-// slots circulate entirely through the owner's caches (alloc pops the
-// cache, the EBR deleters push expired slots back).
+// pipeline are warm, a steady-state uncontended workload must perform ZERO
+// shared-freelist transactions — descriptor and snapshot slots circulate
+// entirely through the owner's caches (alloc pops the cache, the EBR
+// deleters push expired slots back). Run on a pair inside one shard and on
+// a shard-straddling pair: the table's one domain returns each slot to the
+// cache of the shard it came from.
 TEST(LockTable, SteadyStateUncontendedTouchesNoSharedFreelist) {
   // This test exercises the DESCRIPTOR path's cache circulation, so it
-  // uses two locks in one shard: the thin-word fast path (which skips
-  // descriptor allocation entirely and would make the assertion vacuous)
-  // only takes single-lock attempts. test_fastpath covers the fast path's
-  // own zero-pool-traffic property.
+  // uses two locks: the thin-word fast path (which skips descriptor
+  // allocation entirely and would make the assertion vacuous) only takes
+  // single-lock attempts. test_fastpath covers the fast path's own
+  // zero-pool-traffic property.
+  const StaticLockSet<2> one_shard({0, 4});
+  const StaticLockSet<2> two_shards({0, 1});
+  for (const auto& pair : {one_shard, two_shards}) {
+    SCOPED_TRACE(testing::Message()
+                 << "locks {" << pair[0] << ", " << pair[1] << "}");
+    Table t(cfg_for(2, 2), 2, 16, SpaceSizing{.shards = 4});
+    Session<RealPlat> session(t);
+    Cell<RealPlat> c{0};
+    auto attempt = [&] {
+      ASSERT_TRUE(submit(session, pair, [&c](IdemCtx<RealPlat>& m) {
+                    m.store(c, m.load(c) + 1);
+                  }).won);
+    };
+    // Warm-up: fill the caches, let grace periods start recycling.
+    for (int a = 0; a < 600; ++a) attempt();
+    const std::uint64_t ops_before = t.freelist_ops();
+    for (int a = 0; a < 400; ++a) attempt();
+    EXPECT_EQ(t.freelist_ops(), ops_before)
+        << "steady-state uncontended attempts hit the shared freelist";
+    // The lazy log reset is also visible here: a 2-op thunk consumes 4 log
+    // slots, so reinit must re-init ~4 per attempt, not kThunkLogCap.
+    const LockStats s = t.stats();
+    EXPECT_GT(s.attempts, 0u);
+    EXPECT_LE(s.log_slot_resets, s.attempts * 4)
+        << "lazy reset regressed towards O(kThunkLogCap)";
+  }
+}
+
+// The trade-off of one EBR domain per table: a guard held anywhere delays
+// reclamation everywhere. Session 0 sits inside an attempt on shard 0's
+// lock (its thunk is running, so its guard is held) while session 1 works
+// on shard 1's locks: none of session 1's retired descriptors may be freed
+// until session 0's attempt exits its guard.
+TEST(LockTable, GuardInOneShardDelaysFreeingInAnother) {
   Table t(cfg_for(2, 2), 2, 16, SpaceSizing{.shards = 4});
-  Session<RealPlat> session(t);
-  Cell<RealPlat> c{0};
-  auto attempt = [&] {
-    ASSERT_TRUE(submit(session, StaticLockSet<2>({0, 4}),
-                       [&c](IdemCtx<RealPlat>& m) {
-                         m.store(c, m.load(c) + 1);
-                       })
-                    .won);
+  Session<RealPlat> s0(t);
+  Session<RealPlat> s1(t);
+  constexpr int kAttempts = 300;
+  const StaticLockSet<2> far({1, 5});  // both in shard 1
+  const auto shard1_in_use = [&t] {
+    return t.shard_desc_capacity(1) - t.shard_desc_free(1);
   };
-  // Warm-up: fill the caches, let grace periods start recycling.
-  for (int a = 0; a < 600; ++a) attempt();
-  const std::uint64_t ops_before = t.freelist_ops();
-  for (int a = 0; a < 400; ++a) attempt();
-  EXPECT_EQ(t.freelist_ops(), ops_before)
-      << "steady-state uncontended attempts hit the shared freelist";
-  // The lazy log reset is also visible here: a 2-op thunk consumes 4 log
-  // slots, so reinit must re-init ~4 per attempt, not kThunkLogCap.
-  const LockStats s = t.stats();
-  EXPECT_GT(s.attempts, 0u);
-  EXPECT_LE(s.log_slot_resets, s.attempts * 4)
-      << "lazy reset regressed towards O(kThunkLogCap)";
+  const auto work = [&] {
+    for (int a = 0; a < kAttempts; ++a) {
+      ASSERT_TRUE(submit(s1, far, [](IdemCtx<RealPlat>&) {}).won);
+    }
+  };
+  std::uint32_t held = 0;
+  struct Probe {
+    decltype(work)* run;
+    decltype(shard1_in_use)* in_use;
+    std::uint32_t* out;
+  } probe{&work, &shard1_in_use, &held};
+  ASSERT_TRUE(submit(s0, StaticLockSet<1>({0}), [probe](IdemCtx<RealPlat>&) {
+                (*probe.run)();
+                *probe.out = (*probe.in_use)();
+              }).won);
+  EXPECT_GE(held, static_cast<std::uint32_t>(kAttempts))
+      << "shard 1 freed descriptors under a guard held in shard 0";
+  work();  // s0's guard is gone: the pinned retirements drain
+  EXPECT_LT(shard1_in_use(), held / 2)
+      << "shard 1's retired descriptors were not freed after the guard exit";
 }
 
 // Cached slots must never leak: an orderly session release AND a

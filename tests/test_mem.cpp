@@ -254,6 +254,25 @@ TEST(Ebr, EpochAdvancesWhenAllQuiescent) {
   EXPECT_GE(dom.epoch(), before + 2);
 }
 
+// The advance policy: a collect scans participants only when the epoch has
+// not moved since that participant's previous collect. Right after another
+// participant's advance it only frees; the collect after that advances.
+TEST(Ebr, CollectAfterAnotherAdvanceDoesNotAdvanceAgain) {
+  EbrDomain dom(2);
+  const int p0 = dom.register_participant();
+  const int p1 = dom.register_participant();
+  const std::uint64_t e0 = dom.epoch();
+  dom.collect(p0);
+  ASSERT_EQ(dom.epoch(), e0 + 1) << "a quiescent domain must advance";
+  dom.collect(p1);  // the epoch moved since p1's last collect
+  EXPECT_EQ(dom.epoch(), e0 + 1) << "advanced again right after p0's advance";
+  dom.collect(p1);  // now it has not moved: scan and advance
+  EXPECT_EQ(dom.epoch(), e0 + 2);
+  // Its own advance counts as "not moved": p1 keeps advancing alone.
+  dom.collect(p1);
+  EXPECT_EQ(dom.epoch(), e0 + 3);
+}
+
 TEST(Ebr, ConcurrentChurnNeverFreesHeldObjects) {
   // Writers retire tokens; a reader under guard records the tokens it can
   // see; retired tokens must never be freed while the observing guard that

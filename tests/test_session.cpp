@@ -187,7 +187,7 @@ TEST(Session, EbrGuardNestsAndWrapsAttempts) {
   {
     auto outer = s.guard();
     {
-      auto inner = s.guard();  // re-entrant: depth 2 on every shard
+      auto inner = s.guard();  // re-entrant: depth 2
       // Inspection under the guard is legal...
       (void)space.lock_set(0).get_set();
     }

@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""A/B two exp_suite builds on one workload, in alternating pairs.
+
+  tools/ab_pairs.py PARENT_BIN CHANGE_BIN --workload W --pairs N --secs S
+
+Runs N pairs of untraced exp_suite trials, pair i on seed i for both
+sides, alternating which side goes first so that slow drift of the host
+hits both equally. For every end_to_end metric in BENCHMARK.json it prints
+each side's median and quartiles, the pairs the change won, and the gain
+verdict the benchmark applies to a claimed metric: the change wins at least
+nine of ten pairs, and its median beats the parent's by more than the
+distance between the parent's quartiles. Reads BENCHMARK.json, writes
+nothing; exits 1 if any trial is incorrect or fails operations.
+"""
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def trial(binary, workload, seed, secs):
+    cmd = [binary, f"--workload={workload}", f"--seed={seed}",
+           f"--secs={secs}", "--trace=0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"{binary} seed {seed}: exited {proc.returncode}\n"
+                 f"{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(vals):
+    if len(vals) == 1:
+        return vals[0], vals[0], vals[0]
+    q1, q2, q3 = statistics.quantiles(sorted(vals), n=4)
+    return q1, q2, q3
+
+
+def fmt(v):
+    if v == 0 or abs(v) >= 1e5 or abs(v) < 1e-3:
+        return f"{v:.4g}"
+    return f"{v:.4f}".rstrip("0").rstrip(".")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_bin")
+    ap.add_argument("change_bin")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--secs", type=float, default=3.0)
+    args = ap.parse_args()
+    metrics = json.loads(SPEC.read_text())["end_to_end"]
+
+    runs = {"parent": [], "change": []}
+    bins = {"parent": args.parent_bin, "change": args.change_bin}
+    bad = 0
+    for seed in range(1, args.pairs + 1):
+        order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+        for side in order:
+            res = trial(bins[side], args.workload, seed, args.secs)
+            if not res["correct"] or res["failed"] != 0:
+                bad += 1
+                print(f"{side} seed {seed}: correct={res['correct']} "
+                      f"failed={res['failed']} {res.get('errors', [])}")
+            runs[side].append(res["metrics"])
+        print(f"pair {seed}/{args.pairs} done", file=sys.stderr, flush=True)
+
+    print(f"{args.workload}: {args.pairs} pairs of {args.secs} s")
+    print(f"{'metric':14s} {'parent median [q1, q3]':>32s} "
+          f"{'change median [q1, q3]':>32s} {'won':>7s}  verdict")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        pv = [r[name]["value"] for r in runs["parent"] if name in r]
+        cv = [r[name]["value"] for r in runs["change"] if name in r]
+        if len(pv) != args.pairs or len(cv) != args.pairs:
+            continue
+        if any(math.isinf(v) for v in pv + cv):
+            continue
+        won = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
+        p1, p2, p3 = quartiles(pv)
+        c1, c2, c3 = quartiles(cv)
+        gain = (p2 - c2) if lower else (c2 - p2)
+        verdict = ("gain" if won * 10 >= 9 * args.pairs and gain > p3 - p1
+                   else "-")
+        side = [f"{fmt(b)} [{fmt(a)}, {fmt(c)}]" for a, b, c in
+                ((p1, p2, p3), (c1, c2, c3))]
+        rel = f"{100 * (c2 - p2) / p2:+.1f}%" if p2 else "n/a"
+        print(f"{name:14s} {side[0]:>32s} {side[1]:>32s} "
+              f"{won:>3d}/{args.pairs:<3d}  {verdict} ({rel})")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
