@@ -4,12 +4,13 @@
 //
 //   Hotpath_SingleLock_Uncontended   the steady-state cost of one
 //                                    uncontended single-lock attempt
+//                                    (thin-word publish + compete +
+//                                    release: no pool traffic)
+//   Hotpath_MultiShard_Uncontended   one uncontended two-lock attempt
 //                                    (alloc + insert + compete + remove +
-//                                    retire, all shard-local)
-//   Hotpath_MultiShard_Uncontended   the same attempt straddling two
-//                                    shards (pools of both; still one
-//                                    guard and one retire, the table's
-//                                    EBR domain being table-wide)
+//                                    retire: one guard, one retire). The
+//                                    name predates the single pool pair;
+//                                    BENCH_hotpath.json keys on it
 //   Hotpath_SingleLock_Contended     κ processes hammering one lock
 //   Hotpath_IdemReplay/N             descriptor reinit + owner run +
 //                                    helper replay of an N-op thunk — the
@@ -52,7 +53,6 @@ using wfl::IdemCtx;
 using wfl::LockConfig;
 using wfl::LockSetView;
 using wfl::RealPlat;
-using wfl::SpaceSizing;
 using wfl::StaticLockSet;
 using Table = wfl::LockTable<RealPlat>;
 using Session = wfl::Session<RealPlat>;
@@ -123,7 +123,7 @@ void report(benchmark::State& state, const PhaseSums& sums,
 // --- benchmarks -----------------------------------------------------------
 
 void Hotpath_SingleLock_Uncontended(benchmark::State& state) {
-  Table table(hot_cfg(2, 2), 2, 16, SpaceSizing{.shards = 4});
+  Table table(hot_cfg(2, 2), 2, 16);
   Session session(table);
   RealPlat::seed_rng(0xB0A710ADULL);
   Cell<RealPlat> cell{0};
@@ -143,11 +143,11 @@ void Hotpath_SingleLock_Uncontended(benchmark::State& state) {
 BENCHMARK(Hotpath_SingleLock_Uncontended);
 
 void Hotpath_MultiShard_Uncontended(benchmark::State& state) {
-  Table table(hot_cfg(2, 2), 2, 16, SpaceSizing{.shards = 4});
+  Table table(hot_cfg(2, 2), 2, 16);
   Session session(table);
   RealPlat::seed_rng(0xB0A710ADULL);
   Cell<RealPlat> cell{0};
-  const StaticLockSet<2> locks({1, 2});  // shards 1 and 2 under mask routing
+  const StaticLockSet<2> locks({1, 2});
   for (int i = 0; i < 512; ++i) bump(session, locks, cell);
   const std::uint64_t fl0 = table.freelist_ops();
   const std::uint64_t lr0 = table.stats().log_slot_resets;
@@ -168,8 +168,7 @@ void Hotpath_SingleLock_Contended(benchmark::State& state) {
   {
     std::lock_guard<std::mutex> lk(mu);
     if (active++ == 0) {
-      table = std::make_unique<Table>(hot_cfg(8, 2), 8, 16,
-                                      SpaceSizing{.shards = 4});
+      table = std::make_unique<Table>(hot_cfg(8, 2), 8, 16);
       cell = std::make_unique<Cell<RealPlat>>(0);
     }
   }

@@ -57,7 +57,6 @@ using wfl::LockStats;
 using wfl::Outcome;
 using wfl::Policy;
 using wfl::RealPlat;
-using wfl::SpaceSizing;
 using wfl::StaticLockSet;
 using Table = wfl::LockTable<RealPlat>;
 
@@ -102,8 +101,7 @@ struct Shared {
     std::lock_guard<std::mutex> lk(mu);
     if (active++ == 0) {
       table = std::make_unique<Table>(scaling_cfg(threads, max_locks),
-                                      threads, kNumLocks,
-                                      SpaceSizing{.shards = 4});
+                                      threads, kNumLocks);
       cells.clear();
       for (int i = 0; i < kNumLocks; ++i) {
         cells.push_back(std::make_unique<Cell<RealPlat>>(0u));

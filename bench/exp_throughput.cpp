@@ -50,7 +50,7 @@ struct RunOut {
   double ops_per_sec = 0;
   double attempts_per_op = 0;
   bool conserved = false;
-  std::string note;  // table-only annotation (e.g. wflock shard count)
+  std::string note;  // table-only annotation (e.g. the batch size)
 };
 
 // Drives `op(thread, a, b, amount) -> attempts` from `threads` threads for
@@ -158,8 +158,7 @@ RunOut run_bank_batch(int threads, double secs, const BackendConfig& bc) {
                     : 0.0;
   out.conserved = bank.total_balance() ==
                   static_cast<std::uint64_t>(kInitial) * kAccounts;
-  out.note = " S" + std::to_string(space->num_shards()) + " B" +
-             std::to_string(kBatch);
+  out.note = " B" + std::to_string(kBatch);
   return out;
 }
 
@@ -181,9 +180,6 @@ RunOut run_bank(int threads, double secs, const BackendConfig& bc) {
       },
       [&] { return bank.total_balance(); },
       static_cast<std::uint64_t>(kInitial) * kAccounts);
-  if constexpr (requires { space->num_shards(); }) {
-    out.note = " S" + std::to_string(space->num_shards());
-  }
   return out;
 }
 

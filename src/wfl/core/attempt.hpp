@@ -82,9 +82,9 @@ struct AttemptEngine {
 
   // The core competition procedure (lines 26-37). `p` may be the caller's
   // own descriptor or one being helped; the code cannot tell and must not.
-  // The guard covers the whole table, so a helper that wandered into
-  // another shard's territory still reads its snapshots and descriptors
-  // under reclamation protection; inside an attempt it is a depth bump.
+  // The guard covers the whole table, so a helper reads any descriptor's
+  // snapshots and fields under reclamation protection; inside an attempt
+  // it is a depth bump.
   //
   // Besides the set members, each lock's *thin word* (DESIGN.md §5.1) is
   // probed for a fast-path publication and dueled exactly like a member:

@@ -1,4 +1,4 @@
-// The lock table: sharded storage + orchestration for Algorithm 3.
+// The lock table: storage + orchestration for Algorithm 3.
 //
 // A LockTable owns a family of locks, each represented by one active set
 // (Algorithm 1); together they form the multi active set (Algorithm 2) the
@@ -63,24 +63,17 @@
 // a priority at publication, and the adaptivity argument leans on every
 // observer finishing revealed competitors (DESIGN.md §5.2).
 //
-// --- Sharding -------------------------------------------------------------
+// --- Reclamation ------------------------------------------------------------
 //
-// Locks are distributed over S = 2^k shards (lock id & (S-1)). Each shard
-// owns a descriptor pool and a snapshot pool, fronted by per-process slot
-// caches, so the allocation traffic of an attempt — pool freelist CASes,
-// snapshot churn — stays inside the shards its lock set touches: a
-// single-lock attempt allocates only from its home shard. The per-process
-// counters that the monolith shared globally (serial, stats) are striped
-// into ProcessHandles (core/process.hpp).
-//
-// Reclamation is table-wide: ONE EBR domain covers every shard, as in the
-// shm table. An attempt enters its guard once, and that one guard covers
-// every descriptor and snapshot it may read, in any shard — helping a
-// descriptor homed elsewhere costs a re-entrancy depth bump, not a fence.
-// A descriptor is retired exactly once, into that domain, and its pool
-// slot goes back to the owner's home-shard cache when the grace period
-// expires. The price: a guard held anywhere delays the freeing of slots
-// retired in every shard, not only in the shards it could read.
+// The table owns one descriptor pool and one snapshot pool, each fronted by
+// per-process slot caches, and ONE EBR domain, as the shm table does. An
+// attempt enters its guard once, and that one guard covers every descriptor
+// and snapshot it may read — helping another descriptor costs a re-entrancy
+// depth bump, not a fence. A descriptor is retired exactly once, into that
+// domain, and its pool slot goes back to the owner's cache when the grace
+// period expires, so a steady-state attempt never touches the shared
+// freelist. The price: a guard held by any process delays the freeing of
+// every slot retired while it is held.
 //
 // Under DelayMode::kOff the guard is held across the whole attempt. Under
 // the paper's delays the attempt exits it while a T0/T1 delay or §6.2
@@ -135,15 +128,11 @@
 
 namespace wfl {
 
-// Capacity/layout overrides; 0 means "auto from process count".
+// Initial pool capacities; 0 means "auto from process count".
 struct SpaceSizing {
-  std::uint32_t snap_pool_capacity = 0;  // initial snapshots per shard
-  std::uint32_t desc_pool_capacity = 0;  // initial descriptors per shard
-  std::uint32_t shards = 0;              // shard count (power of two)
-  std::uint32_t serial_block = 0;        // serials per per-process block
+  std::uint32_t snap_pool_capacity = 0;  // initial snapshots
+  std::uint32_t desc_pool_capacity = 0;  // initial descriptors
 };
-
-inline constexpr std::uint32_t kMaxShards = 16;
 
 // Release-event sink: a runtime (the async executor) installs one to learn
 // when a lock's competition state changed — a descriptor left the lock's
@@ -188,13 +177,19 @@ class LockTable {
             SpaceSizing sizing = {})
       : cfg_(cfg),
         max_procs_(max_procs),
-        num_shards_(sizing.shards != 0 ? sizing.shards
-                                       : auto_shards(max_procs, num_locks)),
-        serial_block_(sizing.serial_block != 0 ? sizing.serial_block
-                                               : kDefaultSerialBlock),
+        practical_(cfg.delay_mode == DelayMode::kOff),
         thin_(static_cast<std::size_t>(std::max(num_locks, 1))),
+        snap_pool_(sizing.snap_pool_capacity != 0
+                       ? sizing.snap_pool_capacity
+                       : auto_snap_capacity(max_procs)),
+        desc_pool_(sizing.desc_pool_capacity != 0
+                       ? sizing.desc_pool_capacity
+                       : auto_desc_capacity(max_procs)),
+        desc_caches_(static_cast<std::size_t>(std::max(max_procs, 1))),
+        snap_caches_(static_cast<std::size_t>(std::max(max_procs, 1))),
         handles_(static_cast<std::size_t>(std::max(max_procs, 1))),
-        ebr_(max_procs) {
+        ebr_(max_procs),
+        set_mem_(snap_pool_, ebr_, snap_caches_.data()) {
     // Raw atomics with hooked accessors: seed their shadow state so a
     // table built on a reused heap address starts clean.
     race::created(&serial_hwm_, 1);
@@ -210,40 +205,12 @@ class LockTable {
     const std::uint32_t set_cap =
         unknown_bounds_ ? static_cast<std::uint32_t>(max_procs) : cfg_.kappa;
     WFL_CHECK(set_cap <= kMaxSetCap);
-    WFL_CHECK_MSG(num_shards_ >= 1 && num_shards_ <= kMaxShards &&
-                      (num_shards_ & (num_shards_ - 1)) == 0,
-                  "shard count must be a power of two in [1, kMaxShards]");
-
-    const std::uint32_t snap_cap =
-        sizing.snap_pool_capacity != 0
-            ? sizing.snap_pool_capacity
-            : per_shard(auto_snap_capacity(max_procs), 512);
-    const std::uint32_t desc_cap =
-        sizing.desc_pool_capacity != 0
-            ? sizing.desc_pool_capacity
-            : per_shard(auto_desc_capacity(max_procs), 128);
-
-    mem_.reserve(num_shards_);
-    caches_.reserve(num_shards_);
-    set_mem_.reserve(num_shards_);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      mem_.push_back(std::make_unique<ShardMem>(snap_cap, desc_cap));
-      caches_.push_back(std::make_unique<ShardCaches>(
-          static_cast<std::size_t>(max_procs), *mem_[s]));
-      set_mem_.push_back(SetMem<Desc*>{mem_[s]->snap_pool, ebr_,
-                                       caches_[s]->snap.data()});
-    }
+    for (auto& c : desc_caches_) c->bind(&desc_pool_);
+    for (auto& c : snap_caches_) c->bind(&snap_pool_);
     locks_.reserve(static_cast<std::size_t>(num_locks));
     for (int i = 0; i < num_locks; ++i) {
-      locks_.push_back(std::make_unique<Set>(
-          set_cap, set_mem_[shard_of(static_cast<std::uint32_t>(i))]));
+      locks_.push_back(std::make_unique<Set>(set_cap, set_mem_));
     }
-    // The practical-mode optimizations are hard-gated on kOff: with the
-    // paper's delays on, every execution is bit-identical to the pre-
-    // fast-path tree (the thin words are never published, and the slow
-    // path's probes are skipped entirely).
-    fast_enabled_ = cfg_.delay_mode == DelayMode::kOff;
-    cooperative_ = cfg_.delay_mode == DelayMode::kOff;
   }
 
   ~LockTable() {
@@ -269,20 +236,15 @@ class LockTable {
     }
     const int pid = ebr_.register_participant();
     WFL_CHECK(pid >= 0 && pid < static_cast<int>(handles_.size()));
-    handles_[static_cast<std::size_t>(pid)] = std::make_unique<Handle>(
-        pid, serial_hwm_, serial_block_, /*with_fast_desc=*/true);
+    handles_[static_cast<std::size_t>(pid)] =
+        std::make_unique<Handle>(pid, serial_hwm_, /*with_fast_desc=*/true);
     registered_.store(pid + 1, std::memory_order_release);
     return Process{pid};
   }
 
   int num_locks() const { return static_cast<int>(locks_.size()); }
   int max_procs() const { return max_procs_; }
-  std::uint32_t num_shards() const { return num_shards_; }
   const LockConfig& config() const { return cfg_; }
-
-  std::uint32_t shard_of(std::uint32_t lock_id) const {
-    return lock_id & (num_shards_ - 1);
-  }
 
   // Installs (or clears, with nullptr) the release-event sink. Callers
   // install before submitting any traffic they want notifications for;
@@ -348,22 +310,19 @@ class LockTable {
     // is warm tries to decide through the lock's thin word. A contended or
     // cooling-down attempt falls through to the descriptor path below with
     // the thunk intact.
-    if (fast_enabled_ && lock_ids.size() == 1 && h.fast_ready()) {
+    if (practical_ && lock_ids.size() == 1 && h.fast_ready()) {
       bool won = false;
       if (fast_attempt(h, lock_ids[0], thunk, info, won)) return won;
     }
 
     const std::uint64_t start_steps = Plat::steps();
 
-    // The descriptor is homed in the first lock's shard. Its slot flows
-    // through the process's cache for that shard: alloc pops it here and
-    // the EBR deleter pushes the slot back to it, so a steady-state attempt
-    // never touches the shared freelist (arena.hpp).
-    const std::uint32_t home = shard_of(lock_ids[0]);
-    SlotCache<Desc>& dcache =
-        *caches_[home]->desc[static_cast<std::size_t>(h.pid())];
+    // The descriptor's slot flows through the process's cache: alloc pops
+    // it here and the EBR deleter pushes the slot back to it, so a
+    // steady-state attempt never touches the shared freelist (arena.hpp).
+    SlotCache<Desc>& dcache = *desc_caches_[static_cast<std::size_t>(h.pid())];
     const std::uint32_t didx = dcache.alloc();
-    Desc& d = mem_[home]->desc_pool.at(didx);
+    Desc& d = desc_pool_.at(didx);
     h.stats().add_log_slot_resets(d.reinit(h.next_serial()));
     d.lock_count = static_cast<std::uint32_t>(lock_ids.size());
     for (std::size_t i = 0; i < lock_ids.size(); ++i) {
@@ -481,7 +440,7 @@ class LockTable {
   // CAS — which is after our own set insert — so the newer owner is
   // guaranteed to see and duel us instead.
   Desc* thin_rival(Handle& h, std::uint32_t lock_id) {
-    if (!fast_enabled_) return nullptr;
+    if (!practical_) return nullptr;
     ThinWord& w = *thin_[lock_id];
     for (int pass = 0; pass < 2; ++pass) {
       const std::uint64_t v = w.load();
@@ -509,47 +468,39 @@ class LockTable {
     return s;
   }
 
-  // Test/diagnostic visibility into per-shard pool occupancy: a shard no
-  // attempt touched has every slot free, which is how test_lock_table
-  // checks that single-lock attempts stay shard-local.
+  // Test/diagnostic visibility into pool occupancy: capacity minus free
+  // is the number of slots in use, cached or awaiting a grace period.
+  std::uint32_t desc_capacity() const { return desc_pool_.capacity(); }
+  std::uint32_t desc_free() const { return desc_pool_.free_count(); }
+  std::uint32_t snap_capacity() const { return snap_pool_.capacity(); }
+  std::uint32_t snap_free() const { return snap_pool_.free_count(); }
+
+  // The benchmark suite's pool_slots metric still reads the table through
+  // a shard interface; these forwarders go in the suite's next
+  // benchmark-type change.
+  std::uint32_t num_shards() const { return 1; }
   std::uint32_t shard_desc_capacity(std::uint32_t s) const {
-    return mem_[s]->desc_pool.capacity();
-  }
-  std::uint32_t shard_desc_free(std::uint32_t s) const {
-    return mem_[s]->desc_pool.free_count();
+    WFL_CHECK(s == 0);
+    return desc_capacity();
   }
   std::uint32_t shard_snap_capacity(std::uint32_t s) const {
-    return mem_[s]->snap_pool.capacity();
-  }
-  std::uint32_t shard_snap_free(std::uint32_t s) const {
-    return mem_[s]->snap_pool.free_count();
+    WFL_CHECK(s == 0);
+    return snap_capacity();
   }
 
   // Shared-freelist transactions (pops/pushes, single or batched) against
-  // one shard's pools. The allocation-locality tests assert this stays
-  // flat across a steady-state uncontended window; bench_hotpath reports
-  // it per attempt.
-  std::uint64_t shard_freelist_ops(std::uint32_t s) const {
-    return mem_[s]->desc_pool.freelist_ops() + mem_[s]->snap_pool.freelist_ops();
-  }
+  // the pools. The allocation-locality tests assert this stays flat across
+  // a steady-state uncontended window; bench_hotpath reports it per
+  // attempt.
   std::uint64_t freelist_ops() const {
-    std::uint64_t total = 0;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      total += shard_freelist_ops(s);
-    }
-    return total;
+    return desc_pool_.freelist_ops() + snap_pool_.freelist_ops();
   }
 
-  // Slots currently parked in `p`'s per-shard caches (descriptors +
-  // snapshots). Quiescent-only diagnostic: the caches are owner-private.
+  // Slots currently parked in `p`'s caches (descriptors + snapshots).
+  // Quiescent-only diagnostic: the caches are owner-private.
   std::uint32_t cached_slots(Process p) const {
     const auto pidx = static_cast<std::size_t>(p.ebr_pid);
-    std::uint32_t total = 0;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      total += caches_[s]->desc[pidx]->size();
-      total += caches_[s]->snap[pidx]->size();
-    }
-    return total;
+    return desc_caches_[pidx]->size() + snap_caches_[pidx]->size();
   }
 
   // Test/diagnostic access to a lock's active set. An inspector must hold
@@ -598,10 +549,8 @@ class LockTable {
     // reuse them). Safe to do from the releasing thread: the caller
     // guarantees the process takes no further steps.
     const auto pidx = static_cast<std::size_t>(p.ebr_pid);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      caches_[s]->desc[pidx]->drain();
-      caches_[s]->snap[pidx]->drain();
-    }
+    desc_caches_[pidx]->drain();
+    snap_caches_[pidx]->drain();
     if (parked_in_guard) return;
     std::lock_guard<std::mutex> lk(reg_mutex_);
     free_pids_.push_back(p.ebr_pid);
@@ -609,8 +558,8 @@ class LockTable {
 
  public:
   // Diagnostics for the kOff optimizations (tests, bench_scaling).
-  bool fast_path_enabled() const { return fast_enabled_; }
-  bool claim_helping_enabled() const { return cooperative_; }
+  bool fast_path_enabled() const { return practical_; }
+  bool claim_helping_enabled() const { return practical_; }
   // Quiescent-only peek at a lock's thin word (0 = free).
   std::uint64_t thin_word_peek(std::uint32_t lock_id) const {
     return thin_[lock_id]->peek();
@@ -620,26 +569,6 @@ class LockTable {
   struct AttemptCtx;
   using Engine = AttemptEngine<Plat, AttemptCtx>;
   using ThinWord = typename Plat::template Atomic<std::uint64_t>;
-
-  struct ShardMem {
-    IndexPool<SetSnap<Desc*>> snap_pool;
-    IndexPool<Desc> desc_pool;
-    ShardMem(std::uint32_t snap_cap, std::uint32_t desc_cap)
-        : snap_pool(snap_cap), desc_pool(desc_cap) {}
-  };
-
-  // Per-process slot caches fronting one shard's pools (indexed by EBR
-  // pid). Declared before ebr_ so EBR teardown can still push retired
-  // slots into them; line-padded so neighbouring processes' caches never
-  // share a line.
-  struct ShardCaches {
-    std::vector<CachePadded<SlotCache<Desc>>> desc;
-    std::vector<CachePadded<SlotCache<SetSnap<Desc*>>>> snap;
-    ShardCaches(std::size_t procs, ShardMem& mem) : desc(procs), snap(procs) {
-      for (auto& c : desc) c->bind(&mem.desc_pool);
-      for (auto& c : snap) c->bind(&mem.snap_pool);
-    }
-  };
 
   // The engine's memory/stats context (see core/attempt.hpp).
   struct AttemptCtx {
@@ -676,7 +605,7 @@ class LockTable {
     void run_thunk(Desc& p, IdemCtx<Plat>& m) { p.thunk(m); }
     int pid() { return h.pid(); }
     bool help_phase() { return t.cfg_.help_phase; }
-    bool cooperative() { return t.cooperative_; }
+    bool cooperative() { return t.practical_; }
     std::uint32_t claim_patience() { return t.cfg_.claim_patience; }
 
     // The reveal is pinned to exactly T0 own steps after the attempt's
@@ -741,22 +670,6 @@ class LockTable {
     return std::max<std::uint32_t>(512,
                                    static_cast<std::uint32_t>(procs) * 32);
   }
-  std::uint32_t per_shard(std::uint32_t total, std::uint32_t floor) const {
-    return std::max(floor, total / num_shards_);
-  }
-
-  // Largest power of two <= min(max_procs, num_locks, kMaxShards): enough
-  // shards that processes spread out, never more shards than locks (a
-  // shard without locks is pure overhead), and 1 for the single-process
-  // spaces the unit tests build by the hundreds.
-  static std::uint32_t auto_shards(int max_procs, int num_locks) {
-    std::uint32_t s = 1;
-    while (s * 2 <= kMaxShards && static_cast<int>(s * 2) <= max_procs &&
-           static_cast<int>(s * 2) <= num_locks) {
-      s *= 2;
-    }
-    return s;
-  }
 
   // Posts release events to the installed sink, if any. One relaxed load
   // on the hot path when no sink is installed; the sink's own ordering
@@ -774,26 +687,30 @@ class LockTable {
 
   LockConfig cfg_;
   int max_procs_;
-  std::uint32_t num_shards_;
-  std::uint32_t serial_block_;
-  bool fast_enabled_ = false;
-  bool cooperative_ = false;
+  // The practical-mode optimizations (thin-word fast path, cooperative
+  // helping) are hard-gated on kOff: with the paper's delays on, every
+  // execution is bit-identical to the pre-fast-path tree (the thin words
+  // are never published, and the slow path's probes are skipped entirely).
+  const bool practical_;
   bool unknown_bounds_ = false;
   // One thin word per lock, line-padded: under contention rivals hammer a
   // lock's word with observe CASes and the owner with publish/release
   // CASes — neighbouring locks must not share that line.
   std::vector<CachePadded<ThinWord>> thin_;
   // Order matters: the EbrDomain's destructor drains retired objects back
-  // into every shard's per-process caches and pools and runs any pending
-  // fast-path cooldown deleters against their handles, so every pool,
-  // cache AND handle must outlive the domain: mem_, caches_ and handles_
-  // are declared before ebr_ (members are destroyed in reverse order), and
-  // locks_/set_mem_ (which reference both) come after.
-  std::vector<std::unique_ptr<ShardMem>> mem_;
-  std::vector<std::unique_ptr<ShardCaches>> caches_;
+  // into the per-process caches and pools and runs any pending fast-path
+  // cooldown deleters against their handles, so every pool, cache AND
+  // handle must outlive the domain: they are declared before ebr_ (members
+  // are destroyed in reverse order), and set_mem_/locks_ (which reference
+  // both) come after. The caches are indexed by EBR pid and line-padded so
+  // neighbouring processes' caches never share a line.
+  IndexPool<SetSnap<Desc*>> snap_pool_;
+  IndexPool<Desc> desc_pool_;
+  std::vector<CachePadded<SlotCache<Desc>>> desc_caches_;
+  std::vector<CachePadded<SlotCache<SetSnap<Desc*>>>> snap_caches_;
   std::vector<std::unique_ptr<Handle>> handles_;  // indexed by pid; fixed size
   EbrDomain ebr_;
-  std::vector<SetMem<Desc*>> set_mem_;
+  SetMem<Desc*> set_mem_;
   std::vector<std::unique_ptr<Set>> locks_;
 
   std::atomic<std::uint64_t> serial_hwm_{1};

@@ -20,10 +20,10 @@
 //     driving another descriptor, a batch or an inspector can nest inside
 //     an attempt's guard at the cost of a private increment.
 //   * an auxiliary RNG, seeded from the pid — for harness-side choices
-//     (workload generators, shard-aware benches). The *algorithm's*
-//     priority draws stay on Plat::rand_u64(), which is already
-//     per-process on both platforms (a thread_local under RealPlat, the
-//     per-fiber stream under SimPlat) and owns simulator determinism.
+//     (workload generators). The *algorithm's* priority draws stay on
+//     Plat::rand_u64(), which is already per-process on both platforms (a
+//     thread_local under RealPlat, the per-fiber stream under SimPlat) and
+//     owns simulator determinism.
 //
 // Handles are created by LockTable::register_process (and owned by the
 // table, whatever its DelayMode) and by ShmLockTable::open_session (owned
@@ -136,9 +136,6 @@ struct StatsSlab {
 // neighbour's stripe.
 static_assert(sizeof(CachePadded<StatsSlab>) % kCacheLine == 0);
 
-// Serials per block carved off a table's shared high-water mark.
-inline constexpr std::uint32_t kDefaultSerialBlock = 1024;
-
 // Per-process handle; DescT is the descriptor type whose pointers the
 // scratch lists carry (Descriptor<Plat> for LockTable, ShmDesc for the shm
 // table).
@@ -148,13 +145,12 @@ class ProcessHandle {
   // `with_fast_desc` allocates the embedded fast-path descriptor (LockTable
   // wants it; the shm table, which has no thin words, does not).
   ProcessHandle(int pid, std::atomic<std::uint64_t>& serial_hwm,
-                std::uint32_t serial_block, bool with_fast_desc = false)
+                bool with_fast_desc = false)
       : pid_(pid),
-        serial_block_(serial_block),
         serial_hwm_(&serial_hwm),
         fast_desc_(with_fast_desc ? std::make_unique<DescT>() : nullptr),
         rng_(0x5EEDF00Du + static_cast<std::uint64_t>(pid) * 0x9E3779B9ULL) {
-    WFL_CHECK(pid >= 0 && serial_block > 0);
+    WFL_CHECK(pid >= 0);
     // fast_ready_ is a raw std::atomic with hooked accessors; seed its
     // shadow and retire it in the dtor so heap reuse of the handle's
     // storage cannot alias stale tracked state from a prior object.
@@ -166,18 +162,21 @@ class ProcessHandle {
   ProcessHandle(const ProcessHandle&) = delete;
   ProcessHandle& operator=(const ProcessHandle&) = delete;
 
+  // Serials per block carved off the table's shared high-water mark.
+  static constexpr std::uint32_t kSerialBlock = 1024;
+
   int pid() const { return pid_; }
 
   // Next descriptor serial, from the process's private block; refills from
-  // the shared high-water mark once per `serial_block` attempts (the only
+  // the shared high-water mark once per kSerialBlock attempts (the only
   // process-shared write on this path, amortized to ~nothing).
   std::uint64_t next_serial() {
     if (serial_next_ == serial_end_) {
-      serial_next_ = serial_hwm_->fetch_add(serial_block_,
-                                            std::memory_order_relaxed);
+      serial_next_ =
+          serial_hwm_->fetch_add(kSerialBlock, std::memory_order_relaxed);
       WFL_CHK_ATOMIC(serial_hwm_, kFetchAdd, relaxed, kSerialRefill,
-                     serial_next_ + serial_block_);
-      serial_end_ = serial_next_ + serial_block_;
+                     serial_next_ + kSerialBlock);
+      serial_end_ = serial_next_ + kSerialBlock;
     }
     return serial_next_++;
   }
@@ -245,13 +244,12 @@ class ProcessHandle {
     if (--guard_depth_ == 0) domain.exit(pid_);
   }
 
-  // Harness-side randomness (workload generation, shard picking). NOT the
-  // priority stream — see the header comment.
+  // Harness-side randomness (workload generation). NOT the priority
+  // stream — see the header comment.
   Xoshiro256& rng() { return rng_; }
 
  private:
   int pid_;
-  std::uint32_t serial_block_;
   std::uint64_t serial_next_ = 0;
   std::uint64_t serial_end_ = 0;
   std::atomic<std::uint64_t>* serial_hwm_;

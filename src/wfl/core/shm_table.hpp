@@ -19,9 +19,9 @@
 //     accessor's own arena, not closures;
 //   * the reveal hooks are the crash harness's traps, not the T0/T1
 //     delays (create_in enforces DelayMode::kOff);
-//   * there is one shard, no thin-word fast path and no cooperative
-//     helping (both are single-address-space optimizations; the descriptor
-//     path is the paper's algorithm and needs neither).
+//   * there is no thin-word fast path and no cooperative helping (both
+//     are single-address-space optimizations; the descriptor path is the
+//     paper's algorithm and needs neither).
 //
 // The honest part of the paper's fault model lives here. A "crashed
 // process" is a real SIGKILL, and recovery is SURVIVOR-DRIVEN:
@@ -197,7 +197,7 @@ class ShmLockTable {
    private:
     friend class ShmLockTable;
     Session(int pid, std::atomic<std::uint64_t>& serial_hwm)
-        : h_(pid, serial_hwm, kDefaultSerialBlock) {}
+        : h_(pid, serial_hwm) {}
     Handle h_;
     SlotCache<Desc> dcache_;
   };

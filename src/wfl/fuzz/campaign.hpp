@@ -113,28 +113,27 @@ inline std::vector<Trace> seed_traces(const std::string& fault) {
   // Fault campaigns seed only the workload family that can express the
   // fault: mutators never change a trace's workload kind, so seeds from
   // unrelated families just dilute the mutation budget — enough that the
-  // lost_wake gate stopped converging when the sharded family landed.
+  // lost_wake gate stopped converging when the pressure family landed.
   // Clean campaigns (and soak) keep the full pool.
   std::vector<WorkloadKind> kinds = {WorkloadKind::kEngine,
                                      WorkloadKind::kAsync,
-                                     WorkloadKind::kEngineSharded};
+                                     WorkloadKind::kEnginePressure};
   if (const std::optional<FaultSpec> f = parse_fault(fault); f.has_value()) {
     if (f->hook != Fault::kNone) {
       kinds = {WorkloadKind::kAsync};  // executor wake-path hooks
     } else if (f->engine_mutation) {
-      kinds = {WorkloadKind::kEngine, WorkloadKind::kEngineSharded};
+      kinds = {WorkloadKind::kEngine, WorkloadKind::kEnginePressure};
     }
   }
-  // Sharded seeds spread over 8 locks (2 per shard): enough lanes that
-  // the own-lane beat really is per-process, while the straddling pairs
-  // still cross every shard boundary.
+  // Pressure seeds spread over 8 locks: enough lanes that the own-lane
+  // beat really is per-process.
   auto shape_locks = [](WorkloadKind wk) {
-    return wk == WorkloadKind::kEngineSharded ? 8 : 2;
+    return wk == WorkloadKind::kEnginePressure ? 8 : 2;
   };
-  // Sharded seeds also run wider (6 procs): the hot-lock beat needs
+  // Pressure seeds also run wider (6 procs): the hot-lock beat needs
   // enough simultaneous helpers that claim tenures overlap at all.
   auto shape_procs = [](WorkloadKind wk) {
-    return wk == WorkloadKind::kEngineSharded ? 6 : 4;
+    return wk == WorkloadKind::kEnginePressure ? 6 : 4;
   };
   for (const WorkloadKind wk : kinds) {
     for (std::uint64_t s = 1; s <= 3; ++s) {  // plain uniform, 3 streams

@@ -34,18 +34,18 @@ namespace wfl::fuzz {
 
 // Which harness replays the trace (fuzz/workload.hpp).
 enum class WorkloadKind : std::uint8_t {
-  kEngine = 0,     // direct submit() rounds: fast path, helping, crashes
-  kAsync,          // AsyncExecutor inline mode: park/wake, cancellation
-  kEngineSharded,  // sharded-table engine rounds: shard-straddling lock
-                   // sets (cross-shard helping), own-lane
-                   // fast-path reuse (cooldown expiry), hot-lock helping
-                   // bursts (stale-claim revocation)
+  kEngine = 0,      // direct submit() rounds: fast path, helping, crashes
+  kAsync,           // AsyncExecutor inline mode: park/wake, cancellation
+  kEnginePressure,  // small-pool engine rounds: lock pairs (helping
+                    // under one guard), own-lane fast-path reuse
+                    // (cooldown expiry), hot-lock helping bursts
+                    // (stale-claim revocation)
 };
 
 inline const char* workload_name(WorkloadKind k) {
   switch (k) {
     case WorkloadKind::kAsync: return "async";
-    case WorkloadKind::kEngineSharded: return "engine_sharded";
+    case WorkloadKind::kEnginePressure: return "engine_pressure";
     default: return "engine";
   }
 }
@@ -125,8 +125,8 @@ struct Trace {
           workload = WorkloadKind::kEngine;
         } else if (v == "async") {
           workload = WorkloadKind::kAsync;
-        } else if (v == "engine_sharded") {
-          workload = WorkloadKind::kEngineSharded;
+        } else if (v == "engine_pressure") {
+          workload = WorkloadKind::kEnginePressure;
         } else {
           return false;
         }

@@ -11,20 +11,20 @@
 //     crash model verbatim — mid-attempt, mid-fast-path-publish and
 //     mid-help-claim crash points fall out of slot granularity.
 //
-//   * kEngineSharded — the same engine harness over a 4-shard table with
-//     deliberately small per-shard pools and a three-beat lock pattern:
-//     own-lane singles (fast-path publish/release, then a re-acquire that
-//     lands inside or just past the EBR cooldown — kSiteCooldownResume),
-//     shard-straddling pairs {l, l+1} (a descriptor homed in one shard
-//     whose helpers read it from another, under the table's one guard;
-//     its slot returns to the home shard's pool), and all-procs hot-lock
-//     beats run at
-//     claim_patience 2, where overlapping help-claim tenures go stale
-//     inside a run — kSiteClaimExpiry (see EngineShape::claim_patience for
-//     why the production threshold is out of reach of any bounded
-//     schedule). The plain engine workload runs single-shard by
-//     construction (2 locks, 4 procs), so these branches were dead weight
-//     in the feature map until this config.
+//   * kEnginePressure — the same engine harness over 8 locks and 6 procs
+//     with deliberately small pools (reclamation pressure walks the EBR
+//     epochs fast enough for cooldown tokens to expire inside a run) and a
+//     three-beat lock pattern: own-lane singles (fast-path
+//     publish/release, then a re-acquire that lands inside or just past
+//     the EBR cooldown — kSiteCooldownResume), neighbouring pairs
+//     {l, l+1} (descriptors whose helpers read them under the table's one
+//     guard), and all-procs hot-lock beats run at claim_patience 2, where
+//     overlapping help-claim tenures go stale inside a run —
+//     kSiteClaimExpiry (see EngineShape::claim_patience for why the
+//     production threshold is out of reach of any bounded schedule). The
+//     plain engine workload (2 locks, 4 procs) never reaches these
+//     branches, so they were dead weight in the feature map until this
+//     config.
 //
 //   * kAsync — AsyncExecutor inline mode (workers = 0, the
 //     sim-deterministic configuration): park/wake, wake-one signal
@@ -150,14 +150,14 @@ inline void fail(RunResult& r, const std::string& what) {
 }
 
 // Per-round lock-set choice plus the table geometry it runs against; the
-// engine harness body is shared between the plain and sharded configs.
+// engine harness body is shared between the plain and pressure configs.
 // `pick` writes up to 2 ascending ids and returns the count.
 struct EngineShape {
   int rounds;
   int locks;
   SpaceSizing sizing;
   std::uint32_t (*pick)(int p, int r, int locks, std::uint32_t* ids);
-  // Per-round acquisition policy. The sharded config retries its hot-lock
+  // Per-round acquisition policy. The pressure config retries its hot-lock
   // beat until it wins: claim tenures only ever overlap (the precondition
   // for skip accumulation and eventually kSiteClaimExpiry) when rivals
   // restart attempts densely enough to observe each other mid-drive, and
@@ -171,7 +171,7 @@ struct EngineShape {
   // duels the claimed descriptor with a fresh uniform priority afterwards,
   // so the descriptor dies (or the claimer finishes) an order of magnitude
   // earlier — measured across >10k adversarial grant genomes the best
-  // single tenure absorbed 8. The sharded config runs patience 2 so the
+  // single tenure absorbed 8. The pressure config runs patience 2 so the
   // revoke-and-drive branch is under real coverage pressure; the branch
   // body is identical at every threshold.
   std::uint32_t claim_patience;
@@ -189,14 +189,14 @@ inline std::uint32_t pick_engine_plain(int p, int r, int locks,
   return 1;
 }
 
-// Sharded three-beat (see header): own lane, straddling pair, hot lock.
+// Pressure three-beat (see header): own lane, neighbouring pair, hot lock.
 // Pairs use l in [0, locks-2] so ids stay ascending without wrapping.
 // The hot beat is FOUR consecutive rounds, not one: a lone hot round ends
 // as soon as each proc wins once, so help-claim tenures barely overlap;
 // sustained single-lock pressure is what stacks a second and third
 // observation onto a live claim before its holder finishes the drive.
-inline std::uint32_t pick_engine_sharded(int p, int r, int locks,
-                                         std::uint32_t* ids) {
+inline std::uint32_t pick_engine_pressure(int p, int r, int locks,
+                                          std::uint32_t* ids) {
   switch (r % 6) {
     case 0:
       ids[0] = static_cast<std::uint32_t>(p % locks);
@@ -215,7 +215,7 @@ inline std::uint32_t pick_engine_sharded(int p, int r, int locks,
 }
 
 inline Policy policy_attempts4(int) { return Policy::attempts(4); }
-inline Policy policy_sharded(int r) {
+inline Policy policy_pressure(int r) {
   return r % 6 >= 2 ? Policy::retry() : Policy::attempts(4);
 }
 
@@ -224,19 +224,18 @@ inline EngineShape plain_shape(const Trace& t) {
           &pick_engine_plain, &policy_attempts4, /*claim_patience=*/16};
 }
 
-inline EngineShape sharded_shape(const Trace& t) {
+inline EngineShape pressure_shape(const Trace& t) {
   EngineShape sh;
-  sh.rounds = 12;  // two full own/pair/hot*4 beats (see pick_engine_sharded)
-  // Every shard must own at least one lock and the pair pattern needs
-  // locks >= 2 per shard boundary; 4 is the floor, seeds use 8.
+  sh.rounds = 12;  // two full own/pair/hot*4 beats (see pick_engine_pressure)
+  // The pair beat needs 2 locks and the own-lane beat wants distinct
+  // lanes; 4 is the floor, seeds use 8.
   sh.locks = std::max(4, t.locks);
-  // Small per-shard pools: reclamation pressure is what walks the EBR
-  // epochs fast enough for cooldown tokens to expire inside a run.
-  sh.sizing.snap_pool_capacity = 320;
-  sh.sizing.desc_pool_capacity = 96;
-  sh.sizing.shards = 4;
-  sh.pick = &pick_engine_sharded;
-  sh.policy = &policy_sharded;
+  // Small pools: reclamation pressure is what walks the EBR epochs fast
+  // enough for cooldown tokens to expire inside a run.
+  sh.sizing.snap_pool_capacity = 1280;
+  sh.sizing.desc_pool_capacity = 384;
+  sh.pick = &pick_engine_pressure;
+  sh.policy = &policy_pressure;
   sh.claim_patience = 2;  // see EngineShape — keeps expiry reachable
   return sh;
 }
@@ -415,8 +414,8 @@ RunResult run_engine_trace(const Trace& t) {
 }
 
 template <typename Plat>
-RunResult run_engine_sharded_trace(const Trace& t) {
-  return run_engine_shape<Plat>(t, detail::sharded_shape(t));
+RunResult run_engine_pressure_trace(const Trace& t) {
+  return run_engine_shape<Plat>(t, detail::pressure_shape(t));
 }
 
 // --- async workload ---------------------------------------------------------
@@ -923,8 +922,8 @@ RunResult run_trace(const Trace& t) {
   FaultScope scope(f->hook);
   switch (t.workload) {
     case WorkloadKind::kAsync: return run_async_trace<Plat>(t);
-    case WorkloadKind::kEngineSharded:
-      return run_engine_sharded_trace<Plat>(t);
+    case WorkloadKind::kEnginePressure:
+      return run_engine_pressure_trace<Plat>(t);
     default: return run_engine_trace<Plat>(t);
   }
 }

@@ -42,11 +42,11 @@ LockConfig off_cfg(std::uint32_t kappa, std::uint32_t max_locks = 2,
 // --- fast-path basics (RealPlat) -----------------------------------------
 
 // A warm uncontended single-lock workload must decide every attempt via
-// the thin word: fastpath_hits tracks attempts 1:1, no shard's descriptor
-// pool is ever touched, the shared freelists see zero transactions, and
-// nothing is revoked.
+// the thin word: fastpath_hits tracks attempts 1:1, the descriptor pool is
+// never touched, the shared freelists see zero transactions, and nothing is
+// revoked.
 TEST(FastPath, UncontendedHitsAndZeroPoolTraffic) {
-  Table t(off_cfg(2, 1), 2, 16, SpaceSizing{.shards = 4});
+  Table t(off_cfg(2, 1), 2, 16);
   ASSERT_TRUE(t.fast_path_enabled());
   Session<RealPlat> session(t);
   Cell<RealPlat> c{0};
@@ -67,10 +67,8 @@ TEST(FastPath, UncontendedHitsAndZeroPoolTraffic) {
   EXPECT_EQ(s.fastpath_revocations, 0u);
   EXPECT_EQ(c.peek(), static_cast<std::uint32_t>(kAttempts));
   EXPECT_EQ(t.freelist_ops(), fl0) << "fast path touched a shared freelist";
-  for (std::uint32_t sh = 0; sh < t.num_shards(); ++sh) {
-    EXPECT_EQ(t.shard_desc_free(sh), t.shard_desc_capacity(sh))
-        << "fast path allocated a descriptor in shard " << sh;
-  }
+  EXPECT_EQ(t.desc_free(), t.desc_capacity())
+      << "fast path allocated a descriptor";
   for (std::uint32_t id = 0; id < 16; ++id) {
     EXPECT_EQ(t.thin_word_peek(id), 0u) << "thin word leaked on lock " << id;
   }

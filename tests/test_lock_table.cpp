@@ -1,5 +1,5 @@
-// The sharded LockTable layer: shard routing, striped statistics, and
-// process-handle behaviour across shards.
+// The LockTable layer: striped statistics, process handles, and the pool
+// and reclamation plumbing behind the attempts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,61 +28,12 @@ LockConfig cfg_for(int procs, std::uint32_t max_locks = 2,
   return cfg;
 }
 
-TEST(LockTable, AutoShardHeuristics) {
-  // Never more shards than processes or locks; capped at kMaxShards.
-  EXPECT_EQ(Table(cfg_for(1), 1, 64).num_shards(), 1u);
-  EXPECT_EQ(Table(cfg_for(2), 2, 64).num_shards(), 2u);
-  EXPECT_EQ(Table(cfg_for(8), 8, 64).num_shards(), 8u);
-  EXPECT_EQ(Table(cfg_for(8), 8, 3).num_shards(), 2u);   // lock-bound
-  EXPECT_EQ(Table(cfg_for(64), 64, 1024).num_shards(), kMaxShards);
-}
-
-TEST(LockTable, ShardOfIsMaskRouting) {
-  Table t(cfg_for(4), 4, 64, SpaceSizing{.shards = 4});
-  ASSERT_EQ(t.num_shards(), 4u);
-  for (std::uint32_t id = 0; id < 64; ++id) {
-    EXPECT_EQ(t.shard_of(id), id % 4);
-  }
-}
-
-// A workload of exclusively single-lock attempts on shard 0's locks must
-// leave every other shard's pools untouched: all their descriptor slots
-// stay free, no snapshot slot beyond the reserved above-top sentinel is
-// taken, and no growth happens. This is the observable face of "a
-// single-lock attempt performs no writes to another shard's cachelines".
-TEST(LockTable, SingleLockAttemptsStayShardLocal) {
-  Table t(cfg_for(2, 1), 2, 16, SpaceSizing{.shards = 4});
-  ASSERT_EQ(t.num_shards(), 4u);
-  Session<RealPlat> session(t);
-  Cell<RealPlat> c{0};
-  std::uint32_t wins = 0;
-  for (int a = 0; a < 500; ++a) {
-    // Locks 0, 4, 8, 12 — all shard 0 under mask routing.
-    const StaticLockSet<1> ids({static_cast<std::uint32_t>((a % 4) * 4)});
-    wins += submit(session, ids, [&c](IdemCtx<RealPlat>& m) {
-              m.store(c, m.load(c) + 1);
-            }).won;
-  }
-  EXPECT_EQ(wins, 500u);  // uncontended: every attempt wins
-  for (std::uint32_t s = 1; s < 4; ++s) {
-    EXPECT_EQ(t.shard_desc_free(s), t.shard_desc_capacity(s))
-        << "shard " << s << " descriptor pool was touched";
-    EXPECT_EQ(t.shard_snap_free(s) + 1, t.shard_snap_capacity(s))
-        << "shard " << s << " snapshot pool was touched";
-  }
-  // ... while shard 0 clearly worked.
-  EXPECT_EQ(t.stats().wins, 500u);
-}
-
-// Cross-shard multi-lock attempts must still mutually exclude: the same
-// lost-update + in-CS-flag detectors as the monolith stress tests, with the
-// lock pair deliberately straddling two shards.
-TEST(LockTable, CrossShardMultiLockMutualExclusion) {
+// Multi-lock attempts must mutually exclude: the same lost-update +
+// in-CS-flag detectors as the monolith stress tests, on one lock pair.
+TEST(LockTable, MultiLockMutualExclusion) {
   const int threads = 4;
   const int attempts = 300;
-  auto t = std::make_unique<Table>(cfg_for(threads), threads, 8,
-                                   SpaceSizing{.shards = 4});
-  ASSERT_EQ(t->num_shards(), 4u);
+  auto t = std::make_unique<Table>(cfg_for(threads), threads, 8);
   Cell<RealPlat> flag{0};
   Cell<RealPlat> count{0};
   std::atomic<std::uint64_t> violations{0};
@@ -92,7 +43,6 @@ TEST(LockTable, CrossShardMultiLockMutualExclusion) {
     ts.emplace_back([&, k] {
       RealPlat::seed_rng(0xFACE + static_cast<std::uint64_t>(k));
       Session<RealPlat> session(*t);
-      // Locks 1 and 2 live in shards 1 and 2.
       const StaticLockSet<2> ids({1, 2});
       for (int a = 0; a < attempts; ++a) {
         const bool won =
@@ -110,7 +60,7 @@ TEST(LockTable, CrossShardMultiLockMutualExclusion) {
   }
   for (auto& th : ts) th.join();
   EXPECT_EQ(violations.load(), 0u) << "overlapping critical sections";
-  EXPECT_EQ(count.peek(), wins.load()) << "lost updates across shards";
+  EXPECT_EQ(count.peek(), wins.load()) << "lost updates";
   EXPECT_GT(wins.load(), 0u);
 }
 
@@ -130,8 +80,7 @@ TEST(LockTable, StripedStatsMatchPerAttemptGroundTruth) {
   const int attempts = 250;
   constexpr std::uint32_t kLocks = 16;
   auto t = std::make_unique<Table>(cfg_for(threads), threads,
-                                   static_cast<int>(kLocks),
-                                   SpaceSizing{.shards = 4});
+                                   static_cast<int>(kLocks));
   std::vector<std::unique_ptr<Cell<RealPlat>>> count;
   for (std::uint32_t i = 0; i < kLocks; ++i) {
     count.push_back(std::make_unique<Cell<RealPlat>>(0u));
@@ -172,11 +121,11 @@ TEST(LockTable, StripedStatsMatchPerAttemptGroundTruth) {
   EXPECT_EQ(sum, true_wins.load());
 }
 
-// One registered handle serves locks in every shard, its serial blocks keep
-// tag spaces disjoint between processes, and the inspector guard is
-// re-entrant (depth-counted) across the whole table.
-TEST(LockTable, HandleWorksAcrossShardsAndGuardsAreReentrant) {
-  Table t(cfg_for(2, 1), 2, 8, SpaceSizing{.shards = 4});
+// One registered handle serves every lock, its serial blocks keep tag
+// spaces disjoint between processes, and the inspector guard is re-entrant
+// (depth-counted) across the whole table.
+TEST(LockTable, HandleServesEveryLockAndGuardsAreReentrant) {
+  Table t(cfg_for(2, 1), 2, 8);
   Session<RealPlat> s0(t);
   Session<RealPlat> s1(t);
   EXPECT_EQ(s0.pid(), 0);
@@ -196,7 +145,7 @@ TEST(LockTable, HandleWorksAcrossShardsAndGuardsAreReentrant) {
 
   // Nested inspector guards: the raw EbrDomain forbids re-entry, the
   // table's depth counters allow it (the engine relies on this when a
-  // helped descriptor's lock set overlaps shards the helper already holds).
+  // helper drives another descriptor inside its own attempt's guard).
   t.ebr_enter(p0);
   t.ebr_enter(p0);
   const auto* snap = t.lock_set(3).get_set();
@@ -209,7 +158,6 @@ TEST(LockTable, HandleWorksAcrossShardsAndGuardsAreReentrant) {
 // session: both are submit() calls under Policy::retry().
 TEST(LockTable, TxnAndRetrySubmitThroughOneSession) {
   Table t(cfg_for(1, 2, 24), 1, 8);
-  EXPECT_EQ(t.num_shards(), 1u);
   Session<RealPlat> session(t);
   auto cell = std::make_unique<Cell<RealPlat>>(0u);
   Cell<RealPlat>* cp = cell.get();
@@ -232,86 +180,77 @@ TEST(LockTable, TxnAndRetrySubmitThroughOneSession) {
 // pipeline are warm, a steady-state uncontended workload must perform ZERO
 // shared-freelist transactions — descriptor and snapshot slots circulate
 // entirely through the owner's caches (alloc pops the cache, the EBR
-// deleters push expired slots back). Run on a pair inside one shard and on
-// a shard-straddling pair: the table's one domain returns each slot to the
-// cache of the shard it came from.
+// deleters push expired slots back).
 TEST(LockTable, SteadyStateUncontendedTouchesNoSharedFreelist) {
   // This test exercises the DESCRIPTOR path's cache circulation, so it
   // uses two locks: the thin-word fast path (which skips descriptor
   // allocation entirely and would make the assertion vacuous) only takes
   // single-lock attempts. test_fastpath covers the fast path's own
   // zero-pool-traffic property.
-  const StaticLockSet<2> one_shard({0, 4});
-  const StaticLockSet<2> two_shards({0, 1});
-  for (const auto& pair : {one_shard, two_shards}) {
-    SCOPED_TRACE(testing::Message()
-                 << "locks {" << pair[0] << ", " << pair[1] << "}");
-    Table t(cfg_for(2, 2), 2, 16, SpaceSizing{.shards = 4});
-    Session<RealPlat> session(t);
-    Cell<RealPlat> c{0};
-    auto attempt = [&] {
-      ASSERT_TRUE(submit(session, pair, [&c](IdemCtx<RealPlat>& m) {
-                    m.store(c, m.load(c) + 1);
-                  }).won);
-    };
-    // Warm-up: fill the caches, let grace periods start recycling.
-    for (int a = 0; a < 600; ++a) attempt();
-    const std::uint64_t ops_before = t.freelist_ops();
-    for (int a = 0; a < 400; ++a) attempt();
-    EXPECT_EQ(t.freelist_ops(), ops_before)
-        << "steady-state uncontended attempts hit the shared freelist";
-    // The lazy log reset is also visible here: a 2-op thunk consumes 4 log
-    // slots, so reinit must re-init ~4 per attempt, not kThunkLogCap.
-    const LockStats s = t.stats();
-    EXPECT_GT(s.attempts, 0u);
-    EXPECT_LE(s.log_slot_resets, s.attempts * 4)
-        << "lazy reset regressed towards O(kThunkLogCap)";
-  }
+  const StaticLockSet<2> pair({0, 1});
+  Table t(cfg_for(2, 2), 2, 16);
+  Session<RealPlat> session(t);
+  Cell<RealPlat> c{0};
+  auto attempt = [&] {
+    ASSERT_TRUE(submit(session, pair, [&c](IdemCtx<RealPlat>& m) {
+                  m.store(c, m.load(c) + 1);
+                }).won);
+  };
+  // Warm-up: fill the caches, let grace periods start recycling.
+  for (int a = 0; a < 600; ++a) attempt();
+  const std::uint64_t ops_before = t.freelist_ops();
+  for (int a = 0; a < 400; ++a) attempt();
+  EXPECT_EQ(t.freelist_ops(), ops_before)
+      << "steady-state uncontended attempts hit the shared freelist";
+  // The lazy log reset is also visible here: a 2-op thunk consumes 4 log
+  // slots, so reinit must re-init ~4 per attempt, not kThunkLogCap.
+  const LockStats s = t.stats();
+  EXPECT_GT(s.attempts, 0u);
+  EXPECT_LE(s.log_slot_resets, s.attempts * 4)
+      << "lazy reset regressed towards O(kThunkLogCap)";
 }
 
-// The trade-off of one EBR domain per table: a guard held anywhere delays
-// reclamation everywhere. Session 0 sits inside an attempt on shard 0's
-// lock (its thunk is running, so its guard is held) while session 1 works
-// on shard 1's locks: none of session 1's retired descriptors may be freed
+// The trade-off of one EBR domain per table: a guard held by one process
+// delays reclamation for all. Session 0 sits inside an attempt on lock 0
+// (its thunk is running, so its guard is held) while session 1 works on
+// disjoint locks: none of session 1's retired descriptors may be freed
 // until session 0's attempt exits its guard.
-TEST(LockTable, GuardInOneShardDelaysFreeingInAnother) {
-  Table t(cfg_for(2, 2), 2, 16, SpaceSizing{.shards = 4});
+TEST(LockTable, GuardInOneSessionDelaysFreeingOfAnothers) {
+  Table t(cfg_for(2, 2), 2, 16);
   Session<RealPlat> s0(t);
   Session<RealPlat> s1(t);
   constexpr int kAttempts = 300;
-  const StaticLockSet<2> far({1, 5});  // both in shard 1
-  const auto shard1_in_use = [&t] {
-    return t.shard_desc_capacity(1) - t.shard_desc_free(1);
-  };
+  const StaticLockSet<2> other({1, 5});
+  const auto desc_in_use = [&t] { return t.desc_capacity() - t.desc_free(); };
   const auto work = [&] {
     for (int a = 0; a < kAttempts; ++a) {
-      ASSERT_TRUE(submit(s1, far, [](IdemCtx<RealPlat>&) {}).won);
+      ASSERT_TRUE(submit(s1, other, [](IdemCtx<RealPlat>&) {}).won);
     }
   };
   std::uint32_t held = 0;
   struct Probe {
     decltype(work)* run;
-    decltype(shard1_in_use)* in_use;
+    decltype(desc_in_use)* in_use;
     std::uint32_t* out;
-  } probe{&work, &shard1_in_use, &held};
+  } probe{&work, &desc_in_use, &held};
   ASSERT_TRUE(submit(s0, StaticLockSet<1>({0}), [probe](IdemCtx<RealPlat>&) {
                 (*probe.run)();
                 *probe.out = (*probe.in_use)();
               }).won);
   EXPECT_GE(held, static_cast<std::uint32_t>(kAttempts))
-      << "shard 1 freed descriptors under a guard held in shard 0";
+      << "session 1's descriptors were freed under session 0's guard";
   work();  // s0's guard is gone: the pinned retirements drain
-  EXPECT_LT(shard1_in_use(), held / 2)
-      << "shard 1's retired descriptors were not freed after the guard exit";
+  EXPECT_LT(desc_in_use(), held / 2)
+      << "session 1's retired descriptors were not freed after the guard exit";
 }
 
 // Cached slots must never leak: an orderly session release AND a
 // crash-abandoned process (released while parked inside a guard) both
 // spill their caches back to the shared pools.
 TEST(LockTable, CachedSlotsSpillOnRelease) {
-  // Descriptor-path machinery under test: two-lock attempts inside one
-  // shard skip the thin-word fast path and populate the slot caches.
-  Table t(cfg_for(2, 2), 2, 16, SpaceSizing{.shards = 4});
+  // Descriptor-path machinery under test: two-lock attempts skip the
+  // thin-word fast path and populate the slot caches.
+  Table t(cfg_for(2, 2), 2, 16);
   Cell<RealPlat> c{0};
 
   const auto bump = [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); };
@@ -344,9 +283,9 @@ TEST(LockTable, CachedSlotsSpillOnRelease) {
       << "crash-abandoned release leaked cached slots";
 }
 
-// Sharding must not perturb the simulator's determinism: identical seeds
-// give identical outcomes with a multi-shard table.
-TEST(LockTable, DeterministicUnderSimWithShards) {
+// The table must not perturb the simulator's determinism: identical seeds
+// give identical outcomes.
+TEST(LockTable, DeterministicUnderSim) {
   auto once = [] {
     LockConfig cfg;
     cfg.kappa = 4;
@@ -354,8 +293,7 @@ TEST(LockTable, DeterministicUnderSimWithShards) {
     cfg.max_thunk_steps = 8;
     cfg.c0 = 8.0;
     cfg.c1 = 8.0;
-    auto space = std::make_unique<LockTable<TestPlat>>(
-        cfg, 4, 4, SpaceSizing{.shards = 4});
+    auto space = std::make_unique<LockTable<TestPlat>>(cfg, 4, 4);
     auto counter = std::make_unique<Cell<TestPlat>>(0u);
     Cell<TestPlat>* cp = counter.get();
     std::uint64_t wins = 0;

@@ -214,10 +214,9 @@ TEST(ShmTableTest, RetiredPidNeverRecycledShm) {
 
 TEST(ShmTableTest, RetiredPidNeverRecycledInProcess) {
   LockConfig cfg = shm_cfg(3);
-  LockTable<RealPlat> t(cfg, 3, 8, SpaceSizing{.shards = 4});
+  LockTable<RealPlat> t(cfg, 3, 8);
   Cell<RealPlat> c{0};
-  // Two locks in one shard: multi-lock attempts take the descriptor path
-  // through the pools.
+  // Multi-lock attempts take the descriptor path through the pools.
   const StaticLockSet<2> ids({0, 4});
   const auto bump = [&c](IdemCtx<RealPlat>& m) { m.store(c, m.load(c) + 1); };
 

@@ -6,11 +6,21 @@
 Runs N pairs of untraced exp_suite trials, pair i on seed i for both
 sides, alternating which side goes first so that slow drift of the host
 hits both equally. For every end_to_end metric in BENCHMARK.json it prints
-each side's median and quartiles, the pairs the change won, and the gain
-verdict the benchmark applies to a claimed metric: the change wins at least
-nine of ten pairs, and its median beats the parent's by more than the
-distance between the parent's quartiles. Reads BENCHMARK.json, writes
-nothing; exits 1 if any trial is incorrect or fails operations.
+each side's median and quartiles, the pairs the change won, and two
+verdicts:
+
+  gain        the test the benchmark applies to a claimed metric: the change
+              wins at least nine of ten pairs, and its median beats the
+              parent's by more than the distance between the parent's
+              quartiles ("-" otherwise);
+  regression  against the metric's BENCHMARK.json bound, relative to the
+              parent's median: "unresolved" when the parent's quartile
+              spread is wider than the bound, unless every change run beats
+              every parent run; else "regress" when the change's median is
+              worse by more than the bound; else "ok".
+
+Reads BENCHMARK.json, writes nothing; exits 1 if any trial is incorrect or
+fails operations, or if any metric prints "regress".
 """
 
 import argparse
@@ -40,6 +50,23 @@ def quartiles(vals):
         return vals[0], vals[0], vals[0]
     q1, q2, q3 = statistics.quantiles(sorted(vals), n=4)
     return q1, q2, q3
+
+
+def no_regression(lower, bound, pv, cv):
+    """The regression verdict of one metric (see the module docstring)."""
+    p1, p2, p3 = quartiles(pv)
+    c2 = statistics.median(cv)
+    if p2 == 0:
+        worse = 0.0 if c2 == p2 else (math.inf if (c2 > p2) == lower
+                                      else -math.inf)
+        spread = 0.0
+    else:
+        worse = ((c2 - p2) if lower else (p2 - c2)) / abs(p2)
+        spread = (p3 - p1) / abs(p2)
+    all_better = (max(cv) < min(pv)) if lower else (min(cv) > max(pv))
+    if spread > bound and not all_better:
+        return "unresolved"
+    return "regress" if worse > bound else "ok"
 
 
 def fmt(v):
@@ -74,7 +101,8 @@ def main():
 
     print(f"{args.workload}: {args.pairs} pairs of {args.secs} s")
     print(f"{'metric':14s} {'parent median [q1, q3]':>32s} "
-          f"{'change median [q1, q3]':>32s} {'won':>7s}  verdict")
+          f"{'change median [q1, q3]':>32s} {'won':>7s}  gain  regression")
+    regress = 0
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pv = [r[name]["value"] for r in runs["parent"] if name in r]
@@ -89,12 +117,15 @@ def main():
         gain = (p2 - c2) if lower else (c2 - p2)
         verdict = ("gain" if won * 10 >= 9 * args.pairs and gain > p3 - p1
                    else "-")
+        reg = no_regression(lower, m["bound"], pv, cv)
+        regress += reg == "regress"
         side = [f"{fmt(b)} [{fmt(a)}, {fmt(c)}]" for a, b, c in
                 ((p1, p2, p3), (c1, c2, c3))]
         rel = f"{100 * (c2 - p2) / p2:+.1f}%" if p2 else "n/a"
         print(f"{name:14s} {side[0]:>32s} {side[1]:>32s} "
-              f"{won:>3d}/{args.pairs:<3d}  {verdict} ({rel})")
-    return 1 if bad else 0
+              f"{won:>3d}/{args.pairs:<3d}  {verdict:4s}  {reg} ({rel}, "
+              f"bound {m['bound']:g})")
+    return 1 if bad or regress else 0
 
 
 if __name__ == "__main__":
