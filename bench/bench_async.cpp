@@ -27,8 +27,9 @@
 //   queued_sessions      submitted-and-not-yet-completed at run end
 //                        (how far the pool's completion wave trails the
 //                        reaper; informational, machine-dependent)
-//   backoff_spin_steps   total own steps idled in backoff by completed
-//                        ops — MUST be 0: parking replaces spinning
+//   backoff_spin_steps   sum of completed ops' Outcome::backoff_steps —
+//                        MUST be 0 (no submission path idles between
+//                        attempts; kept for the pinned schema)
 //   parks_per_op         park events per completed op
 //   wakes_per_op         release-event wakeups per completed op
 //   steals_per_op        Chase-Lev cross-worker steals per completed op

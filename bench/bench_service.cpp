@@ -82,6 +82,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -246,7 +247,7 @@ void BM_ServiceOpenLoop(benchmark::State& state) {
   double wake_skip_ratio = -1.0;
 
   for (auto _ : state) {
-    if constexpr (AsyncCapableBackend<B>) {
+    if constexpr (std::is_same_v<typename B::Space, LockTable<Plat>>) {
       // --- async service: arrivals -> async_submit ---
       // Completion is stamped INSIDE the thunk (on the worker, as the
       // critical section ends): an observer thread polling tickets would
@@ -255,7 +256,7 @@ void BM_ServiceOpenLoop(benchmark::State& state) {
       // ever inflates the recorded latency, never deflates it. Tickets
       // are dropped at submission (ops complete and self-free); the
       // executor's completed() gauge ends the drain.
-      auto exec = B::make_async(*space, {.workers = workers});
+      AsyncExecutor<Plat> exec(*space, {.workers = workers});
       typename B::Session session(*space);
       AsyncClient<Plat> client(session);
       std::vector<std::atomic<std::int64_t>> done_ns(n);
@@ -279,7 +280,7 @@ void BM_ServiceOpenLoop(benchmark::State& state) {
         const typename PreparedOp<Plat>::Armed* armed = &op.armed();
         std::atomic<std::int64_t>* slot = &done_ns[i];
         const std::int64_t sub0 = dump ? since_ns(start) : 0;
-        exec->async_submit(
+        exec.async_submit(
             client, op.locks(),
             [armed, slot, start](IdemCtx<Plat>& m) {
               (*armed)(m);
@@ -295,15 +296,15 @@ void BM_ServiceOpenLoop(benchmark::State& state) {
         }
       }
       dispatch_span_s = static_cast<double>(since_ns(start)) * 1e-9;
-      while (exec->completed() < n) std::this_thread::yield();
+      while (exec.completed() < n) std::this_thread::yield();
       for (std::size_t i = 0; i < n; ++i) {
         lat_ns[i] = static_cast<double>(
             done_ns[i].load(std::memory_order_relaxed) - w.sched_ns[i]);
       }
       const double done = static_cast<double>(n);
-      steals_per_op = static_cast<double>(exec->steals()) / done;
-      const double posts = static_cast<double>(exec->wake_posts());
-      const double skips = static_cast<double>(exec->wake_skips());
+      steals_per_op = static_cast<double>(exec.steals()) / done;
+      const double posts = static_cast<double>(exec.wake_posts());
+      const double skips = static_cast<double>(exec.wake_skips());
       wake_skip_ratio = posts + skips > 0 ? skips / (posts + skips) : 0.0;
     } else {
       // --- sync service: a fixed pool claims the arrival queue FIFO ---

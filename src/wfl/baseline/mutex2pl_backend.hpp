@@ -11,9 +11,9 @@
 //     locked() acquisition — attempts=1, won=true. That single "attempt"
 //     may sleep unboundedly on a held mutex; reporting it as many failed
 //     probes would misstate what the discipline does;
-//   * a bounded Policy (max_attempts = n) maps to n try_lock passes over
-//     the sorted set, with the policy's backoff between failures — the
-//     attempt-shaped comparison the crash/tail experiments need.
+//   * a bounded Policy (max_attempts = n) maps to n back-to-back try_lock
+//     passes over the sorted set — the attempt-shaped comparison the
+//     crash/tail experiments need.
 //
 // Critical sections run exactly once under mutual exclusion, through a
 // private IdemCtx (same reasoning as Spin2plBackend).
@@ -100,7 +100,6 @@ struct Mutex2plBackend {
           break;
         }
         if (out.attempts >= policy.max_attempts) break;
-        out.backoff_steps += policy_backoff<RealPlat>(policy, out.attempts);
       }
     }
     out.total_steps = RealPlat::steps() - before;

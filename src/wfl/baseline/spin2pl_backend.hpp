@@ -3,14 +3,14 @@
 //
 // Policy mapping (the honest reading of an attempt-shaped blocking
 // discipline):
-//   * one attempt = try_locked with the space's bounded per-lock patience:
-//     it either acquires the whole sorted set or releases what it got and
-//     reports a loss — so attempts always terminate, but a *held* lock
-//     fails every attempt for as long as its holder sits on it (forever,
-//     if the holder crashed — the wedge exp_crash measures);
-//   * Policy::retry() keeps attempting with no bound: termination depends
-//     on the other holders, which is exactly the blocking semantics;
-//   * the backoff knob idles Plat::step()s between failed attempts.
+//   * one attempt = try_locked with a bounded per-lock patience of
+//     kPatience spins: it either acquires the whole sorted set or releases
+//     what it got and reports a loss — so attempts always terminate, but a
+//     *held* lock fails every attempt for as long as its holder sits on it
+//     (forever, if the holder crashed — the wedge exp_crash measures);
+//   * Policy::retry() re-attempts at once with no bound: termination
+//     depends on the other holders, which is exactly the blocking
+//     semantics.
 //
 // Critical sections run exactly once under mutual exclusion, but still
 // through IdemCtx (one private per-pid log, fresh tag base per
@@ -32,6 +32,9 @@ template <typename Plat>
 struct Spin2plBackend {
   using Platform = Plat;
 
+  // Per-lock test-and-set spins one attempt makes before giving up.
+  static constexpr int kPatience = 4;
+
   class Space {
    public:
     using Inner = Spin2PL<Plat>;
@@ -39,18 +42,15 @@ struct Spin2plBackend {
     explicit Space(const BackendConfig& cfg)
         : cfg_(cfg.lock),
           max_procs_(cfg.max_procs),
-          patience_(cfg.patience),
           inner_(cfg.num_locks),
           slots_(cfg.max_procs),
           idem_(cfg.max_procs) {
       cfg_.validate();
-      WFL_CHECK(patience_ >= 1);
     }
 
     int num_locks() const { return inner_.num_locks(); }
     int max_procs() const { return max_procs_; }
     const LockConfig& config() const { return cfg_; }
-    int patience() const { return patience_; }
 
     Inner& inner() { return inner_; }
     // Crash audit: a held flag after all live processes drained belongs to
@@ -65,7 +65,6 @@ struct Spin2plBackend {
    private:
     LockConfig cfg_;
     int max_procs_;
-    int patience_;
     Inner inner_;
     ProcSlots slots_;
     ExclusiveIdem<Plat> idem_;
@@ -96,15 +95,12 @@ struct Spin2plBackend {
             IdemCtx<Plat> m = space.ctx_for(session.pid());
             f(m);
           },
-          space.patience());
+          kPatience);
       if (won) {
         out.won = true;
         break;
       }
-      if (policy.max_attempts != 0 && out.attempts >= policy.max_attempts) {
-        break;
-      }
-      out.backoff_steps += policy_backoff<Plat>(policy, out.attempts);
+      if (policy_exhausted(policy, out)) break;
     }
     out.total_steps = Plat::steps() - before;
     return out;

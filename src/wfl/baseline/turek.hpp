@@ -99,11 +99,6 @@ class TurekLockSpace {
     return helps_.load(std::memory_order_relaxed);
   }
 
-  // Crash-harness support: release `p`'s EBR guard on its behalf. Legal
-  // ONLY when the process provably takes no further steps. See
-  // EbrDomain::abandon.
-  void abandon_process(Process p) { ebr_.abandon(p.ebr_pid); }
-
   // Orderly end-of-session (BasicSession's destructor). Turek pids are not
   // recycled; releasing just drops any guard held at teardown.
   void release_process(Process p) { ebr_.abandon(p.ebr_pid); }

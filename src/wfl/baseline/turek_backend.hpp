@@ -5,7 +5,7 @@
 //   * a Turek apply() is an *operation*, not an attempt — it always
 //     completes (possibly by being helped), so every submission reports
 //     won=true with attempts=1 and any max_attempts >= 1 is trivially
-//     satisfied; backoff never engages;
+//     satisfied;
 //   * what is NOT bounded is the caller's own work: total_steps counts the
 //     recursive helping excursions, which is exactly the quantity the
 //     wait-free comparison experiments plot. pre/post_reveal_work stay 0 —
@@ -108,12 +108,6 @@ struct TurekBackend {
     out.attempts = 1;
     out.total_steps = Plat::steps() - before;
     return out;
-  }
-
-  // Crash-harness hook: release the parked process's EBR guard on its
-  // behalf (legal only when it provably takes no further steps).
-  static void abandon(Space& space, const Session& session) {
-    space.inner().abandon_process(space.process_of(session.pid()));
   }
 };
 

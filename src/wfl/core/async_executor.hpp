@@ -2,9 +2,9 @@
 // on a fixed worker pool.
 //
 // submit() burns an OS thread per in-flight submission: an attempt that
-// loses its locks idles `policy_backoff` own steps on its thread and
-// retries. That shape caps concurrency at "threads you can afford" and
-// wastes every backoff step spinning. The async executor inverts it:
+// loses its locks re-attempts at once on its thread. That shape caps
+// concurrency at "threads you can afford" and spends every retry of a
+// still-held lock set spinning. The async executor inverts it:
 //
 //   Ticket t = exec.async_submit(client, locks, thunk, policy);
 //   ...                                  // 100k of these outstanding
@@ -150,8 +150,8 @@ class BasicAsyncClient {
   // Crash-harness hook: pending submissions complete as cancelled
   // (won == false) the next time a worker touches them; parked ones are
   // re-queued by AsyncExecutor::cancel_client. The session itself is the
-  // caller's to abandon (WflBackend::abandon) — the two are independent
-  // layers.
+  // caller's to abandon (LockTable::abandon_process) — the two are
+  // independent layers.
   void crash() {
     live_.store(false, std::memory_order_release);
     WFL_CHK_ATOMIC(&live_, kStore, release, kAsyncClientLive, 0);
@@ -192,11 +192,6 @@ class AsyncExecutor {
     // 0 = inline mode: no threads; cycles run on whoever calls
     // run_ready() / Ticket::wait(). Deterministic under SimPlat.
     int workers = 1;
-    // Cycle stacks. Cycles are shallow (one attempt, no recursion into
-    // user code beyond the thunk), so this is far below the simulator's
-    // default.
-    std::size_t stack_bytes = 64 * 1024;
-    std::size_t max_idle_fibers = 64;
   };
 
  private:
@@ -359,7 +354,7 @@ class AsyncExecutor {
   explicit AsyncExecutor(Space& space, Options opt = {})
       : space_(&space),
         options_(opt),
-        fibers_(opt.stack_bytes, opt.max_idle_fibers),
+        fibers_(kCycleStackBytes, kMaxIdleFibers),
         wait_lists_(static_cast<std::size_t>(space.num_locks())),
         running_by_pid_(static_cast<std::size_t>(space.max_procs())) {
     WFL_CHECK_MSG(space.config().delay_mode == DelayMode::kOff,
@@ -415,7 +410,7 @@ class AsyncExecutor {
     const std::uint64_t now =
         in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
     WFL_CHK_ATOMIC(&in_flight_, kFetchAdd, acq_rel, kAsyncInFlight, now);
-    enqueue(op);
+    dispatch(op);
     return Ticket(op, this);
   }
 
@@ -472,7 +467,7 @@ class AsyncExecutor {
             // harness teardown after a finding sound).
             fuzz_limbo_push(op);
           } else {
-            enqueue_claimed(op);
+            dispatch(op);
           }
         } else {
           WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas,
@@ -631,7 +626,7 @@ class AsyncExecutor {
           WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
                          AsyncOp::kRunning);
           counters_here().wakes.fetch_add(1, std::memory_order_relaxed);
-          enqueue_claimed(op);
+          dispatch(op);
           return;  // wake-one
         }
         WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas, s);
@@ -656,11 +651,6 @@ class AsyncExecutor {
 
   // --- run queues ---------------------------------------------------------
 
-  void enqueue(AsyncOp* op) { dispatch(op); }
-
-  // Enqueue an op already claimed kRunning (woken or cancel-claimed).
-  void enqueue_claimed(AsyncOp* op) { dispatch(op); }
-
   // Fuzz-only (Fault::kShutdownHang): a claimed-but-undispatchable op —
   // the "dead worker pool" of the original shutdown hang. q_next is free
   // here precisely because a limbo op is not on any run queue.
@@ -682,11 +672,14 @@ class AsyncExecutor {
     while (op != nullptr) {
       AsyncOp* next = op->q_next.load(std::memory_order_relaxed);
       op->q_next.store(nullptr, std::memory_order_relaxed);
-      enqueue_claimed(op);
+      dispatch(op);
       op = next;
     }
   }
 
+  // The one run-queue entry, for new submissions and for ops already
+  // claimed kRunning (woken or cancel-claimed) alike.
+  //
   // Worker mode: a worker thread self-pushes onto its OWN Chase–Lev
   // deque (op wakes fired from its cycles stay cache-local; it is the
   // deque's only legal producer) and hands one idle sibling a steal
@@ -1176,7 +1169,7 @@ class AsyncExecutor {
                          AsyncOp::kRunning);
           WFL_FUZZ_SITE(kSiteAsyncCancelSweep);
           op->cancelled = true;
-          enqueue_claimed(op);
+          dispatch(op);
         } else {
           WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas,
                          expect);
@@ -1184,6 +1177,11 @@ class AsyncExecutor {
       }
     }
   }
+
+  // Cycle stacks. Cycles are shallow (one attempt, no recursion into user
+  // code beyond the thunk), so this is far below the simulator's stack.
+  static constexpr std::size_t kCycleStackBytes = 64 * 1024;
+  static constexpr std::size_t kMaxIdleFibers = 64;
 
   Space* space_;
   Options options_;

@@ -40,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "wfl/core/async_executor.hpp"
 #include "wfl/core/config.hpp"
 #include "wfl/core/executor.hpp"
 #include "wfl/core/lock_set.hpp"
@@ -69,17 +68,15 @@ inline const char* progress_name(BackendProgress p) {
 
 // Uniform construction knobs. Every backend space is buildable from this
 // one struct, which is what lets experiment drivers sweep a registry of
-// backends instead of hand-rolling per-backend setup:
-//   * `lock` — the declared workload bounds. WFL uses all of κ/L/T and the
-//     delay mode; the baselines honor the L budget (submissions above it
-//     abort, same as WFL) and ignore the bounds their disciplines lack;
-//   * `patience` — per-lock bounded spin for attempt-shaped acquisition in
-//     the blocking backends' try path (their analogue of "one attempt").
+// backends instead of hand-rolling per-backend setup. `lock` carries the
+// declared workload bounds: WFL uses all of κ/L/T and the delay mode; the
+// baselines honor the L budget (submissions above it abort, same as WFL)
+// and ignore the bounds their disciplines lack. A discipline's private
+// tuning (Spin2plBackend::kPatience) is a constant of its adapter.
 struct BackendConfig {
   LockConfig lock;
   int max_procs = 1;
   int num_locks = 1;
-  int patience = 4;
 };
 
 // A no-capture thunk usable in unevaluated concept checks.
@@ -138,36 +135,6 @@ struct WflBackend {
                                    Outcome* per_op = nullptr) {
     return ::wfl::submit_batch(session, ops, policy, per_op);
   }
-
-  // Crash-harness hook: see LockTable::abandon_process.
-  static void abandon(Space& space, const Session& session) {
-    space.abandon_process(session.process());
-  }
-
-  // Async submission capability (core/async_executor.hpp): multiplex
-  // unbounded in-flight submissions onto a fixed worker pool, parking
-  // losers on per-lock wait lists instead of spinning backoff.
-  using AsyncExec = AsyncExecutor<Plat>;
-  static std::unique_ptr<AsyncExec> make_async(
-      Space& space, typename AsyncExec::Options opt = {}) {
-    return std::make_unique<AsyncExec>(space, opt);
-  }
-};
-
-// Capability probe for async submission. The baselines do not (and
-// mostly cannot) provide it — a blocking backend's attempt pins its
-// thread inside the acquisition, so there is nothing to park. Drivers
-// that sweep backends branch on this and fall back to synchronous
-// B::submit, which preserves semantics at the cost of one OS thread per
-// concurrent submission:
-//
-//   if constexpr (AsyncCapableBackend<B>) { ...B::make_async(space)... }
-//   else                                  { ...B::submit(session, ...)... }
-template <typename B>
-concept AsyncCapableBackend = requires(typename B::Space& space) {
-  typename B::AsyncExec;
-  { B::make_async(space) } ->
-      std::same_as<std::unique_ptr<typename B::AsyncExec>>;
 };
 
 // Defaulted batch submission over any LockBackend: backends that expose a

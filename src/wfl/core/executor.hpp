@@ -4,16 +4,16 @@
 //
 //   Outcome o = submit(session, locks, thunk, Policy::retry());
 //
-// where Policy picks one-shot / capped / until-success (plus an optional
-// backoff knob for DelayMode::kOff deployments) and Outcome is the single
-// accounting shape: attempts, own steps and the last attempt's pre/post-
-// reveal work, reported the same way on every path.
+// where Policy picks one-shot / capped / until-success and Outcome is the
+// single accounting shape: attempts, own steps and the last attempt's
+// pre/post-reveal work, reported the same way on every path.
 //
 // Progress semantics are inherited, not invented here: a single attempt is
 // wait-free in O(κ²L²T) own steps (Theorem 1.1), and the until-success
 // policy is the randomized wait-free corollary — attempts win w.p. >=
-// 1/(κL) independently, so the attempt count is geometric with mean <= κL.
-// The deterministic escape hatch is Policy::attempts(n).
+// 1/(κL) independently, so the attempt count is geometric with mean <= κL
+// and a loser re-attempts at once (independence needs no backoff). The
+// deterministic escape hatch is Policy::attempts(n).
 //
 // Thunk contract: `f` must be copyable — submit re-arms it per attempt and
 // each attempt's descriptor stores its own copy — and must capture by
@@ -40,32 +40,9 @@ struct Policy {
   // terminates w.p. 1 with geometric tail), n >= 1 = at most n attempts.
   std::uint64_t max_attempts = 1;
 
-  // Backoff knob for DelayMode::kOff deployments: after the k-th failed
-  // attempt, idle min(backoff_base << (k-1), backoff_cap) own steps before
-  // re-attempting. Ignored (with the steps it would burn) when the space
-  // runs the paper's fixed delays — kTheory mode owns an attempt's timing
-  // and backoff would perturb the reveal-time argument for no gain.
-  std::uint64_t backoff_base = 0;
-  std::uint64_t backoff_cap = 0;
-
-  static constexpr Policy one_shot() { return Policy{1, 0, 0}; }
-  static constexpr Policy retry() { return Policy{0, 0, 0}; }
-  static constexpr Policy attempts(std::uint64_t n) {
-    return Policy{n, 0, 0};
-  }
-  constexpr Policy with_backoff(std::uint64_t base,
-                                std::uint64_t cap = 0) const {
-    Policy p = *this;
-    p.backoff_base = base;
-    // Default cap: 1024x the base, saturating — `base << 10` silently
-    // overflowed for base >= 2^54, leaving a cap SMALLER than the base
-    // (or zero, i.e. uncapped).
-    constexpr std::uint64_t kMax = ~std::uint64_t{0};
-    p.backoff_cap = cap != 0         ? cap
-                    : base > kMax >> 10 ? kMax
-                                        : base << 10;
-    return p;
-  }
+  static constexpr Policy one_shot() { return Policy{1}; }
+  static constexpr Policy retry() { return Policy{0}; }
+  static constexpr Policy attempts(std::uint64_t n) { return Policy{n}; }
 };
 
 // Unified accounting. A one-shot submission reports its attempt's
@@ -73,33 +50,16 @@ struct Policy {
 struct Outcome {
   bool won = false;               // did any attempt win all its locks?
   std::uint64_t attempts = 0;     // attempts consumed, including the winner
-  std::uint64_t total_steps = 0;  // own steps across all attempts + backoff
+  std::uint64_t total_steps = 0;  // own steps across all attempts
   // The final attempt's work segments (the T0/T1-bounded quantities).
   std::uint64_t pre_reveal_work = 0;
   std::uint64_t post_reveal_work = 0;
-  std::uint64_t backoff_steps = 0;  // own steps idled between attempts
+  // Always 0: no submission path idles between attempts. Kept only
+  // because the benchmark suite and bench_async still read it.
+  std::uint64_t backoff_steps = 0;
 
   explicit operator bool() const { return won; }
 };
-
-// One inter-attempt backoff pause under `policy`, after `failed_attempts`
-// failures: idle min(base << (k-1), cap) own steps (shift clamped so the
-// doubling cannot overflow). Shared by every LockBackend's submit so the
-// backoff accounting is identical across disciplines. Returns the steps
-// idled (0 when the policy has no backoff).
-template <typename Plat>
-std::uint64_t policy_backoff(const Policy& policy,
-                             std::uint64_t failed_attempts) {
-  if (policy.backoff_base == 0 || failed_attempts == 0) return 0;
-  const std::uint64_t shift =
-      failed_attempts - 1 < 24 ? failed_attempts - 1 : 24;
-  std::uint64_t pause = policy.backoff_base << shift;
-  if (policy.backoff_cap != 0 && pause > policy.backoff_cap) {
-    pause = policy.backoff_cap;
-  }
-  for (std::uint64_t i = 0; i < pause; ++i) Plat::step();
-  return pause;
-}
 
 // A prepared submission: one validated lock set plus a re-armable thunk,
 // the unit of submit_batch. Construction captures the lock ids BY VALUE
@@ -162,35 +122,32 @@ struct BatchOutcome {
   std::uint64_t wins = 0;           // ops whose final attempt won
   std::uint64_t attempts = 0;       // attempts across all ops
   std::uint64_t total_steps = 0;    // own steps across all ops
-  std::uint64_t backoff_steps = 0;  // own steps idled between attempts
 
   explicit operator bool() const { return wins == ops; }
 
   // The single accumulation points every batch path shares (executor,
-  // backend fallback, txn batches, substrate entry points) — a new
-  // Outcome field gets folded in exactly here or nowhere.
+  // backend fallback, substrate entry points) — a new Outcome field gets
+  // folded in exactly here or nowhere.
   void add(const Outcome& o) {
     ops += 1;
     wins += o.won ? 1 : 0;
     attempts += o.attempts;
     total_steps += o.total_steps;
-    backoff_steps += o.backoff_steps;
   }
   BatchOutcome& operator+=(const BatchOutcome& o) {
     ops += o.ops;
     wins += o.wins;
     attempts += o.attempts;
     total_steps += o.total_steps;
-    backoff_steps += o.backoff_steps;
     return *this;
   }
 };
 
 // One tryLock attempt folded into an Outcome: the per-attempt core every
-// submission loop shares. submit() wraps it in a backoff-spin retry loop;
+// submission loop shares. submit() wraps it in an immediate-retry loop;
 // async_submit (core/async_executor.hpp) wraps the SAME core in a
 // park/wake loop — an attempt that loses suspends its submission instead
-// of idling `policy_backoff` steps on an OS thread. Returns out.won.
+// of holding an OS thread. Returns out.won.
 template <typename Space, typename F>
 bool submit_attempt(BasicSession<Space>& session, LockSetView locks,
                     const F& f, Outcome& out) {
@@ -214,30 +171,17 @@ inline bool policy_exhausted(const Policy& policy, const Outcome& out) {
 
 // Submits `f` on `locks` through `session` under `policy`. The lock-set
 // invariants (sorted, deduplicated, within capacity) are carried by the
-// LockSetView type; the configured L budget was enforced when the set was
-// built against the config (or here, once, for spaces that expose one) —
+// LockSetView type; the configured L budget is enforced here, once —
 // nothing is re-validated per attempt.
 template <typename Space, typename F>
 Outcome submit(BasicSession<Space>& session, LockSetView locks, const F& f,
                Policy policy = Policy::one_shot()) {
-  using Plat = typename Space::Platform;
-  Space& space = session.space();
-  bool theory_delays = false;
-  if constexpr (requires { space.config(); }) {
-    WFL_CHECK_MSG(locks.size() <= space.config().max_locks,
-                  "lock set exceeds the configured L bound");
-    theory_delays = space.config().delay_mode == DelayMode::kTheory;
-  }
-
+  WFL_CHECK_MSG(locks.size() <= session.space().config().max_locks,
+                "lock set exceeds the configured L bound");
   Outcome out;
   for (;;) {
     if (submit_attempt(session, locks, f, out)) return out;
     if (policy_exhausted(policy, out)) return out;
-    if (!theory_delays) {
-      const std::uint64_t pause = policy_backoff<Plat>(policy, out.attempts);
-      out.backoff_steps += pause;
-      out.total_steps += pause;
-    }
   }
 }
 
@@ -272,15 +216,12 @@ BatchOutcome submit_batch(BasicSession<Space>& session,
                           Policy policy = Policy::one_shot(),
                           Outcome* per_op = nullptr) {
   Space& space = session.space();
-  bool hold_guards = false;
-  if constexpr (requires { space.config(); }) {
-    for (const auto& op : ops) {
-      WFL_CHECK_MSG(op.locks().size() <= space.config().max_locks,
-                    "batch op lock set exceeds the configured L bound");
-    }
-    hold_guards =
-        space.config().delay_mode == DelayMode::kOff && ops.size() > 1;
+  for (const auto& op : ops) {
+    WFL_CHECK_MSG(op.locks().size() <= space.config().max_locks,
+                  "batch op lock set exceeds the configured L bound");
   }
+  const bool hold_guards =
+      space.config().delay_mode == DelayMode::kOff && ops.size() > 1;
 
   std::optional<typename BasicSession<Space>::EbrGuard> guard;
   if (hold_guards) guard.emplace(session);

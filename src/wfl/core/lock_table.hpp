@@ -515,18 +515,24 @@ class LockTable {
   void ebr_enter(Process p) { handle(p).guard_enter(ebr_); }
   void ebr_exit(Process p) { handle(p).guard_exit(ebr_); }
 
-  // Crash-harness support: release `p`'s EBR guard on its behalf. Legal
-  // ONLY when the process provably takes no further steps (a fiber parked
-  // forever by a CrashSchedule). See EbrDomain::abandon. The pid stays
-  // retired — a crashed process's slot is never handed to a new session.
+  // Crash-harness support: release `p`'s EBR guard on its behalf and spill
+  // its slot caches back to the shared pools. Legal ONLY when the process
+  // provably takes no further steps (a fiber parked forever by a
+  // CrashSchedule, whose Session is never destroyed). See
+  // EbrDomain::abandon. The caches are owner-private, so nothing else
+  // could ever return their slots. The pid stays retired — a crashed
+  // process's slot is never handed to a new session.
   void abandon_process(Process p) {
     WFL_CHECK(p.ebr_pid >= 0);
     ebr_.abandon(p.ebr_pid);
+    const auto pidx = static_cast<std::size_t>(p.ebr_pid);
+    desc_caches_[pidx]->drain();
+    snap_caches_[pidx]->drain();
   }
 
-  // End-of-session (Session's destructor): drops the EBR guard on the
-  // process's behalf. Legal for the same reason abandon_process is: the
-  // caller guarantees the process takes no further steps under this
+  // End-of-session (Session's destructor): abandon_process, then recycle
+  // the pid if that is safe. Legal for the same reason abandon_process is:
+  // the caller guarantees the process takes no further steps under this
   // registration. Two cases:
   //
   //   * orderly end (no guard held — the process finished outside any
@@ -535,22 +541,12 @@ class LockTable {
   //     register_process();
   //   * crash-parked mid-attempt (a CrashSchedule stopped the fiber inside
   //     the attempt's guard, so its re-entrancy depth is still nonzero):
-  //     the guard is force-dropped exactly like abandon_process, and the
-  //     slot is retired forever — the stale depth counter means the handle
-  //     can never re-enter a guard correctly, so it must not be handed to a
-  //     new session.
+  //     the slot is retired forever, as after abandon_process — the stale
+  //     depth counter means the handle can never re-enter a guard
+  //     correctly, so it must not be handed to a new session.
   void release_process(Process p) {
-    WFL_CHECK(p.ebr_pid >= 0);
     const bool parked_in_guard = any_guard_held(p);
-    ebr_.abandon(p.ebr_pid);
-    // Spill the process's slot caches back to the shared pools in both
-    // cases — in particular a crash-parked process must not leak its
-    // cached slots (its pid is retired forever, so nothing would ever
-    // reuse them). Safe to do from the releasing thread: the caller
-    // guarantees the process takes no further steps.
-    const auto pidx = static_cast<std::size_t>(p.ebr_pid);
-    desc_caches_[pidx]->drain();
-    snap_caches_[pidx]->drain();
+    abandon_process(p);
     if (parked_in_guard) return;
     std::lock_guard<std::mutex> lk(reg_mutex_);
     free_pids_.push_back(p.ebr_pid);

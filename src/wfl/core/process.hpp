@@ -19,11 +19,6 @@
 //   * the EBR guard depth — guard acquisition is re-entrant, so a helper
 //     driving another descriptor, a batch or an inspector can nest inside
 //     an attempt's guard at the cost of a private increment.
-//   * an auxiliary RNG, seeded from the pid — for harness-side choices
-//     (workload generators). The *algorithm's* priority draws stay on
-//     Plat::rand_u64(), which is already per-process on both platforms (a
-//     thread_local under RealPlat, the per-fiber stream under SimPlat) and
-//     owns simulator determinism.
 //
 // Handles are created by LockTable::register_process (and owned by the
 // table, whatever its DelayMode) and by ShmLockTable::open_session (owned
@@ -44,7 +39,6 @@
 #include "wfl/idem/idem.hpp"
 #include "wfl/util/align.hpp"
 #include "wfl/util/assert.hpp"
-#include "wfl/util/rng.hpp"
 
 namespace wfl {
 
@@ -148,8 +142,7 @@ class ProcessHandle {
                 bool with_fast_desc = false)
       : pid_(pid),
         serial_hwm_(&serial_hwm),
-        fast_desc_(with_fast_desc ? std::make_unique<DescT>() : nullptr),
-        rng_(0x5EEDF00Du + static_cast<std::uint64_t>(pid) * 0x9E3779B9ULL) {
+        fast_desc_(with_fast_desc ? std::make_unique<DescT>() : nullptr) {
     WFL_CHECK(pid >= 0);
     // fast_ready_ is a raw std::atomic with hooked accessors; seed its
     // shadow and retire it in the dtor so heap reuse of the handle's
@@ -244,10 +237,6 @@ class ProcessHandle {
     if (--guard_depth_ == 0) domain.exit(pid_);
   }
 
-  // Harness-side randomness (workload generation). NOT the priority
-  // stream — see the header comment.
-  Xoshiro256& rng() { return rng_; }
-
  private:
   int pid_;
   std::uint64_t serial_next_ = 0;
@@ -262,7 +251,6 @@ class ProcessHandle {
   // owning participant or under quiescent domain teardown (another thread).
   std::atomic<bool> fast_ready_{true};
   std::uint32_t guard_depth_ = 0;
-  Xoshiro256 rng_;
 };
 
 // RAII hold of a handle's guard on `Domain` through its re-entrant depth

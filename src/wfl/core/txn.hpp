@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -144,31 +143,5 @@ class PreparedTxn {
   std::shared_ptr<const Program> prog_;
   std::uint32_t step_budget_ = 0;
 };
-
-// Batch submission of several prepared transactions through one session:
-// the same per-batch EBR guard amortization as executor::submit_batch
-// (kOff mode only — see that function's contract). Each transaction's L
-// and T budgets are still checked by its own submit() — once per
-// submission, off the attempt path, same as a plain loop. Transactions
-// keep their shared-program lifetime semantics, so helpers may replay a
-// txn thunk after the batch returns.
-template <typename Plat>
-BatchOutcome submit_txn_batch(Session<Plat>& session,
-                              std::span<PreparedTxn<Plat>> txns,
-                              Policy policy = Policy::one_shot(),
-                              Outcome* per_op = nullptr) {
-  LockTable<Plat>& space = session.space();
-  const bool hold_guards =
-      space.config().delay_mode == DelayMode::kOff && txns.size() > 1;
-  std::optional<typename Session<Plat>::EbrGuard> guard;
-  if (hold_guards) guard.emplace(session);
-  BatchOutcome out;
-  for (std::size_t i = 0; i < txns.size(); ++i) {
-    const Outcome o = txns[i].submit(session, policy);
-    out.add(o);
-    if (per_op != nullptr) per_op[i] = o;
-  }
-  return out;
-}
 
 }  // namespace wfl

@@ -12,6 +12,9 @@ namespace wfl {
 namespace {
 thread_local Simulator* g_current_sim = nullptr;
 
+// Every simulated process runs on a fiber stack of this size.
+constexpr std::size_t kProcessStackBytes = 128 * 1024;
+
 // WFL_SIM_WATCHDOG_SLOTS: when set to a positive integer, every Simulator
 // arms a fail-hard watchdog at that cumulative slot bound. Parsed once.
 std::uint64_t env_watchdog_slots() {
@@ -99,13 +102,13 @@ Simulator::Simulator(std::uint64_t seed) : seed_(seed) {
 
 Simulator::~Simulator() = default;
 
-int Simulator::add_process(Fiber::Body body, std::size_t stack_bytes) {
+int Simulator::add_process(Fiber::Body body) {
   WFL_CHECK_MSG(!in_run_, "add_process during run()");
   auto proc = std::make_unique<Proc>();
   const int pid = static_cast<int>(procs_.size());
   SplitMix64 sm(seed_ ^ (0xA5A5A5A5ULL + static_cast<std::uint64_t>(pid)));
   proc->rng.reseed(sm.next());
-  proc->fiber = std::make_unique<Fiber>(std::move(body), stack_bytes);
+  proc->fiber = std::make_unique<Fiber>(std::move(body), kProcessStackBytes);
   procs_.push_back(std::move(proc));
   return pid;
 }

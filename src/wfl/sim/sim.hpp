@@ -120,7 +120,7 @@ class Simulator {
   // Registers a logical process. All processes must be added before run().
   // The body is a Fiber::Body (inline-storage FixedFunction): capture packs
   // beyond its capacity belong in a struct the lambda references.
-  int add_process(Fiber::Body body, std::size_t stack_bytes = 128 * 1024);
+  int add_process(Fiber::Body body);
 
   // Grants steps per `sched` until every process body returned or max_slots
   // slots were consumed. Returns true iff all processes finished. Slots

@@ -126,6 +126,9 @@ CrashRunResult run_with_crash(int procs, int locks, int attempts,
   // behalf so domain teardown (and any post-crash reclamation) can proceed.
   if (victim_proc.ebr_pid >= 0 && !sim.is_finished(victim)) {
     space->abandon_process(victim_proc);
+    // Its Session never unwinds, so abandoning is the only thing that can
+    // return the victim's cached slots to the pools.
+    EXPECT_EQ(space->cached_slots(victim_proc), 0u);
   }
 
   CrashRunResult res;

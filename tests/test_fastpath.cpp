@@ -457,27 +457,6 @@ TEST(Batch, PerOpOutcomesAndAggregates) {
   EXPECT_EQ(b.peek(), 1u);
 }
 
-TEST(Batch, TxnBatchRunsPrograms) {
-  Table t(off_cfg(2, 2, 8), 2, 8);
-  Session<RealPlat> session(t);
-  Cell<RealPlat> x{0}, y{0};
-  const std::uint32_t lx[] = {0};
-  const std::uint32_t ly[] = {1};
-  std::vector<PreparedTxn<RealPlat>> txns;
-  TxnBuilder<RealPlat> b1;
-  b1.op(lx, [&x](IdemCtx<RealPlat>& m) { m.store(x, m.load(x) + 1); });
-  txns.push_back(std::move(b1).build());
-  TxnBuilder<RealPlat> b2;
-  b2.op(ly, [&y](IdemCtx<RealPlat>& m) { m.store(y, m.load(y) + 10); });
-  txns.push_back(std::move(b2).build());
-  const BatchOutcome o = submit_txn_batch<RealPlat>(
-      session, std::span<PreparedTxn<RealPlat>>(txns.data(), txns.size()),
-      Policy::retry());
-  EXPECT_EQ(o.wins, 2u);
-  EXPECT_EQ(x.peek(), 1u);
-  EXPECT_EQ(y.peek(), 10u);
-}
-
 // The Bank substrate's batch entry point conserves money under real-thread
 // contention — the canonical lost/duplicated-update detector, now through
 // submit_batch.

@@ -352,69 +352,5 @@ TEST(PolicyEquivalence, OneShotReproducesTryLocksAccounting) {
   EXPECT_GT(total_wins, 0u);
 }
 
-// The backoff knob burns own steps between failed attempts in kOff mode
-// and is inert under the paper's fixed delays.
-TEST(PolicyEquivalence, BackoffOnlyAppliesWithDelaysOff) {
-  const int procs = 3;
-  auto run_once = [&](DelayMode mode) {
-    std::uint64_t backoff_total = 0;
-    std::uint64_t retried_calls = 0;
-    LockConfig cfg = sim_cfg(procs);
-    cfg.delay_mode = mode;
-    LockTable<SimPlat> space(cfg, procs, 1);
-    Simulator sim(53);
-    for (int p = 0; p < procs; ++p) {
-      sim.add_process([&, p] {
-        (void)p;
-        Session<SimPlat> session(space);
-        const StaticLockSet<1> locks{0};
-        for (int c = 0; c < 10; ++c) {
-          const Outcome o =
-              submit(session, locks, [](IdemCtx<SimPlat>&) {},
-                     Policy::retry().with_backoff(8, 64));
-          backoff_total += o.backoff_steps;
-          retried_calls += o.attempts > 1 ? 1 : 0;
-          EXPECT_TRUE(o.won);
-        }
-      });
-    }
-    UniformSchedule sched(procs, 71);
-    EXPECT_TRUE(sim.run(sched, 4'000'000'000ull));
-    return std::make_pair(backoff_total, retried_calls);
-  };
-
-  const auto [off_backoff, off_retries] = run_once(DelayMode::kOff);
-  ASSERT_GT(off_retries, 0u) << "arena not contended; test is vacuous";
-  EXPECT_GT(off_backoff, 0u);
-
-  const auto [theory_backoff, theory_retries] = run_once(DelayMode::kTheory);
-  (void)theory_retries;
-  EXPECT_EQ(theory_backoff, 0u);  // theory mode owns the timing
-}
-
-// The defaulted cap is 1024x the base, SATURATING: `base << 10` silently
-// overflowed for base >= 2^54, producing a cap smaller than the base (or
-// zero — i.e. uncapped growth, the opposite of what the default promises).
-TEST(Policy, WithBackoffDefaultCapSaturatesInsteadOfOverflowing) {
-  constexpr std::uint64_t kMax = ~std::uint64_t{0};
-
-  // Normal range: cap = base << 10.
-  EXPECT_EQ(Policy::retry().with_backoff(8).backoff_cap,
-            std::uint64_t{8} << 10);
-  // Largest base whose 1024x still fits.
-  EXPECT_EQ(Policy::retry().with_backoff(kMax >> 10).backoff_cap,
-            (kMax >> 10) << 10);
-  // One past it — and the extreme — must clamp to the maximum, never
-  // wrap below the base.
-  const std::uint64_t big = (kMax >> 10) + 1;
-  EXPECT_EQ(Policy::retry().with_backoff(big).backoff_cap, kMax);
-  EXPECT_EQ(Policy::retry().with_backoff(kMax).backoff_cap, kMax);
-  EXPECT_GE(Policy::retry().with_backoff(std::uint64_t{1} << 60).backoff_cap,
-            std::uint64_t{1} << 60);
-
-  // An explicit cap is always taken verbatim.
-  EXPECT_EQ(Policy::retry().with_backoff(8, 5).backoff_cap, 5u);
-}
-
 }  // namespace
 }  // namespace wfl
