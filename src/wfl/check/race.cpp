@@ -537,7 +537,7 @@ struct RaceEngine::Impl {
     base = all;
     push_trace(TraceEvent{Ev::kBoundary, Op::kLoad, Site::kUnknown,
                           std::memory_order_seq_cst, -1, 0, nullptr,
-                          entering ? 1 : 0});
+                          std::uint64_t{entering}});
   }
 
   void poison(const void* addr, bool plain_region) {

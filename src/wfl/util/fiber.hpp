@@ -1,4 +1,5 @@
-// Minimal stackful fiber on ucontext, plus a reusing pool.
+// Minimal stackful fiber with a register-only context switch, plus a
+// reusing pool.
 //
 // Two runtimes multiplex logical work onto fibers:
 //
@@ -11,6 +12,26 @@
 //     submission's attempts on a fiber drawn from a pool, so an attempt
 //     that must wait suspends instead of pinning an OS thread.
 //
+// A switch (resume() or yield()) pushes the callee-saved registers and the
+// floating-point control words onto the outgoing stack, stores the stack
+// pointer, loads the other side's and pops the same set: a few dozen
+// instructions. It leaves the signal mask alone, so it makes no system
+// call; an rt_sigprocmask call per switch would be ~90% of the cost of a
+// simulated step (EXPERIMENTS.md). Limits of the switch:
+//
+//   * x86-64 and AArch64 only (ELF targets); anything else is a compile
+//     error;
+//   * the signal mask is per thread, not per fiber — a fiber that changes
+//     it changes it for whoever runs next on that thread;
+//   * not aware of CET shadow stacks: every switch returns on a different
+//     stack than it was called on, so a process running with user shadow
+//     stacks enabled would fault at the first switch. glibc 2.36 does not
+//     enable them.
+//
+// Rounding mode and exception masks (MXCSR and the x87 control word on
+// x86-64, FPCR on AArch64) are per fiber: a new fiber starts with the
+// armer's, and each side keeps its own across switches.
+//
 // The body is a FixedFunction, not a std::function: fibers are created and
 // re-armed on submission paths where a per-arm heap allocation would
 // dominate, and the bodies the runtimes install are small capture packs.
@@ -19,9 +40,8 @@
 // of a fiber, not the context.
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -64,15 +84,16 @@ class Fiber {
   static Fiber* current();
 
  private:
-  static void trampoline(unsigned hi, unsigned lo);
-  void run_body();
+  static void* entry(void* self) noexcept;
   void arm();
 
   Body body_;
   std::unique_ptr<char[]> stack_;
   std::size_t stack_bytes_;
-  ucontext_t ctx_{};
-  ucontext_t return_ctx_{};
+  // Saved stack pointers: the fiber's own while it is switched out, and
+  // that of whoever last resumed it (set afresh by every resume()).
+  void* sp_ = nullptr;
+  void* return_sp_ = nullptr;
   bool started_ = false;
   bool finished_ = false;
   // AddressSanitizer fiber-switch bookkeeping (unused in plain builds):

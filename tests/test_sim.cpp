@@ -2,6 +2,9 @@
 // accounting, replay determinism, and the oblivious-scheduler semantics.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -42,6 +45,81 @@ TEST(Fiber, NestedFibersKeepCurrentStraight) {
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[0], seen[2]);  // outer restored as current
   EXPECT_NE(seen[0], seen[1]);
+}
+
+TEST(Fiber, FloatingPointControlIsPerFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  int inside_before = -1;
+  int inside_after = -1;
+  Fiber f([&] {
+    std::fesetround(FE_UPWARD);
+    inside_before = std::fegetround();
+    Fiber::yield();
+    inside_after = std::fegetround();
+    std::fesetround(FE_TONEAREST);
+  });
+  f.resume();
+  EXPECT_EQ(inside_before, FE_UPWARD);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);  // the resumer kept its own
+  f.resume();
+  EXPECT_EQ(inside_after, FE_UPWARD);  // and so did the fiber
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+// A callee that cannot be folded into its caller, so its aligned local
+// lives in a frame of its own below the fiber's first frame.
+[[gnu::noinline]] bool local_is_16_byte_aligned() {
+  alignas(16) volatile unsigned char local[16] = {};
+  local[0] = 1;
+  return reinterpret_cast<std::uintptr_t>(&local[0]) % 16 == 0;
+}
+
+TEST(Fiber, BodyRunsOnAnAbiAlignedStack) {
+  // A misaligned first frame shows as a crash in SSE spills (printf of a
+  // double saves xmm registers with aligned moves) or a misplaced local.
+  struct Seen {
+    std::string printed;
+    bool aligned = false;
+  } seen;
+  auto body = [&seen] {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%f", 1.5);
+    seen.printed = buf;
+    seen.aligned = local_is_16_byte_aligned();
+  };
+  Fiber f(body);
+  f.resume();
+  ASSERT_TRUE(f.finished());
+  EXPECT_EQ(seen.printed, "1.500000");
+  EXPECT_TRUE(seen.aligned);
+
+  seen = Seen{};
+  f.reset(body);
+  f.resume();
+  ASSERT_TRUE(f.finished());
+  EXPECT_EQ(seen.printed, "1.500000");
+  EXPECT_TRUE(seen.aligned);
+}
+
+TEST(Fiber, ResetCyclesReuseOneStack) {
+  constexpr int kCycles = 10000;
+  int runs = 0;
+  Fiber f([] {});
+  f.resume();
+  for (int i = 0; i < kCycles; ++i) {
+    ASSERT_TRUE(f.finished());
+    f.reset([&runs] {
+      ++runs;
+      Fiber::yield();
+      ++runs;
+    });
+    f.resume();
+    ASSERT_FALSE(f.finished());
+    f.resume();
+  }
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(runs, 2 * kCycles);
 }
 
 TEST(Schedule, RoundRobinCycles) {
