@@ -20,6 +20,10 @@
 // weak, stay quiet when it is strong). The delta is smaller than E10's —
 // the paper introduces delays to close a leak, not a crater — and the
 // table reports whatever the attack extracts.
+//
+// Every row states the verdict it expects: the floor is lost only with the
+// help phase off. exp_ablation exits nonzero when any row's verdict
+// differs.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -112,7 +116,7 @@ ArmResult run_arm(bool help_on, bool delays_on, bool stretch, int episodes,
     while (!stop) {
       submit(session, ids, kNoop);
       const std::uint64_t think = rng.next_below(32);
-      for (std::uint64_t s = 0; s < think; ++s) SimPlat::step();
+      SimPlat::idle_steps(think);
     }
   });
   // Fillers: in the stretch arms they idle until the strategy calls for
@@ -134,7 +138,7 @@ ArmResult run_arm(bool help_on, bool delays_on, bool stretch, int episodes,
         if (!stretch) {
           submit(session, ids, long_thunk);
           const std::uint64_t think = rng.next_below(16);
-          for (std::uint64_t s = 0; s < think; ++s) SimPlat::step();
+          SimPlat::idle_steps(think);
         } else if (want_filler) {
           want_filler = false;
           submit(session, ids, kNoop);
@@ -165,7 +169,7 @@ int main(int argc, char** argv) {
   Table t({"arm", "overall rate", "attack-landed rate", "landed n",
            "floor 1/C_p", "verdict"});
   const double floor = 0.25;
-  bool baseline_ok = true, help_collapses = false;
+  bool ok = true;  // every row's verdict is the one it expects
   double delays_on_rate = 0, delays_off_rate = 0;
 
   auto add_row = [&](const char* name, const ArmResult& r,
@@ -178,18 +182,16 @@ int main(int argc, char** argv) {
                            : (held ? "floor held (!)" : "floor lost — "
                                                         "as predicted"));
     t.end_row();
-    return held;
+    ok = ok && held == expect_floor;
   };
 
   if (only == "all" || only == "help") {
-    const auto base = run_arm(true, true, false, episodes, seed);
-    baseline_ok = add_row("help ON, delays ON (paper)", base, true);
-    const auto nohelp = run_arm(false, false, false, episodes, seed + 1);
-    const bool held = add_row("help OFF (E10 attack)", nohelp, false);
-    help_collapses = !held || nohelp.when_attack_landed.rate() <
-                                  base.when_attack_landed.rate() * 0.7;
-    const auto withhelp = run_arm(true, false, false, episodes, seed + 1);
-    add_row("help ON, delays OFF (same attack)", withhelp, true);
+    add_row("help ON, delays ON (paper)",
+            run_arm(true, true, false, episodes, seed), true);
+    add_row("help OFF (E10 attack)",
+            run_arm(false, false, false, episodes, seed + 1), false);
+    add_row("help ON, delays OFF (same attack)",
+            run_arm(true, false, false, episodes, seed + 1), true);
   }
   if (only == "all" || only == "delays") {
     const auto d_on = run_arm(true, true, true, episodes, seed + 2);
@@ -207,11 +209,10 @@ int main(int argc, char** argv) {
                 " only *requires* them, the attack surface here is narrow.\n",
                 delays_on_rate - delays_off_rate);
   }
-  const bool ok = baseline_ok && ((only == "delays") || help_collapses);
   std::printf("\nE9/E10 verdict: %s\n",
               ok ? "helping is what defeats the known-priority ambush "
                    "(E10); baseline floors hold"
-                 : "UNEXPECTED — baseline lost its floor or the ablation "
-                   "showed no effect");
+                 : "UNEXPECTED — a row's verdict differs from the one it "
+                   "expects");
   return ok ? 0 : 1;
 }

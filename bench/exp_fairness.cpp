@@ -101,7 +101,7 @@ Row run_ring(int n, const char* sched_name, int attempts,
         per[static_cast<std::size_t>(p)].add(
             submit(session, ids, kNoop).won);
         const std::uint64_t think = rng.next_below(64);
-        for (std::uint64_t s2 = 0; s2 < think; ++s2) SimPlat::step();
+        SimPlat::idle_steps(think);
       }
     });
   }

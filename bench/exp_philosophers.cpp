@@ -104,7 +104,7 @@ LrResult run_lr(int n, int meals, const std::vector<double>& weights,
         steps[static_cast<std::size_t>(p)].add(
             static_cast<double>(SimPlat::steps() - before));
         const std::uint64_t think = rng.next_below(64);
-        for (std::uint64_t s = 0; s < think; ++s) SimPlat::step();
+        SimPlat::idle_steps(think);
       }
     });
   }

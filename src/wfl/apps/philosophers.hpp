@@ -43,7 +43,7 @@ void run_philosopher_episodes(int pid, int meals, std::uint64_t think_max,
     report.steps_per_meal.add(
         static_cast<double>(Plat::steps() - hungry_at));
     const std::uint64_t think = think_max == 0 ? 0 : rng.next_below(think_max);
-    for (std::uint64_t s = 0; s < think; ++s) Plat::step();
+    Plat::idle_steps(think);
   }
 }
 

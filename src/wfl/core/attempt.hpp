@@ -3,7 +3,7 @@
 // This header owns the per-attempt procedures — tryLock's descriptor path
 // (attempt: help phase, multiInsert, reveal, run, multiRemove; lines
 // 17-24), run / decide / eliminate / celebrateIfWon (lines 26-37) and the
-// fixed-delay spin (lines 10-11, 24) — parameterized over a *context* that
+// fixed delay (lines 10-11, 24) — parameterized over a *context* that
 // supplies memory and accounting. How locks are stored, how descriptors
 // are pooled or addressed and how statistics are aggregated is the
 // tables' and ProcessHandle's business (core/lock_table.hpp,
@@ -41,8 +41,16 @@
 //   void after_release(Desc&, std::uint64_t reveal);  // wake events + T1
 //                                            // delay or §6.2 padding
 //
-// The hooks run inside the attempt's guard, and a hook that spins (a T0/T1
-// delay, §6.2 padding) must exit it for the spin — the table's
+// A delay or padding is own steps that touch no shared memory, taken with
+// Plat::idle_steps(n), never as n single steps: the simulator grants an
+// idle span the same slots, one by one, but resumes the process only for
+// the first (sim/sim.hpp), and on RealPlat it is n counter increments.
+// idle_steps must run on the simulator process's own fiber, which every
+// caller does (async submission, whose attempts run on nested fibers, is
+// kOff-only and never delays).
+//
+// The hooks run inside the attempt's guard, and a hook that idles (a T0/T1
+// delay, §6.2 padding) must exit it for the idle span — the table's
 // delay_until/pad_to_power_of_two do, through core/process.hpp's
 // GuardRelease.
 //
@@ -67,7 +75,7 @@ namespace wfl {
 
 // Per-attempt measurements (own steps of the calling process), filled by
 // try_locks when requested. pre_reveal_work and post_reveal_work exclude
-// delay spinning — they are the quantities the T0/T1 budgets must dominate
+// delay steps — they are the quantities the T0/T1 budgets must dominate
 // for the fairness argument to hold (Observation 6.7).
 struct AttemptInfo {
   bool won = false;
@@ -200,7 +208,7 @@ struct AttemptEngine {
   // The attempt enters its EBR guard once, here, and every nested guard
   // (run(), helping) is a depth bump. Under DelayMode::kOff that one guard
   // spans the attempt. Under the paper's delays the hooks exit it while a
-  // T0/T1 delay or §6.2 padding spins, so only the two *work* segments
+  // T0/T1 delay or §6.2 padding idles, so only the two *work* segments
   // (help+insert, and run+remove) are guarded: a process stalled in a
   // delay holds no borrowed references (its own descriptor is not retired
   // until the caller is done with it) and must not stall reclamation.
@@ -279,7 +287,7 @@ struct AttemptEngine {
     }
   }
 
-  // Spins own steps until exactly `base + delta` steps have been taken.
+  // Idles own steps until exactly `base + delta` steps have been taken.
   // Starting beyond the target is an overrun: the constants were too small
   // for the workload — counted (through the caller's striped slab, via
   // `on_overrun`), surfaced by exp_step_bound, asserted zero in tests with
@@ -288,11 +296,12 @@ struct AttemptEngine {
   static void delay_until(std::uint64_t base, std::uint64_t delta,
                           OnOverrun&& on_overrun) {
     const std::uint64_t target = base + delta;
-    if (Plat::steps() > target) {
+    const std::uint64_t now = Plat::steps();
+    if (now > target) {
       on_overrun();
       return;
     }
-    while (Plat::steps() < target) Plat::step();
+    Plat::idle_steps(target - now);
   }
 };
 

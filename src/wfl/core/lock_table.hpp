@@ -77,7 +77,7 @@
 //
 // Under DelayMode::kOff the guard is held across the whole attempt. Under
 // the paper's delays the attempt exits it while a T0/T1 delay or §6.2
-// padding spins, which dominate an attempt's steps; this keeps reclamation
+// padding idles, which dominate an attempt's steps; this keeps reclamation
 // flowing while a slow process stalls in a delay (core/attempt.hpp).
 //
 // --- Thin-word fast path (DelayMode::kOff only) ----------------------------
@@ -634,7 +634,7 @@ class LockTable {
       delay_until(reveal_steps, t.cfg_.t1_steps(),
                   [this] { h.stats().add_t1_overrun(); });
     }
-    // The delay and padding helpers spin outside the attempt's guard (see
+    // The delay and padding helpers idle outside the attempt's guard (see
     // core/attempt.hpp): the attempt holds no borrowed reference there.
     template <typename OnOverrun>
     void delay_until(std::uint64_t base, std::uint64_t delta,
@@ -643,14 +643,14 @@ class LockTable {
       GuardRelease<Handle, EbrDomain> unguarded(h, t.ebr_);
       Engine::delay_until(base, delta, on_overrun);
     }
-    // Guess-and-double: spin own steps until the work since `base` is a
+    // Guess-and-double: idle own steps until the work since `base` is a
     // power of two.
     void pad_to_power_of_two(std::uint64_t base) {
       GuardRelease<Handle, EbrDomain> unguarded(h, t.ebr_);
       const std::uint64_t w = Plat::steps() - base;
       std::uint64_t target = 1;
       while (target < w) target <<= 1;
-      while (Plat::steps() - base < target) Plat::step();
+      Plat::idle_steps(target - w);
     }
   };
   friend struct AttemptCtx;

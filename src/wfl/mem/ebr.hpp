@@ -121,8 +121,9 @@ class EbrDomain {
   // While the re-announce loop runs, active is already true with a stale
   // epoch — that conservatively blocks advancement, so the loop settles
   // after at most one more epoch move. The argument does not care which
-  // process the announcing thread lives in. Validated by the TSan CI matrix
-  // and the crash/chaos tests.
+  // process the announcing thread lives in. Validated by CheckedPlat's
+  // fence model (WFL_CHK_FENCE) and the crash/chaos tests; TSan does not
+  // model the fences (DESIGN.md §7.3).
   void enter(int pid) {
     Announce& p = part(pid);
     WFL_CHECK_MSG(!p.active.load(std::memory_order_relaxed),

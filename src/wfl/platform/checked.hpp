@@ -1,13 +1,14 @@
 // CheckedPlat: SimPlat plus happens-before instrumentation.
 //
 // The third platform (after RealPlat and SimPlat). It satisfies the same
-// policy concept — Atomic<T>, Wake, step()/steps()/rand_u64(), kSimulated —
-// by delegating scheduling to SimPlat, and additionally reports every
-// shared-memory operation (address, op kind, declared memory_order, value)
-// to the analysis engine in check/race.hpp. Instantiating any algorithm
-// template with CheckedPlat instead of SimPlat re-runs it, bit-for-bit on
-// the same schedule (the hooks consume no steps and no randomness), under
-// the vector-clock race and ordering-contract checker.
+// policy concept — Atomic<T>, Wake, step()/idle_steps()/steps()/rand_u64(),
+// kSimulated — by delegating scheduling to SimPlat, and additionally
+// reports every shared-memory operation (address, op kind, declared
+// memory_order, value) to the analysis engine in check/race.hpp. An idle
+// span touches no shared memory, so it reports nothing. Instantiating any
+// algorithm template with CheckedPlat instead of SimPlat re-runs it,
+// bit-for-bit on the same schedule (the hooks consume no steps and no
+// randomness), under the vector-clock race and ordering-contract checker.
 //
 // Values are carried into the engine as 64-bit images (memcpy-encoded) so
 // the shadow-value check can detect un-instrumented writes; wider or
@@ -27,6 +28,7 @@ struct CheckedPlat {
   static constexpr bool kSimulated = true;  // same driving rules as SimPlat
 
   static void step() { SimPlat::step(); }
+  static void idle_steps(std::uint64_t n) { SimPlat::idle_steps(n); }
   static std::uint64_t steps() { return SimPlat::steps(); }
   static std::uint64_t rand_u64() { return SimPlat::rand_u64(); }
 

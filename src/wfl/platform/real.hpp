@@ -3,7 +3,8 @@
 // Every concurrent algorithm in this library is a template over a Platform
 // policy. The policy supplies atomics with a *step hook* (each shared-memory
 // operation is one "step" in the paper's model), a per-process step counter
-// (delays are "until N of my own steps"), and a per-process PRNG.
+// (delays are "until N of my own steps"), idle_steps(n) to take such a
+// delay (n own steps that touch no shared memory), and a per-process PRNG.
 //
 // RealPlat counts steps in a thread_local and uses sequentially consistent
 // atomics throughout. The algorithms' proofs are stated against an
@@ -36,6 +37,12 @@ struct RealPlat {
   // One explicit local step: used by the delay loops of Algorithm 3 and
   // counted exactly like a shared-memory operation.
   static void step() { ++steps_ref(); }
+
+  // n own steps that touch no shared memory: Algorithm 3's T0/T1 delays,
+  // §6.2 padding, a simulated process thinking. One step() each.
+  static void idle_steps(std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) step();
+  }
 
   static std::uint64_t steps() { return steps_ref(); }
 

@@ -4,7 +4,9 @@
 // instantiated for either. Under SimPlat each shared-memory operation first
 // counts one step for the running logical process and yields to the
 // scheduler — making the operation occur exactly at its granted time slot,
-// which is the paper's execution model.
+// which is the paper's execution model. Delays are "until N of my own
+// steps": idle_steps(n) takes them as one idle span of the simulator, which
+// grants the same n slots as n step() calls but switches fibers once.
 //
 // Outside an active simulation (setup/teardown on the main context) the
 // hooks degrade to no-ops so fixtures can initialize shared structures.
@@ -28,6 +30,16 @@ struct SimPlat {
     Simulator* sim = Simulator::current();
     if (sim != nullptr && sim->current_pid() >= 0) {
       sim->count_step_and_yield();
+    }
+  }
+
+  // n own steps that touch no shared memory (see the header comment). Only
+  // on a simulator process's own fiber: Simulator::count_steps_and_yield
+  // checks that.
+  static void idle_steps(std::uint64_t n) {
+    Simulator* sim = Simulator::current();
+    if (sim != nullptr && sim->current_pid() >= 0) {
+      sim->count_steps_and_yield(n);
     }
   }
 

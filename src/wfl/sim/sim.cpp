@@ -145,6 +145,11 @@ bool Simulator::run(Schedule& sched, std::uint64_t max_slots,
     ++slots_used_;
     Proc& p = *procs_[pid];
     if (p.done) continue;  // wasted slot: oblivious scheduler can't know
+    if (p.idle > 0) {      // an idle span: the step needs no resume
+      ++p.steps;
+      --p.idle;
+      continue;
+    }
     running_pid_ = pid;
     p.fiber->resume();
     running_pid_ = -1;
@@ -206,6 +211,17 @@ Simulator* Simulator::current() { return g_current_sim; }
 void Simulator::count_step_and_yield() {
   WFL_CHECK_MSG(running_pid_ >= 0, "step outside a scheduled process");
   ++procs_[running_pid_]->steps;
+  Fiber::yield();
+}
+
+void Simulator::count_steps_and_yield(std::uint64_t n) {
+  WFL_CHECK_MSG(running_pid_ >= 0, "step outside a scheduled process");
+  Proc& p = *procs_[running_pid_];
+  WFL_CHECK_MSG(Fiber::current() == p.fiber.get(),
+                "idle steps on a fiber nested inside a process");
+  if (n == 0) return;
+  ++p.steps;
+  p.idle = n - 1;
   Fiber::yield();
 }
 

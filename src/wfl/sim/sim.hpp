@@ -7,6 +7,15 @@
 // the paper's *oblivious scheduler adversary*. Weighted and stall-burst
 // schedules express "a process can be delayed arbitrarily".
 //
+// An *idle span* (Plat::idle_steps(n): n own steps that touch no shared
+// memory — the T0/T1 delays and §6.2 padding) is granted slot by slot like
+// any other steps, but the process is resumed only for the first: each
+// later slot granted to it just counts one step, without a fiber switch.
+// Nothing runs during those slots that another process could observe, so
+// every slot index, step count, watchdog grant and crash slot falls exactly
+// where n single steps would have put it, and the process resumes at the
+// same slot.
+//
 // The *adaptive player adversary* is expressed in experiment code: process
 // bodies may inspect any shared state (including revealed priorities) when
 // deciding when to start an attempt — the model allows this and our fairness
@@ -163,6 +172,12 @@ class Simulator {
   static Simulator* current();
   // Counts one step for the running process, then yields to the scheduler.
   void count_step_and_yield();
+  // Takes n steps for the running process as one idle span (see the header
+  // comment): counts the first and yields once; run() counts the other
+  // n - 1 on the slots it grants the process, without resuming it. n == 0
+  // takes no step and no slot. Must run on the process's own fiber: a
+  // fiber nested inside it yields to its resumer, not to the scheduler.
+  void count_steps_and_yield(std::uint64_t n);
   std::uint64_t rand_u64();          // running process's deterministic PRNG
   std::uint64_t current_steps() const;  // running process's step count
   int current_pid() const;
@@ -171,6 +186,7 @@ class Simulator {
   struct Proc {
     std::unique_ptr<Fiber> fiber;
     std::uint64_t steps = 0;
+    std::uint64_t idle = 0;  // steps left in the current idle span
     Xoshiro256 rng{0};
     bool done = false;
   };

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wfl/platform/sim.hpp"
@@ -254,6 +255,173 @@ TEST(Simulator, ExplicitStepConsumesSlot) {
   RoundRobinSchedule rr(1);
   ASSERT_TRUE(sim.run(rr, 100));
   EXPECT_EQ(sim.steps_of(0), 10u);
+}
+
+// --- Idle spans (Plat::idle_steps) -----------------------------------------
+//
+// An idle span must be indistinguishable from the same number of step()
+// calls: only the fiber switches go. Each scenario runs one seed and one
+// schedule twice, once with the subject (pid 1) idling through
+// idle_steps(n) and once through n step() calls, and compares everything
+// the run exposes. A witness (pid 0) records (slots_used, steps_of(1)) at
+// each of its own steps, so a step counted one slot early or late, or a
+// resume at a different slot, shows as a differing entry.
+
+enum class IdleForm { kIdleSteps, kStepLoop };
+
+struct IdleScenario {
+  std::uint64_t idle_len = 0;  // n
+  int witness_steps = 0;
+  std::uint64_t max_slots = 1'000'000;
+  int required_finishers = -1;
+  std::uint64_t watchdog_slots = 0;  // 0: no watchdog; else report mode
+  bool crash_subject = false;        // CrashSchedule kills pid 1 at ...
+  std::uint64_t crash_slot = 0;      // ... this slot
+};
+
+struct IdleRun {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> witness;
+  std::uint64_t resumed_at = 0;  // slots_used when the subject resumed
+  bool resumed = false;
+  bool all_finished = false;
+  std::uint64_t slots = 0;
+  std::vector<std::uint64_t> steps;
+  std::vector<bool> done;
+  bool watchdog_fired = false;
+  std::string watchdog_dump;
+
+  bool operator==(const IdleRun&) const = default;
+};
+
+// The subject takes kBefore shared steps, its idle span, then kAfter more.
+constexpr std::uint64_t kBefore = 5;
+constexpr std::uint64_t kAfter = 5;
+
+IdleRun run_idle_scenario(const IdleScenario& sc, IdleForm form) {
+  Simulator sim(77);
+  SimPlat::Atomic<int> x{0};
+  IdleRun out;
+  sim.add_process([&] {  // witness
+    for (int i = 0; i < sc.witness_steps; ++i) {
+      out.witness.emplace_back(sim.slots_used(), sim.steps_of(1));
+      x.store(i);
+    }
+  });
+  sim.add_process([&] {  // subject
+    for (std::uint64_t i = 0; i < kBefore; ++i) (void)x.load();
+    if (form == IdleForm::kIdleSteps) {
+      SimPlat::idle_steps(sc.idle_len);
+    } else {
+      for (std::uint64_t i = 0; i < sc.idle_len; ++i) SimPlat::step();
+    }
+    out.resumed_at = sim.slots_used();
+    out.resumed = true;
+    for (std::uint64_t i = 0; i < kAfter; ++i) x.fetch_add(1);
+  });
+  sim.add_process([&] {  // bystander: keeps the schedule busy
+    for (int i = 0; i < 40; ++i) (void)x.load();
+  });
+  if (sc.watchdog_slots > 0) {
+    sim.enable_watchdog(sc.watchdog_slots, /*fail_hard=*/false);
+  }
+  StallBurstSchedule bursts(3, 9, 25);
+  CrashSchedule crashes(bursts, 3, {{1, sc.crash_slot}}, 11);
+  Schedule& sched = sc.crash_subject ? static_cast<Schedule&>(crashes)
+                                     : static_cast<Schedule&>(bursts);
+  out.all_finished = sim.run(sched, sc.max_slots, sc.required_finishers);
+  out.slots = sim.slots_used();
+  for (int p = 0; p < sim.process_count(); ++p) {
+    out.steps.push_back(sim.steps_of(p));
+    out.done.push_back(sim.is_finished(p));
+  }
+  out.watchdog_fired = sim.watchdog_fired();
+  out.watchdog_dump = sim.watchdog_dump();
+  return out;
+}
+
+// True iff the subject stopped strictly inside its idle span: the scenario
+// really ended or crashed it mid-idle, as its name claims.
+bool stopped_mid_idle(const IdleRun& r, std::uint64_t idle_len) {
+  return r.steps[1] > kBefore && r.steps[1] < kBefore + idle_len;
+}
+
+TEST(Simulator, IdleStepsMatchStepLoop) {
+  struct Case {
+    const char* name;
+    IdleScenario sc;
+    bool mid_idle;  // the subject must stop inside its span
+  };
+  const std::uint64_t n = 300;
+  const Case cases[] = {
+      {"stall bursts, run to completion", {n, 200}, false},
+      {"crash slot inside the idle span",
+       {n, 200, 1'000'000, 2, 0, true, 120}, true},
+      {"max_slots ends run() mid-idle", {n, 200, 150}, true},
+      {"required_finishers ends run() mid-idle", {n, 30, 1'000'000, 1},
+       true},
+      {"report-mode watchdog fires mid-idle", {n, 200, 1'000'000, -1, 140},
+       true},
+      {"idle_steps(0)", {0, 60}, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const IdleRun idle = run_idle_scenario(c.sc, IdleForm::kIdleSteps);
+    const IdleRun loop = run_idle_scenario(c.sc, IdleForm::kStepLoop);
+    EXPECT_EQ(idle.witness, loop.witness);
+    EXPECT_EQ(idle.watchdog_dump, loop.watchdog_dump);
+    EXPECT_TRUE(idle == loop);
+    EXPECT_EQ(stopped_mid_idle(idle, c.sc.idle_len), c.mid_idle)
+        << "subject steps " << idle.steps[1];
+    EXPECT_EQ(idle.resumed, !c.mid_idle);
+    EXPECT_EQ(idle.watchdog_fired, c.sc.watchdog_slots > 0);
+  }
+}
+
+TEST(Simulator, IdleStepsResumeAcrossRunCalls) {
+  // A run() that ends mid-idle leaves the rest of the span to the next
+  // run(), exactly where the step loop would have stopped and resumed.
+  const auto twice = [](IdleForm form) {
+    Simulator sim(5);
+    std::vector<std::uint64_t> seen;
+    sim.add_process([&] {
+      SimPlat::idle_steps(0);  // takes no step and no slot
+      seen.push_back(sim.slots_used());
+      if (form == IdleForm::kIdleSteps) {
+        SimPlat::idle_steps(50);
+      } else {
+        for (int i = 0; i < 50; ++i) SimPlat::step();
+      }
+      seen.push_back(sim.slots_used());
+    });
+    RoundRobinSchedule rr(1);
+    EXPECT_FALSE(sim.run(rr, 20));
+    seen.push_back(sim.steps_of(0));
+    EXPECT_TRUE(sim.run(rr, 100));
+    seen.push_back(sim.steps_of(0));
+    seen.push_back(sim.slots_used());
+    return seen;
+  };
+  const auto idle = twice(IdleForm::kIdleSteps);
+  EXPECT_EQ(idle, twice(IdleForm::kStepLoop));
+  // Started in slot 1, which also took the span's first step; 20 steps
+  // when the first run() stopped; resumed after the span in slot 51.
+  EXPECT_EQ(idle, (std::vector<std::uint64_t>{1, 20, 51, 50, 51}));
+}
+
+TEST(SimulatorDeathTest, IdleStepsOnNestedFiberDies) {
+  // A fiber nested inside a process yields to its resumer, not to the
+  // scheduler, so run() could not count its idle span.
+  EXPECT_DEATH(
+      {
+        Simulator sim(1);
+        sim.add_process([] {
+          Fiber inner([] { SimPlat::idle_steps(3); });
+          inner.resume();
+        });
+        RoundRobinSchedule rr(1);
+        (void)sim.run(rr, 100);
+      },
+      "nested inside a process");
 }
 
 }  // namespace
