@@ -52,7 +52,7 @@
 // thread-sweep captures are filterable by regime.
 //
 // stdout carries only the JSON document, so
-//   ./bench_apps > BENCH_apps.json
+//   ./bench_hotpath > BENCH_hotpath.json
 // captures a clean trajectory point. (Pass --benchmark_out=<file>
 // --benchmark_out_format=json for Google Benchmark's own verbose schema.)
 #pragma once

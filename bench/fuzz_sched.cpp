@@ -12,7 +12,9 @@
 //     campaign budget must rediscover it. Exit 0 iff at least one finding
 //     was produced (with its minimized, deterministically replayable
 //     reproducer printed) — this is the mutation-testing gate that proves
-//     the fuzzer can actually find the class of bug it exists for.
+//     the fuzzer can actually find the class of bug it exists for. One
+//     more gate, skip_revalidate, drops the engine_wide family's in-thunk
+//     re-check (fuzz/workload.hpp).
 //
 // Every knob has a flag and an env override (env wins), so CI YAML and a
 // long soak invocation can both steer it without rebuilds:

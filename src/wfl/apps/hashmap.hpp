@@ -6,7 +6,7 @@
 //     buckets — L = 2, the canonical "multi-word atomic without a global
 //     lock" pattern (same shape as the bank-transfer workload).
 //
-// Unlike LockedList/LockedBst, mutators re-walk the chain *inside* the
+// Unlike LockedList, mutators re-walk the chain *inside* the
 // critical section (the bucket lock serializes the whole bucket), so there
 // is no optimistic-validation dance: the walk is the validation. Chains are
 // capped at kMaxChain so the in-thunk walk has a static operation budget —

@@ -1,7 +1,7 @@
 // The backend registry: every lock discipline in the repo, as a
 // compile-time list experiment drivers sweep with BackendList::for_each.
 //
-// Adding a backend here (and nothing else) puts it into bench_apps,
+// Adding a backend here (and nothing else) puts it into bench_service,
 // exp_throughput, exp_crash, exp_waitfree_tail and the backend-equivalence
 // tests — one line of registration instead of a bespoke driver per
 // experiment.

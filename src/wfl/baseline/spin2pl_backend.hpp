@@ -17,7 +17,7 @@
 // submission), so the same substrate thunks run unmodified and the
 // idempotent Cells observe the same tagged-word protocol every other
 // backend uses. This is the measured cost of the construction when nobody
-// can help — the bench_apps ratio column.
+// can help — exp_throughput's spin2pl rows.
 #pragma once
 
 #include <cstdint>

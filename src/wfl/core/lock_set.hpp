@@ -111,8 +111,8 @@ class StaticLockSet {
   }
 
   // Appends one id, keeping the set sorted and deduplicated (no-op if
-  // already present). For incremental builders (graph neighbourhoods,
-  // skiplist pred towers).
+  // already present). For incremental builders (LockedList's {pred, curr},
+  // where curr may be absent).
   void insert(std::uint32_t id) {
     std::uint32_t pos = 0;
     while (pos < size_ && ids_[pos] < id) ++pos;

@@ -104,58 +104,42 @@ namespace detail {
 // TraceSchedule's uniform tail means an empty prefix IS a UniformSchedule;
 // bursts and crashes are literal genome entries.
 inline std::vector<Trace> seed_traces(const std::string& fault) {
-  // Seeds carry a slot cap ~3x a typical run: generous enough that no live
-  // schedule trips it, small enough that a wedged replay (and each failing
-  // shrink candidate after one) costs milliseconds, not the file-format
-  // default.
-  constexpr std::uint64_t kSeedSlotCap = 30000;
   std::vector<Trace> seeds;
   // Fault campaigns seed only the workload family that can express the
   // fault: mutators never change a trace's workload kind, so seeds from
   // unrelated families just dilute the mutation budget — enough that the
   // lost_wake gate stopped converging when the pressure family landed.
   // Clean campaigns (and soak) keep the full pool.
-  std::vector<WorkloadKind> kinds = {WorkloadKind::kEngine,
-                                     WorkloadKind::kAsync,
-                                     WorkloadKind::kEnginePressure};
+  std::vector<WorkloadKind> kinds = {
+      WorkloadKind::kEngine, WorkloadKind::kAsync,
+      WorkloadKind::kEnginePressure, WorkloadKind::kEngineWide};
   if (const std::optional<FaultSpec> f = parse_fault(fault); f.has_value()) {
-    if (f->hook != Fault::kNone) {
+    if (f->hook == Fault::kSkipRevalidate) {
+      kinds = {WorkloadKind::kEngineWide};  // the token move's re-check
+    } else if (f->hook != Fault::kNone) {
       kinds = {WorkloadKind::kAsync};  // executor wake-path hooks
     } else if (f->engine_mutation) {
       kinds = {WorkloadKind::kEngine, WorkloadKind::kEnginePressure};
     }
   }
-  // Pressure seeds spread over 8 locks: enough lanes that the own-lane
-  // beat really is per-process.
-  auto shape_locks = [](WorkloadKind wk) {
-    return wk == WorkloadKind::kEnginePressure ? 8 : 2;
-  };
-  // Pressure seeds also run wider (6 procs): the hot-lock beat needs
-  // enough simultaneous helpers that claim tenures overlap at all.
-  auto shape_procs = [](WorkloadKind wk) {
-    return wk == WorkloadKind::kEnginePressure ? 6 : 4;
-  };
   for (const WorkloadKind wk : kinds) {
-    for (std::uint64_t s = 1; s <= 3; ++s) {  // plain uniform, 3 streams
+    const FamilyShape shape = family_shape(wk);
+    auto seed = [&](std::uint64_t sim_seed, std::uint64_t tail_seed) {
       Trace t;
       t.workload = wk;
-      t.locks = shape_locks(wk);
-      t.procs = shape_procs(wk);
+      t.locks = shape.locks;
+      t.procs = shape.procs;
       t.fault = fault;
-      t.seed = s;
-      t.tail_seed = s * 0x9E3779B97F4A7C15ULL + 1;
-      t.slot_cap = kSeedSlotCap;
-      seeds.push_back(t);
+      t.seed = sim_seed;
+      t.tail_seed = tail_seed;
+      t.slot_cap = shape.slot_cap;
+      return t;
+    };
+    for (std::uint64_t s = 1; s <= 3; ++s) {  // plain uniform, 3 streams
+      seeds.push_back(seed(s, s * 0x9E3779B97F4A7C15ULL + 1));
     }
     {  // stall-burst prefix: each pid monopolizes a 24-slot burst
-      Trace t;
-      t.workload = wk;
-      t.locks = shape_locks(wk);
-      t.procs = shape_procs(wk);
-      t.fault = fault;
-      t.seed = 7;
-      t.tail_seed = 0xD1B54A32D192ED03ULL;
-      t.slot_cap = kSeedSlotCap;
+      Trace t = seed(7, 0xD1B54A32D192ED03ULL);
       for (int p = 0; p < t.procs; ++p) {
         for (int i = 0; i < 24; ++i) {
           t.grants.push_back(static_cast<std::uint16_t>(p));
@@ -167,14 +151,7 @@ inline std::vector<Trace> seed_traces(const std::string& fault) {
     // the async workload's quiet-tail window (where the victim's parked
     // tail op is what the cancellation sweep must claim).
     for (const std::uint64_t slot : {40ULL, 400ULL, 2000ULL, 7000ULL}) {
-      Trace t;
-      t.workload = wk;
-      t.locks = shape_locks(wk);
-      t.procs = shape_procs(wk);
-      t.fault = fault;
-      t.seed = 11;
-      t.tail_seed = slot * 0xBF58476D1CE4E5B9ULL + 3;
-      t.slot_cap = kSeedSlotCap;
+      Trace t = seed(11, slot * 0xBF58476D1CE4E5B9ULL + 3);
       t.crashes.push_back({static_cast<int>(t.procs - 1), slot});
       seeds.push_back(t);
     }
@@ -285,10 +262,15 @@ class Campaign {
     if (!failed) return;
 
     // Shrink against the layer that actually detected the failure, and
-    // only accept candidates failing with the SAME failure class.
+    // only accept candidates failing with the SAME failure class. In a
+    // fault campaign a candidate must also pass with the fault stripped —
+    // the reproducer's claim that the schedule alone is innocent. A fault
+    // that moves step counts would otherwise let the slot-cap pass stop
+    // just above the faulted run, below what the fault-free run needs.
     const bool via_checked = plain.ok;
     const std::string kind = detail::failure_kind(failure);
-    FailPredicate pred = [via_checked, kind, this](const Trace& c) {
+    const bool faulted = !opts_.fault.empty();
+    FailPredicate pred = [via_checked, kind, faulted, this](const Trace& c) {
       RunResult r;
       if (via_checked) {
         r = run_trace_checked(c);
@@ -296,7 +278,11 @@ class Campaign {
       } else {
         r = run_trace<SimPlat>(c);
       }
-      return !r.ok && detail::failure_kind(r.failure) == kind;
+      if (r.ok || detail::failure_kind(r.failure) != kind) return false;
+      if (!faulted) return true;
+      Trace clean = c;
+      clean.fault.clear();
+      return run_trace<SimPlat>(clean).ok;
     };
     ShrinkStats st;
     Finding f;

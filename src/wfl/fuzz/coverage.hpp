@@ -31,6 +31,7 @@ struct RunResult {
   std::uint64_t slots = 0;    // slots consumed (wedge signal)
   bool wedged = false;        // watchdog fired (report mode)
   std::vector<std::uint64_t> features;  // fixed layout, see below
+  std::uint32_t lock_set_sizes = 0;     // bit L: some op submitted L locks
 
   // Layout: [LockStats fields..., site hits..., workload extras...].
   static void append_stats(std::vector<std::uint64_t>& v,

@@ -116,6 +116,12 @@ enum class Fault : std::uint8_t {
   // forever. The armed fault diverts sweep-claimed ops to a limbo stack
   // that only drains once the fault is disarmed.
   kShutdownHang,
+  // Validate-in-thunk: the engine_wide family's token move (fuzz/
+  // workload.hpp) reads a token's lane without a lock, locks {src, dst}
+  // and re-checks the lane inside the thunk. The armed fault drops the
+  // re-check, so a move whose read went stale takes the token from a lane
+  // it has already left.
+  kSkipRevalidate,
 };
 
 inline std::atomic<Fault> g_fault{Fault::kNone};

@@ -40,12 +40,15 @@ enum class WorkloadKind : std::uint8_t {
                     // under one guard), own-lane fast-path reuse
                     // (cooldown expiry), hot-lock helping bursts
                     // (stale-claim revocation)
+  kEngineWide,      // engine rounds over windows of 3..8 locks that
+                    // overlap in part, plus validate-in-thunk token moves
 };
 
 inline const char* workload_name(WorkloadKind k) {
   switch (k) {
     case WorkloadKind::kAsync: return "async";
     case WorkloadKind::kEnginePressure: return "engine_pressure";
+    case WorkloadKind::kEngineWide: return "engine_wide";
     default: return "engine";
   }
 }
@@ -127,6 +130,8 @@ struct Trace {
           workload = WorkloadKind::kAsync;
         } else if (v == "engine_pressure") {
           workload = WorkloadKind::kEnginePressure;
+        } else if (v == "engine_wide") {
+          workload = WorkloadKind::kEngineWide;
         } else {
           return false;
         }

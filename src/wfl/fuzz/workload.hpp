@@ -1,7 +1,7 @@
 // Fuzz workload harnesses: replay a Trace, evaluate the oracles, report
 // features.
 //
-// Three workloads cover the runtime stacks the campaign targets:
+// Four workloads cover the runtime stacks the campaign targets:
 //
 //   * kEngine — direct submit() rounds over a small lock clique under
 //     DelayMode::kOff with the fast path and cooperative helping on:
@@ -26,6 +26,17 @@
 //     branches, so they were dead weight in the feature map until this
 //     config.
 //
+//   * kEngineWide — the same engine harness over 8 locks and 6 procs with
+//     attempts of up to kMaxLocksPerAttempt locks. Even rounds take an
+//     ascending window of 3..8 locks whose width and start move with proc
+//     and round, so rivals' lock sets overlap in part — a shared middle
+//     and private ends, the shape of a tree erase or a graph
+//     neighbourhood. Odd rounds are the validate-in-thunk beat of
+//     LockedList: read a token's lane without a lock, lock {src, dst},
+//     and move the token only if the thunk still finds it on src. The
+//     kSkipRevalidate fault drops that re-check; the token oracle below
+//     catches it.
+//
 //   * kAsync — AsyncExecutor inline mode (workers = 0, the
 //     sim-deterministic configuration): park/wake, wake-one signal
 //     delivery, and cancellation sweeps. Crashes here are COOPERATIVE: a
@@ -46,7 +57,8 @@
 //      a ctest hang;
 //   2. MutexAudit — Definition 4.3 mutual exclusion + idempotence, with
 //      crash slack exactly as the crash suites apply it;
-//   3. conservation — shared counter vs. reported wins;
+//   3. conservation — shared counter vs. reported wins, and (engine_wide)
+//      each lane's token count vs. the tokens whose lane names it;
 //   4. linearizability — LinChecker over the per-round register
 //      increments (crash-free runs with histories inside the DFS budget);
 //   5. (separately, fuzz/campaign.hpp) a bit-identical CheckedPlat
@@ -59,6 +71,7 @@
 // abandons crash-parked slots and drains in-flight ops.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -77,13 +90,15 @@
 #include "wfl/fuzz/sites.hpp"
 #include "wfl/fuzz/trace.hpp"
 #include "wfl/idem/cell.hpp"
+#include "wfl/platform/sim.hpp"
 #include "wfl/sim/sim.hpp"
 
 namespace wfl::fuzz {
 
-// Seeded faults a trace may carry (the `fault` line). The two g_fault
-// hooks live in async_executor.hpp; the race_* entries arm PR 7-style
-// engine-model mutations during the CheckedPlat replay instead.
+// Seeded faults a trace may carry (the `fault` line). Two g_fault hooks
+// live in async_executor.hpp and one in the engine_wide token move below;
+// the race_* entries arm engine-model mutations during the CheckedPlat
+// replay instead.
 struct FaultSpec {
   Fault hook = Fault::kNone;
   bool engine_mutation = false;
@@ -99,6 +114,10 @@ inline std::optional<FaultSpec> parse_fault(const std::string& name) {
   }
   if (name == "shutdown_hang") {
     f.hook = Fault::kShutdownHang;
+    return f;
+  }
+  if (name == "skip_revalidate") {
+    f.hook = Fault::kSkipRevalidate;
     return f;
   }
   using Mutation = race::RaceEngine::Mutation;
@@ -129,6 +148,33 @@ inline std::optional<FaultSpec> parse_fault(const std::string& name) {
 // dump instead of a silent budget exit.
 inline constexpr std::uint64_t kNoSlotCap = ~std::uint64_t{0};
 
+// Each family's geometry: the locks, procs and slot cap its built-in seed
+// traces carry (campaign.hpp), and the lock count the pressure and wide
+// beats are written for — their harnesses take it from here, not from a
+// trace. The slot cap is ~3x the longest seed run: generous enough that no
+// live schedule trips it, small enough that a wedged replay (and each
+// failing shrink candidate after one) costs milliseconds, not the file
+// format's default.
+struct FamilyShape {
+  int locks;
+  int procs;
+  std::uint64_t slot_cap;
+};
+
+inline constexpr FamilyShape family_shape(WorkloadKind k) {
+  switch (k) {
+    // 8 lanes: the pressure own-lane beat really is per-process, and the
+    // widest window spans kMaxLocksPerAttempt. 6 procs: the hot-lock beat
+    // needs enough simultaneous helpers that claim tenures overlap at
+    // all, and six windows per round cover every width from 3 to 8.
+    case WorkloadKind::kEnginePressure: return {8, 6, 30000};
+    // A wide run takes ~30k slots, and up to ~85k when a crashed winner's
+    // 8-lock section is re-run by every later attempt that meets it.
+    case WorkloadKind::kEngineWide: return {8, 6, 250000};
+    default: return {2, 4, 30000};
+  }
+}
+
 namespace detail {
 
 inline LockConfig fuzz_cfg(int procs) {
@@ -150,8 +196,9 @@ inline void fail(RunResult& r, const std::string& what) {
 }
 
 // Per-round lock-set choice plus the table geometry it runs against; the
-// engine harness body is shared between the plain and pressure configs.
-// `pick` writes up to 2 ascending ids and returns the count.
+// engine harness body is shared between the plain, pressure and wide
+// configs. `pick` writes up to max_locks ascending ids and returns the
+// count.
 struct EngineShape {
   int rounds;
   int locks;
@@ -175,6 +222,13 @@ struct EngineShape {
   // revoke-and-drive branch is under real coverage pressure; the branch
   // body is identical at every threshold.
   std::uint32_t claim_patience;
+  // LockConfig::max_locks and max_thunk_steps. A thunk is
+  // MutexAudit::guard (4L + 2 steps) plus the register load and store;
+  // plain and pressure keep their historical 2 and 16.
+  std::uint32_t max_locks;
+  std::uint32_t max_thunk_steps;
+  // Odd rounds run the token move (TokenBeat) instead of `pick`.
+  bool token_beat;
 };
 
 // Plain clique: odd rounds take the {0,1} pair, even rounds spread.
@@ -214,22 +268,36 @@ inline std::uint32_t pick_engine_pressure(int p, int r, int locks,
   }
 }
 
+// Wide windows: an ascending run of 3..8 locks (needs locks >= 8). Width
+// and start both move with proc and round, so the six procs of a round
+// take every width, and rivals' windows share some locks but not all.
+inline std::uint32_t pick_engine_wide(int p, int r, int locks,
+                                      std::uint32_t* ids) {
+  const int width = 3 + (p + r) % 6;
+  const int start = (2 * p + r) % (locks - width + 1);
+  for (int i = 0; i < width; ++i) {
+    ids[i] = static_cast<std::uint32_t>(start + i);
+  }
+  return static_cast<std::uint32_t>(width);
+}
+
 inline Policy policy_attempts4(int) { return Policy::attempts(4); }
 inline Policy policy_pressure(int r) {
   return r % 6 >= 2 ? Policy::retry() : Policy::attempts(4);
 }
 
 inline EngineShape plain_shape(const Trace& t) {
-  return {/*rounds=*/6, /*locks=*/t.locks, SpaceSizing{},
-          &pick_engine_plain, &policy_attempts4, /*claim_patience=*/16};
+  return {/*rounds=*/6,         /*locks=*/t.locks,
+          SpaceSizing{},        &pick_engine_plain,
+          &policy_attempts4,    /*claim_patience=*/16,
+          /*max_locks=*/2,      /*max_thunk_steps=*/16,
+          /*token_beat=*/false};
 }
 
-inline EngineShape pressure_shape(const Trace& t) {
-  EngineShape sh;
+inline EngineShape pressure_shape() {
+  EngineShape sh = plain_shape(Trace{});
   sh.rounds = 12;  // two full own/pair/hot*4 beats (see pick_engine_pressure)
-  // The pair beat needs 2 locks and the own-lane beat wants distinct
-  // lanes; 4 is the floor, seeds use 8.
-  sh.locks = std::max(4, t.locks);
+  sh.locks = family_shape(WorkloadKind::kEnginePressure).locks;
   // Small pools: reclamation pressure is what walks the EBR epochs fast
   // enough for cooldown tokens to expire inside a run.
   sh.sizing.snap_pool_capacity = 1280;
@@ -239,6 +307,89 @@ inline EngineShape pressure_shape(const Trace& t) {
   sh.claim_patience = 2;  // see EngineShape — keeps expiry reachable
   return sh;
 }
+
+inline EngineShape wide_shape() {
+  EngineShape sh = plain_shape(Trace{});
+  sh.rounds = 8;  // four window rounds, four token moves
+  sh.locks = family_shape(WorkloadKind::kEngineWide).locks;
+  sh.pick = &pick_engine_wide;
+  sh.max_locks = kMaxLocksPerAttempt;
+  sh.max_thunk_steps = MutexAudit<SimPlat>::thunk_ops(kMaxLocksPerAttempt) + 2;
+  sh.token_beat = true;
+  return sh;
+}
+
+// The token move of the wide shape's odd rounds. `src` came from an
+// unlocked read of `where`, so by the time the thunk runs another move may
+// have taken the token elsewhere: the thunk re-checks under {src, dst} and
+// moves only a token still on src. Lives on the harness main frame, like
+// the lock ids, so a late helped replay reads the op's own values.
+template <typename Plat>
+struct TokenMove {
+  Cell<Plat>* where = nullptr;  // the token's lane
+  Cell<Plat>* from = nullptr;   // token counts of lanes src and dst
+  Cell<Plat>* to = nullptr;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+
+  void run(IdemCtx<Plat>& m) const {
+    const std::uint32_t at = m.load(*where);
+    if (at != src && !fault_on(Fault::kSkipRevalidate)) return;
+    m.store(*where, dst);
+    m.store(*from, m.load(*from) - 1);
+    m.store(*to, m.load(*to) + 1);
+  }
+};
+
+// The wide shape's token state: each token's lane, and per lane the number
+// of tokens on it. Token k starts on lane 3k.
+template <typename Plat>
+struct TokenBeat {
+  static constexpr std::uint32_t kTokens = 3;
+  std::uint32_t locks;
+  std::deque<Cell<Plat>> where, on_lane;
+  std::vector<TokenMove<Plat>> moves;  // one per op slot
+
+  TokenBeat(int num_locks, std::size_t nops)
+      : locks(static_cast<std::uint32_t>(num_locks)), moves(nops) {
+    for (std::uint32_t l = 0; l < locks; ++l) on_lane.emplace_back(0u);
+    for (std::uint32_t k = 0; k < kTokens; ++k) {
+      const std::uint32_t lane = (3 * k) % locks;
+      where.emplace_back(lane);
+      on_lane[lane].init(on_lane[lane].peek() + 1);
+    }
+  }
+
+  // Proc p's move in round r: reads its token's lane WITHOUT a lock (a
+  // stepped read that may be stale by the time the thunk runs), picks
+  // another lane, and writes the ascending pair to `ids`.
+  const TokenMove<Plat>* arm(int p, int r, std::size_t slot,
+                             std::uint32_t* ids) {
+    const auto pr = static_cast<std::uint32_t>(p + r);
+    Cell<Plat>& w = where[pr % kTokens];
+    TokenMove<Plat>& tm = moves[slot];
+    tm.src = w.load_direct();
+    tm.dst = (tm.src + 1 + pr % (locks - 1)) % locks;
+    tm.where = &w;
+    tm.from = &on_lane[tm.src];
+    tm.to = &on_lane[tm.dst];
+    ids[0] = std::min(tm.src, tm.dst);
+    ids[1] = std::max(tm.src, tm.dst);
+    return &tm;
+  }
+
+  // Sum over lanes of |lane count - tokens whose lane names it|.
+  std::uint64_t imbalance() const {
+    std::uint64_t off = 0;
+    for (std::uint32_t l = 0; l < locks; ++l) {
+      std::uint32_t tokens = 0;
+      for (const Cell<Plat>& w : where) tokens += w.peek() == l ? 1 : 0;
+      const std::uint32_t counted = on_lane[l].peek();
+      off += counted > tokens ? counted - tokens : tokens - counted;
+    }
+    return off;
+  }
+};
 
 }  // namespace detail
 
@@ -251,6 +402,8 @@ RunResult run_engine_shape(const Trace& t, const detail::EngineShape& sh) {
   const int locks = sh.locks;
   LockConfig cfg = detail::fuzz_cfg(procs);
   cfg.claim_patience = sh.claim_patience;
+  cfg.max_locks = sh.max_locks;
+  cfg.max_thunk_steps = sh.max_thunk_steps;
 
   RunResult result;
   SiteTable sites;
@@ -278,7 +431,9 @@ RunResult run_engine_shape(const Trace& t, const detail::EngineShape& sh) {
   // next round — a replay reading reused ids would guard the WRONG cells
   // (and its single-shot stores can land, since fresh cells share the
   // initial word). The audit would then report a phantom collision.
-  std::vector<std::uint32_t> op_ids(nops * 2, 0);
+  std::vector<std::uint32_t> op_ids(nops * kMaxLocksPerAttempt, 0);
+  std::optional<detail::TokenBeat<Plat>> beat;
+  if (sh.token_beat) beat.emplace(locks, nops);
 
   // Sessions on the main frame: a schedule-crashed victim's slot is
   // abandoned by ~Session, not by a destructor on a suspended stack.
@@ -288,13 +443,23 @@ RunResult run_engine_shape(const Trace& t, const detail::EngineShape& sh) {
   Simulator sim(t.seed);
   for (int p = 0; p < procs; ++p) {
     sim.add_process([&, p] {
-      for (int r = 0; r < kRounds; ++r) {
-        const std::size_t slot =
-            static_cast<std::size_t>(p) * kRounds + static_cast<std::size_t>(r);
-        std::uint32_t* ids = &op_ids[slot * 2];
-        const std::uint32_t n = sh.pick(p, r, locks, ids);
+      // (The fiber's inline capture storage is 128 bytes: read the round
+      // and lock counts through `sh` rather than capturing copies.)
+      for (int r = 0; r < sh.rounds; ++r) {
+        const std::size_t slot = static_cast<std::size_t>(p) * sh.rounds +
+                                 static_cast<std::size_t>(r);
+        std::uint32_t* ids = &op_ids[slot * kMaxLocksPerAttempt];
+        std::uint32_t n;
+        const detail::TokenMove<Plat>* mv = nullptr;
+        if (beat.has_value() && r % 2 == 1) {
+          mv = beat->arm(p, r, slot, ids);
+          n = 2;
+        } else {
+          n = sh.pick(p, r, sh.locks, ids);
+        }
         op_first_lock[slot] = ids[0];
-        StaticLockSet<2> ls(std::span<const std::uint32_t>(ids, n), cfg);
+        result.lock_set_sizes |= 1u << n;
+        StaticLockSet<> ls(std::span<const std::uint32_t>(ids, n), cfg);
         MutexAudit<Plat>* aud = &audit;
         Cell<Plat>* reg = &regs[ids[0]];
         std::uint32_t* val_out = &op_val[slot];
@@ -303,11 +468,12 @@ RunResult run_engine_shape(const Trace& t, const detail::EngineShape& sh) {
         op_invoke[slot] = sim.slots_used();
         const Outcome out = submit(
             sessions[static_cast<std::size_t>(p)], ls,
-            [aud, reg, val_out, idp, idn](IdemCtx<Plat>& m) {
+            [aud, reg, val_out, idp, idn, mv](IdemCtx<Plat>& m) {
               aud->guard(m, {idp, idn});
               const std::uint32_t v = m.load(*reg);
               m.store(*reg, v + 1);
               *val_out = v;  // idempotent: replays rewrite the agreed value
+              if (mv != nullptr) mv->run(m);
             },
             sh.policy(r));
         op_response[slot] = sim.slots_used();
@@ -356,7 +522,8 @@ RunResult run_engine_shape(const Trace& t, const detail::EngineShape& sh) {
   if (rep.duplicated_runs != 0) {
     detail::fail(result, "duplicated critical sections");
   }
-  const std::uint64_t max_raised = t.crashes.empty() ? 0 : 2 * slack;
+  const std::uint64_t max_raised =
+      t.crashes.empty() ? 0 : sh.max_locks * slack;
   if (rep.raised_flags > max_raised) {
     detail::fail(result, "busy flags raised beyond crash in-flight bound");
   }
@@ -374,6 +541,13 @@ RunResult run_engine_shape(const Trace& t, const detail::EngineShape& sh) {
   }
   if (excess > slack) {
     detail::fail(result, "register conservation violated (extra increments)");
+  }
+  // Token conservation: each lane's count equals the tokens whose lane
+  // names it. A victim's won move can stop part-way (lane stored, counts
+  // not yet), leaving at most two lanes off by one each.
+  if (beat.has_value() && beat->imbalance() > 2 * slack) {
+    detail::fail(result,
+                 "token conservation violated (lane count != tokens on it)");
   }
   // Linearizability of register 0's won increments (complete histories
   // only; all writers of regs[0] hold lock 0).
@@ -415,7 +589,12 @@ RunResult run_engine_trace(const Trace& t) {
 
 template <typename Plat>
 RunResult run_engine_pressure_trace(const Trace& t) {
-  return run_engine_shape<Plat>(t, detail::pressure_shape(t));
+  return run_engine_shape<Plat>(t, detail::pressure_shape());
+}
+
+template <typename Plat>
+RunResult run_engine_wide_trace(const Trace& t) {
+  return run_engine_shape<Plat>(t, detail::wide_shape());
 }
 
 // --- async workload ---------------------------------------------------------
@@ -924,6 +1103,7 @@ RunResult run_trace(const Trace& t) {
     case WorkloadKind::kAsync: return run_async_trace<Plat>(t);
     case WorkloadKind::kEnginePressure:
       return run_engine_pressure_trace<Plat>(t);
+    case WorkloadKind::kEngineWide: return run_engine_wide_trace<Plat>(t);
     default: return run_engine_trace<Plat>(t);
   }
 }

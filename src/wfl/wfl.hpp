@@ -22,13 +22,9 @@
 #include "wfl/active/active_set.hpp"
 #include "wfl/active/multi_set.hpp"
 #include "wfl/apps/bank.hpp"
-#include "wfl/apps/bst.hpp"
-#include "wfl/apps/graph.hpp"
 #include "wfl/apps/hashmap.hpp"
 #include "wfl/apps/list.hpp"
 #include "wfl/apps/philosophers.hpp"
-#include "wfl/apps/queue.hpp"
-#include "wfl/apps/skiplist.hpp"
 #include "wfl/baseline/backends.hpp"
 #include "wfl/baseline/lehmann_rabin.hpp"
 #include "wfl/baseline/mutex2pl.hpp"

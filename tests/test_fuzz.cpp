@@ -232,6 +232,27 @@ TEST(FuzzWorkload, WedgeWatchdogBoundsTheRun) {
   EXPECT_EQ(r.slots, t.slot_cap);
 }
 
+// engine_wide is the only family whose attempts take more than two locks.
+// Every built-in seed trace of it (uniform, stall burst, crash slots)
+// replays clean — under CheckedPlat in the _checked twin — and together
+// they submit every lock-set size from 3 to kMaxLocksPerAttempt, so a
+// shape edit cannot silently fall back to pairs.
+TEST(FuzzWorkload, WideSeedTracesReplayCleanAtEverySize) {
+  std::uint32_t sizes = 0;
+  int seen = 0;
+  for (const Trace& t : detail::seed_traces("")) {
+    if (t.workload != WorkloadKind::kEngineWide) continue;
+    ++seen;
+    const RunResult r = run_trace<test::TestPlat>(t);
+    EXPECT_TRUE(r.ok) << t.save_string() << r.failure;
+    sizes |= r.lock_set_sizes;
+  }
+  EXPECT_EQ(seen, 8);
+  for (std::uint32_t l = 3; l <= kMaxLocksPerAttempt; ++l) {
+    EXPECT_NE(sizes & (1u << l), 0u) << "no attempt with " << l << " locks";
+  }
+}
+
 // --- checked-in reproducer regressions -------------------------------------
 
 std::filesystem::path corpus_dir() {
@@ -282,7 +303,7 @@ TEST(FuzzReproducers, EachCorpusTraceStillReproduces) {
     EXPECT_TRUE(audited.ok)
         << name << ": audited fault-free replay fails: " << audited.failure;
   }
-  EXPECT_GE(seen, 5) << "fuzz corpus went missing from " << dir;
+  EXPECT_GE(seen, 6) << "fuzz corpus went missing from " << dir;
 }
 
 }  // namespace
