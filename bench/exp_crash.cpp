@@ -79,7 +79,7 @@ CrashOutcome run_crash(std::uint64_t seed, std::uint64_t crash_slot) {
 
   // Sessions live on this frame, not the fibers: registration is off the
   // attempt path, and RAII release at scope exit abandons the crash-parked
-  // victim's slot on its behalf (see BasicSession / the adapter sessions).
+  // victim's slot on its behalf (see BasicSession).
   std::vector<typename B::Session> sessions;
   sessions.reserve(kProcs);
   for (int p = 0; p < kProcs; ++p) sessions.emplace_back(*space);

@@ -23,8 +23,9 @@ constexpr int kAccounts = 16;
 constexpr int kOpsPerThread = 3000;
 constexpr std::uint32_t kInitial = 1000;
 
+// Runs the workload and prints its row; true iff the total was conserved.
 template <typename RunOp>
-double run_workload(const char* name, RunOp&& run_op,
+bool run_workload(const char* name, RunOp&& run_op,
                     std::uint64_t expected_total,
                     const std::function<std::uint64_t()>& audit) {
   const auto start = std::chrono::steady_clock::now();
@@ -51,7 +52,27 @@ double run_workload(const char* name, RunOp&& run_op,
               kThreads * kOpsPerThread / secs,
               static_cast<unsigned long long>(total),
               total == expected_total ? "(conserved)" : "(LOST MONEY!)");
-  return secs;
+  return total == expected_total;
+}
+
+// A baseline backend's row: retried transfers through Bank<B>.
+template <typename B>
+bool run_baseline(std::uint64_t expected) {
+  wfl::BackendConfig cfg;
+  cfg.lock.kappa = kThreads;
+  cfg.lock.delay_mode = wfl::DelayMode::kOff;
+  cfg.max_procs = kThreads;
+  cfg.num_locks = kAccounts;
+  auto space = B::make_space(cfg);
+  wfl::Bank<B> bank(*space, kAccounts, kInitial);
+  std::vector<typename B::Session> sessions;
+  for (int t = 0; t < kThreads; ++t) sessions.emplace_back(*space);
+  return run_workload(
+      B::name(),
+      [&](int t, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
+        bank.transfer(sessions[t], a, b, amt, wfl::Policy::retry());
+      },
+      expected, [&] { return bank.total_balance(); });
 }
 
 }  // namespace
@@ -60,6 +81,7 @@ int main() {
   using Plat = wfl::RealPlat;
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kInitial) * kAccounts;
+  bool ok = true;
 
   {  // wflock, practical mode — retry failed attempts
     wfl::LockConfig cfg;
@@ -71,7 +93,7 @@ int main() {
     wfl::Bank<Plat> bank(space, kAccounts, kInitial);
     std::vector<wfl::Session<Plat>> sessions;
     for (int t = 0; t < kThreads; ++t) sessions.emplace_back(space);
-    run_workload(
+    ok &= run_workload(
         "wflock",
         [&](int t, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
           while (!bank.try_transfer(sessions[t], a, b, amt)) {
@@ -91,7 +113,7 @@ int main() {
     wfl::Bank<Plat> bank(space, kAccounts, kInitial);
     std::vector<wfl::Session<Plat>> sessions;
     for (int t = 0; t < kThreads; ++t) sessions.emplace_back(space);
-    run_workload(
+    ok &= run_workload(
         "wflock(fair)",
         [&](int t, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
           while (!bank.try_transfer(sessions[t], a, b, amt)) {
@@ -99,43 +121,9 @@ int main() {
         },
         expected, [&] { return bank.total_balance(); });
   }
-  {  // Turek-style lock-free locks, through the same Bank substrate
-    using Turek = wfl::TurekBackend<Plat>;
-    wfl::BackendConfig cfg;
-    cfg.lock.kappa = kThreads;
-    cfg.lock.delay_mode = wfl::DelayMode::kOff;
-    cfg.max_procs = kThreads;
-    cfg.num_locks = kAccounts;
-    auto space = Turek::make_space(cfg);
-    wfl::Bank<Turek> bank(*space, kAccounts, kInitial);
-    std::vector<Turek::Session> sessions;
-    for (int t = 0; t < kThreads; ++t) sessions.emplace_back(*space);
-    run_workload(
-        "turek",
-        [&](int t, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
-          bank.transfer(sessions[t], a, b, amt, wfl::Policy::retry());
-        },
-        expected, [&] { return bank.total_balance(); });
-  }
-  {  // std::mutex ordered 2PL
-    wfl::Mutex2PL locks(kAccounts);
-    std::vector<std::uint32_t> balances(kAccounts, kInitial);
-    run_workload(
-        "mutex2pl",
-        [&](int, std::uint32_t a, std::uint32_t b, std::uint32_t amt) {
-          const std::uint32_t ids[] = {a, b};
-          locks.locked(ids, [&] {
-            if (balances[a] >= amt) {
-              balances[a] -= amt;
-              balances[b] += amt;
-            }
-          });
-        },
-        expected, [&] {
-          std::uint64_t sum = 0;
-          for (auto v : balances) sum += v;
-          return sum;
-        });
-  }
-  return 0;
+  // The two baselines, through the same Bank substrate.
+  ok &= run_baseline<wfl::TurekBackend<Plat>>(expected);
+  ok &= run_baseline<wfl::Mutex2plBackend>(expected);
+  std::printf("bank_transfer: %s\n", ok ? "OK" : "FAILED");
+  return ok ? 0 : 1;
 }

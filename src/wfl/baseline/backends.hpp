@@ -5,11 +5,20 @@
 // exp_throughput, exp_crash, exp_waitfree_tail and the backend-equivalence
 // tests — one line of registration instead of a bespoke driver per
 // experiment.
+//
+// Two baselines stay outside the registry, because neither is a lock-set
+// discipline that runs in-process on a Space:
+//   * LehmannRabinTable (baseline/lehmann_rabin.hpp) is a dining
+//     philosophers protocol: a philosopher's two forks are fixed by its
+//     seat, so there is no lock set to submit;
+//   * exp_crash_mp's spin and mutex words live in memory shared between
+//     OS processes, to show what a SIGKILLed holder leaves behind; an
+//     in-process Space cannot outlive the process that holds it.
 #pragma once
 
-#include "wfl/baseline/mutex2pl_backend.hpp"
-#include "wfl/baseline/spin2pl_backend.hpp"
-#include "wfl/baseline/turek_backend.hpp"
+#include "wfl/baseline/mutex2pl.hpp"
+#include "wfl/baseline/spin2pl.hpp"
+#include "wfl/baseline/turek.hpp"
 #include "wfl/core/backend.hpp"
 #include "wfl/platform/real.hpp"
 #include "wfl/platform/sim.hpp"
@@ -25,7 +34,7 @@ static_assert(LockBackend<Spin2plBackend<RealPlat>>);
 static_assert(LockBackend<Mutex2plBackend>);
 
 // Deterministic-simulator sweeps: every discipline that can run as fibers.
-// (Mutex2PL blocks the OS thread all fibers share, so it is real-only.)
+// (mutex2pl blocks the OS thread all fibers share, so it is real-only.)
 template <typename Plat>
 using SimBackends =
     BackendList<WflBackend<Plat>, TurekBackend<Plat>, Spin2plBackend<Plat>>;

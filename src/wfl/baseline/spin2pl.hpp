@@ -1,116 +1,135 @@
-// Baseline: blocking two-phase locking over test-and-set spinlocks.
+// Baseline: blocking two-phase locking over test-and-set spinlocks, as a
+// LockBackend.
 //
-// The classic practice the paper's locks are measured against: sort the
-// lock set (deadlock freedom by global order), spin-acquire each, run the
-// critical section directly (no helping, no idempotence — mutual exclusion
-// is by blocking), release in reverse. Also provides a try_locked variant
-// (acquire with bounded patience, back off on failure) so benchmarks can
-// compare attempt-shaped APIs.
+// The classic practice the paper's locks are measured against: acquire the
+// lock set in ascending id order (deadlock freedom by global order), run
+// the critical section directly (no helping — mutual exclusion is by
+// blocking), release in reverse. Not wait-free, not fair: a preempted (or
+// starved) lock holder blocks everyone behind it — exactly the failure
+// mode wait-free locks remove.
 //
-// Not wait-free, not fair: a preempted (or starved) lock holder blocks
-// everyone behind it — exactly the failure mode wait-free locks remove.
+// Policy mapping (the honest reading of an attempt-shaped blocking
+// discipline):
+//   * one attempt tries each lock for up to kPatience test-and-set spins:
+//     it either acquires the whole set or releases what it got and reports
+//     a loss — so attempts always terminate, but a *held* lock fails every
+//     attempt for as long as its holder sits on it (forever, if the holder
+//     crashed — the wedge exp_crash measures);
+//   * Policy::retry() re-attempts at once with no bound: termination
+//     depends on the other holders, which is exactly the blocking
+//     semantics.
+//
+// Critical sections run exactly once under mutual exclusion, but still
+// through IdemCtx (one private per-pid log, fresh tag base per
+// submission), so the same substrate thunks run unmodified and the
+// idempotent Cells observe the same tagged-word protocol every other
+// backend uses. This is the measured cost of the construction when nobody
+// can help — exp_throughput's spin2pl rows.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <span>
+#include <memory>
 #include <vector>
 
-#include "wfl/core/descriptor.hpp"
+#include "wfl/core/backend.hpp"
 #include "wfl/util/align.hpp"
-#include "wfl/util/assert.hpp"
 
 namespace wfl {
 
 template <typename Plat>
-class Spin2PL {
- public:
-  explicit Spin2PL(int num_locks) : flags_(static_cast<std::size_t>(num_locks)) {
-    WFL_CHECK(num_locks > 0);
-    for (auto& f : flags_) f->init(0);
-  }
+struct Spin2plBackend {
+  using Platform = Plat;
 
-  Spin2PL(const Spin2PL&) = delete;
-  Spin2PL& operator=(const Spin2PL&) = delete;
+  // Per-lock test-and-set spins one attempt makes before giving up.
+  static constexpr int kPatience = 4;
 
-  int num_locks() const { return static_cast<int>(flags_.size()); }
+  class Space {
+   public:
+    using Process = typename ExclusiveIdem<Plat>::Process;
 
-  // Blocking: acquires all locks (sorted order), runs fn, releases.
-  template <typename Fn>
-  void locked(std::span<const std::uint32_t> ids, Fn&& fn) {
-    std::uint32_t sorted[kMaxIds];
-    const std::uint32_t n = sort_ids(ids, sorted);
-    for (std::uint32_t i = 0; i < n; ++i) acquire(sorted[i]);
-    fn();
-    for (std::uint32_t i = n; i > 0; --i) release(sorted[i - 1]);
-  }
-
-  // Attempt-shaped: try each lock up to `patience` spins; on failure release
-  // everything and report false (caller backs off / retries).
-  template <typename Fn>
-  bool try_locked(std::span<const std::uint32_t> ids, Fn&& fn,
-                  int patience = 1) {
-    std::uint32_t sorted[kMaxIds];
-    const std::uint32_t n = sort_ids(ids, sorted);
-    std::uint32_t held = 0;
-    for (; held < n; ++held) {
-      if (!try_acquire(sorted[held], patience)) break;
+    explicit Space(const BackendConfig& cfg)
+        : cfg_(cfg.lock),
+          flags_(static_cast<std::size_t>(cfg.num_locks)),
+          idem_(cfg.max_procs) {
+      cfg_.validate();
+      WFL_CHECK(cfg.num_locks > 0);
+      for (auto& f : flags_) f->init(0);
     }
-    if (held != n) {
-      for (std::uint32_t i = held; i > 0; --i) release(sorted[i - 1]);
+
+    int num_locks() const { return static_cast<int>(flags_.size()); }
+    int max_procs() const { return idem_.max_procs(); }
+    const LockConfig& config() const { return cfg_; }
+
+    Process register_process() { return idem_.register_process(); }
+    void release_process(Process p) { idem_.release_process(p); }
+
+    // Crash audit (quiescent use): true if any lock is held. After all
+    // live processes drained, a held flag can only belong to a process
+    // that died inside its critical section.
+    bool any_held() const {
+      for (const auto& f : flags_) {
+        if (f->peek() != 0) return true;
+      }
       return false;
     }
-    fn();
-    for (std::uint32_t i = n; i > 0; --i) release(sorted[i - 1]);
-    return true;
-  }
 
-  // Diagnostic (quiescent or crash-audit use): true if any lock is held.
-  // After all live processes drained, a held flag can only belong to a
-  // process that died inside its critical section — the blocking failure
-  // mode exp_crash measures.
-  bool any_held() const {
-    for (const auto& f : flags_) {
-      if (f->peek() != 0) return true;
+    // One attempt: acquire every lock of the sorted set or none; on
+    // success run f once, then release in reverse.
+    template <typename F>
+    bool try_locked(Process p, LockSetView locks, const F& f) {
+      std::uint32_t held = 0;
+      while (held < locks.size() && try_acquire(locks[held])) ++held;
+      const bool won = held == locks.size();
+      if (won) {
+        IdemCtx<Plat> m = idem_.ctx_for(p);
+        f(m);
+      }
+      while (held > 0) flags_[locks[--held]]->store(0);
+      return won;
     }
-    return false;
-  }
 
- private:
-  // Shared per-attempt lock budget, so lock-set capacity agrees with
-  // every other backend (core/descriptor.hpp).
-  static constexpr std::uint32_t kMaxIds = kMaxLocksPerAttempt;
-
-  static std::uint32_t sort_ids(std::span<const std::uint32_t> ids,
-                                std::uint32_t* out) {
-    WFL_CHECK(ids.size() <= kMaxIds);
-    std::copy(ids.begin(), ids.end(), out);
-    std::sort(out, out + ids.size());
-    for (std::size_t i = 1; i < ids.size(); ++i) {
-      WFL_CHECK_MSG(out[i] != out[i - 1], "duplicate lock in lock set");
+   private:
+    bool try_acquire(std::uint32_t id) {
+      auto& f = *flags_[id];
+      for (int s = 0; s < kPatience; ++s) {
+        if (f.load() == 0 && f.cas(0, 1)) return true;
+      }
+      return false;
     }
-    return static_cast<std::uint32_t>(ids.size());
+
+    LockConfig cfg_;
+    std::vector<CachePadded<typename Plat::template Atomic<std::uint32_t>>>
+        flags_;
+    ExclusiveIdem<Plat> idem_;
+  };
+
+  using Session = BasicSession<Space>;
+
+  static const char* name() { return "spin2pl"; }
+  static BackendProgress progress() { return BackendProgress::kBlocking; }
+
+  static std::unique_ptr<Space> make_space(const BackendConfig& cfg) {
+    return std::make_unique<Space>(cfg);
   }
 
-  void acquire(std::uint32_t id) {
-    auto& f = *flags_[id];
+  template <typename F>
+  static Outcome submit(Session& session, LockSetView locks, const F& f,
+                        Policy policy = Policy::one_shot()) {
+    Space& space = session.space();
+    check_lock_set(space, locks);
+    const std::uint64_t before = Plat::steps();
+    Outcome out;
     for (;;) {
-      if (f.load() == 0 && f.cas(0, 1)) return;
+      ++out.attempts;
+      if (space.try_locked(session.process(), locks, f)) {
+        out.won = true;
+        break;
+      }
+      if (policy_exhausted(policy, out)) break;
     }
+    out.total_steps = Plat::steps() - before;
+    return out;
   }
-
-  bool try_acquire(std::uint32_t id, int patience) {
-    auto& f = *flags_[id];
-    for (int s = 0; s < patience; ++s) {
-      if (f.load() == 0 && f.cas(0, 1)) return true;
-    }
-    return false;
-  }
-
-  void release(std::uint32_t id) { flags_[id]->store(0); }
-
-  std::vector<CachePadded<typename Plat::template Atomic<std::uint32_t>>>
-      flags_;
 };
 
 }  // namespace wfl

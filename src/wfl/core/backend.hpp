@@ -14,15 +14,16 @@
 //     BackendConfig (via make_space) and uniformly inspectable:
 //     num_locks(), max_procs(), config() — non-WFL spaces carry the
 //     declared workload bounds (L, T) too, and enforce L honestly;
-//   * `Session`  — RAII registration of one logical process (move-only,
-//     pid() < max_procs, space()); slots are recycled across sessions;
+//   * `Session`  — BasicSession<Space> (core/session.hpp) for every
+//     backend: RAII registration of one logical process (move-only,
+//     pid() < max_procs, space()); pids are recycled across sessions;
 //   * `submit(session, LockSetView, thunk, Policy) -> Outcome` — one
 //     bounded critical-section submission. Thunks always take
 //     IdemCtx<Platform>& so the same substrate code runs replay-safe
 //     under helping backends and exactly-once under blocking ones.
 //
 // Progress semantics are reported, not papered over: progress() says what
-// an attempt/operation really guarantees, and each adapter documents how
+// an attempt/operation really guarantees, and each backend documents how
 // Policy maps onto its discipline (a blocking backend may satisfy
 // Policy::retry() with one unbounded acquisition; a helping backend's
 // single "attempt" may do unbounded work on others' behalf).
@@ -33,11 +34,11 @@
 // unchanged while `Bank<TurekBackend<SimPlat>>` swaps the discipline.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "wfl/core/config.hpp"
@@ -72,7 +73,7 @@ inline const char* progress_name(BackendProgress p) {
 // declared workload bounds: WFL uses all of κ/L/T and the delay mode; the
 // baselines honor the L budget (submissions above it abort, same as WFL)
 // and ignore the bounds their disciplines lack. A discipline's private
-// tuning (Spin2plBackend::kPatience) is a constant of its adapter.
+// tuning (Spin2plBackend::kPatience) is a constant of its backend.
 struct BackendConfig {
   LockConfig lock;
   int max_procs = 1;
@@ -141,7 +142,7 @@ struct WflBackend {
 // native submit_batch (the WFL stack, with its guard amortization) use it;
 // every other backend gets the loop-of-submits semantics automatically, so
 // registry sweeps and batch-shaped drivers run against all baselines
-// without each adapter growing a bespoke method.
+// without each backend growing a bespoke method.
 template <typename B>
 BatchOutcome backend_submit_batch(
     typename B::Session& session,
@@ -175,96 +176,66 @@ using resolve_backend_t =
     std::conditional_t<BackendShaped<T>, T, WflBackend<T>>;
 
 // ---------------------------------------------------------------------------
-// Adapter plumbing shared by the baseline backends.
+// Plumbing shared by the baseline backends.
 // ---------------------------------------------------------------------------
 
-// Bounded process-slot allocator with reuse, for spaces whose underlying
-// implementation has no (or non-recycling) registration. Registration is
-// off every attempt path, so a plain mutex is fine (and is outside the
-// step model for the same reason reclamation is — DESIGN.md #2).
-class ProcSlots {
- public:
-  explicit ProcSlots(int max_procs) {
-    WFL_CHECK(max_procs > 0);
-    free_.reserve(static_cast<std::size_t>(max_procs));
-    for (int i = max_procs; i-- > 0;) free_.push_back(i);
-  }
+// The checks every baseline makes before its first step: the configured L
+// bound, and every id below the space's lock count. The view is sorted, so
+// its last id is its largest.
+template <typename Space>
+void check_lock_set(const Space& space, LockSetView locks) {
+  WFL_CHECK_MSG(locks.size() <= space.config().max_locks,
+                "lock set exceeds the configured L bound");
+  const auto num_locks = static_cast<std::uint32_t>(space.num_locks());
+  WFL_CHECK_MSG(locks.empty() || locks[locks.size() - 1] < num_locks,
+                "lock id out of range");
+}
 
-  int acquire() {
-    std::lock_guard<std::mutex> g(mu_);
-    WFL_CHECK_MSG(!free_.empty(),
-                  "live sessions exceed the space's max_procs");
-    const int pid = free_.back();
-    free_.pop_back();
-    return pid;
-  }
-
-  void release(int pid) {
-    std::lock_guard<std::mutex> g(mu_);
-    free_.push_back(pid);
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<int> free_;
-};
-
-// The RAII session every baseline adapter uses: owns one pid slot of one
-// adapter space (acquire_pid/release_pid), mirroring BasicSession's
-// move-only shape.
-template <typename SpaceT>
-class SlotSession {
- public:
-  explicit SlotSession(SpaceT& space)
-      : space_(&space), pid_(space.acquire_pid()) {}
-
-  ~SlotSession() {
-    if (space_ != nullptr) space_->release_pid(pid_);
-  }
-
-  SlotSession(const SlotSession&) = delete;
-  SlotSession& operator=(const SlotSession&) = delete;
-
-  SlotSession(SlotSession&& other) noexcept
-      : space_(std::exchange(other.space_, nullptr)), pid_(other.pid_) {}
-  SlotSession& operator=(SlotSession&& other) noexcept {
-    if (this != &other) {
-      if (space_ != nullptr) space_->release_pid(pid_);
-      space_ = std::exchange(other.space_, nullptr);
-      pid_ = other.pid_;
-    }
-    return *this;
-  }
-
-  bool active() const { return space_ != nullptr; }
-  SpaceT& space() const {
-    WFL_DASSERT(space_ != nullptr);
-    return *space_;
-  }
-  int pid() const { return pid_; }
-
- private:
-  SpaceT* space_;
-  int pid_ = -1;
-};
-
-// Per-submission idempotence context for backends whose critical sections
-// run exactly once under mutual exclusion (no helpers). The log lives in
-// stable per-pid storage owned by the space; the tag base is drawn from a
-// space-wide serial so installed words stay unique across submissions
-// (the IdemCtx ctor contract).
+// Per-process state of the backends whose critical sections run exactly
+// once under mutual exclusion (no helpers): the pid registry and each
+// pid's private thunk log. Registration follows LockTable's policy: reuse
+// the most recently released pid, else take the next fresh one, and abort
+// past max_procs. It is off every attempt path, so a plain mutex is fine
+// (and is outside the step model for the same reason reclamation is —
+// DESIGN.md #2). Each submission draws its tag base from a space-wide
+// serial so installed words stay unique across submissions (the IdemCtx
+// ctor contract).
 template <typename Plat>
 class ExclusiveIdem {
  public:
+  struct Process {
+    int pid = -1;
+  };
+
   explicit ExclusiveIdem(int max_procs) {
+    WFL_CHECK(max_procs > 0);
     logs_.reserve(static_cast<std::size_t>(max_procs));
     for (int i = 0; i < max_procs; ++i) {
       logs_.push_back(std::make_unique<ThunkLog<Plat>>());
     }
   }
 
-  IdemCtx<Plat> ctx_for(int pid) {
-    ThunkLog<Plat>& log = *logs_[static_cast<std::size_t>(pid)];
+  int max_procs() const { return static_cast<int>(logs_.size()); }
+
+  Process register_process() {
+    std::lock_guard<std::mutex> g(reg_mu_);
+    if (!free_pids_.empty()) {
+      const int pid = free_pids_.back();
+      free_pids_.pop_back();
+      return Process{pid};
+    }
+    WFL_CHECK_MSG(next_pid_ < max_procs(),
+                  "live sessions exceed the space's max_procs");
+    return Process{next_pid_++};
+  }
+
+  void release_process(Process p) {
+    std::lock_guard<std::mutex> g(reg_mu_);
+    free_pids_.push_back(p.pid);
+  }
+
+  IdemCtx<Plat> ctx_for(Process p) {
+    ThunkLog<Plat>& log = *logs_[static_cast<std::size_t>(p.pid)];
     log.reset();  // exclusive: nobody else can be replaying this log
     const std::uint64_t serial =
         serial_.fetch_add(1, std::memory_order_relaxed);
@@ -274,6 +245,9 @@ class ExclusiveIdem {
  private:
   std::vector<std::unique_ptr<ThunkLog<Plat>>> logs_;
   std::atomic<std::uint64_t> serial_{1};
+  std::mutex reg_mu_;
+  std::vector<int> free_pids_;  // released pids awaiting reuse (reg_mu_)
+  int next_pid_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ class LockTable {
   // table's EBR domain). Cheap value type; each OS thread / sim fiber
   // holds one through a Session (core/session.hpp).
   struct Process {
-    int ebr_pid = -1;
+    int pid = -1;
   };
 
   LockTable(const LockConfig& cfg, int max_procs, int num_locks,
@@ -262,10 +262,10 @@ class LockTable {
   bool any_guard_held(Process p) { return handle(p).guard_depth() != 0; }
 
   Handle& handle(Process proc) {
-    WFL_CHECK(proc.ebr_pid >= 0 &&
-              proc.ebr_pid < static_cast<int>(handles_.size()) &&
-              handles_[static_cast<std::size_t>(proc.ebr_pid)] != nullptr);
-    return *handles_[static_cast<std::size_t>(proc.ebr_pid)];
+    WFL_CHECK(proc.pid >= 0 &&
+              proc.pid < static_cast<int>(handles_.size()) &&
+              handles_[static_cast<std::size_t>(proc.pid)] != nullptr);
+    return *handles_[static_cast<std::size_t>(proc.pid)];
   }
 
   // One tryLock attempt on `lock_ids` running `thunk` if all locks are
@@ -499,7 +499,7 @@ class LockTable {
   // Slots currently parked in `p`'s caches (descriptors + snapshots).
   // Quiescent-only diagnostic: the caches are owner-private.
   std::uint32_t cached_slots(Process p) const {
-    const auto pidx = static_cast<std::size_t>(p.ebr_pid);
+    const auto pidx = static_cast<std::size_t>(p.pid);
     return desc_caches_[pidx]->size() + snap_caches_[pidx]->size();
   }
 
@@ -523,9 +523,9 @@ class LockTable {
   // could ever return their slots. The pid stays retired — a crashed
   // process's slot is never handed to a new session.
   void abandon_process(Process p) {
-    WFL_CHECK(p.ebr_pid >= 0);
-    ebr_.abandon(p.ebr_pid);
-    const auto pidx = static_cast<std::size_t>(p.ebr_pid);
+    WFL_CHECK(p.pid >= 0);
+    ebr_.abandon(p.pid);
+    const auto pidx = static_cast<std::size_t>(p.pid);
     desc_caches_[pidx]->drain();
     snap_caches_[pidx]->drain();
   }
@@ -549,7 +549,7 @@ class LockTable {
     abandon_process(p);
     if (parked_in_guard) return;
     std::lock_guard<std::mutex> lk(reg_mutex_);
-    free_pids_.push_back(p.ebr_pid);
+    free_pids_.push_back(p.pid);
   }
 
  public:

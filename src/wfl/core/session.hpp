@@ -36,9 +36,12 @@
 
 namespace wfl {
 
-// Space requirements (duck-typed): Process register_process();
-// release_process(Process); ebr_enter(Process); ebr_exit(Process); and,
-// for submit(), try_locks(Process, LockSetView, Thunk, AttemptInfo*).
+// Space requirements (duck-typed): a `Process` value with an `int pid`
+// field, Process register_process() and release_process(Process). Only
+// guard() needs ebr_enter(Process)/ebr_exit(Process), and only
+// executor.hpp's submit() needs try_locks(Process, LockSetView, Thunk,
+// AttemptInfo*) — the baseline spaces (baseline/) have neither and submit
+// through their backend's submit().
 template <typename Space>
 class BasicSession {
  public:
@@ -73,7 +76,7 @@ class BasicSession {
     return *space_;
   }
   Process process() const { return proc_; }
-  int pid() const { return proc_.ebr_pid; }
+  int pid() const { return proc_.pid; }
 
   // Scoped reclamation protection for inspector-style reads of shared
   // descriptors/snapshots (the adaptive-player pattern). Nesting is fine:

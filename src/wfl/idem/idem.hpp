@@ -123,7 +123,7 @@ class ThunkLog {
   }
 
   // Quiescent-only full reset: for logs whose runs do not maintain the
-  // note_used high-water mark (the baseline adapters, ExclusiveIdem).
+  // note_used high-water mark (Turek descriptors, ExclusiveIdem).
   void reset() {
     for (auto& s : slots_) s.init(kCellEmptySlot);
     used_ops_.store(0, std::memory_order_relaxed);

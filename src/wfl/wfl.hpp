@@ -28,11 +28,8 @@
 #include "wfl/baseline/backends.hpp"
 #include "wfl/baseline/lehmann_rabin.hpp"
 #include "wfl/baseline/mutex2pl.hpp"
-#include "wfl/baseline/mutex2pl_backend.hpp"
 #include "wfl/baseline/spin2pl.hpp"
-#include "wfl/baseline/spin2pl_backend.hpp"
 #include "wfl/baseline/turek.hpp"
-#include "wfl/baseline/turek_backend.hpp"
 #include "wfl/core/async_executor.hpp"
 #include "wfl/core/attempt.hpp"
 #include "wfl/core/backend.hpp"

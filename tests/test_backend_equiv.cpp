@@ -2,7 +2,7 @@
 // simulator-capable LockBackend with the same seeds, must implement the
 // same abstract object.
 //
-// Three layers of evidence, per backend (WFL, Turek, Spin2PL — the
+// Three layers of evidence, per backend (wflock, turek, spin2pl — the
 // SimBackends registry):
 //   1. deterministic single-process scenarios: the exact same op sequence
 //      must produce the exact same final state on every backend (bank
@@ -350,6 +350,24 @@ TEST(Contracts, BackendLockBudgetEnforcedUniformly) {
         "L bound")
         << B::name();
   });
+}
+
+TEST(Contracts, BackendLockIdRangeEnforcedUniformly) {
+  // Every backend rejects a lock id at or past its space's lock count
+  // before it touches a lock word.
+  const auto expect_rejected = [](auto tag) {
+    using B = typename decltype(tag)::type;
+    using Plat = typename B::Platform;
+    auto space = B::make_space(sim_cfg(1, 2, 4, 4));
+    typename B::Session s(*space);
+    const StaticLockSet<2> locks{1, 4};  // 4 is one past the last lock
+    EXPECT_DEATH(
+        { B::submit(s, locks, [](IdemCtx<Plat>&) {}, Policy::one_shot()); },
+        "invariant violated")
+        << B::name();
+  };
+  SimBackends<SimPlat>::for_each(expect_rejected);
+  RealBackends::for_each(expect_rejected);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Baseline comparators: correctness of Spin2PL, Mutex2PL, Turek-style
-// lock-free locks, and the Lehmann–Rabin philosophers protocol.
+// Baseline comparators: correctness of the spin2pl, mutex2pl and Turek-style
+// lock-free backends, and of the Lehmann–Rabin philosophers protocol.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,7 @@
 #include "wfl/baseline/lehmann_rabin.hpp"
 #include "wfl/baseline/mutex2pl.hpp"
 #include "wfl/baseline/spin2pl.hpp"
-#include "wfl/baseline/turek_backend.hpp"
+#include "wfl/baseline/turek.hpp"
 #include "wfl/idem/cell.hpp"
 #include "wfl/platform/real.hpp"
 #include "wfl/platform/sim.hpp"
@@ -19,28 +19,35 @@
 namespace wfl {
 namespace {
 
-// The Turek baseline is driven through its LockBackend adapter — the same
-// Session + submit shape as every other lock discipline.
-template <typename Plat>
-std::unique_ptr<typename TurekBackend<Plat>::Space> turek_space(
-    int max_procs, int num_locks) {
+// Every baseline is driven through its LockBackend — the same Session +
+// submit shape as every other lock discipline.
+template <typename B>
+std::unique_ptr<typename B::Space> backend_space(int max_procs,
+                                                 int num_locks) {
   BackendConfig cfg;
   cfg.lock.kappa = static_cast<std::uint32_t>(max_procs);
   cfg.lock.delay_mode = DelayMode::kOff;
   cfg.max_procs = max_procs;
   cfg.num_locks = num_locks;
-  return TurekBackend<Plat>::make_space(cfg);
+  return B::make_space(cfg);
 }
 
-TEST(Spin2PL, LockedRunsExclusively) {
-  Spin2PL<RealPlat> locks(4);
+// Four threads retrying two-lock submissions: the plain counter only adds
+// up if the critical sections never overlap.
+template <typename B>
+void expect_retry_runs_exclusively() {
+  auto space = backend_space<B>(4, 4);
   std::uint64_t counter = 0;  // plain: protected by the locks
   std::vector<std::thread> ts;
   for (int t = 0; t < 4; ++t) {
     ts.emplace_back([&] {
-      const std::uint32_t ids[] = {1, 3};
+      typename B::Session session(*space);
+      const StaticLockSet<2> ids({1, 3});
       for (int i = 0; i < 5000; ++i) {
-        locks.locked(ids, [&] { ++counter; });
+        const Outcome o = B::submit(
+            session, ids, [&](IdemCtx<RealPlat>&) { ++counter; },
+            Policy::retry());
+        EXPECT_TRUE(o.won);
       }
     });
   }
@@ -48,38 +55,62 @@ TEST(Spin2PL, LockedRunsExclusively) {
   EXPECT_EQ(counter, 20000u);
 }
 
-TEST(Spin2PL, TryLockedBacksOff) {
-  Spin2PL<RealPlat> locks(2);
-  const std::uint32_t ids[] = {0, 1};
-  // Hold lock 1 on this thread through the raw interface: try must fail.
-  const std::uint32_t hold[] = {1};
-  bool inner_ran = false;
-  locks.locked(hold, [&] {
-    EXPECT_FALSE(locks.try_locked(ids, [&] { inner_ran = true; }));
+// While a peer session's thunk sits on lock 1, a one-shot submission on
+// {0, 1} loses without running its thunk; once the peer is out, it wins.
+template <typename B>
+void expect_one_shot_loses_while_peer_holds() {
+  auto space = backend_space<B>(2, 2);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread peer([&] {
+    typename B::Session session(*space);
+    B::submit(
+        session, StaticLockSet<1>({1}),
+        [&](IdemCtx<RealPlat>&) {
+          holding.store(true);
+          while (!release.load()) std::this_thread::yield();
+        },
+        Policy::retry());
   });
-  EXPECT_FALSE(inner_ran);
-  EXPECT_TRUE(locks.try_locked(ids, [&] { inner_ran = true; }));
-  EXPECT_TRUE(inner_ran);
+  while (!holding.load()) std::this_thread::yield();
+
+  typename B::Session session(*space);
+  const StaticLockSet<2> ids({0, 1});
+  bool ran = false;
+  const Outcome lost =
+      B::submit(session, ids, [&](IdemCtx<RealPlat>&) { ran = true; },
+                Policy::one_shot());
+  EXPECT_FALSE(lost.won);
+  EXPECT_EQ(lost.attempts, 1u);
+  EXPECT_FALSE(ran);
+
+  release.store(true);
+  peer.join();
+  const Outcome won =
+      B::submit(session, ids, [&](IdemCtx<RealPlat>&) { ran = true; },
+                Policy::one_shot());
+  EXPECT_TRUE(won.won);
+  EXPECT_TRUE(ran);
 }
 
-TEST(Mutex2PL, LockedRunsExclusively) {
-  Mutex2PL locks(4);
-  std::uint64_t counter = 0;
-  std::vector<std::thread> ts;
-  for (int t = 0; t < 4; ++t) {
-    ts.emplace_back([&] {
-      const std::uint32_t ids[] = {0, 2};
-      for (int i = 0; i < 5000; ++i) {
-        locks.locked(ids, [&] { ++counter; });
-      }
-    });
-  }
-  for (auto& th : ts) th.join();
-  EXPECT_EQ(counter, 20000u);
+TEST(Spin2pl, RetryRunsExclusively) {
+  expect_retry_runs_exclusively<Spin2plBackend<RealPlat>>();
+}
+
+TEST(Spin2pl, OneShotLosesWhilePeerHoldsALock) {
+  expect_one_shot_loses_while_peer_holds<Spin2plBackend<RealPlat>>();
+}
+
+TEST(Mutex2pl, RetryRunsExclusively) {
+  expect_retry_runs_exclusively<Mutex2plBackend>();
+}
+
+TEST(Mutex2pl, OneShotLosesWhilePeerHoldsALock) {
+  expect_one_shot_loses_while_peer_holds<Mutex2plBackend>();
 }
 
 TEST(Turek, AppliesExactlyOnceSingleThread) {
-  auto space = turek_space<RealPlat>(2, 4);
+  auto space = backend_space<TurekBackend<RealPlat>>(2, 4);
   TurekBackend<RealPlat>::Session session(*space);
   Cell<RealPlat> c{0};
   const Outcome o = TurekBackend<RealPlat>::submit(
@@ -90,7 +121,7 @@ TEST(Turek, AppliesExactlyOnceSingleThread) {
 }
 
 TEST(Turek, ConcurrentTransfersConserveTotal) {
-  auto space = turek_space<RealPlat>(4, 8);
+  auto space = backend_space<TurekBackend<RealPlat>>(4, 8);
   std::vector<std::unique_ptr<Cell<RealPlat>>> accounts;
   for (int i = 0; i < 8; ++i) {
     accounts.push_back(std::make_unique<Cell<RealPlat>>(100u));
@@ -128,7 +159,7 @@ TEST(Turek, HelpingHappensUnderSimStarvation) {
   // Process 0 grabs locks and is then starved; process 1 must finish *its
   // own* operation anyway by helping process 0 through — the property that
   // distinguishes lock-free locks from blocking 2PL.
-  auto space = turek_space<SimPlat>(2, 2);
+  auto space = backend_space<TurekBackend<SimPlat>>(2, 2);
   Cell<SimPlat> c{0};
   Simulator sim(17);
   int completed = 0;
@@ -150,6 +181,7 @@ TEST(Turek, HelpingHappensUnderSimStarvation) {
   ASSERT_TRUE(sim.run(sched, 500'000'000));
   EXPECT_EQ(completed, 2);
   EXPECT_EQ(c.peek(), 10u);
+  EXPECT_GT(space->helps(), 0u);
 }
 
 TEST(LehmannRabin, EveryPhilosopherEventuallyEats) {

@@ -249,7 +249,7 @@ TEST_P(ChaosCrash, SafetySurvivesACrash) {
     if (survivors_done) break;
     ASSERT_TRUE(sim.run(sched, 900'000'000, sim.finished_count() + 1));
   }
-  if (victim_proc.ebr_pid >= 0 && !sim.is_finished(kProcs - 1)) {
+  if (victim_proc.pid >= 0 && !sim.is_finished(kProcs - 1)) {
     space.abandon_process(victim_proc);
   }
 

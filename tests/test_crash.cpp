@@ -87,7 +87,7 @@ CrashRunResult run_with_crash(int procs, int locks, int attempts,
   const int victim = procs - 1;
   std::vector<std::uint64_t> wins(static_cast<std::size_t>(procs), 0);
   std::vector<std::uint64_t> violations(static_cast<std::size_t>(locks), 0);
-  typename Space::Process victim_proc{};  // ebr_pid = -1 until registered
+  typename Space::Process victim_proc{};  // pid = -1 until registered
 
   Simulator sim(seed);
   for (int p = 0; p < procs; ++p) {
@@ -124,7 +124,7 @@ CrashRunResult run_with_crash(int procs, int locks, int attempts,
   const bool ok = run_until_survivors_done(sim, sched, 600'000'000, victims);
   // The victim may be parked inside an EBR guard forever; release it on its
   // behalf so domain teardown (and any post-crash reclamation) can proceed.
-  if (victim_proc.ebr_pid >= 0 && !sim.is_finished(victim)) {
+  if (victim_proc.pid >= 0 && !sim.is_finished(victim)) {
     space->abandon_process(victim_proc);
     // Its Session never unwinds, so abandoning is the only thing that can
     // return the victim's cached slots to the pools.
@@ -212,7 +212,7 @@ TEST(Crash, TwoSimultaneousCrashesTolerated) {
   const int victims[] = {4, 5};
   ASSERT_TRUE(run_until_survivors_done(sim, sched, 600'000'000, victims));
   for (const int v : victims) {
-    if (procs_of[static_cast<std::size_t>(v)].ebr_pid >= 0 &&
+    if (procs_of[static_cast<std::size_t>(v)].pid >= 0 &&
         !sim.is_finished(v)) {
       space.abandon_process(procs_of[static_cast<std::size_t>(v)]);
     }
@@ -269,7 +269,7 @@ TEST(Crash, PhilosopherNeighborsOfCrashedStillEat) {
   CrashSchedule sched(inner, n, {{victim, 30'000}}, 29);
   const int victims[] = {victim};
   ASSERT_TRUE(run_until_survivors_done(sim, sched, 900'000'000, victims));
-  if (procs_of[victim].ebr_pid >= 0 && !sim.is_finished(victim)) {
+  if (procs_of[victim].pid >= 0 && !sim.is_finished(victim)) {
     space.abandon_process(procs_of[victim]);
   }
 
@@ -317,7 +317,7 @@ TEST(Crash, CrashInsideDelayDoesNotStallReclamation) {
   CrashSchedule sched(inner, procs, {{procs - 1, 6'000}}, 37);
   const int victims[] = {procs - 1};
   ASSERT_TRUE(run_until_survivors_done(sim, sched, 600'000'000, victims));
-  if (procs_of[procs - 1].ebr_pid >= 0 && !sim.is_finished(procs - 1)) {
+  if (procs_of[procs - 1].pid >= 0 && !sim.is_finished(procs - 1)) {
     space.abandon_process(procs_of[procs - 1]);
   }
   for (int p = 0; p < procs - 1; ++p) {

@@ -179,7 +179,7 @@ SimRunResult run_contended_sim(int procs, int attempts,
       }
       if (!sim.run(sched, 400'000'000, sim.finished_count() + 1)) break;
     }
-    if (victim_proc.ebr_pid >= 0 && !sim.is_finished(victim)) {
+    if (victim_proc.pid >= 0 && !sim.is_finished(victim)) {
       space->abandon_process(victim_proc);
     }
   } else {

@@ -140,17 +140,23 @@ TEST(Integration, PhilosopherHarnessAcrossProviders) {
     for (const auto& r : reports) EXPECT_EQ(r.meals, meals);
   }
   {  // blocking spin 2PL (in sim; schedule is fair so no livelock)
-    auto locks = std::make_unique<Spin2PL<SimPlat>>(n);
+    using Spin = Spin2plBackend<SimPlat>;
+    BackendConfig bc;
+    bc.max_procs = n;
+    bc.num_locks = n;
+    auto space = Spin::make_space(bc);
     std::vector<PhilosopherReport> reports(n);
     Simulator sim(67);
     for (int p = 0; p < n; ++p) {
       sim.add_process([&, p] {
+        Spin::Session session(*space);
         const auto [l, r] = forks_of(p, n);
+        const StaticLockSet<2> forks{l, r};
         run_philosopher_episodes<SimPlat>(
             p, meals, 16, 900 + p,
             [&](int) {
-              const std::uint32_t ids[] = {l, r};
-              return locks->try_locked(ids, [] {});
+              return Spin::submit(session, forks, [](IdemCtx<SimPlat>&) {})
+                  .won;
             },
             reports[static_cast<std::size_t>(p)]);
       });

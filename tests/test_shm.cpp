@@ -235,11 +235,11 @@ TEST(ShmTableTest, RetiredPidNeverRecycledInProcess) {
   {
     Session<RealPlat> s1(t);
     pid1 = s1.pid();
-    EXPECT_NE(pid1, p0.ebr_pid);
+    EXPECT_NE(pid1, p0.pid);
     for (int i = 0; i < 200; ++i) submit(s1, ids, bump);
   }
   Session<RealPlat> s2(t);
-  EXPECT_NE(s2.pid(), p0.ebr_pid) << "parked pid recycled";
+  EXPECT_NE(s2.pid(), p0.pid) << "parked pid recycled";
   EXPECT_EQ(s2.pid(), pid1) << "orderly pid should be reused";
 }
 
