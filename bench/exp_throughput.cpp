@@ -24,6 +24,9 @@
 // practical mode should land within a small factor of the blocking
 // baselines while keeping per-attempt bounds; the fair mode pays ~T0+T1
 // spins per op).
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -194,12 +197,17 @@ int main(int argc, char** argv) {
                "E5: bank-transfer throughput (ops/s), %d accounts, "
                "2 locks/op, real threads\n\n", kAccounts);
 
+  // A thread column past the online CPU count measures oversubscription.
+  const int cpus =
+      static_cast<int>(std::max(1L, sysconf(_SC_NPROCESSORS_ONLN)));
+  bool oversubscribed = false;
   Table t({"strategy", "threads", "ops/s", "attempts/op", "total conserved"});
   wfl_bench::ExpJson json;
   auto record = [&](const std::string& label, const char* backend,
                     int threads, const RunOut& out) {
+    oversubscribed |= threads > cpus;
     t.cell(label + out.note)
-        .cell(threads)
+        .cell(std::to_string(threads) + (threads > cpus ? " oversub" : ""))
         .cell(format_si(out.ops_per_sec))
         .cell(out.attempts_per_op, 2)
         .cell(out.conserved ? "yes" : "NO");
@@ -230,10 +238,18 @@ int main(int argc, char** argv) {
            run_bank_batch(threads, secs, bank_cfg(threads)));
   }
   t.print(stderr);
-  std::fprintf(stderr,
-               "\n(one physical core on this machine: threads>1 measures "
-               "oversubscription behavior, which is where blocking "
-               "strategies suffer preemption-holding-lock stalls)\n");
+  if (oversubscribed) {
+    std::fprintf(stderr,
+                 "\n(%d online CPUs: rows marked oversub run more threads "
+                 "than CPUs and measure oversubscription behavior, which is "
+                 "where blocking strategies suffer preemption-holding-lock "
+                 "stalls)\n",
+                 cpus);
+  } else {
+    std::fprintf(stderr,
+                 "\n(%d online CPUs: no row runs more threads than CPUs)\n",
+                 cpus);
+  }
   json.emit();
   return 0;
 }

@@ -43,8 +43,9 @@
 //
 // A delay or padding is own steps that touch no shared memory, taken with
 // Plat::idle_steps(n), never as n single steps: the simulator grants an
-// idle span the same slots, one by one, but resumes the process only for
-// the first (sim/sim.hpp), and on RealPlat it is n counter increments.
+// idle span the same slots but resumes the process only for the first, and
+// draws the slots of stretches in which every process idles as one batch
+// (sim/sim.hpp); on RealPlat it is n counter increments.
 // idle_steps must run on the simulator process's own fiber, which every
 // caller does (async submission, whose attempts run on nested fibers, is
 // kOff-only and never delays).

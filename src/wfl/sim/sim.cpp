@@ -1,5 +1,6 @@
 #include "wfl/sim/sim.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -14,6 +15,9 @@ thread_local Simulator* g_current_sim = nullptr;
 
 // Every simulated process runs on a fiber stack of this size.
 constexpr std::size_t kProcessStackBytes = 128 * 1024;
+
+// An all-idle stretch is drawn in batches of at most kMaxBatch picks.
+constexpr std::uint64_t kMaxBatch = 1024;
 
 // WFL_SIM_WATCHDOG_SLOTS: when set to a positive integer, every Simulator
 // arms a fail-hard watchdog at that cumulative slot bound. Parsed once.
@@ -50,16 +54,29 @@ int WeightedSchedule::next() {
   return static_cast<int>(cumulative_.size()) - 1;
 }
 
-int StallBurstSchedule::next() {
-  if (remaining_ == 0) {
-    victim_ = static_cast<int>(rng_.next_below(n_));
-    remaining_ = burst_len_;
+inline int StallBurstSchedule::draw(Xoshiro256& rng, int& victim,
+                                    std::uint64_t& remaining) const {
+  if (remaining == 0) {
+    victim = static_cast<int>(rng.next_below(n_));
+    remaining = burst_len_;
   }
-  --remaining_;
+  --remaining;
   if (n_ == 1) return 0;
   // Uniform over everyone except the current victim.
-  const int pick = static_cast<int>(rng_.next_below(n_ - 1));
-  return pick >= victim_ ? pick + 1 : pick;
+  const int pick = static_cast<int>(rng.next_below(n_ - 1));
+  return pick >= victim ? pick + 1 : pick;
+}
+
+int StallBurstSchedule::next() { return draw(rng_, victim_, remaining_); }
+
+void StallBurstSchedule::next_n(int* out, std::size_t n) {
+  Xoshiro256 rng = rng_;  // locals the loop can keep in registers
+  int victim = victim_;
+  std::uint64_t remaining = remaining_;
+  for (std::size_t i = 0; i < n; ++i) out[i] = draw(rng, victim, remaining);
+  rng_ = rng;
+  victim_ = victim;
+  remaining_ = remaining;
 }
 
 CrashSchedule::CrashSchedule(Schedule& inner, int n,
@@ -126,6 +143,9 @@ bool Simulator::run(Schedule& sched, std::uint64_t max_slots,
   // Analysis-layer boundary: setup happens-before everything in the run.
   race::run_boundary(/*entering=*/true, seed_);
 
+  // Set whenever every live process may have become idle: at the start,
+  // after a batch, and when a resumed process went idle or finished.
+  bool try_batch = true;
   while (finished_ < required && slots_used_ < max_slots) {
     if (watchdog_slots_ > 0 && slots_used_ >= watchdog_slots_ &&
         !watchdog_fired_) {
@@ -136,6 +156,14 @@ bool Simulator::run(Schedule& sched, std::uint64_t max_slots,
         WFL_CHECK_MSG(false, "simulator wedge watchdog fired");
       }
       break;  // report mode: end the run, let the driver inspect the dump
+    }
+    if (try_batch) {
+      const std::uint64_t n = idle_batch_size(max_slots);
+      try_batch = n > 0;
+      if (try_batch) {
+        grant_idle_batch(sched, n);
+        continue;
+      }
     }
     const int pid = sched.next();
     WFL_CHECK(pid >= 0 && pid < static_cast<int>(procs_.size()));
@@ -157,6 +185,7 @@ bool Simulator::run(Schedule& sched, std::uint64_t max_slots,
       p.done = true;
       ++finished_;
     }
+    try_batch = p.done || p.idle > 0;
   }
 
   // Everything in the run happens-before teardown on the main context.
@@ -164,6 +193,40 @@ bool Simulator::run(Schedule& sched, std::uint64_t max_slots,
   g_current_sim = nullptr;
   in_run_ = false;
   return finished_ >= required;
+}
+
+std::uint64_t Simulator::idle_batch_size(std::uint64_t max_slots) const {
+  std::uint64_t n = std::min(kMaxBatch, max_slots - slots_used_);
+  if (watchdog_slots_ > 0 && !watchdog_fired_) {
+    n = std::min(n, watchdog_slots_ - slots_used_);  // fires on its slot
+  }
+  for (const auto& p : procs_) {
+    if (!p->done) n = std::min(n, p->idle);
+  }
+  return n;
+}
+
+void Simulator::grant_idle_batch(Schedule& sched, std::uint64_t n) {
+  int picks[kMaxBatch];
+  sched.next_n(picks, n);
+  const int procs = process_count();
+  // Each live process had idle >= n, so every pick finds it idle; picks
+  // of finished processes are wasted, as they are slot by slot.
+  for (std::uint64_t i = 0; i < n; ++i) {
+    WFL_CHECK(picks[i] >= 0 && picks[i] < procs);
+    Proc& p = *procs_[static_cast<std::size_t>(picks[i])];
+    if (!p.done) {
+      ++p.steps;
+      --p.idle;
+    }
+  }
+  if (watchdog_slots_ > 0) {
+    for (std::uint64_t i = n - std::min<std::uint64_t>(n, kTraceRing); i < n;
+         ++i) {
+      trace_ring_[(slots_used_ + i) % kTraceRing] = picks[i];
+    }
+  }
+  slots_used_ += n;
 }
 
 void Simulator::enable_watchdog(std::uint64_t max_total_slots,

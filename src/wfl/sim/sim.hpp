@@ -8,13 +8,16 @@
 // schedules express "a process can be delayed arbitrarily".
 //
 // An *idle span* (Plat::idle_steps(n): n own steps that touch no shared
-// memory — the T0/T1 delays and §6.2 padding) is granted slot by slot like
-// any other steps, but the process is resumed only for the first: each
-// later slot granted to it just counts one step, without a fiber switch.
-// Nothing runs during those slots that another process could observe, so
-// every slot index, step count, watchdog grant and crash slot falls exactly
-// where n single steps would have put it, and the process resumes at the
-// same slot.
+// memory — the T0/T1 delays and §6.2 padding) takes its slots like any
+// other steps, but the process is resumed only for the first: each later
+// slot granted to it just counts one step, without a fiber switch. While
+// every live process is inside an idle span, no pick can resume anyone, so
+// run() draws the next picks as one batch (Schedule::next_n) and counts
+// them per process; otherwise it grants slots one by one. Nothing runs
+// during those slots that another process could observe, so every slot
+// index, step count, watchdog grant and crash slot falls exactly where n
+// single steps would have put it, and the process resumes at the same
+// slot.
 //
 // The *adaptive player adversary* is expressed in experiment code: process
 // bodies may inspect any shared state (including revealed priorities) when
@@ -22,6 +25,7 @@
 // experiments exploit it (see bench/exp_ablation.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -39,6 +43,13 @@ class Schedule {
  public:
   virtual ~Schedule() = default;
   virtual int next() = 0;
+  // Writes the next n picks to out[0..n): exactly what n calls to next()
+  // return, leaving the schedule where they leave it. Overrides only make
+  // the draw cheaper and never draw ahead, because callers reuse one
+  // schedule across Simulator::run() calls.
+  virtual void next_n(int* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = next();
+  }
 };
 
 class RoundRobinSchedule final : public Schedule {
@@ -81,8 +92,13 @@ class StallBurstSchedule final : public Schedule {
   StallBurstSchedule(int n, std::uint64_t seed, std::uint64_t burst_len)
       : n_(n), burst_len_(burst_len), rng_(seed) {}
   int next() override;
+  void next_n(int* out, std::size_t n) override;
 
  private:
+  // One pick from the given state: the members for next(), locals for
+  // next_n().
+  int draw(Xoshiro256& rng, int& victim, std::uint64_t& remaining) const;
+
   int n_;
   std::uint64_t burst_len_;
   Xoshiro256 rng_;
@@ -192,6 +208,13 @@ class Simulator {
   };
 
   std::string build_watchdog_dump() const;
+  // Picks run() may draw as one batch: 0 unless every live process is
+  // idle, else at most the smallest idle left, the slots left before
+  // max_slots and the armed watchdog's bound, and an internal cap.
+  std::uint64_t idle_batch_size(std::uint64_t max_slots) const;
+  // Draws n picks, each of which finds its process idle or done, and
+  // counts them as n single idle slots would.
+  void grant_idle_batch(Schedule& sched, std::uint64_t n);
 
   std::uint64_t seed_;
   std::vector<std::unique_ptr<Proc>> procs_;

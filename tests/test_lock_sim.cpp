@@ -243,5 +243,65 @@ TEST(LockSim, PreRevealWorkFitsUnderT0) {
   EXPECT_EQ(space.stats().t1_overruns, 0u);
 }
 
+// The benchmark's sim_clique shape, pinned exactly: Algorithm 3 (kTheory),
+// kappa = 4 processes, L = 2, T = 8, c0 = c1 = 8, each moving one unit
+// between the same two accounts under stall bursts of 4096 slots. Every
+// count below is a pure function of the seed, so any change to the
+// simulator, the schedules, the PRNG or the algorithm's step sequence
+// shows here as a differing number.
+TEST(LockSim, SimCliqueCountsArePinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t attempts, wins, steps, slots;
+  };
+  const Pin pins[] = {
+      {1, 42, 40, 193620, 213320},
+      {2, 41, 40, 189010, 216056},
+      {3, 42, 40, 193620, 214611},
+  };
+  constexpr int kProcs = 4;
+  constexpr int kOps = 10;  // per process
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.seed);
+    LockConfig cfg = small_cfg();
+    cfg.delay_mode = DelayMode::kTheory;
+    Space space(cfg, kProcs, 2);
+    Cell<TestPlat> a{1000};
+    Cell<TestPlat> b{1000};
+    std::uint64_t steps = 0;
+    Simulator sim(pin.seed);
+    for (int p = 0; p < kProcs; ++p) {
+      sim.add_process([&, p] {
+        Session<TestPlat> session(space);
+        for (int k = 0; k < kOps; ++k) {
+          const bool fwd = ((p + k) & 1) == 0;
+          Cell<TestPlat>* src = fwd ? &a : &b;
+          Cell<TestPlat>* dst = fwd ? &b : &a;
+          const Outcome o = submit(
+              session, StaticLockSet<2>{0, 1},
+              [src, dst](IdemCtx<TestPlat>& m) {
+                const std::uint32_t s = m.load(*src);
+                if (s >= 1) {
+                  m.store(*src, s - 1);
+                  m.store(*dst, m.load(*dst) + 1);
+                }
+              },
+              Policy::retry());
+          steps += o.total_steps;
+        }
+      });
+    }
+    StallBurstSchedule sched(kProcs, pin.seed ^ 0xBEEF, 4096);
+    ASSERT_TRUE(sim.run(sched, 100'000'000));
+    const LockStats s = space.stats();
+    EXPECT_EQ(s.t0_overruns + s.t1_overruns, 0u);
+    EXPECT_EQ(std::uint64_t{a.peek()} + b.peek(), 2000u);
+    EXPECT_EQ(s.attempts, pin.attempts);
+    EXPECT_EQ(s.wins, pin.wins);
+    EXPECT_EQ(steps, pin.steps);
+    EXPECT_EQ(sim.slots_used(), pin.slots);
+  }
+}
+
 }  // namespace
 }  // namespace wfl

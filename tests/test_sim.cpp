@@ -2,13 +2,17 @@
 // accounting, replay determinism, and the oblivious-scheduler semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfenv>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "wfl/fuzz/trace.hpp"
 #include "wfl/platform/sim.hpp"
 #include "wfl/sim/fiber.hpp"
 #include "wfl/sim/sim.hpp"
@@ -257,6 +261,112 @@ TEST(Simulator, ExplicitStepConsumesSlot) {
   EXPECT_EQ(sim.steps_of(0), 10u);
 }
 
+// --- Batched draws (Schedule::next_n) --------------------------------------
+//
+// next_n(k) must be exactly k calls to next(): the same picks, and the
+// schedule left where they leave it, so next() and next_n() calls can
+// alternate in any order.
+
+// Batch sizes: 0, 1, and sizes on either side of the burst lengths below
+// (1, 25, 4096), so batches start and end inside and across bursts.
+constexpr std::size_t kChunks[] = {0,    1,    5, 24, 25,   26,   0,  3,
+                                   4095, 4096, 1, 0,  4097, 8191, 2,  50};
+
+// Draws every chunk from `s`, alternating next_n(chunk) with chunk calls
+// of next().
+std::vector<int> mixed_draws(Schedule& s) {
+  std::vector<int> picks;
+  for (std::size_t i = 0; i < std::size(kChunks); ++i) {
+    const std::size_t k = kChunks[i];
+    if (i % 2 == 0) {
+      std::vector<int> batch(k + 1, -1);
+      s.next_n(batch.data(), k);
+      EXPECT_EQ(batch[k], -1) << "next_n wrote past its n";
+      picks.insert(picks.end(), batch.begin(), batch.end() - 1);
+    } else {
+      for (std::size_t j = 0; j < k; ++j) picks.push_back(s.next());
+    }
+  }
+  return picks;
+}
+
+std::vector<int> single_draws(Schedule& s, std::size_t n) {
+  std::vector<int> picks;
+  for (std::size_t i = 0; i < n; ++i) picks.push_back(s.next());
+  return picks;
+}
+
+// Builds two identical schedules with `make` and compares the mixed draws
+// of one with the single draws of the other.
+template <typename Make>
+void expect_next_n_matches_next(const char* what, Make make) {
+  SCOPED_TRACE(what);
+  auto mixed = make();
+  auto single = make();
+  const std::vector<int> got = mixed_draws(*mixed);
+  EXPECT_EQ(got, single_draws(*single, got.size()));
+  EXPECT_EQ(mixed->next(), single->next());  // nothing was drawn ahead
+}
+
+TEST(Schedule, NextNMatchesNext) {
+  expect_next_n_matches_next(
+      "round robin", [] { return std::make_unique<RoundRobinSchedule>(3); });
+  expect_next_n_matches_next(
+      "uniform", [] { return std::make_unique<UniformSchedule>(4, 9); });
+  expect_next_n_matches_next("weighted", [] {
+    return std::make_unique<WeightedSchedule>(
+        std::vector<double>{1.0, 2.0, 0.001, 3.0}, 5);
+  });
+  for (const std::uint64_t burst : {1, 25, 4096}) {
+    SCOPED_TRACE(burst);
+    expect_next_n_matches_next("stall bursts", [burst] {
+      return std::make_unique<StallBurstSchedule>(4, 17, burst);
+    });
+    expect_next_n_matches_next("stall bursts, one process", [burst] {
+      return std::make_unique<StallBurstSchedule>(1, 17, burst);
+    });
+  }
+}
+
+TEST(Schedule, CrashScheduleNextNMatchesNext) {
+  struct Crashing : Schedule {
+    StallBurstSchedule inner{4, 3, 25};
+    CrashSchedule outer{inner, 4, {{1, 40}, {3, 5000}}, 11};
+    int next() override { return outer.next(); }
+    void next_n(int* out, std::size_t n) override { outer.next_n(out, n); }
+  };
+  expect_next_n_matches_next("crash over stall bursts",
+                             [] { return std::make_unique<Crashing>(); });
+}
+
+TEST(Schedule, TraceScheduleAndRecorderNextNMatchNext) {
+  fuzz::Trace t;
+  t.procs = 4;
+  t.tail_seed = 21;
+  t.crashes.push_back({2, 300});
+  for (int i = 0; i < 500; ++i) {
+    t.grants.push_back(static_cast<std::uint16_t>((i * 7) % 4));
+  }
+  expect_next_n_matches_next(
+      "trace replay", [&t] { return std::make_unique<fuzz::TraceSchedule>(t); });
+
+  // The recorder records each grant once, in the order handed out.
+  struct Recording : Schedule {
+    explicit Recording(const fuzz::Trace& t) : replay(t) {}
+    fuzz::TraceSchedule replay;
+    fuzz::TraceRecorder rec{replay};
+    int next() override { return rec.next(); }
+    void next_n(int* out, std::size_t n) override { rec.next_n(out, n); }
+  };
+  Recording mixed(t);
+  Recording single(t);
+  const std::vector<int> got = mixed_draws(mixed);
+  EXPECT_EQ(got, single_draws(single, got.size()));
+  ASSERT_EQ(mixed.rec.grants().size(), got.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), mixed.rec.grants().begin()));
+  EXPECT_EQ(mixed.rec.grants(), single.rec.grants());
+}
+
 // --- Idle spans (Plat::idle_steps) -----------------------------------------
 //
 // An idle span must be indistinguishable from the same number of step()
@@ -266,6 +376,11 @@ TEST(Simulator, ExplicitStepConsumesSlot) {
 // the run exposes. A witness (pid 0) records (slots_used, steps_of(1)) at
 // each of its own steps, so a step counted one slot early or late, or a
 // resume at a different slot, shows as a differing entry.
+//
+// In the scenarios with `witness_idle`, the witness also idles, in the same
+// form, and the bystander finishes early: every live process then idles
+// at once, so run() draws those slots in batches, and the step-loop run
+// shows where each batched slot must land.
 
 enum class IdleForm { kIdleSteps, kStepLoop };
 
@@ -277,6 +392,8 @@ struct IdleScenario {
   std::uint64_t watchdog_slots = 0;  // 0: no watchdog; else report mode
   bool crash_subject = false;        // CrashSchedule kills pid 1 at ...
   std::uint64_t crash_slot = 0;      // ... this slot
+  std::uint64_t witness_idle = 0;    // the witness's span after kBefore
+  int bystander_steps = 40;
 };
 
 struct IdleRun {
@@ -301,25 +418,29 @@ IdleRun run_idle_scenario(const IdleScenario& sc, IdleForm form) {
   Simulator sim(77);
   SimPlat::Atomic<int> x{0};
   IdleRun out;
+  const auto idle = [form](std::uint64_t n) {
+    if (form == IdleForm::kIdleSteps) {
+      SimPlat::idle_steps(n);
+    } else {
+      for (std::uint64_t i = 0; i < n; ++i) SimPlat::step();
+    }
+  };
   sim.add_process([&] {  // witness
     for (int i = 0; i < sc.witness_steps; ++i) {
+      if (i == static_cast<int>(kBefore)) idle(sc.witness_idle);
       out.witness.emplace_back(sim.slots_used(), sim.steps_of(1));
       x.store(i);
     }
   });
   sim.add_process([&] {  // subject
     for (std::uint64_t i = 0; i < kBefore; ++i) (void)x.load();
-    if (form == IdleForm::kIdleSteps) {
-      SimPlat::idle_steps(sc.idle_len);
-    } else {
-      for (std::uint64_t i = 0; i < sc.idle_len; ++i) SimPlat::step();
-    }
+    idle(sc.idle_len);
     out.resumed_at = sim.slots_used();
     out.resumed = true;
     for (std::uint64_t i = 0; i < kAfter; ++i) x.fetch_add(1);
   });
   sim.add_process([&] {  // bystander: keeps the schedule busy
-    for (int i = 0; i < 40; ++i) (void)x.load();
+    for (int i = 0; i < sc.bystander_steps; ++i) (void)x.load();
   });
   if (sc.watchdog_slots > 0) {
     sim.enable_watchdog(sc.watchdog_slots, /*fail_hard=*/false);
@@ -362,6 +483,17 @@ TEST(Simulator, IdleStepsMatchStepLoop) {
       {"report-mode watchdog fires mid-idle", {n, 200, 1'000'000, -1, 140},
        true},
       {"idle_steps(0)", {0, 60}, false},
+      // Every live process idles at once (batched draws).
+      {"all idle, run to completion",
+       {n, 30, 1'000'000, -1, 0, false, 0, 400, 3}, false},
+      {"all idle, max_slots ends run() inside a batch",
+       {n, 30, 407, -1, 0, false, 0, 400, 3}, true},
+      {"all idle, report-mode watchdog fires inside a batch",
+       {n, 30, 1'000'000, -1, 360, false, 0, 400, 3}, true},
+      {"all idle, required_finishers ends run() after a batch",
+       {n, 8, 1'000'000, 2, 0, false, 0, 100, 3}, true},
+      {"all idle, crash slot inside a batch",
+       {n, 30, 1'000'000, 2, 0, true, 120, 400, 3}, true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

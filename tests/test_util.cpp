@@ -46,6 +46,42 @@ TEST(Rng, NextBelowIsRoughlyUniform) {
   }
 }
 
+// The textbook form of next_below: the rejection threshold computed before
+// every draw.
+std::uint64_t reference_next_below(Xoshiro256& r, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t x = r.next();
+    if (x >= threshold) return x % bound;
+  }
+}
+
+TEST(Rng, NextBelowMatchesReferenceFormula) {
+  // Small bounds, bounds just past a power of two (2^63 + 1 rejects about
+  // half of all draws) and the two largest bounds.
+  const std::uint64_t bounds[] = {1,
+                                  2,
+                                  3,
+                                  5,
+                                  (std::uint64_t{1} << 32) + 1,
+                                  (std::uint64_t{1} << 63) + 1,
+                                  ~std::uint64_t{0} - 1,
+                                  ~std::uint64_t{0}};
+  for (const std::uint64_t bound : bounds) {
+    SCOPED_TRACE(bound);
+    Xoshiro256 fast(bound);
+    Xoshiro256 ref(bound);
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      if (fast.next_below(bound) != reference_next_below(ref, bound)) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(fast.next(), ref.next());  // both consumed the same draws
+  }
+}
+
 TEST(Rng, NextDoubleInUnitInterval) {
   Xoshiro256 r(99);
   for (int i = 0; i < 1000; ++i) {
