@@ -212,7 +212,7 @@ void Hotpath_IdemReplay(benchmark::State& state) {
       for (std::uint32_t i = 0; i < ops; ++i) {
         m.store(*cells[i], static_cast<std::uint32_t>(serial & 0xFFFF));
       }
-      d->log.note_used(m.ops_used());
+      d->log.mark_done(m.ops_used());
       ++runs;
     }
   }

@@ -4,11 +4,12 @@
 // of an immutable *snapshot* — the set of owners of this slot and every
 // slot above it. insert() claims the first ownerless slot with one CAS and
 // climbs; remove() clears its slot and climbs; climb(i) walks from slot i
-// down to slot 0, twice per slot, rebuilding `set[j] = set[j+1] + owner[j]`
-// with a CAS. The double pass is the usual helping trick that makes a
-// concurrent climber's stale CAS harmless. getSet() is one load of
-// slot 0's snapshot handle — O(1), as Theorem 5.2 requires; insert/remove
-// are O(set size + contention).
+// down to slot 0, rebuilding `set[j] = set[j+1] + owner[j]` with a CAS.
+// One successful CAS settles a level; only a failed CAS earns a second
+// try, and two failures settle it too — the usual double-refresh argument
+// (DESIGN.md §2.1). getSet() is one load of slot 0's snapshot handle —
+// O(1), as Theorem 5.2 requires; insert/remove are O(set size +
+// contention).
 //
 // The pseudocode's corner case (`announcements[C].set` above the top slot)
 // is realized as a permanently-empty sentinel snapshot, which is what makes
@@ -211,7 +212,17 @@ class ActiveSet {
   static constexpr int kMaxInsertPasses = 8;
   static constexpr std::uint32_t kPoolLowWater = 64;
 
-  // Rebuilds snapshots from slot i down to slot 0 (two attempts per slot).
+  // Rebuilds snapshots from slot i down to slot 0: at each level, CAS a
+  // fresh snapshot in; retry once only if that CAS failed.
+  //
+  // One success settles the level. The snapshot it installs was built from
+  // reads made after the level above was settled, so it already holds
+  // everything our own climb must carry down. A later successful CAS on
+  // the same slot expected this snapshot or a newer one, so its reads were
+  // later still and it cannot undo ours (EBR keeps a retired handle from
+  // reappearing as an ABA). Two failures mean two rival CASes landed
+  // inside our window, and the second of them read the level after our
+  // first read began — the classic double-refresh argument.
   void climb(int i, int ebr_pid) {
     // Backpressure: when the snapshot pool runs low (e.g. a preempted
     // process is pinning the epoch), try to reclaim before allocating.
@@ -233,9 +244,9 @@ class ActiveSet {
         build(mem_.pool.at(fresh), mem_.pool.at(above), member);
         if (slots_[j].set.cas(cur, fresh)) {
           mem_.retire(cur, ebr_pid);
-        } else {
-          mem_.free(fresh, ebr_pid);
+          break;
         }
+        mem_.free(fresh, ebr_pid);
       }
     }
   }

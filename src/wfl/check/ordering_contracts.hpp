@@ -75,9 +75,6 @@ enum class Site : std::uint8_t {
   kFastReadyLoad,       // fast_ready relaxed load (cooldown flag)
   kFastReadyStore,      // fast_ready relaxed store
 
-  // --- Thunk log bookkeeping (idem/idem.hpp) ---
-  kLogNoteUsed,         // used_ops_ relaxed store/load (equal-value racers)
-
   // --- Thin-word fast path (core/lock_table.hpp, DESIGN.md §5.1) ---
   kThinPublish,         // publish CAS 0 -> (pid, serial); must stay seq_cst
   kThinRelease,         // release CAS/store back to 0
@@ -212,9 +209,6 @@ inline constexpr SiteInfo kSiteTable[] = {
      "cooldown gate; a stale read only routes to the slower path"},
     {Site::kFastReadyStore, "proc.fast_ready_store", Contract::kAdvisory,
      "flipped by the owner or its own EBR deleter; monotone per cycle"},
-
-    {Site::kLogNoteUsed, "idem.log_note_used", Contract::kAdvisory,
-     "racing writers store identical values (deterministic replay)"},
 
     {Site::kThinPublish, "thin.publish", Contract::kSeqCstOnly,
      "Dekker vs. the slow path's set insert (DESIGN.md §5.1): publish "

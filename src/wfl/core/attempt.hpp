@@ -29,7 +29,8 @@
 //                                            // publication (nullptr when
 //                                            // free/own/absent); performs
 //                                            // the observe protocol
-//   void run_thunk(Desc& p, IdemCtx<Plat>&); // call p's thunk
+//   void run_thunk(Desc& p, IdemCtx<Plat>&); // call p's thunk (only
+//                                            // while p's log is not done)
 //   int  pid();                              // dense process id
 //   bool help_phase();                       // E10's help-phase switch
 //   bool cooperative();                      // claim-gated helping on?
@@ -148,23 +149,23 @@ struct AttemptEngine {
   // exactly run(): every observer drives every stalled attempt, which is
   // what the fairness lemma's proof assumes. With it on, a per-descriptor
   // claim word lets ONE helper at a time do the full drive while everyone
-  // else settles for celebrate-if-won — eliminating the herd of redundant
-  // status/priority CASes on the helper-shared line. The claim is
-  // advisory and revocable: after cfg.claim_patience observers found the
-  // same claim in place, the next observer drives regardless, so a crashed
-  // or preempted claimer delays any attempt by a bounded number of
-  // observations and wait-freedom is untouched (worst case degenerates to
-  // today's everyone-drives behavior). See DESIGN.md §5.2.
+  // else moves on — eliminating the herd of redundant status/priority
+  // CASes on the helper-shared line. A rival that is already decided is
+  // skipped outright, and so is a claimed one: the helper's own run()
+  // celebrates every flagged won rival before it decides, and a winner
+  // clears its flag only after a run of its thunk completed, so no
+  // unfinished thunk is missed (DESIGN.md §5.2). The claim is advisory and
+  // revocable: after cfg.claim_patience observers found the same claim in
+  // place, the next observer drives regardless, so a crashed or preempted
+  // claimer delays any attempt by a bounded number of observations and
+  // wait-freedom is untouched (worst case degenerates to everyone-drives).
 
   static void help(Ctx& cx, Desc& q) {
     if (!cx.cooperative()) {
       run(cx, q);
       return;
     }
-    if (q.status.load() != kStatusActive) {
-      celebrate_if_won(cx, q);
-      return;
-    }
+    if (q.status.load() != kStatusActive) return;
     const std::uint64_t mine = static_cast<std::uint64_t>(cx.pid()) + 1;
     const std::uint64_t claim = q.help_claim.load(std::memory_order_relaxed);
     WFL_CHK_ATOMIC(&q.help_claim, kLoad, relaxed, kHelpClaimLoad, claim);
@@ -175,7 +176,6 @@ struct AttemptEngine {
                      skips + 1);
       if (skips < cx.claim_patience()) {
         cx.stats().add_help_claim_skip();
-        celebrate_if_won(cx, q);
         return;
       }
       WFL_FUZZ_SITE(kSiteClaimExpiry);
@@ -274,18 +274,25 @@ struct AttemptEngine {
     }
   }
 
+  // Runs p's thunk if p won and no run of it has completed yet. The done
+  // word is set only after a run installed every effect, and its seq_cst
+  // load orders the skipper after them (DESIGN.md §3.6).
   static void celebrate_if_won(Ctx& cx, Desc& p) {
-    if (p.status.load() != kStatusWon) return;
+    if (p.status.load() != kStatusWon || p.log.done()) return;
     // Replays the thunk and reads tag_base — line group A again.
     WFL_PLAIN_READ(&p, kDescPlain);
     cx.stats().add_thunk_run();
+    IdemCtx<Plat> m(p.log, p.tag_base);
     if (p.thunk) {
-      IdemCtx<Plat> m(p.log, p.tag_base);
+      // Seeded fault: "done" before the run's logged ops have landed.
+      if (fuzz::fault_on(fuzz::Fault::kEarlyDone)) {
+        p.log.mark_done(kMaxThunkOps);
+      }
       cx.run_thunk(p, m);
-      // Completed replay: record the exact slot high-water mark so the
-      // post-grace reinit resets only the slots consumed (idem.hpp).
-      p.log.note_used(m.ops_used());
     }
+    // Completed run: the done word also carries the exact slot high-water
+    // mark, so the post-grace reinit resets only the slots consumed.
+    p.log.mark_done(m.ops_used());
   }
 
   // Idles own steps until exactly `base + delta` steps have been taken.

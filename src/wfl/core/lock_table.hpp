@@ -298,8 +298,8 @@ class LockTable {
         ThunkLog<Plat>& local_log = h.local_log();
         IdemCtx<Plat> ctx(local_log, 0);
         thunk(ctx);
-        local_log.note_used(ctx.ops_used());
-        h.stats().add_log_slot_resets(local_log.reset_used());
+        h.stats().add_log_slot_resets(
+            local_log.reset_prefix(ctx.ops_used()));
         h.stats().add_thunk_run();
       }
       h.stats().add_win();

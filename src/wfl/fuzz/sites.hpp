@@ -122,6 +122,11 @@ enum class Fault : std::uint8_t {
   // re-check, so a move whose read went stale takes the token from a lane
   // it has already left.
   kSkipRevalidate,
+  // Thunk done word: a run publishes "done" before its logged ops have
+  // landed, so a racing run — the owner's own, typically — skips a thunk
+  // whose effects are not yet installed (or never will be, if the early
+  // run crashes).
+  kEarlyDone,
 };
 
 inline std::atomic<Fault> g_fault{Fault::kNone};

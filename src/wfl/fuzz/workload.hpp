@@ -96,9 +96,10 @@
 namespace wfl::fuzz {
 
 // Seeded faults a trace may carry (the `fault` line). Two g_fault hooks
-// live in async_executor.hpp and one in the engine_wide token move below;
-// the race_* entries arm engine-model mutations during the CheckedPlat
-// replay instead.
+// live in async_executor.hpp, one in the engine_wide token move below and
+// one in AttemptEngine::celebrate_if_won (core/attempt.hpp); the race_*
+// entries arm engine-model mutations during the CheckedPlat replay
+// instead.
 struct FaultSpec {
   Fault hook = Fault::kNone;
   bool engine_mutation = false;
@@ -118,6 +119,10 @@ inline std::optional<FaultSpec> parse_fault(const std::string& name) {
   }
   if (name == "skip_revalidate") {
     f.hook = Fault::kSkipRevalidate;
+    return f;
+  }
+  if (name == "early_done") {
+    f.hook = Fault::kEarlyDone;
     return f;
   }
   using Mutation = race::RaceEngine::Mutation;
@@ -168,8 +173,10 @@ inline constexpr FamilyShape family_shape(WorkloadKind k) {
     // needs enough simultaneous helpers that claim tenures overlap at
     // all, and six windows per round cover every width from 3 to 8.
     case WorkloadKind::kEnginePressure: return {8, 6, 30000};
-    // A wide run takes ~30k slots, and up to ~85k when a crashed winner's
-    // 8-lock section is re-run by every later attempt that meets it.
+    // A wide run takes ~20-30k slots, crash seeds included. The cap was
+    // sized for ~85k, when every later attempt that met a crashed winner
+    // re-ran its 8-lock section; the thunk log's done word ended those
+    // replays, and the dead descriptor still sits in its locks' sets.
     case WorkloadKind::kEngineWide: return {8, 6, 250000};
     default: return {2, 4, 30000};
   }

@@ -39,10 +39,8 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 
-#include "wfl/check/race.hpp"
 #include "wfl/idem/cell.hpp"
 #include "wfl/util/assert.hpp"
 
@@ -100,52 +98,49 @@ class ThunkLog {
  public:
   ThunkLog() {
     for (auto& s : slots_) s.init(kCellEmptySlot);
-    // Logs live inside pool-segment descriptors whose heap addresses get
-    // reused across lock-table generations; retire the raw note word so a
-    // successor at the same address starts from fresh shadow state.
-    race::created(&used_ops_, 0);
   }
-  ~ThunkLog() { race::destroyed(&used_ops_); }
 
   ThunkLog(const ThunkLog&) = delete;
   ThunkLog& operator=(const ThunkLog&) = delete;
 
-  // High-water mark for the lazy reset: recorded by every *completed* run
-  // of the thunk (IdemCtx::ops_used() at return). Slot consumption is
-  // deterministic across runs (agreement forces identical branches), so
-  // all completed runs record the same exact value; a preempted helper has
-  // touched only a prefix of the same slot sequence. Raw relaxed atomic:
-  // bookkeeping outside the step model, and racing writers write equal
-  // values.
-  void note_used(std::uint32_t ops) {
-    used_ops_.store(ops, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&used_ops_, kStore, relaxed, kLogNoteUsed, ops);
-  }
+  // The done word (DESIGN.md §3.6): 0 until some run of the thunk
+  // completes, then that run's op count + 1 (IdemCtx::ops_used() at
+  // return). One stepped seq_cst store, made after every effect of the run
+  // is installed; a run that loads a nonzero word is ordered after those
+  // effects and need not replay. Slot consumption is deterministic across
+  // runs (agreement forces identical branches), so every completed run
+  // stores the same value, and the word doubles as the high-water mark of
+  // the lazy reset below.
+  bool done() const { return done_.load() != 0; }
+  void mark_done(std::uint32_t ops) { done_.store(ops + 1); }
 
-  // Quiescent-only full reset: for logs whose runs do not maintain the
-  // note_used high-water mark (Turek descriptors, ExclusiveIdem).
+  // Quiescent-only full reset: for logs whose runs are never marked done
+  // (Turek descriptors, ExclusiveIdem).
   void reset() {
     for (auto& s : slots_) s.init(kCellEmptySlot);
-    used_ops_.store(0, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&used_ops_, kStore, relaxed, kLogNoteUsed, 0);
+    done_.init(0);
   }
 
   // Quiescent-only LAZY reset: called when the owning descriptor is
   // (re)initialized, after reclamation guarantees no helper can still touch
-  // it (by then the owner's completed run has recorded the exact high-water
-  // mark — a thunk only ever runs when its descriptor won, and the winner
-  // always replays it to completion before retiring the descriptor; a
-  // descriptor that lost never ran its thunk and consumed no slots).
-  // Re-inits only the slots actually consumed — O(ops used), not
-  // O(kThunkLogCap) — and returns that count (surfaced through the
-  // lock-space stats).
+  // it (by then some completed run has marked the log done — a thunk only
+  // ever runs when its descriptor won, and the winner always sees a run to
+  // completion before retiring the descriptor; a descriptor that lost
+  // never ran its thunk and consumed no slots). Reads the done word
+  // without a step, clears it, and re-inits only the slots actually
+  // consumed — O(ops used), not O(kThunkLogCap) — returning that count
+  // (surfaced through the lock-space stats).
   std::uint32_t reset_used() {
-    const std::uint32_t used = used_ops_.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&used_ops_, kLoad, relaxed, kLogNoteUsed, used);
-    const std::uint32_t n = std::min(2 * used, kThunkLogCap);
+    const std::uint32_t word = done_.peek();
+    done_.init(0);
+    return reset_prefix(word == 0 ? 0 : word - 1);
+  }
+
+  // Quiescent-only: re-inits the slots of the first `ops` operations. The
+  // lazy reset of a private log whose one run's op count the caller holds.
+  std::uint32_t reset_prefix(std::uint32_t ops) {
+    const std::uint32_t n = std::min(2 * ops, kThunkLogCap);
     for (std::uint32_t i = 0; i < n; ++i) slots_[i].init(kCellEmptySlot);
-    used_ops_.store(0, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&used_ops_, kStore, relaxed, kLogNoteUsed, 0);
     return n;
   }
 
@@ -164,7 +159,7 @@ class ThunkLog {
 
  private:
   typename Plat::template Atomic<std::uint64_t> slots_[kThunkLogCap];
-  std::atomic<std::uint32_t> used_ops_{0};  // raw: outside the step model
+  typename Plat::template Atomic<std::uint32_t> done_;  // see done()
 };
 
 // Per-run cursor over a shared ThunkLog. Each run of the thunk constructs

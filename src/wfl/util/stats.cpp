@@ -53,8 +53,10 @@ Histogram::Histogram(double limit, std::size_t buckets)
 }
 
 void Histogram::add(double x) {
-  ++total_;
   if (x < 0) x = 0;
+  min_ = total_ == 0 ? x : std::min(min_, x);
+  max_ = total_ == 0 ? x : std::max(max_, x);
+  ++total_;
   if (x >= limit_) {
     ++overflow_;
     return;
@@ -69,11 +71,11 @@ double Histogram::percentile(double p) const {
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     cum += static_cast<double>(counts_[i]);
     if (cum >= target) {
-      // Midpoint of bucket: close enough for reporting.
-      return (static_cast<double>(i) + 0.5) * width_;
+      const double mid = (static_cast<double>(i) + 0.5) * width_;
+      return std::clamp(mid, min_, max_);
     }
   }
-  return limit_;  // answered by the overflow bucket
+  return max_;  // answered by the overflow bucket
 }
 
 double SuccessRate::rate() const {

@@ -35,7 +35,9 @@ class RunningStat {
 };
 
 // Fixed-bucket histogram over [0, limit) with overflow bucket; supports
-// exact-enough percentiles for step-count distributions.
+// exact-enough percentiles for step-count distributions. A percentile is
+// its bucket's midpoint clamped to the observed [min, max], so it never
+// reports a value no sample reached.
 class Histogram {
  public:
   Histogram(double limit, std::size_t buckets);
@@ -51,6 +53,8 @@ class Histogram {
   std::vector<std::uint64_t> counts_;
   std::uint64_t overflow_ = 0;
   std::uint64_t total_ = 0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 // Bernoulli success counter with Wilson score interval.

@@ -204,10 +204,10 @@ TEST(IdemTags, OldWrapPairInstallsDistinctWords) {
                                "(value, tag) word";
 }
 
-// The lazy reset contract: a completed run records its op high-water mark,
-// reset_used() re-inits exactly the consumed slots (and only those), and a
-// replay against the lazily-reset log behaves like one against a fresh
-// log.
+// The lazy reset contract: a completed run marks the log done with its op
+// high-water mark, reset_used() re-inits exactly the consumed slots (and
+// only those) and clears the done word, and a replay against the
+// lazily-reset log behaves like one against a fresh log.
 TEST(IdemSequential, LazyResetClearsExactlyTheConsumedSlots) {
   ThunkLog<RealPlat> log;
   Cell<RealPlat> c{0};
@@ -215,16 +215,19 @@ TEST(IdemSequential, LazyResetClearsExactlyTheConsumedSlots) {
     IdemCtx<RealPlat> m(log, idem_tag_base(1));
     m.store(c, 1);
     m.store(c, 2);  // 2 ops -> slots 0..3 at most
-    log.note_used(m.ops_used());
+    EXPECT_FALSE(log.done());
+    log.mark_done(m.ops_used());
+    EXPECT_TRUE(log.done());
   }
   EXPECT_EQ(log.reset_used(), 4u);
+  EXPECT_FALSE(log.done());
   // After the lazy reset the log must be indistinguishable from fresh:
   // a new 2-op thunk agrees on new values, not stale ones.
   {
     IdemCtx<RealPlat> m(log, idem_tag_base(2));
     EXPECT_EQ(m.load(c), 2u);
     m.store(c, 7);
-    log.note_used(m.ops_used());
+    log.mark_done(m.ops_used());
   }
   EXPECT_EQ(c.peek(), 7u);
   EXPECT_EQ(log.reset_used(), 4u);  // 1 load op + 1 store op -> 4 slots

@@ -123,6 +123,20 @@ TEST(Stats, HistogramPercentiles) {
   EXPECT_EQ(h.overflow(), 0u);
   h.add(1e9);
   EXPECT_EQ(h.overflow(), 1u);
+  EXPECT_EQ(h.percentile(100), 1e9);
+}
+
+// A bucket midpoint beyond every sample is clamped to the observed range:
+// samples all at 1922 in the [1900, 2000) bucket must not read as 1950.
+TEST(Stats, HistogramPercentilesStayWithinObservedRange) {
+  Histogram h(400000.0, 4000);
+  for (int i = 0; i < 10; ++i) h.add(1922.0);
+  EXPECT_EQ(h.percentile(50), 1922.0);
+  EXPECT_EQ(h.percentile(99), 1922.0);
+  // And below: a 7 in the [0, 10) bucket must not read as 5.
+  Histogram low(100.0, 10);
+  for (int i = 0; i < 4; ++i) low.add(7.0);
+  EXPECT_EQ(low.percentile(50), 7.0);
 }
 
 TEST(Stats, WilsonBoundsBracketRate) {
