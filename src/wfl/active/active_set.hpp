@@ -53,6 +53,15 @@ struct SetSnap {
   }
 };
 
+// Capacity of the per-process slot caches an in-process lock table fronts
+// its pools with (its snapshot caches here, its descriptor caches in
+// core/lock_table.hpp). One collect hands back up to a bucket of
+// EbrDomain::kCollectEvery retirements at once; four times that keeps the
+// burst, and the slots still in use, inside the cache (DESIGN.md §4.3).
+inline constexpr std::uint32_t kTableCacheSlots = 512;
+static_assert(kTableCacheSlots == 4 * EbrDomain::kCollectEvery,
+              "the table's slot caches are sized to the EBR collect cadence");
+
 // Shared memory-management context for all active sets of one lock space:
 // the snapshot pool, the EBR domain that reclaims it, and the reserved
 // all-empty sentinel snapshot.
@@ -60,7 +69,7 @@ template <typename T>
 struct SetMem {
   using Snap = SetSnap<T>;
   using Pool = IndexPool<Snap>;
-  using Cache = SlotCache<Snap>;
+  using Cache = SlotCache<Snap, kTableCacheSlots>;
   // Called when an arena pool (which cannot grow) is empty; returns a slot
   // once reclamation has freed one. It may exit and re-enter the caller's
   // EBR guard, which is why climb() allocates before it reads any handle.

@@ -72,8 +72,10 @@
 // depth bump, not a fence. A descriptor is retired exactly once, into that
 // domain, and its pool slot goes back to the owner's cache when the grace
 // period expires, so a steady-state attempt never touches the shared
-// freelist. The price: a guard held by any process delays the freeing of
-// every slot retired while it is held.
+// freelist. The caches hold kTableCacheSlots = 4 × kCollectEvery slots
+// each, so the burst one collect frees fits in them. The price: a guard
+// held by any process delays the freeing of every slot retired while it is
+// held.
 //
 // Under DelayMode::kOff the guard is held across the whole attempt. Under
 // the paper's delays the attempt exits it while a T0/T1 delay or §6.2
@@ -100,8 +102,8 @@
 // until a grace period of the table's EBR domain has passed (a cooldown
 // token retired into that domain flips the handle's fast_ready flag back),
 // because the observer may still be reading it. Until then the process's
-// single-lock attempts take the descriptor path. Safety argument in
-// DESIGN.md §5.1.
+// single-lock attempts each run a collect and then take the descriptor
+// path. Safety argument in DESIGN.md §5.1.
 #pragma once
 
 #include <algorithm>
@@ -309,10 +311,15 @@ class LockTable {
     // Thin-word fast path: a single-lock attempt whose embedded descriptor
     // is warm tries to decide through the lock's thin word. A contended or
     // cooling-down attempt falls through to the descriptor path below with
-    // the thunk intact.
-    if (practical_ && lock_ids.size() == 1 && h.fast_ready()) {
+    // the thunk intact. A cooling-down process collects first: its
+    // cooldown ends on a grace period, which the retire cadence alone would
+    // reach only every kCollectEvery retirements.
+    if (practical_ && lock_ids.size() == 1) {
+      if (!h.fast_ready()) ebr_.collect(h.pid());
       bool won = false;
-      if (fast_attempt(h, lock_ids[0], thunk, info, won)) return won;
+      if (h.fast_ready() && fast_attempt(h, lock_ids[0], thunk, info, won)) {
+        return won;
+      }
     }
 
     const std::uint64_t start_steps = Plat::steps();
@@ -320,7 +327,7 @@ class LockTable {
     // The descriptor's slot flows through the process's cache: alloc pops
     // it here and the EBR deleter pushes the slot back to it, so a
     // steady-state attempt never touches the shared freelist (arena.hpp).
-    SlotCache<Desc>& dcache = *desc_caches_[static_cast<std::size_t>(h.pid())];
+    DescCache& dcache = *desc_caches_[static_cast<std::size_t>(h.pid())];
     const std::uint32_t didx = dcache.alloc();
     Desc& d = desc_pool_.at(didx);
     h.stats().add_log_slot_resets(d.reinit(h.next_serial()));
@@ -337,8 +344,7 @@ class LockTable {
 
     AttemptCtx cx{*this, h};
     const bool won = Engine::attempt(cx, d, start_steps, info);
-    ebr_.retire(h.pid(), &dcache, didx,
-                &SlotCache<Desc>::free_to_cache);
+    ebr_.retire(h.pid(), &dcache, didx, &DescCache::free_to_cache);
     return won;
   }
 
@@ -496,6 +502,10 @@ class LockTable {
     return desc_pool_.freelist_ops() + snap_pool_.freelist_ops();
   }
 
+  // Reclamation work summed over every session: retirements, collects,
+  // participant scans and epoch advances. Quiescent-only diagnostic.
+  EbrDomain::Counts ebr_counts() const { return ebr_.counts(); }
+
   // Slots currently parked in `p`'s caches (descriptors + snapshots).
   // Quiescent-only diagnostic: the caches are owner-private.
   std::uint32_t cached_slots(Process p) const {
@@ -565,6 +575,7 @@ class LockTable {
   struct AttemptCtx;
   using Engine = AttemptEngine<Plat, AttemptCtx>;
   using ThinWord = typename Plat::template Atomic<std::uint64_t>;
+  using DescCache = SlotCache<Desc, kTableCacheSlots>;
 
   // The engine's memory/stats context (see core/attempt.hpp).
   struct AttemptCtx {
@@ -702,8 +713,8 @@ class LockTable {
   // neighbouring processes' caches never share a line.
   IndexPool<SetSnap<Desc*>> snap_pool_;
   IndexPool<Desc> desc_pool_;
-  std::vector<CachePadded<SlotCache<Desc>>> desc_caches_;
-  std::vector<CachePadded<SlotCache<SetSnap<Desc*>>>> snap_caches_;
+  std::vector<CachePadded<DescCache>> desc_caches_;
+  std::vector<CachePadded<typename SetMem<Desc*>::Cache>> snap_caches_;
   std::vector<std::unique_ptr<Handle>> handles_;  // indexed by pid; fixed size
   EbrDomain ebr_;
   SetMem<Desc*> set_mem_;

@@ -234,8 +234,10 @@ class ShmLockTable {
 
     // Pool sizing: the steady-state demand bounds of the in-process table,
     // plus crash leakage — each crash retires forever at most one in-flight
-    // descriptor, one SlotCache of cached slots, and one retirement
-    // bucket's worth of snapshots.
+    // descriptor, one 64-slot descriptor cache, and its pending
+    // retirements: while grace periods flow, up to three buckets of
+    // EbrDomain::kCollectEvery (3 × 128). The 16384-snapshot floor is over
+    // 30 such crashes deep.
     const auto procs = static_cast<std::uint32_t>(max_procs);
     const std::uint32_t desc_cap = std::max<std::uint32_t>(1024, procs * 256);
     // Snapshot demand is retire-rate times reclamation latency, and on an

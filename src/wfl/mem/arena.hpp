@@ -348,17 +348,21 @@ class IndexPool {
   std::mutex grow_mutex_;
 };
 
-// A small owner-private LIFO of pool slots fronting a shared IndexPool.
+// An owner-private LIFO of pool slots fronting a shared IndexPool.
 // alloc() pops the cache and refills a batch (one head CAS) only when
 // empty; free() pushes and spills the *coldest* batch (one head CAS) only
 // when full — so a steady-state balanced alloc/free stream touches no
-// shared freelist line at all. Single-owner by construction: the owning
-// process allocates from it, and EBR deleters push into it only when run
-// by that same process (retire/collect are per-participant) or during
-// quiescent domain teardown. Like the pool itself, caches are outside the
-// step model (DESIGN.md substitution #2). The cache always lives in the
-// owner's private memory, whichever placement its pool has — only the slot
-// indices it traffics in are meaningful across processes.
+// shared freelist line at all. Frees arrive in bursts of whatever one EBR
+// collect drains, so a cache too small for that burst spills it and
+// refills it again: LockTable sizes its caches from
+// EbrDomain::kCollectEvery (kTableCacheSlots). Single-owner by
+// construction: the owning process allocates from it, and EBR deleters
+// push into it only when run by that same process (retire/collect are
+// per-participant) or during quiescent domain teardown. Like the pool
+// itself, caches are outside the step model (DESIGN.md substitution #2).
+// The cache always lives in the owner's private memory, whichever
+// placement its pool has — only the slot indices it traffics in are
+// meaningful across processes.
 template <typename T, std::uint32_t Cap = 64>
 class SlotCache {
   static_assert(Cap >= 8 && (Cap % 4) == 0);

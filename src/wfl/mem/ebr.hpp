@@ -189,6 +189,7 @@ class EbrDomain {
     }
     b.epoch = e;
     b.items.push_back(Retired{ctx, handle, deleter});
+    ++l.counts.retires;
     if (++l.retire_ops >= kCollectEvery) {
       l.retire_ops = 0;
       collect(pid);
@@ -206,15 +207,19 @@ class EbrDomain {
   // the value recorded here, so the next collect scans it.
   void collect(int pid) {
     Local& l = local(pid);
+    ++l.counts.collects;
     std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
     WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrCollectEpochLoad,
                    e);
-    if (e == l.seen_epoch && all_participants_at(e)) {
+    const bool scan = e == l.seen_epoch;
+    l.counts.scans += scan ? 1 : 0;
+    if (scan && all_participants_at(e)) {
       std::uint64_t expected = e;  // racing collectors: one advance per value
       if (sh_->global_epoch.compare_exchange_strong(
               expected, e + 1, std::memory_order_seq_cst)) {
         WFL_CHK_ATOMIC(&sh_->global_epoch, kCasOk, seq_cst,
                        kEbrEpochAdvanceCas, e + 1);
+        ++l.counts.advances;
         e += 1;
       } else {
         WFL_CHK_ATOMIC(&sh_->global_epoch, kCasFail, seq_cst,
@@ -234,6 +239,36 @@ class EbrDomain {
     return sh_->global_epoch.load(std::memory_order_relaxed);
   }
 
+  // Retires per participant between collects. Each collect pays for a
+  // participant scan and an epoch CAS, and every advance costs each other
+  // participant a miss on the epoch word and a re-announce fence, so the
+  // cadence sets how often that bill comes. A caller that caches freed
+  // slots sizes its caches from it (core/lock_table.hpp, DESIGN.md §4.3).
+  static constexpr std::uint32_t kCollectEvery = 128;
+
+  // Reclamation work done by participants of this domain, in this process.
+  // Plain owner-private counters, outside the step model like the rest of
+  // the domain.
+  struct Counts {
+    std::uint64_t retires = 0;
+    std::uint64_t collects = 0;
+    std::uint64_t scans = 0;     // collects that scanned the participants
+    std::uint64_t advances = 0;  // scans whose epoch CAS succeeded
+  };
+
+  // The sum over this process's participants. Quiescent-only diagnostic:
+  // each participant's counters are written by its owner alone.
+  Counts counts() const {
+    Counts c;
+    for (const CachePadded<Local>& l : local_) {
+      c.retires += l->counts.retires;
+      c.collects += l->counts.collects;
+      c.scans += l->counts.scans;
+      c.advances += l->counts.advances;
+    }
+    return c;
+  }
+
   class Guard {
    public:
     Guard(EbrDomain& d, int pid) : d_(&d), pid_(pid) { d_->enter(pid_); }
@@ -250,7 +285,6 @@ class EbrDomain {
 
  private:
   static constexpr int kBuckets = 3;
-  static constexpr int kCollectEvery = 16;
 
   // One participant's announcement (shared part). Line-aligned, so the
   // array pads neighbours apart in either placement.
@@ -302,8 +336,9 @@ class EbrDomain {
 
   struct Local {
     Bucket buckets[kBuckets];
-    int retire_ops = 0;
+    std::uint32_t retire_ops = 0;
     std::uint64_t seen_epoch = 0;  // the epoch after the previous collect
+    Counts counts;
   };
 
   static void drain(Bucket& b) {

@@ -305,6 +305,47 @@ TEST(FastPath, CooldownResumesAfterGrace) {
       << "fast path never resumed after cooldown";
 }
 
+// The cooldown ends on a grace period, not on the retire cadence: a
+// cooling-down process collects before each single-lock attempt, so once
+// its rival has ended, two epoch advances — a few attempts — re-arm the
+// fast path, whatever EbrDomain::kCollectEvery is. The rival's attempt
+// runs inside the owner's thunk, while the owner's publication holds the
+// thin word, so it revokes that publication deterministically.
+TEST(FastPath, CooldownEndsWithinFourAttemptsOfTheRivalsExit) {
+  constexpr int kMaxAttemptsToReady = 4;
+  Table t(off_cfg(2, 1), 2, 4);
+  Session<RealPlat> owner(t);
+  auto rival = std::make_unique<Session<RealPlat>>(t);
+  Table::Handle& h = t.handle(owner.process());
+  const StaticLockSet<1> ids({0});
+  Cell<RealPlat> c{0};
+  bool rival_ran = false;
+  // A rival that helps the owner replays this thunk; the flag keeps the
+  // replay from nesting another attempt.
+  submit(owner, ids, [&](IdemCtx<RealPlat>& m) {
+    m.store(c, m.load(c) + 1);
+    if (rival_ran) return;
+    rival_ran = true;
+    submit(*rival, ids, [](IdemCtx<RealPlat>&) {});
+  });
+  ASSERT_TRUE(rival_ran);
+  ASSERT_EQ(t.stats().fastpath_revocations, 1u);
+  ASSERT_FALSE(h.fast_ready()) << "the revoked owner is not cooling down";
+  rival.reset();
+
+  const std::uint64_t hits_before = t.stats().fastpath_hits;
+  int attempts = 0;
+  while (!h.fast_ready() && attempts < 1000) {
+    submit(owner, ids, [](IdemCtx<RealPlat>&) {});
+    ++attempts;
+  }
+  EXPECT_LE(attempts, kMaxAttemptsToReady)
+      << "the cooldown waited for the retire cadence";
+  ASSERT_TRUE(submit(owner, ids, [](IdemCtx<RealPlat>&) {}).won);
+  EXPECT_GT(t.stats().fastpath_hits, hits_before)
+      << "the fast path did not resume after the cooldown";
+}
+
 // --- cooperative helping --------------------------------------------------
 
 // Under real-thread contention the claim protocol must engage (helpers

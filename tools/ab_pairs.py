@@ -2,6 +2,7 @@
 """A/B two exp_suite builds on one workload, in alternating pairs.
 
   tools/ab_pairs.py PARENT_BIN CHANGE_BIN --workload W --pairs N --secs S
+                    [--show M1,M2,...]
 
 Runs N pairs of untraced exp_suite trials, pair i on seed i for both
 sides, alternating which side goes first so that slow drift of the host
@@ -18,6 +19,11 @@ verdicts:
               spread is wider than the bound, unless every change run beats
               every parent run; else "regress" when the change's median is
               worse by more than the bound; else "ok".
+
+--show names further metrics of the same runs, such as the per-layer
+freelist_ops_per_attempt, pool_slots or mem_peak_mb, and prints each side's
+median of them and the pairs the change won (no verdict), so that a change's
+layer attribution comes from the pairs that measured its gain.
 
 Reads BENCHMARK.json, writes nothing; exits 1 if any trial is incorrect or
 fails operations, or if any metric prints "regress".
@@ -82,8 +88,14 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--secs", type=float, default=3.0)
+    ap.add_argument("--show", default="",
+                    help="comma-separated metrics to report medians of")
     args = ap.parse_args()
-    metrics = json.loads(SPEC.read_text())["end_to_end"]
+    spec = json.loads(SPEC.read_text())
+    metrics = spec["end_to_end"]
+    better = {m["name"]: m["better"]
+              for m in spec["end_to_end"] + spec["per_layer"]}
+    shown = [name for name in args.show.split(",") if name]
 
     runs = {"parent": [], "change": []}
     bins = {"parent": args.parent_bin, "change": args.change_bin}
@@ -125,6 +137,25 @@ def main():
         print(f"{name:14s} {side[0]:>32s} {side[1]:>32s} "
               f"{won:>3d}/{args.pairs:<3d}  {verdict:4s}  {reg} ({rel}, "
               f"bound {m['bound']:g})")
+    width = max((len(name) for name in shown), default=0)
+    if shown:
+        print(f"\n{'shown metric':{width}s} {'parent median':>14s} "
+              f"{'change median':>14s} {'won':>7s}  change")
+    for name in shown:
+        pv = [r[name]["value"] for r in runs["parent"] if name in r]
+        cv = [r[name]["value"] for r in runs["change"] if name in r]
+        if len(pv) != args.pairs or len(cv) != args.pairs:
+            print(f"{name:{width}s} not reported by every run")
+            continue
+        p2, c2 = statistics.median(pv), statistics.median(cv)
+        won = "-"
+        if name in better:
+            lower = better[name] == "lower"
+            wins = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
+            won = f"{wins}/{args.pairs}"
+        rel = f"{100 * (c2 - p2) / p2:+.1f}%" if p2 else "n/a"
+        print(f"{name:{width}s} {fmt(p2):>14s} {fmt(c2):>14s} {won:>7s}  "
+              f"{rel}")
     return 1 if bad or regress else 0
 
 
