@@ -12,21 +12,26 @@
 //
 //   wflock     one-shot submissions (Algorithm 3, theory delays). The
 //              paper bounds every attempt by O(κ²L²T) regardless of
-//              schedule — the measured max must sit exactly at T0+T1+O(1)
-//              and must NOT grow with the burst length.
+//              schedule: every submission's steps must lie in
+//              [T0+T1, T0+T1+64], and the max must NOT move with the burst
+//              length. These are exact SimPlat counts, so the driver exits
+//              1 when either fails.
 //   turek      one-shot submissions are whole operations (recursive
 //              helping): they always complete, but a single op can do
 //              unbounded helping work; lock-free, not wait-free.
 //   spin2pl    Policy::retry() submissions (the discipline's honest unit
-//              of work): a waiter behind the frozen lock holder keeps
-//              burning patience-bounded attempts for the whole burst —
-//              caller steps grow linearly with it, the failure mode
-//              wait-freedom exists to kill.
+//              of work): a waiter behind a frozen lock holder keeps
+//              burning patience-bounded attempts while the holder is
+//              stalled. At the default seed its max reads 301 steps at
+//              every burst, so the rows report it and the verdict does
+//              not gate it.
 //
-// The one-line verdict of the experiment: as burst grows 30x, wflock's max
-// stays flat at its delay budget while spin2pl's max tracks the burst.
+// The one-line verdict of the experiment: as burst grows 30x, every wflock
+// submission stays inside its delay budget and the max does not move.
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "exp_json.hpp"
@@ -126,19 +131,31 @@ int main_impl(int argc, char** argv) {
       stderr,
       "E11: per-submission caller-steps under StallBurst schedules, %d-proc "
       "ring (kappa=2, L=2, T=4). wflock per-attempt budget T0+T1 = %llu.\n"
-      "Wait-freedom: wflock max must stay ~flat as bursts grow; blocking "
-      "2PL max must track the burst length.\n\n",
+      "Wait-freedom: every wflock submission must take [T0+T1, T0+T1+64] "
+      "steps, with the same max at every burst.\n\n",
       kProcs, static_cast<unsigned long long>(budget));
 
   Table t({"backend", "burst", "n", "mean", "p50", "p99", "max",
            "max/burst", "bounded"});
   wfl_bench::ExpJson json;
+  // Per wait-free backend: every submission inside the band, and the max
+  // of the first burst at every later one.
+  bool in_band = true;
+  bool flat = true;
+  std::map<std::string, double> first_max;
   for (const std::uint64_t burst : {3000ull, 30000ull, 90000ull}) {
     SimBackends<SimPlat>::for_each([&](auto tag) {
       using B = typename decltype(tag)::type;
       const Collector c = run_backend<B>(burst, ops, seed);
       const double mx = c.steps.max();
       const bool wait_free = B::progress() == BackendProgress::kWaitFree;
+      const bool band = c.steps.min() >= static_cast<double>(budget) &&
+                        mx <= static_cast<double>(budget) + 64.0;
+      if (wait_free) {
+        in_band = in_band && band;
+        const auto [it, first] = first_max.emplace(B::name(), mx);
+        flat = flat && (first || it->second == mx);
+      }
       t.cell(B::name())
           .cell(burst)
           .cell(c.steps.count())
@@ -147,10 +164,7 @@ int main_impl(int argc, char** argv) {
           .cell(c.hist.percentile(99), 0)
           .cell(mx, 0)
           .cell(mx / static_cast<double>(burst), 2)
-          .cell(wait_free
-                    ? (mx <= static_cast<double>(budget) + 64.0 ? "yes"
-                                                                : "NO!")
-                    : "n/a");
+          .cell(wait_free ? (band ? "yes" : "NO!") : "n/a");
       t.end_row();
       json.add(std::string("waitfree_tail/") + B::name() + "/burst:" +
                    std::to_string(burst),
@@ -167,12 +181,19 @@ int main_impl(int argc, char** argv) {
   std::fprintf(
       stderr,
       "\nReading: wflock rows keep the same max across bursts (the delay\n"
-      "budget dominates every attempt, win or lose). spin2pl's max grows\n"
-      "with the burst (a waiter burns attempts while the frozen neighbour\n"
-      "holds the lock). turek completes via helping but pays helping\n"
-      "chains.\n");
+      "budget dominates every attempt, win or lose). spin2pl burns\n"
+      "attempts only while a frozen neighbour holds its lock. turek\n"
+      "completes via helping but pays helping chains.\n");
   json.emit();
-  return 0;
+  // stdout is the JSON document, so the verdict goes to stderr with the
+  // table; the exit status carries it for CI.
+  const bool ok = in_band && flat;
+  std::fprintf(stderr, "\nE11 verdict: %s\n",
+               ok ? "wait-free: every attempt within T0+T1+64, max flat "
+                    "across bursts"
+                  : !in_band ? "VIOLATED — an attempt left [T0+T1, T0+T1+64]"
+                             : "VIOLATED — the max moved with the burst");
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -272,19 +272,21 @@ inline constexpr SiteInfo kSiteTable[] = {
      "producer side of the sleep Dekker: push-then-read-worker-state must "
      "not reorder against the worker's set-idle-then-probe (DESIGN.md §8)"},
     {Site::kInjTakeAll, "inj.take_all", Contract::kAcqRelRmw,
-     "the exchange(nullptr) batch take — consumer pop() or a thief's "
+     "the exchange(nullptr) batch take — inline pop() or a worker's "
      "drain_all(): acquire joins every producer's release, release "
      "continues the hand-off chain; rival exchanges get disjoint chains"},
     {Site::kInjPeek, "inj.peek", Contract::kSeqCstOnly,
-     "worker side of the sleep Dekker: the pre-sleep emptiness probe must "
-     "order after the set-idle store, or a push could be missed forever"},
+     "worker side of the sleep Dekker: the pre-sleep probe of the shared "
+     "head must order after the set-idle store, or a push could be missed "
+     "forever"},
     {Site::kInjNext, "inj.next", Contract::kAdvisory,
      "private until the head CAS publishes the node; the consumer reads it "
      "only after its exchange's acquire joined that publication"},
     {Site::kWkrState, "async.worker_state", Contract::kSeqCstOnly,
-     "the wake-coalescing word: producer CAS idle->signalled vs. worker "
-     "store idle + inbox probe is a store-buffering pattern; any weakening "
-     "legalizes the lost-wake interleaving (DESIGN.md §8)"},
+     "the wake-coalescing word: producer push + all-idle scan + CAS "
+     "idle->signalled vs. worker store idle + injector probe is a "
+     "store-buffering pattern; any weakening legalizes the lost-wake "
+     "interleaving (DESIGN.md §8)"},
 
     {Site::kDescPlain, "desc.plain_fields", Contract::kOrderedWrites,
      "line group A: owner-written before publication, helper-read after "

@@ -11,36 +11,39 @@
 //   const Outcome& o = t.wait();
 //
 // A submission becomes an AsyncOp — a small heap record (~300 B), not a
-// thread and not a suspended stack. N worker threads (N ~ cores) pull
-// ready ops from LOCK-FREE per-worker run queues (util/work_queue.hpp):
-// external dispatch targets a per-worker MPSC inbox — preferring a
-// worker that is already awake, falling back to round-robin when all are
-// parked — each worker spills its inbox into its own Chase–Lev deque and
-// self-pushes ops it wakes during its own cycles (owner push/take at the
-// bottom), and idle peers steal from the top of peer deques AND from
-// peer inboxes (drain_all): work never waits on a specific thread's
-// timeslice — no mutex anywhere on the run-queue path. Inline mode funnels everything through one shared MPSC injector
-// drained claim-or-skip by run_ready(). A worker with work draws a
-// pooled fiber and runs ONE attempt cycle of the
-// existing engine on it: link wait nodes, submit_attempt(), then either
-// complete or park. Parking is returning: the fiber finishes and goes
-// back to the pool, the op stays linked on its locks' wait lists, and the
-// worker moves on. Zero own steps are spent backing off — the bench
-// asserts backoff_spin_steps == 0 under full contention.
+// thread and not a suspended stack. Ready ops wait in LOCK-FREE run
+// queues (util/work_queue.hpp), no mutex anywhere on the path: one
+// shared MPSC injector takes all external dispatch (submissions, cancel
+// and shutdown sweeps, wakes posted from non-worker threads), and each
+// of the N worker threads (N ~ cores) owns a Chase–Lev deque for the ops
+// it wakes during its own cycles. A worker runs its own deque LIFO; when
+// that is empty it takes the injector's whole chain in one exchange,
+// runs the oldest op and spills the rest onto its deque; failing both,
+// it steals from the top of a peer's deque. Inline mode (no workers)
+// pops the same injector one op at a time, claim-or-skip, from
+// run_ready(). A worker with work draws a pooled fiber and runs ONE
+// attempt cycle of the existing engine on it: link wait nodes,
+// submit_attempt(), then either complete or park. Parking is returning:
+// the fiber finishes and goes back to the pool, the op stays linked on
+// its locks' wait lists, and the worker moves on. Zero own steps are
+// spent backing off — the bench asserts backoff_spin_steps == 0 under
+// full contention.
 //
 // Wake coalescing: each worker carries a state word (kWkAwake / kWkIdle /
-// kWkSignalled). A producer that pushed into a worker's inbox posts the
-// futex ONLY after winning the kWkIdle -> kWkSignalled CAS; a worker seen
-// kWkAwake will re-probe its inbox before sleeping, and one seen
-// kWkSignalled already owes a wake — both cases skip the syscall
-// (counted in wake_skips()). Soundness is a seq_cst store-buffering
-// Dekker: producer does push-then-read-state, worker does
-// set-idle-then-probe-inbox; in the seq_cst total order one side must
-// see the other, so either the producer posts or the worker's probe
-// finds the push. Workers that wake ops into their OWN deque mid-cycle
-// hand a steal target to one idle sibling (best-effort — a missed
-// sibling wake costs parallelism for one cycle, never progress, because
-// an owner drains its own deque before it can ever park).
+// kWkSignalled). An external producer pushes onto the injector and posts
+// a futex only if EVERY worker reads kWkIdle, and then only after
+// winning one kWkIdle -> kWkSignalled CAS; a worker seen kWkAwake will
+// probe the injector before sleeping, and one seen kWkSignalled already
+// owes a wake — both cases skip the syscall (counted in wake_skips()).
+// Soundness is a seq_cst store-buffering Dekker: producer does
+// push-then-read-states, worker does set-idle-then-probe-injector; in
+// the seq_cst total order one side must see the other, so either the
+// producer posts or the worker's probe finds the push. Work conservation
+// is the workers' half: a worker that spills a taken chain, or builds a
+// backlog on its own deque, wakes one idle sibling to come steal
+// (best-effort — a missed sibling wake costs parallelism for one cycle,
+// never progress, because an owner drains its own deque before it can
+// ever park).
 //
 // Wakes come from the lock table itself. LockTable::attempt() and the
 // thin-word fast path post a release event (WakeSink::on_release) for
@@ -419,13 +422,16 @@ class AsyncExecutor {
   // whose client is mid-cycle on another fiber is requeued and the
   // drain returns (the caller steps and retries — see Ticket::wait).
   std::size_t run_ready(std::size_t max_cycles = 0) {
+    // Workers take the injector whole (take_injected); a concurrent
+    // pop() here would break its single-consumer discipline.
+    WFL_CHECK_MSG(options_.workers == 0, "run_ready() drives inline mode");
     fuzz_limbo_drain();
     std::size_t ran = 0;
     while (max_cycles == 0 || ran < max_cycles) {
       AsyncOp* op = inline_pop();
       if (op == nullptr) break;
       if (!op->client->try_acquire_inline()) {
-        inline_inj_.push(op);
+        injector_.push(op);
         break;
       }
       run_cycle(op, op->client->session());
@@ -561,7 +567,6 @@ class AsyncExecutor {
 
     Session session;  // the registered process attempts run under
     ChaseLevDeque<AsyncOp*> deque;  // owner push/take bottom, thieves top
-    MpscInjector<AsyncOp> inbox;    // external dispatch lands here
     std::atomic<std::uint32_t> state{kWkAwake};
     typename Plat::Wake wake;
     Counters counters;
@@ -570,7 +575,7 @@ class AsyncExecutor {
 
   // Worker identity for the dispatch fast path: a worker thread pushes
   // claimed/woken ops straight onto its OWN deque (the only legal
-  // Chase–Lev producer) instead of round-robining them away.
+  // Chase–Lev producer) instead of the shared injector.
   struct TlsWorker {
     AsyncExecutor* exec = nullptr;
     Worker* w = nullptr;
@@ -680,90 +685,55 @@ class AsyncExecutor {
   // The one run-queue entry, for new submissions and for ops already
   // claimed kRunning (woken or cancel-claimed) alike.
   //
-  // Worker mode: a worker thread self-pushes onto its OWN Chase–Lev
-  // deque (op wakes fired from its cycles stay cache-local; it is the
-  // deque's only legal producer) and hands one idle sibling a steal
-  // target when a backlog builds; any other thread targets a worker's
-  // MPSC inbox and wakes it through the coalescing word.
+  // A worker thread self-pushes onto its OWN Chase–Lev deque (op wakes
+  // fired from its cycles stay cache-local; it is the deque's only legal
+  // producer) and hands one idle sibling a steal target when a backlog
+  // builds. Any other thread pushes onto the shared injector, which
+  // inline mode's run_ready() pops and workers take whole (take_injected).
   //
-  // External target selection prefers a worker that is ALREADY awake
-  // (round-robin start, first non-idle wins): on a machine with fewer
-  // cores than workers, round-robining across parked workers pays a
-  // futex wake plus a context switch per op while an awake worker sits
-  // hot on a core — measured as ~40x median service latency at low rates
-  // (bench_service). The scan is a heuristic only; delivery never
-  // depends on it, because push-then-wake_worker re-reads the target's
-  // state under the seq_cst sleep Dekker. Work conservation is the
-  // worker's half: a drained inbox that spills backlog wakes one idle
-  // sibling to come steal (worker_main), so coalescing onto the awake
-  // worker cannot strand load behind it.
-  //
-  // Inline mode has no workers; everything funnels through the shared
-  // injector that run_ready() drains.
+  // After an external push, post a wake only if EVERY worker reads
+  // kWkIdle. A worker seen awake or signalled probes the injector before
+  // it sleeps (park), so under the seq_cst sleep Dekker it finds the
+  // push; waking a parked worker while another sits hot on a core would
+  // pay a futex wake plus a context switch per op. Work conservation is
+  // the worker's half: a taken chain that spills backlog wakes one idle
+  // sibling to come steal, so coalescing onto the awake worker cannot
+  // strand load behind it.
   void dispatch(AsyncOp* op) {
-    if (workers_.empty()) {
-      inline_inj_.push(op);
-      return;
-    }
     TlsWorker& t = tls_worker();
     if (t.exec == this) {
       t.w->deque.push(op);
-      // Self-pushed work is invisible to the inbox wake path: if anyone
-      // is napping while we accumulate a backlog, hand them a steal
-      // target. Best-effort (see header): a missed wake here costs one
-      // cycle of parallelism, never progress.
+      // Self-pushed work is invisible to the injector wake path: if
+      // anyone is napping while we accumulate a backlog, hand them a
+      // steal target. Best-effort (see header): a missed wake here costs
+      // one cycle of parallelism, never progress.
       if (idle_workers_.load(std::memory_order_relaxed) > 0 &&
           t.w->deque.size_approx() > 1) {
-        wake_one_idle(static_cast<std::size_t>(t.index));
+        wake_one_idle(static_cast<std::size_t>(t.index) + 1);
       }
       return;
     }
-    const std::size_t n = workers_.size();
-    std::size_t pick =
-        rr_.fetch_add(1, std::memory_order_relaxed) % n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = (pick + i) % n;
-      const std::uint32_t s =
-          workers_[j]->state.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&workers_[j]->state, kLoad, seq_cst, kWkrState, s);
+    injector_.push(op);
+    if (workers_.empty()) return;  // inline: run_ready() pops it
+    for (const auto& w : workers_) {
+      const std::uint32_t s = w->state.load(std::memory_order_seq_cst);
+      WFL_CHK_ATOMIC(&w->state, kLoad, seq_cst, kWkrState, s);
       if (s != kWkIdle) {
-        pick = j;
-        break;
-      }
-    }
-    Worker& tgt = *workers_[pick];
-    tgt.inbox.push(op);
-    wake_worker(tgt);
-  }
-
-  // Post the target's futex only if it is committed to sleeping. An
-  // awake worker re-probes its inbox before sleeping (the seq_cst
-  // Dekker with our push), and a signalled one already owes a wake —
-  // both skip the syscall.
-  void wake_worker(Worker& tgt) {
-    std::uint32_t s = tgt.state.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&tgt.state, kLoad, seq_cst, kWkrState, s);
-    if (s == kWkIdle) {
-      if (tgt.state.compare_exchange_strong(s, kWkSignalled,
-                                            std::memory_order_seq_cst,
-                                            std::memory_order_seq_cst)) {
-        WFL_CHK_ATOMIC(&tgt.state, kCasOk, seq_cst, kWkrState, kWkSignalled);
-        counters_here().wake_posts.fetch_add(1, std::memory_order_relaxed);
-        tgt.wake.post();
+        counters_here().wake_skips.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      WFL_CHK_ATOMIC(&tgt.state, kCasFail, seq_cst, kWkrState, s);
-      // Lost the race: the worker woke by itself or another producer
-      // signalled it; either absorbs our wake.
     }
-    counters_here().wake_skips.fetch_add(1, std::memory_order_relaxed);
+    wake_one_idle(0);
   }
 
-  // Signal one idle sibling to come steal (self-push backlog path).
-  void wake_one_idle(std::size_t self_index) {
+  // Signal one idle worker, scanning all N from `start`. A worker that
+  // calls it reads itself as kWkAwake, so it never picks itself. A lost CAS
+  // means that worker woke by itself or another producer signalled it;
+  // either way it will probe the injector before it sleeps again.
+  void wake_one_idle(std::size_t start) {
     const std::size_t n = workers_.size();
-    for (std::size_t i = 1; i < n; ++i) {
-      Worker& v = *workers_[(self_index + i) % n];
+    for (std::size_t i = 0; i < n; ++i) {
+      Worker& v = *workers_[(start + i) % n];
       std::uint32_t s = v.state.load(std::memory_order_seq_cst);
       WFL_CHK_ATOMIC(&v.state, kLoad, seq_cst, kWkrState, s);
       if (s != kWkIdle) continue;
@@ -779,65 +749,57 @@ class AsyncExecutor {
     }
   }
 
-  // Spill the whole inbox into the owner's deque, keeping the oldest for
-  // immediate execution. Owner thread only.
-  AsyncOp* drain_inbox(Worker& self) {
-    AsyncOp* first = self.inbox.pop();
-    if (first == nullptr) return nullptr;
-    for (AsyncOp* op = self.inbox.pop(); op != nullptr;
-         op = self.inbox.pop()) {
-      self.deque.push(op);
+  // The workers' take from the shared injector: drain_all() claims the
+  // whole chain in one exchange (rival takers get disjoint chains). The
+  // chain is newest-first; reverse it, keep the oldest for immediate
+  // execution and spill the rest onto our own deque, oldest at the steal
+  // end, where a woken sibling can steal it at once.
+  AsyncOp* take_injected(std::size_t index) {
+    AsyncOp* chain = injector_.drain_all();
+    if (chain == nullptr) return nullptr;
+    Worker& self = *workers_[index];
+    AsyncOp* fifo = nullptr;
+    while (chain != nullptr) {
+      AsyncOp* next = chain->q_next.load(std::memory_order_relaxed);
+      WFL_CHK_ATOMIC(&chain->q_next, kLoad, relaxed, kInjNext,
+                     detail::ptr_bits(next));
+      chain->q_next.store(fifo, std::memory_order_relaxed);
+      WFL_CHK_ATOMIC(&chain->q_next, kStore, relaxed, kInjNext,
+                     detail::ptr_bits(fifo));
+      fifo = chain;
+      chain = next;
     }
-    return first;
+    AsyncOp* op = fifo;
+    AsyncOp* rest = op->q_next.load(std::memory_order_relaxed);
+    WFL_CHK_ATOMIC(&op->q_next, kLoad, relaxed, kInjNext,
+                   detail::ptr_bits(rest));
+    op->q_next.store(nullptr, std::memory_order_relaxed);
+    WFL_CHK_ATOMIC(&op->q_next, kStore, relaxed, kInjNext, 0);
+    const bool spilled = rest != nullptr;
+    while (rest != nullptr) {
+      AsyncOp* next = rest->q_next.load(std::memory_order_relaxed);
+      WFL_CHK_ATOMIC(&rest->q_next, kLoad, relaxed, kInjNext,
+                     detail::ptr_bits(next));
+      rest->q_next.store(nullptr, std::memory_order_relaxed);
+      WFL_CHK_ATOMIC(&rest->q_next, kStore, relaxed, kInjNext, 0);
+      self.deque.push(rest);
+      rest = next;
+    }
+    // The dispatch rule wakes nobody while this worker was awake, so a
+    // spilled backlog is load no one else has been told about.
+    if (spilled && idle_workers_.load(std::memory_order_relaxed) > 0) {
+      wake_one_idle(index + 1);
+    }
+    return op;
   }
 
-  // Steal from peers: their deques' FIFO end first, then their INBOXES.
-  // An op in a parked (or descheduled) peer's inbox would otherwise wait
-  // for that peer's next timeslice even while this worker idles — the
-  // inbox is part of the run queue, so thieves must see it (the same
-  // reason Go and Tokio steal from inject queues). drain_all() takes the
-  // peer's whole shared chain in one exchange (disjoint from the owner's
-  // private cache and from rival drains); the thief reverses it to FIFO,
-  // runs the oldest, and spills the rest onto its OWN deque — where the
-  // peer, once scheduled again, can steal them right back.
+  // Steal one op from the FIFO end of a peer's deque.
   AsyncOp* steal_from_peers(std::size_t thief) {
     const std::size_t n = workers_.size();
     Worker& self = *workers_[thief];
     for (std::size_t i = 1; i < n; ++i) {
-      Worker& v = *workers_[(thief + i) % n];
-      AsyncOp* op = v.deque.steal();
-      if (op == nullptr) {
-        AsyncOp* chain = v.inbox.drain_all();
-        if (chain == nullptr) continue;
-        // Chain is newest-first; reverse so the oldest runs now and the
-        // rest land on the deque oldest-at-the-steal-end.
-        AsyncOp* fifo = nullptr;
-        while (chain != nullptr) {
-          AsyncOp* next = chain->q_next.load(std::memory_order_relaxed);
-          WFL_CHK_ATOMIC(&chain->q_next, kLoad, relaxed, kInjNext,
-                         detail::ptr_bits(next));
-          chain->q_next.store(fifo, std::memory_order_relaxed);
-          WFL_CHK_ATOMIC(&chain->q_next, kStore, relaxed, kInjNext,
-                         detail::ptr_bits(fifo));
-          fifo = chain;
-          chain = next;
-        }
-        op = fifo;
-        AsyncOp* rest = fifo->q_next.load(std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&fifo->q_next, kLoad, relaxed, kInjNext,
-                       detail::ptr_bits(rest));
-        op->q_next.store(nullptr, std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&op->q_next, kStore, relaxed, kInjNext, 0);
-        while (rest != nullptr) {
-          AsyncOp* next = rest->q_next.load(std::memory_order_relaxed);
-          WFL_CHK_ATOMIC(&rest->q_next, kLoad, relaxed, kInjNext,
-                         detail::ptr_bits(next));
-          rest->q_next.store(nullptr, std::memory_order_relaxed);
-          WFL_CHK_ATOMIC(&rest->q_next, kStore, relaxed, kInjNext, 0);
-          self.deque.push(rest);
-          rest = next;
-        }
-      }
+      AsyncOp* op = workers_[(thief + i) % n]->deque.steal();
+      if (op == nullptr) continue;
       self.counters.steals.fetch_add(1, std::memory_order_relaxed);
       return op;
     }
@@ -850,14 +812,14 @@ class AsyncExecutor {
   // retries). Modeled as a lock for the analysis layer.
   AsyncOp* inline_pop() {
     bool expect = false;
-    if (!inline_consumer_.compare_exchange_strong(
+    if (!injector_consumer_.compare_exchange_strong(
             expect, true, std::memory_order_acquire)) {
       return nullptr;
     }
-    race::mutex_acquire(&inline_consumer_);
-    AsyncOp* op = inline_inj_.pop();
-    race::mutex_release(&inline_consumer_);
-    inline_consumer_.store(false, std::memory_order_release);
+    race::mutex_acquire(&injector_consumer_);
+    AsyncOp* op = injector_.pop();
+    race::mutex_release(&injector_consumer_);
+    injector_consumer_.store(false, std::memory_order_release);
     return op;
   }
 
@@ -1031,22 +993,12 @@ class AsyncExecutor {
     TlsWorker& tls = tls_worker();
     tls = TlsWorker{this, &self, index};
     for (;;) {
-      // Own deque (LIFO, cache-warm), then the inbox (external FIFO
-      // spill), then peers' deques and inboxes (the steal path).
+      // Own deque (LIFO, cache-warm), then the shared injector (the
+      // external FIFO), then peers' deques (the steal path).
+      const auto at = static_cast<std::size_t>(index);
       AsyncOp* op = self.deque.take();
-      if (op == nullptr) {
-        op = drain_inbox(self);
-        // Work conservation for awake-preferring dispatch: external
-        // pushes coalesce onto THIS worker while it is awake, so a
-        // spilled backlog here is load no one else has been told about.
-        // Hand one idle sibling a steal target (it will find the spill
-        // on our deque, or our inbox via the steal path).
-        if (op != nullptr && self.deque.size_approx() > 0 &&
-            idle_workers_.load(std::memory_order_relaxed) > 0) {
-          wake_one_idle(static_cast<std::size_t>(index));
-        }
-      }
-      if (op == nullptr) op = steal_from_peers(static_cast<std::size_t>(index));
+      if (op == nullptr) op = take_injected(at);
+      if (op == nullptr) op = steal_from_peers(at);
       if (op == nullptr) {
         // Exit only once stopping_ AND nothing is in flight: shutdown
         // sweeps parked ops back into the run queues as cancelled work,
@@ -1072,25 +1024,26 @@ class AsyncExecutor {
     tls = TlsWorker{};
   }
 
-  // Commit to sleep, then re-probe. The kWkIdle store and the inbox
+  // Commit to sleep, then re-probe. The kWkIdle store and the injector
   // probe are both seq_cst — the worker half of the sleep Dekker (see
-  // wake_worker). Only the inbox needs re-probing: the own deque has no
-  // producer but us, and work landing at a PEER wakes that peer;
-  // stealing is load-shedding, not the wake path.
+  // dispatch). Only the shared head needs re-probing: the own deque has
+  // no producer but us, and a peer's backlog wakes a sibling from that
+  // peer's side; stealing is load-shedding, not the wake path.
   //
   // The futex ticket is taken BEFORE the kWkIdle store, so every post
   // aimed at this park (a producer can only post after seeing kWkIdle)
   // advances the sequence past `seen` and the wait falls through. Taken
   // after the store, a post could land in between and be absorbed into
-  // the ticket; if a thief then drained the inbox, the worker slept on a
-  // consumed post with its state stuck at kWkSignalled — which dispatch
-  // reads as "awake", skipping every later wake (a wedged worker).
+  // the ticket; if a sibling then took the injector's chain, the worker
+  // slept on a consumed post with its state stuck at kWkSignalled —
+  // which dispatch reads as "awake", skipping every later wake (a wedged
+  // worker).
   void park(Worker& self) {
     const std::uint32_t seen = self.wake.prepare();
     self.state.store(kWkIdle, std::memory_order_seq_cst);
     WFL_CHK_ATOMIC(&self.state, kStore, seq_cst, kWkrState, kWkIdle);
     idle_workers_.fetch_add(1, std::memory_order_relaxed);
-    if (self.inbox.empty() && !stopping_.load(std::memory_order_acquire)) {
+    if (injector_.empty() && !stopping_.load(std::memory_order_acquire)) {
       self.wake.wait(seen);
     }
     self.state.store(kWkAwake, std::memory_order_seq_cst);
@@ -1193,16 +1146,16 @@ class AsyncExecutor {
   std::vector<std::atomic<AsyncOp*>> running_by_pid_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  // Inline mode's shared run queue + its claim-or-skip consumer latch.
-  MpscInjector<AsyncOp> inline_inj_;
-  std::atomic<bool> inline_consumer_{false};
+  // The shared run queue for external dispatch (workers take it whole,
+  // inline mode pops it) + inline mode's claim-or-skip consumer latch.
+  MpscInjector<AsyncOp> injector_;
+  std::atomic<bool> injector_consumer_{false};
 
   // Fuzz-only: ops diverted by the armed kShutdownHang fault (see
   // fuzz_limbo_push/fuzz_limbo_drain).
   std::atomic<AsyncOp*> fuzz_limbo_{nullptr};
 
   std::atomic<bool> stopping_{false};
-  std::atomic<std::size_t> rr_{0};
   std::atomic<std::size_t> idle_workers_{0};  // advisory sibling-wake gate
   std::atomic<std::uint64_t> in_flight_{0};
   std::atomic<std::uint64_t> live_ops_{0};

@@ -10,9 +10,9 @@
 //     vector (fastpath_hits/revocations, help_claim_skips,
 //     log_slot_resets, ...), but the branches the campaign most wants to
 //     steer into — a revocation losing its race, a help claim expiring, a
-//     cooldown resuming under traffic, a rival draining a foreign inbox —
-//     either fold into those aggregates or have no counter at all. A tap
-//     gives each of them its own feature-map dimension.
+//     cooldown resuming under traffic, a cancel sweep claiming a parked
+//     op — either fold into those aggregates or have no counter at all.
+//     A tap gives each of them its own feature-map dimension.
 //
 //   * wfl::fuzz::fault_on(f) — seeded-fault gates for mutation-testing
 //     the campaign itself (DESIGN.md §9.4). A fault re-introduces a real,
@@ -24,7 +24,7 @@
 //
 // This header is include-light on purpose (only <atomic>/<cstdint>): it
 // is pulled into core headers (descriptor/lock_table/attempt/process/
-// work_queue/async_executor) that must not grow dependencies.
+// async_executor) that must not grow dependencies.
 #pragma once
 
 #include <atomic>
@@ -43,9 +43,6 @@ enum Site : int {
   kSiteCooldownResume,      // a fast-path cooldown token's grace period
                             // expired and re-armed the embedded
                             // descriptor (process.hpp)
-  kSiteDrainAllRival,       // drain_all() took a non-empty chain — the
-                            // thief/shutdown rescue path of the MPSC
-                            // injector (work_queue.hpp)
   kSiteAsyncSignalOnDone,   // complete() observed a pending kSignalled on
                             // its kDone transition and re-delivered it
                             // (async_executor.hpp — the PR 6 lost-wake
@@ -60,7 +57,6 @@ inline const char* site_name(int s) {
     case kSiteThinRevocation: return "thin_revocation";
     case kSiteClaimExpiry: return "claim_expiry";
     case kSiteCooldownResume: return "cooldown_resume";
-    case kSiteDrainAllRival: return "drain_all_rival";
     case kSiteAsyncSignalOnDone: return "async_signal_on_done";
     case kSiteAsyncCancelSweep: return "async_cancel_sweep";
     default: return "?";

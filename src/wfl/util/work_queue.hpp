@@ -32,23 +32,21 @@
 //   * push() is multi-producer and lock-free: write the node's q_next,
 //     CAS the head. ABA-immune because push never dereferences the head
 //     it observed — a stale head value just loses the CAS.
-//   * The consumer side is SINGLE-consumer by external discipline (each
-//     executor worker owns its inbox; the inline injector is guarded by
-//     a claim-or-skip latch). pop() exchanges the whole batch out with
-//     exchange(nullptr) and reverses it into a private FIFO cache — the
-//     consumer never CASes a head it read, so there is no pop-side ABA
-//     window at all (the classic Treiber pop bug this shape deletes).
-//   * drain_all() is the one MULTI-consumer entry point: any thread may
-//     exchange the shared head out (work stealing from a descheduled
-//     owner's inbox). Concurrent drains obtain disjoint chains — the
-//     exchange is atomic and never dereferences — and the owner's
-//     private FIFO cache is untouched, so pop()'s single-consumer
-//     discipline is unaffected. The cost: items drained by a thief are
-//     ordered by the thief, so cross-queue FIFO is best-effort (it
-//     already was: the owner's cache vs. fresh pushes race the same way).
-//   * push's CAS and the consumer's pre-sleep empty() probe are seq_cst:
-//     they form the producer half of the executor's sleep Dekker
-//     (push-then-check-worker-state vs. set-idle-then-probe-inbox).
+//   * pop() is SINGLE-consumer by external discipline (the executor's
+//     inline mode guards it with a claim-or-skip latch). It exchanges
+//     the whole batch out with exchange(nullptr) and reverses it into a
+//     private FIFO cache — the consumer never CASes a head it read, so
+//     there is no pop-side ABA window at all (the classic Treiber pop bug
+//     this shape deletes).
+//   * drain_all() is the MULTI-consumer take: any thread may exchange the
+//     shared head out and receives the raw chain, newest first. The
+//     executor's workers take external dispatch this way, each reversing
+//     its own chain. Concurrent drains, and a drain racing pop()'s batch
+//     take, obtain disjoint chains — the exchange is atomic and never
+//     dereferences — and pop()'s private cache is untouched.
+//   * push's CAS and the pre-sleep empty() probe are seq_cst: each is
+//     one access of the executor's sleep Dekker
+//     (push-then-check-worker-states vs. set-idle-then-probe-injector).
 #pragma once
 
 #include <atomic>
@@ -57,7 +55,6 @@
 #include <type_traits>
 
 #include "wfl/check/race.hpp"
-#include "wfl/fuzz/sites.hpp"
 #include "wfl/util/assert.hpp"
 
 namespace wfl {
@@ -309,23 +306,22 @@ class MpscInjector {
     return n;
   }
 
-  // ANY thread: take the whole shared stack in one exchange, leaving the
-  // owner's private cache alone. Returns the raw intrusive chain in push
-  // (newest-first) order via q_next, or nullptr. This is the inbox-steal
-  // hook: a thief rescuing work from a descheduled owner reverses the
-  // chain itself. Same ABA-immunity as pop()'s batch take — the exchange
-  // never dereferences what it read, and rival drains get disjoint
-  // chains.
+  // ANY thread: take the whole shared stack in one exchange, leaving
+  // pop()'s private cache alone. Returns the raw intrusive chain in push
+  // (newest-first) order via q_next, or nullptr; the taker reverses it
+  // itself. Same ABA-immunity as pop()'s batch take — the exchange never
+  // dereferences what it read, and rival drains get disjoint chains.
   T* drain_all() {
     T* chain = head_.exchange(nullptr, std::memory_order_acq_rel);
     WFL_CHK_ATOMIC(&head_, kExchange, acq_rel, kInjTakeAll,
                    detail::ptr_bits(chain));
-    if (chain != nullptr) WFL_FUZZ_SITE(kSiteDrainAllRival);
     return chain;
   }
 
-  // Consumer only: the pre-sleep probe. seq_cst head load — the worker
-  // half of the sleep Dekker (ordered after the set-idle store).
+  // The pre-sleep probe. It reads pop()'s private cache, so it belongs to
+  // pop()'s consumer, or to drain_all() takers of a queue that no one
+  // pops. seq_cst head load — the worker half of the sleep Dekker
+  // (ordered after the set-idle store).
   bool empty() const {
     if (fifo_ != nullptr) return false;
     T* h = head_.load(std::memory_order_seq_cst);

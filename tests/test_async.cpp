@@ -6,8 +6,9 @@
 //     deterministic and conserve critical sections;
 //   * park/wake — contended RealPlat runs complete every submission with
 //     ZERO backoff spin steps (parking replaces idling), events are never
-//     lost (no wedged waiters), and idle workers never sleep through a
-//     wake (open-loop bursts with thieves, under a watchdog);
+//     lost (no wedged waiters), idle workers never sleep through a
+//     wake (open-loop bursts with thieves, under a watchdog), and an
+//     external burst is spread over more than one worker;
 //   * cancellation — a crashed client's pending ops complete as
 //     cancelled; other clients' waiters on the same locks are untouched;
 //   * fiber economy — quanta run on pooled, reused stacks.
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -206,13 +208,15 @@ TEST(Async, WorkerPoolContendedCompletesWithZeroBackoffSpin) {
 }
 
 // Open-loop bursts from one external thread onto a 3-worker pool. Between
-// bursts the workers go idle and park; each burst lands in the inbox of the
-// worker dispatch picks, and idle siblings steal from it. park() must take
-// its futex ticket before it publishes kWkIdle: taken after, a post landing
-// in between is absorbed into the ticket, a thief drains the inbox, and the
-// worker sleeps on a consumed post with its state stuck at kWkSignalled —
-// dispatch then keeps routing work to it and skips every wake. A 1-s
-// no-progress watchdog turns that wedge into a failure instead of a hang.
+// bursts the workers go idle and park; each burst lands on the shared
+// injector, and whichever workers are awake take it whole, spill it onto
+// their deques and steal from each other. park() must take its futex
+// ticket before it publishes kWkIdle: taken after, a post landing in
+// between is absorbed into the ticket, another worker takes the
+// injector's chain, and the worker sleeps on a consumed post with its
+// state stuck at kWkSignalled — dispatch then reads it as awake and skips
+// every later wake. A 1-s no-progress watchdog turns that wedge into a
+// failure instead of a hang.
 TEST(Async, OpenLoopBurstsWithThievesNeverWedge) {
   using Exec = AsyncExecutor<RealPlat>;
   using Clock = std::chrono::steady_clock;
@@ -289,6 +293,45 @@ TEST(Async, OpenLoopBurstsWithThievesNeverWedge) {
   for (const auto& c : *counters) counted += c.peek();
   EXPECT_EQ(counted, kOps);
   EXPECT_EQ(exec->in_flight(), 0u);
+}
+
+// Work conservation. External dispatch wakes a worker only when every
+// worker is idle, so a burst from one thread wakes one worker and the
+// rest of the burst coalesces behind it. That worker takes the chain,
+// spills it onto its deque and must wake an idle sibling to steal from
+// it; without that wake the whole burst runs on one thread. Each thunk
+// busy-waits so that one thread cannot drain the burst before a woken
+// sibling gets scheduled.
+TEST(Async, ExternalBurstRunsOnMoreThanOneWorker) {
+  const LockConfig cfg = off_cfg();
+  LockTable<RealPlat> space(cfg, 4, 16);
+  AsyncExecutor<RealPlat> exec(space, {.workers = 3});
+  Session<RealPlat> s(space);
+  AsyncClient<RealPlat> client(s);
+  // Let all three workers park before the burst arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  constexpr int kOps = 16;  // op i takes lock i
+  std::array<std::size_t, kOps> ran_on{};
+  std::vector<AsyncExecutor<RealPlat>::Ticket> tickets;
+  for (int i = 0; i < kOps; ++i) {
+    std::size_t* slot = &ran_on[static_cast<std::size_t>(i)];
+    tickets.push_back(exec.async_submit(
+        client, StaticLockSet<1>({static_cast<std::uint32_t>(i)}),
+        [slot](IdemCtx<RealPlat>&) {
+          *slot = std::hash<std::thread::id>{}(std::this_thread::get_id());
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+        },
+        Policy::retry()));
+  }
+  for (auto& t : tickets) EXPECT_TRUE(t.wait().won);
+  std::sort(ran_on.begin(), ran_on.end());
+  const auto threads =
+      std::unique(ran_on.begin(), ran_on.end()) - ran_on.begin();
+  EXPECT_GE(threads, 2) << "a burst on distinct locks ran on one worker";
 }
 
 // --- cancellation ----------------------------------------------------------

@@ -432,9 +432,9 @@ TEST(Injector, DrainAllTakesSharedChainNotOwnerCache) {
   EXPECT_EQ(inj.drain_all(), nullptr);
 }
 
-// Producers vs. a popping owner vs. a foreign drainer (the inbox-steal
-// shape from the executor): rival exchanges must get disjoint chains and
-// conservation must hold. TSan sweeps the cross-thread interleavings.
+// Producers vs. a popping owner vs. a foreign drainer: rival exchanges
+// must get disjoint chains and conservation must hold. TSan sweeps the
+// cross-thread interleavings.
 TEST(WorkQueueStress, InjectorForeignDrainTsanSweep) {
   constexpr int kProducers = 3;
   constexpr int kPer = 10000;
