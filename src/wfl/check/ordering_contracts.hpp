@@ -1,37 +1,41 @@
 // Machine-checked memory-ordering contracts for every weakened operation.
 //
 // The paper's model is sequentially consistent shared memory: every
-// Plat::Atomic operation is seq_cst and counted as a step. PRs 4-6 weakened
-// orderings at a closed set of *infrastructure* sites (reclamation, pools,
-// advisory scheduling state — all outside the step model, DESIGN.md
-// substitution #2), each justified by a hand-written argument in DESIGN.md
-// §4.4/§5.1/§6.1. This header turns those arguments into data: one Site per
-// weakened operation, one Contract naming the *kind* of argument that makes
-// the weakening sound, and a rationale string quoting it. The analysis
-// engine (check/race.hpp) looks every hooked operation up here and verifies
-// the declared contract dynamically:
+// Plat::Atomic operation is seq_cst and counted as a step. The
+// *infrastructure* outside the step model (reclamation, pools, queues,
+// executor state — DESIGN.md substitution #2) runs on race::Atomic
+// (check/race.hpp), whose every operation names one Site below. Most sites
+// are weakened below seq_cst, each justified by a hand-written argument in
+// DESIGN.md §4.4/§5.1/§6.1/§8; the rest are the seq_cst halves of the
+// store-buffering (Dekker) protocols those arguments rest on. This header
+// turns the arguments into data: one Site per operation, one Contract
+// naming the *kind* of argument that makes its order sound, and a
+// rationale string quoting it. race::Atomic reports the order each
+// operation executed with, and the analysis engine checks it against the
+// site's contract:
 //
-//   * strength contracts (kSeqCstOnly/kAcquireLoad/kReleaseStore/kAcqRelRmw)
-//     check the declared memory_order of the operation that actually ran —
-//     a seeded mutation (or a future refactor that silently downgrades an
-//     order) is reported at the first occurrence;
-//   * kFencedAnnounce drives a structural Dekker check: a relaxed announce
-//     store must be separated from its seq_cst verify load by a seq_cst
-//     fence (the EBR publication-point pattern, DESIGN.md §4.4);
-//   * kOrderedWrites runs a happens-before race check over all writes to
-//     the word: relaxed is sound only because every pair of writes is
-//     ordered by some *other* hooked synchronization (e.g. the striped
-//     stats counters: every bump runs on the owning process);
+//   * strength contracts (kSeqCstOnly/kAcquireLoad/kReleaseStore/kAcqRelRmw/
+//     kFutexSeq) check the memory_order of the operation that actually ran
+//     — an edit (or a seeded mutation) that downgrades an order is
+//     reported at its first occurrence. The Dekker protocols (the EBR
+//     announce-then-verify, the Chase–Lev take/steal race, the executor's
+//     sleep handshake) are kSeqCstOnly on every access: their either-or
+//     argument is stated over the single total order S of seq_cst
+//     operations, and the tree has no fences;
+//   * kOrderedWrites documents that relaxed is sound only because every
+//     pair of writes is ordered by some *other* synchronization (e.g. the
+//     striped stats counters: every bump runs on the owning process);
 //   * kAdvisory and kAtomicOnly document that the value is never trusted
 //     for safety (claims, gauges) or that only RMW atomicity is load-
 //     bearing (serial refill); no dynamic check beyond event logging.
 //
-// Sites NOT listed here are intentionally unhooked: pool segment-directory
-// publication (serialized by grow()'s mutex, consumed with acquire loads),
-// pool membership bits (a corruption check whose verdict needs only RMW
-// atomicity), pure monotone gauges (freelist_ops, executor wake/park
-// counters), and quiescent teardown reads. A hooked atomic operation that arrives with a
-// weakened order and NO site is itself a finding ("undeclared weakening").
+// Atomics NOT on race::Atomic are intentionally unhooked plain
+// std::atomic: pool segment-directory publication (serialized by grow()'s
+// mutex, consumed with acquire loads), pool membership bits (a corruption
+// check whose verdict needs only RMW atomicity), pure monotone gauges
+// (freelist_ops, executor wake/park counters) and the shm table's session
+// records. A hooked atomic operation that arrives with a weakened order
+// and NO site is itself a finding ("undeclared weakening").
 #pragma once
 
 #include <cstdint>
@@ -42,9 +46,8 @@ enum class Site : std::uint8_t {
   kUnknown = 0,
 
   // --- EBR (mem/ebr.hpp, DESIGN.md §4.4) ---
-  kEbrAnnounce,         // p.active relaxed store (publication-point fence)
-  kEbrEpochAnnounce,    // p.epoch relaxed store (same fence pattern)
-  kEbrPublishFence,     // the seq_cst publication-point fence
+  kEbrAnnounce,         // p.active seq_cst store (the publication point)
+  kEbrEpochAnnounce,    // p.epoch seq_cst re-announce store
   kEbrVerifyLoad,       // global_epoch seq_cst load closing the window
   kEbrEpochSelfLoad,    // own epoch word, relaxed (single-writer)
   kEbrExit,             // p.active release store (guard exit)
@@ -94,13 +97,14 @@ enum class Site : std::uint8_t {
   kAsyncInFlight,       // in_flight_ acquire load / acq_rel sub (shutdown)
 
   // --- Lock-free work queue (util/work_queue.hpp, DESIGN.md §8) ---
-  kWqTopLoad,           // top acquire load (steal open; push/take recheck)
+  kWqTopLoad,           // top acquire load (push, size estimate)
+  kWqTopDekkerLoad,     // take's and steal's seq_cst top load
   kWqTopCas,            // top seq_cst CAS (steal vs. take on one element)
   kWqBottomOwnLoad,     // owner's own bottom read (single-writer word)
   kWqBottomPublish,     // push's bottom release store (publishes the slot)
-  kWqBottomReserve,     // take's speculative decrement (fence-ordered)
-  kWqBottomStealLoad,   // steal's bottom acquire load
-  kWqFence,             // take/steal seq_cst fences (the Dekker points)
+  kWqBottomReserve,     // take's speculative decrement (seq_cst)
+  kWqBottomRestore,     // take's undo of the reservation
+  kWqBottomStealLoad,   // steal's bottom seq_cst load
   kWqRingPublish,       // grow's ring-pointer release store
   kWqRingLoad,          // ring-pointer acquire load
   kWqSlot,              // ring slot store/load (valid-or-discarded)
@@ -131,8 +135,6 @@ enum class Contract : std::uint8_t {
   kAcqRelRmw,      // RMW must be >= acq_rel (link in a hand-off chain)
   kFutexSeq,       // one-way hand-off word: writes/RMWs publish (>= release),
                    // loads consume (>= acquire); the RMW never reads payload
-  kFencedAnnounce, // relaxed store ordered by the publication-point fence
-  kSeqCstFence,    // the fence itself must be seq_cst
   kOrderedWrites,  // relaxed ok; all writes must be pairwise HB-ordered
   kAdvisory,       // value is a hint; correctness never depends on it
   kAtomicOnly,     // RMW atomicity load-bearing, ordering is not
@@ -152,14 +154,13 @@ inline constexpr SiteInfo kSiteTable[] = {
     {Site::kUnknown, "unknown", Contract::kSeqCstOnly,
      "unannotated operations carry the paper's full seq_cst obligation"},
 
-    {Site::kEbrAnnounce, "ebr.announce", Contract::kFencedAnnounce,
-     "ordered before the verify load by the publication-point fence"},
-    {Site::kEbrEpochAnnounce, "ebr.epoch_announce", Contract::kFencedAnnounce,
-     "same fence pattern; stale value conservatively blocks advancement"},
-    {Site::kEbrPublishFence, "ebr.publish_fence", Contract::kSeqCstFence,
-     "the Dekker publication point: orders announce vs. scan either-or"},
+    {Site::kEbrAnnounce, "ebr.announce", Contract::kSeqCstOnly,
+     "the publication point: precedes the verify load in S, so either the "
+     "advancer's scan sees it or the verify load sees the advance"},
+    {Site::kEbrEpochAnnounce, "ebr.epoch_announce", Contract::kSeqCstOnly,
+     "same either-or; a stale value conservatively blocks advancement"},
     {Site::kEbrVerifyLoad, "ebr.verify_load", Contract::kSeqCstOnly,
-     "must be seq_cst to close the fence's either-or window"},
+     "the announce's partner in S: closes the either-or window"},
     {Site::kEbrEpochSelfLoad, "ebr.epoch_self_load", Contract::kAdvisory,
      "own single-writer word; skip-reannounce fast path only"},
     {Site::kEbrExit, "ebr.exit", Contract::kReleaseStore,
@@ -173,7 +174,7 @@ inline constexpr SiteInfo kSiteTable[] = {
     {Site::kEbrScanActive, "ebr.scan_active", Contract::kSeqCstOnly,
      "observing exit's release store closes the grace period"},
     {Site::kEbrScanEpoch, "ebr.scan_epoch", Contract::kSeqCstOnly,
-     "paired with scan_active; fence-published epoch must be visible"},
+     "paired with scan_active; the announced epoch must be visible"},
     {Site::kEbrEpochAdvanceCas, "ebr.epoch_advance_cas",
      Contract::kSeqCstOnly, "advance chain carries every scanner's reads"},
     {Site::kEbrParticipantCount, "ebr.participant_count",
@@ -243,6 +244,10 @@ inline constexpr SiteInfo kSiteTable[] = {
     {Site::kWqTopLoad, "wq.top_load", Contract::kAcquireLoad,
      "joins the last successful top CAS: slots at or past top are the "
      "thieves'; anything older is settled before we size the deque"},
+    {Site::kWqTopDekkerLoad, "wq.top_dekker_load", Contract::kSeqCstOnly,
+     "take reads top after its seq_cst reservation, steal reads it before "
+     "its seq_cst bottom load: in S one of them sees the other, or both "
+     "would claim the last element (DESIGN.md §8.1)"},
     {Site::kWqTopCas, "wq.top_cas", Contract::kSeqCstOnly,
      "the linearization point of steal/take-last: both racers CAS the same "
      "top value and exactly one wins; seq_cst closes the Dekker with the "
@@ -251,15 +256,16 @@ inline constexpr SiteInfo kSiteTable[] = {
      "the owner is bottom's only writer; its own read needs no ordering"},
     {Site::kWqBottomPublish, "wq.bottom_publish", Contract::kReleaseStore,
      "push's bottom bump publishes the slot write to steal's acquire load"},
-    {Site::kWqBottomReserve, "wq.bottom_reserve", Contract::kAdvisory,
-     "take's speculative decrement; ordered against thieves' top reads by "
-     "the seq_cst fence that follows it (wq.fence), not by this store"},
-    {Site::kWqBottomStealLoad, "wq.bottom_steal_load", Contract::kAcquireLoad,
-     "consumes push's release bump: the slot is visible before it is read"},
-    {Site::kWqFence, "wq.fence", Contract::kSeqCstFence,
-     "the owner-vs-thief Dekker point: reserve-then-read-top on the owner, "
-     "read-top-then-read-bottom on the thief — one of them must see the "
-     "other or both would claim the last element"},
+    {Site::kWqBottomReserve, "wq.bottom_reserve", Contract::kSeqCstOnly,
+     "the owner half of the take/steal Dekker: the reservation precedes "
+     "take's top load in S"},
+    {Site::kWqBottomRestore, "wq.bottom_restore", Contract::kAdvisory,
+     "puts back a bottom at or below top; it publishes no slot, so a "
+     "thief that reads it finds the deque empty or loses the top CAS"},
+    {Site::kWqBottomStealLoad, "wq.bottom_steal_load", Contract::kSeqCstOnly,
+     "the thief half of the Dekker, after its top load in S; as an "
+     "acquire it also consumes push's release bump, so the slot is "
+     "visible before it is read"},
     {Site::kWqRingPublish, "wq.ring_publish", Contract::kReleaseStore,
      "grow() publishes the copied ring before thieves can dereference it"},
     {Site::kWqRingLoad, "wq.ring_load", Contract::kAcquireLoad,

@@ -37,7 +37,8 @@ bool is_load_class(Op op) {
   return op == Op::kLoad || op == Op::kPeek || op == Op::kCasFail;
 }
 bool is_rmw_class(Op op) {
-  return op == Op::kCasOk || op == Op::kExchange || op == Op::kFetchAdd;
+  return op == Op::kCasOk || op == Op::kExchange || op == Op::kFetchAdd ||
+         op == Op::kFetchSub;
 }
 
 const char* op_name(Op op) {
@@ -48,6 +49,7 @@ const char* op_name(Op op) {
     case Op::kCasFail: return "cas(fail)";
     case Op::kExchange: return "exchange";
     case Op::kFetchAdd: return "fetch_add";
+    case Op::kFetchSub: return "fetch_sub";
     case Op::kInit: return "init";
     case Op::kPeek: return "peek";
   }
@@ -85,10 +87,6 @@ struct VC {
 
 struct PerProc {
   VC clock;
-  VC pending_acquire;  // sync consumed by relaxed loads, owed to a fence
-  VC release_fence;    // snapshot armed by a release fence
-  bool fence_armed = false;
-  bool announce_pending = false;  // EBR announce not yet fenced
   Site pending_tag = Site::kUnknown;
 };
 
@@ -116,7 +114,6 @@ struct RegionState {
 
 enum class Ev : std::uint8_t {
   kAtomic,
-  kFence,
   kPlainRead,
   kPlainWrite,
   kMutexAcq,
@@ -298,19 +295,6 @@ struct RaceEngine::Impl {
     pp.clock.set(c.p, pp.clock.at(c.p) + 1);
     check_contract(c, op, eff, site);
 
-    // EBR publication-point state machine (structural Dekker check).
-    if (site == Site::kEbrAnnounce || site == Site::kEbrEpochAnnounce) {
-      pp.announce_pending = true;
-    } else if (site == Site::kEbrVerifyLoad && pp.announce_pending) {
-      std::ostringstream os;
-      os << "EBR epoch verify load at ebr.verify_load is not separated from "
-            "the preceding announce store by a seq_cst fence: the collector "
-            "scan may miss this guard and reclaim under it (DESIGN.md §4.4)"
-         << repro(c);
-      add_finding("unfenced-announce", site, addr, os.str());
-      pp.announce_pending = false;  // report once per window
-    }
-
     LocState& loc = locs[addr];
     push_trace(TraceEvent{Ev::kAtomic, op, site, eff, c.pid, c.slot, addr,
                           val});
@@ -370,36 +354,19 @@ struct RaceEngine::Impl {
     }
 
     // Clock flow per the declared-order model (race.hpp header comment).
-    if (is_load_class(op) || op == Op::kPeek) {
-      if (is_acquire(eff)) {
-        pp.clock.join(loc.sync);
-      } else {
-        pp.pending_acquire.join(loc.sync);
-      }
+    if ((is_load_class(op) || is_rmw_class(op)) && is_acquire(eff)) {
+      pp.clock.join(loc.sync);
     }
     if (op == Op::kStore) {
       if (is_release(eff)) {
         loc.sync = pp.clock;
-      } else if (pp.fence_armed) {
-        loc.sync = pp.release_fence;  // fence-ordered relaxed publication
       } else {
         loc.sync.clear();
       }
     }
-    if (is_rmw_class(op)) {
-      if (is_acquire(eff)) {
-        pp.clock.join(loc.sync);
-      } else {
-        pp.pending_acquire.join(loc.sync);
-      }
-      // RMWs continue the release sequence: the prior sync survives; a
-      // release-class RMW additionally publishes this process.
-      if (is_release(eff)) {
-        loc.sync.join(pp.clock);
-      } else if (pp.fence_armed) {
-        loc.sync.join(pp.release_fence);
-      }
-    }
+    // RMWs continue the release sequence: the prior sync survives; a
+    // release-class RMW additionally publishes this process.
+    if (is_rmw_class(op) && is_release(eff)) loc.sync.join(pp.clock);
     if (is_seq(eff)) seq_join(pp);
 
     const std::uint64_t self = pp.clock.at(c.p);
@@ -407,42 +374,6 @@ struct RaceEngine::Impl {
     if (op == Op::kStore || op == Op::kInit || is_rmw_class(op)) {
       stamp(loc.write_vc, loc.write_slot, c.p, self, c.slot);
     }
-  }
-
-  void on_fence(std::memory_order declared, Site site) {
-    ++events;
-    Ctx c = ctx();
-    if (mutation.kind == Mutation::Kind::kDropFence && site == mutation.site) {
-      // The model behaves as if this fence were deleted from the program.
-      push_trace(TraceEvent{Ev::kFence, Op::kLoad, site, declared, c.pid,
-                            c.slot, nullptr, 0});
-      return;
-    }
-    PerProc& pp = proc(c.p);
-    const std::memory_order eff = effective(site, declared);
-    pp.clock.set(c.p, pp.clock.at(c.p) + 1);
-    if (site_info(site).contract == Contract::kSeqCstFence && !is_seq(eff)) {
-      std::ostringstream os;
-      os << "ordering contract violated at " << site_info(site).name
-         << ": fence ran with " << ord_name(eff)
-         << ", contract requires seq_cst (" << site_info(site).why << ")"
-         << repro(c);
-      add_finding("contract", site, nullptr, os.str());
-    }
-    if (is_acquire(eff)) {
-      pp.clock.join(pp.pending_acquire);
-      pp.pending_acquire.clear();
-    }
-    if (is_release(eff)) {
-      pp.release_fence = pp.clock;
-      pp.fence_armed = true;
-    }
-    if (is_seq(eff)) {
-      seq_join(pp);
-      pp.announce_pending = false;  // the publication point
-    }
-    push_trace(TraceEvent{Ev::kFence, Op::kLoad, site, eff, c.pid, c.slot,
-                          nullptr, 0});
   }
 
   void on_plain(const void* region, bool is_write, Site site) {
@@ -528,9 +459,6 @@ struct RaceEngine::Impl {
     for (PerProc& pp : procs) all.join(pp.clock);
     for (PerProc& pp : procs) {
       pp.clock = all;
-      pp.pending_acquire.clear();
-      pp.fence_armed = false;
-      pp.announce_pending = false;
       pp.pending_tag = Site::kUnknown;
     }
     sc = all;
@@ -587,6 +515,14 @@ std::uint64_t RaceEngine::events() const { return impl_->events; }
 std::uint64_t RaceEngine::foreign_events() const { return impl_->foreign; }
 std::uint64_t RaceEngine::last_seed() const { return impl_->seed; }
 
+RaceEngine::AtomicEvent RaceEngine::last_atomic() const {
+  std::lock_guard<std::mutex> g(impl_->mu);
+  const TraceEvent& e = impl_->trace[(impl_->trace_n - 1) % kTraceCap];
+  WFL_CHECK_MSG(impl_->trace_n > 0 && e.ev == Ev::kAtomic,
+                "race::RaceEngine: the last event is not an atomic operation");
+  return {e.addr, e.op, e.order, e.site, e.val};
+}
+
 void RaceEngine::report(std::ostream& os) const {
   std::lock_guard<std::mutex> g(impl_->mu);
   os << "[wfl-race] " << impl_->findings.size() << " finding(s), "
@@ -611,7 +547,6 @@ void RaceEngine::report(std::ostream& os) const {
           os << op_name(e.op) << "(" << ord_name(e.order) << ") val=0x"
              << std::hex << e.val << std::dec;
           break;
-        case Ev::kFence: os << "fence(" << ord_name(e.order) << ")"; break;
         case Ev::kPlainRead: os << "plain-read"; break;
         case Ev::kPlainWrite: os << "plain-write"; break;
         case Ev::kMutexAcq: os << "mutex-acquire"; break;
@@ -641,16 +576,6 @@ void atomic_event_slow(RaceEngine* e, const void* addr, Op op,
     return;
   }
   im.on_atomic(addr, op, order, site, val);
-}
-
-void fence_event_slow(RaceEngine* e, std::memory_order order, Site site) {
-  RaceEngine::Impl& im = e->impl();
-  std::lock_guard<std::mutex> g(im.mu);
-  if (!owner_thread(im)) {
-    ++im.foreign;
-    return;
-  }
-  im.on_fence(order, site);
 }
 
 void plain_event_slow(RaceEngine* e, const void* region, bool is_write,

@@ -97,7 +97,7 @@
 // construction). kTheory timing is owned by the paper's delay schedule;
 // parking would perturb the reveal-time argument, and bit-identical
 // kTheory step traces are a hard regression gate. The executor's own
-// plumbing (queues, wait lists, state CASes) is raw std::atomic/mutex,
+// plumbing (queues, wait lists, state CASes) is raw atomics and mutexes,
 // outside the step model, same as reclamation (DESIGN.md #2).
 #pragma once
 
@@ -110,6 +110,7 @@
 #include <vector>
 
 #include "wfl/check/race.hpp"
+#include "wfl/core/backend.hpp"
 #include "wfl/core/executor.hpp"
 #include "wfl/core/lock_set.hpp"
 #include "wfl/core/session.hpp"
@@ -131,23 +132,13 @@ template <typename Space>
 class BasicAsyncClient {
  public:
   explicit BasicAsyncClient(BasicSession<Space>& session)
-      : session_(&session) {
-    // Seed the analysis layer's shadow state and retire it on destruction:
-    // live_ is annotated with WFL_CHK_ATOMIC at every access, so a client
-    // constructed at a recycled heap address must not alias the previous
-    // occupant's final (crashed) value.
-    race::created(&live_, 1);
-  }
-
-  ~BasicAsyncClient() { race::destroyed(&live_); }
+      : session_(&session) {}
 
   BasicAsyncClient(const BasicAsyncClient&) = delete;
   BasicAsyncClient& operator=(const BasicAsyncClient&) = delete;
 
   bool live() const {
-    const bool r = live_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&live_, kLoad, acquire, kAsyncClientLive, r ? 1 : 0);
-    return r;
+    return live_.load(std::memory_order_acquire, race::Site::kAsyncClientLive);
   }
 
   // Crash-harness hook: pending submissions complete as cancelled
@@ -156,8 +147,8 @@ class BasicAsyncClient {
   // caller's to abandon (LockTable::abandon_process) — the two are
   // independent layers.
   void crash() {
-    live_.store(false, std::memory_order_release);
-    WFL_CHK_ATOMIC(&live_, kStore, release, kAsyncClientLive, 0);
+    live_.store(false, std::memory_order_release,
+                race::Site::kAsyncClientLive);
   }
 
   BasicSession<Space>& session() const { return *session_; }
@@ -180,7 +171,7 @@ class BasicAsyncClient {
 
  private:
   BasicSession<Space>* session_;
-  std::atomic<bool> live_{true};
+  race::Atomic<bool> live_{true};
   std::atomic<bool> inline_busy_{false};
 };
 
@@ -218,9 +209,6 @@ class AsyncExecutor {
         : client(&c), policy(p), armed(a) {
       n_locks = locks.size();
       for (std::uint32_t i = 0; i < n_locks; ++i) ids[i] = locks[i];
-      race::created(&state, kQueued);
-      race::created(&refs, 2);
-      race::created(&q_next, 0);
     }
 
     LockSetView locks() const {
@@ -236,9 +224,9 @@ class AsyncExecutor {
     bool cancelled = false;
     Outcome out;
 
-    std::atomic<std::uint32_t> state{kQueued};
+    race::Atomic<std::uint32_t> state{kQueued};
     // Two owners: the Ticket and the executor. Last one out deletes.
-    std::atomic<std::uint32_t> refs{2};
+    race::Atomic<std::uint32_t> refs{2};
     typename Plat::Wake done_wake;
 
     // Intrusive wait-list nodes, one per lock of the set. Touched only
@@ -252,20 +240,17 @@ class AsyncExecutor {
 
     // MPSC injector link (work_queue.hpp): written by the pushing thread
     // before the head CAS publishes it, read by the sole consumer.
-    std::atomic<AsyncOp*> q_next{nullptr};
+    race::Atomic<AsyncOp*> q_next{nullptr};
 
     // The owning executor's live-record gauge (see live_ops()).
     std::atomic<std::uint64_t>* live_gauge = nullptr;
 
     void unref() {
-      const std::uint32_t prev = refs.fetch_sub(1, std::memory_order_acq_rel);
-      WFL_CHK_ATOMIC(&refs, kFetchAdd, acq_rel, kAsyncRefsDrop, prev - 1);
-      if (prev == 1) {
+      if (refs.fetch_sub(1, std::memory_order_acq_rel,
+                         race::Site::kAsyncRefsDrop) == 1) {
         live_gauge->fetch_sub(1, std::memory_order_relaxed);
-        // Retire tracked addresses before the storage can be heap-reused.
-        race::destroyed(&state);
-        race::destroyed(&refs);
-        race::destroyed(&q_next);
+        // Retire the outcome region before the storage can be heap-reused
+        // (the atomics retire themselves).
         race::destroyed(&out);
         delete this;
       }
@@ -298,9 +283,8 @@ class AsyncExecutor {
     bool valid() const { return op_ != nullptr; }
     bool done() const {
       if (op_ == nullptr) return false;
-      const std::uint32_t s = op_->state.load(std::memory_order_acquire);
-      WFL_CHK_ATOMIC(&op_->state, kLoad, acquire, kAsyncStateLoad, s);
-      return s == AsyncOp::kDone;
+      return op_->state.load(std::memory_order_acquire,
+                             race::Site::kAsyncStateLoad) == AsyncOp::kDone;
     }
     // True while the submission is parked on its wait nodes (it lost an
     // attempt and no wake has arrived) — the state cancel_client's
@@ -308,9 +292,8 @@ class AsyncExecutor {
     // fuzzer's crash targeting; racy by nature, use as a hint only.
     bool parked() const {
       if (op_ == nullptr) return false;
-      const std::uint32_t s = op_->state.load(std::memory_order_acquire);
-      WFL_CHK_ATOMIC(&op_->state, kLoad, acquire, kAsyncStateLoad, s);
-      return s == AsyncOp::kParked;
+      return op_->state.load(std::memory_order_acquire,
+                             race::Site::kAsyncStateLoad) == AsyncOp::kParked;
     }
 
     // Blocks until the submission completes and returns its Outcome.
@@ -372,7 +355,6 @@ class AsyncExecutor {
                   "simulated platforms require workers == 0 (inline "
                   "mode): worker threads cannot drive the fiber "
                   "scheduler");
-    race::created(&in_flight_, 0);  // hooked raw atomic: fresh shadow state
     sink_.exec = this;
     space_->set_wake_sink(&sink_);
     workers_.reserve(static_cast<std::size_t>(options_.workers));
@@ -385,10 +367,7 @@ class AsyncExecutor {
     }
   }
 
-  ~AsyncExecutor() {
-    shutdown();
-    race::destroyed(&in_flight_);
-  }
+  ~AsyncExecutor() { shutdown(); }
 
   AsyncExecutor(const AsyncExecutor&) = delete;
   AsyncExecutor& operator=(const AsyncExecutor&) = delete;
@@ -402,17 +381,17 @@ class AsyncExecutor {
   Ticket async_submit(Client& client, LockSetView locks, F f,
                       Policy policy = Policy::retry()) {
     WFL_CHECK(!stopping_.load(std::memory_order_acquire));
-    WFL_CHECK_MSG(locks.size() <= space_->config().max_locks,
-                  "lock set exceeds the configured L bound");
+    // The L bound, and every id below num_locks(): link_nodes indexes
+    // wait_lists_ by id.
+    check_lock_set(*space_, locks);
     const PreparedOp<Plat> prep(locks, std::move(f));
     auto* op = new AsyncOp(client, locks, prep.armed(), policy);
     op->live_gauge = &live_ops_;
     live_ops_.fetch_add(1, std::memory_order_relaxed);
     // acq_rel, matching the drain side: the shutdown loop's acquire load
     // must never observe a count weaker than the queue state it mirrors.
-    const std::uint64_t now =
-        in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    WFL_CHK_ATOMIC(&in_flight_, kFetchAdd, acq_rel, kAsyncInFlight, now);
+    in_flight_.fetch_add(1, std::memory_order_acq_rel,
+                         race::Site::kAsyncInFlight);
     dispatch(op);
     return Ticket(op, this);
   }
@@ -458,9 +437,8 @@ class AsyncExecutor {
         if (op->client != &client) continue;
         std::uint32_t expect = AsyncOp::kParked;
         if (op->state.compare_exchange_strong(expect, AsyncOp::kRunning,
-                                              std::memory_order_acq_rel)) {
-          WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                         AsyncOp::kRunning);
+                                              std::memory_order_acq_rel,
+                                              race::Site::kAsyncStateCas)) {
           WFL_FUZZ_SITE(kSiteAsyncCancelSweep);
           if (fuzz::fault_on(fuzz::Fault::kShutdownHang)) {
             // Seeded fault (fuzz mutation gate): the PR 6 shutdown hang.
@@ -475,20 +453,10 @@ class AsyncExecutor {
           } else {
             dispatch(op);
           }
-        } else {
-          WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas,
-                         expect);
-          if (expect == AsyncOp::kRunning) {
-            const bool sig = op->state.compare_exchange_strong(
-                expect, AsyncOp::kSignalled, std::memory_order_acq_rel);
-            if (sig) {
-              WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                             AsyncOp::kSignalled);
-            } else {
-              WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas,
-                             expect);
-            }
-          }
+        } else if (expect == AsyncOp::kRunning) {
+          op->state.compare_exchange_strong(expect, AsyncOp::kSignalled,
+                                            std::memory_order_acq_rel,
+                                            race::Site::kAsyncStateCas);
         }
       }
     }
@@ -500,9 +468,8 @@ class AsyncExecutor {
   // Submissions accepted and not yet complete (queued, attempting, or
   // parked).
   std::uint64_t in_flight() const {
-    const std::uint64_t n = in_flight_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&in_flight_, kLoad, acquire, kAsyncInFlight, n);
-    return n;
+    return in_flight_.load(std::memory_order_acquire,
+                           race::Site::kAsyncInFlight);
   }
   // Live session records: submitted and the Outcome not yet consumed
   // (the Ticket still open), whatever the op's state. This is the
@@ -560,14 +527,11 @@ class AsyncExecutor {
   static constexpr std::uint32_t kWkSignalled = 2;
 
   struct Worker {
-    explicit Worker(Space& s) : session(s) {
-      race::created(&state, kWkAwake);
-    }
-    ~Worker() { race::destroyed(&state); }
+    explicit Worker(Space& s) : session(s) {}
 
     Session session;  // the registered process attempts run under
     ChaseLevDeque<AsyncOp*> deque;  // owner push/take bottom, thieves top
-    std::atomic<std::uint32_t> state{kWkAwake};
+    race::Atomic<std::uint32_t> state{kWkAwake};
     typename Plat::Wake wake;
     Counters counters;
     std::thread thread;
@@ -623,30 +587,26 @@ class AsyncExecutor {
          n = n->next) {
       AsyncOp* op = n->op;
       if (op == self) continue;
-      std::uint32_t s = op->state.load(std::memory_order_acquire);
-      WFL_CHK_ATOMIC(&op->state, kLoad, acquire, kAsyncStateLoad, s);
+      std::uint32_t s = op->state.load(std::memory_order_acquire,
+                                       race::Site::kAsyncStateLoad);
       if (s == AsyncOp::kParked) {
         if (op->state.compare_exchange_strong(s, AsyncOp::kRunning,
-                                              std::memory_order_acq_rel)) {
-          WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                         AsyncOp::kRunning);
+                                              std::memory_order_acq_rel,
+                                              race::Site::kAsyncStateCas)) {
           counters_here().wakes.fetch_add(1, std::memory_order_relaxed);
           dispatch(op);
           return;  // wake-one
         }
-        WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas, s);
-        s = op->state.load(std::memory_order_acquire);
-        WFL_CHK_ATOMIC(&op->state, kLoad, acquire, kAsyncStateLoad, s);
+        s = op->state.load(std::memory_order_acquire,
+                           race::Site::kAsyncStateLoad);
       }
       if (s == AsyncOp::kRunning) {
         if (op->state.compare_exchange_strong(s, AsyncOp::kSignalled,
-                                              std::memory_order_acq_rel)) {
-          WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                         AsyncOp::kSignalled);
+                                              std::memory_order_acq_rel,
+                                              race::Site::kAsyncStateCas)) {
           counters_here().signals.fetch_add(1, std::memory_order_relaxed);
           return;  // converted into that op's immediate retry
         }
-        WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas, s);
       }
       if (s == AsyncOp::kSignalled) return;  // absorbed: a retry is owed
     }
@@ -662,7 +622,7 @@ class AsyncExecutor {
   void fuzz_limbo_push(AsyncOp* op) {
     AsyncOp* head = fuzz_limbo_.load(std::memory_order_relaxed);
     do {
-      op->q_next.store(head, std::memory_order_relaxed);
+      op->q_next.store(head, std::memory_order_relaxed, race::Site::kInjNext);
     } while (!fuzz_limbo_.compare_exchange_weak(
         head, op, std::memory_order_release, std::memory_order_relaxed));
   }
@@ -675,8 +635,10 @@ class AsyncExecutor {
     if (fuzz::fault_on(fuzz::Fault::kShutdownHang)) return;
     AsyncOp* op = fuzz_limbo_.exchange(nullptr, std::memory_order_acquire);
     while (op != nullptr) {
-      AsyncOp* next = op->q_next.load(std::memory_order_relaxed);
-      op->q_next.store(nullptr, std::memory_order_relaxed);
+      AsyncOp* next =
+          op->q_next.load(std::memory_order_relaxed, race::Site::kInjNext);
+      op->q_next.store(nullptr, std::memory_order_relaxed,
+                       race::Site::kInjNext);
       dispatch(op);
       op = next;
     }
@@ -716,9 +678,8 @@ class AsyncExecutor {
     injector_.push(op);
     if (workers_.empty()) return;  // inline: run_ready() pops it
     for (const auto& w : workers_) {
-      const std::uint32_t s = w->state.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&w->state, kLoad, seq_cst, kWkrState, s);
-      if (s != kWkIdle) {
+      if (w->state.load(std::memory_order_seq_cst, race::Site::kWkrState) !=
+          kWkIdle) {
         counters_here().wake_skips.fetch_add(1, std::memory_order_relaxed);
         return;
       }
@@ -734,18 +695,16 @@ class AsyncExecutor {
     const std::size_t n = workers_.size();
     for (std::size_t i = 0; i < n; ++i) {
       Worker& v = *workers_[(start + i) % n];
-      std::uint32_t s = v.state.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&v.state, kLoad, seq_cst, kWkrState, s);
+      std::uint32_t s =
+          v.state.load(std::memory_order_seq_cst, race::Site::kWkrState);
       if (s != kWkIdle) continue;
       if (v.state.compare_exchange_strong(s, kWkSignalled,
                                           std::memory_order_seq_cst,
-                                          std::memory_order_seq_cst)) {
-        WFL_CHK_ATOMIC(&v.state, kCasOk, seq_cst, kWkrState, kWkSignalled);
+                                          race::Site::kWkrState)) {
         counters_here().wake_posts.fetch_add(1, std::memory_order_relaxed);
         v.wake.post();
         return;
       }
-      WFL_CHK_ATOMIC(&v.state, kCasFail, seq_cst, kWkrState, s);
     }
   }
 
@@ -760,28 +719,23 @@ class AsyncExecutor {
     Worker& self = *workers_[index];
     AsyncOp* fifo = nullptr;
     while (chain != nullptr) {
-      AsyncOp* next = chain->q_next.load(std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&chain->q_next, kLoad, relaxed, kInjNext,
-                     detail::ptr_bits(next));
-      chain->q_next.store(fifo, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&chain->q_next, kStore, relaxed, kInjNext,
-                     detail::ptr_bits(fifo));
+      AsyncOp* next =
+          chain->q_next.load(std::memory_order_relaxed, race::Site::kInjNext);
+      chain->q_next.store(fifo, std::memory_order_relaxed,
+                          race::Site::kInjNext);
       fifo = chain;
       chain = next;
     }
     AsyncOp* op = fifo;
-    AsyncOp* rest = op->q_next.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&op->q_next, kLoad, relaxed, kInjNext,
-                   detail::ptr_bits(rest));
-    op->q_next.store(nullptr, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&op->q_next, kStore, relaxed, kInjNext, 0);
+    AsyncOp* rest =
+        op->q_next.load(std::memory_order_relaxed, race::Site::kInjNext);
+    op->q_next.store(nullptr, std::memory_order_relaxed, race::Site::kInjNext);
     const bool spilled = rest != nullptr;
     while (rest != nullptr) {
-      AsyncOp* next = rest->q_next.load(std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&rest->q_next, kLoad, relaxed, kInjNext,
-                     detail::ptr_bits(next));
-      rest->q_next.store(nullptr, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&rest->q_next, kStore, relaxed, kInjNext, 0);
+      AsyncOp* next =
+          rest->q_next.load(std::memory_order_relaxed, race::Site::kInjNext);
+      rest->q_next.store(nullptr, std::memory_order_relaxed,
+                         race::Site::kInjNext);
       self.deque.push(rest);
       rest = next;
     }
@@ -885,17 +839,15 @@ class AsyncExecutor {
     // fuzzer: cancel_client claims a parked op, a release signals the
     // claimed op, its final cycle used to wipe the signal and cancel.)
     const std::uint32_t entry =
-        op->state.exchange(AsyncOp::kRunning, std::memory_order_acq_rel);
-    WFL_CHK_ATOMIC(&op->state, kExchange, acq_rel, kAsyncStateCas,
-                   AsyncOp::kRunning);
+        op->state.exchange(AsyncOp::kRunning, std::memory_order_acq_rel,
+                           race::Site::kAsyncStateCas);
     bool owed_signal = entry == AsyncOp::kSignalled;
     for (;;) {
       if (op->cancelled || !op->client->live()) {
         op->cancelled = true;
         if (owed_signal) {
-          op->state.store(AsyncOp::kSignalled, std::memory_order_release);
-          WFL_CHK_ATOMIC(&op->state, kStore, release, kAsyncStateStore,
-                         AsyncOp::kSignalled);
+          op->state.store(AsyncOp::kSignalled, std::memory_order_release,
+                          race::Site::kAsyncStateStore);
         }
         complete(op);
         break;
@@ -922,19 +874,16 @@ class AsyncExecutor {
       if (op->cancelled || !op->client->live()) continue;
       std::uint32_t expect = AsyncOp::kRunning;
       if (op->state.compare_exchange_strong(expect, AsyncOp::kParked,
-                                            std::memory_order_acq_rel)) {
-        WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                       AsyncOp::kParked);
+                                            std::memory_order_acq_rel,
+                                            race::Site::kAsyncStateCas)) {
         counters_here().parks.fetch_add(1, std::memory_order_relaxed);
         break;  // parked: cycle over, wait nodes carry the wake
       }
-      WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas, expect);
       // A release event landed mid-attempt (kSignalled): consume it and
       // re-attempt on this same quantum. Owed until that attempt happens —
       // the loop top may cancel first (same hand-back as the entry case).
-      op->state.store(AsyncOp::kRunning, std::memory_order_release);
-      WFL_CHK_ATOMIC(&op->state, kStore, release, kAsyncStateStore,
-                     AsyncOp::kRunning);
+      op->state.store(AsyncOp::kRunning, std::memory_order_release,
+                      race::Site::kAsyncStateStore);
       owed_signal = true;
     }
   }
@@ -953,17 +902,16 @@ class AsyncExecutor {
       // tap still observes the overwrite (without acting on it) so
       // fault-mode mutants are steered toward the absorbed-signal state
       // the drop needs.
-      if (op->state.load(std::memory_order_relaxed) == AsyncOp::kSignalled) {
+      if (op->state.load(std::memory_order_acquire,
+                         race::Site::kAsyncStateLoad) == AsyncOp::kSignalled) {
         WFL_FUZZ_SITE(kSiteAsyncSignalOnDone);
       }
       prev = AsyncOp::kRunning;
-      op->state.store(AsyncOp::kDone, std::memory_order_release);
-      WFL_CHK_ATOMIC(&op->state, kStore, release, kAsyncStateStore,
-                     AsyncOp::kDone);
+      op->state.store(AsyncOp::kDone, std::memory_order_release,
+                      race::Site::kAsyncStateStore);
     } else {
-      prev = op->state.exchange(AsyncOp::kDone, std::memory_order_acq_rel);
-      WFL_CHK_ATOMIC(&op->state, kExchange, acq_rel, kAsyncStateCas,
-                     AsyncOp::kDone);
+      prev = op->state.exchange(AsyncOp::kDone, std::memory_order_acq_rel,
+                                race::Site::kAsyncStateCas);
     }
     // A release event that raced with this op's final attempt CASed
     // kRunning -> kSignalled and counted itself delivered (wake-one).
@@ -978,9 +926,8 @@ class AsyncExecutor {
         deliver_event(op->ids[i], -1);
       }
     }
-    const std::uint64_t left =
-        in_flight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-    WFL_CHK_ATOMIC(&in_flight_, kFetchAdd, acq_rel, kAsyncInFlight, left);
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel,
+                         race::Site::kAsyncInFlight);
     completed_.fetch_add(1, std::memory_order_relaxed);
     op->done_wake.post_all();
     op->unref();
@@ -1005,7 +952,7 @@ class AsyncExecutor {
         // and a worker that left on "queues momentarily empty" would
         // strand that work and wedge shutdown's in_flight_ drain.
         if (stopping_.load(std::memory_order_acquire)) {
-          if (in_flight_.load(std::memory_order_acquire) == 0) break;
+          if (in_flight() == 0) break;
           std::this_thread::yield();  // sweep in progress; stay pollable
           continue;
         }
@@ -1040,14 +987,13 @@ class AsyncExecutor {
   // worker).
   void park(Worker& self) {
     const std::uint32_t seen = self.wake.prepare();
-    self.state.store(kWkIdle, std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&self.state, kStore, seq_cst, kWkrState, kWkIdle);
+    self.state.store(kWkIdle, std::memory_order_seq_cst, race::Site::kWkrState);
     idle_workers_.fetch_add(1, std::memory_order_relaxed);
     if (injector_.empty() && !stopping_.load(std::memory_order_acquire)) {
       self.wake.wait(seen);
     }
-    self.state.store(kWkAwake, std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&self.state, kStore, seq_cst, kWkrState, kWkAwake);
+    self.state.store(kWkAwake, std::memory_order_seq_cst,
+                     race::Site::kWkrState);
     idle_workers_.fetch_sub(1, std::memory_order_relaxed);
   }
 
@@ -1058,13 +1004,13 @@ class AsyncExecutor {
       // thread. Clients may already be gone only if their ops are done
       // (documented lifetime), so live() reads here are safe.
       sweep_cancel_all();
-      while (in_flight_.load(std::memory_order_acquire) != 0) {
+      while (in_flight() != 0) {
         if (run_ready(0) == 0) sweep_cancel_all();
       }
     } else {
       // Workers drain the queues; parked ops are swept in as cancelled
       // work until nothing is left, then the pool is joined.
-      while (in_flight_.load(std::memory_order_acquire) != 0) {
+      while (in_flight() != 0) {
         sweep_cancel_all();
         std::this_thread::yield();
       }
@@ -1117,15 +1063,11 @@ class AsyncExecutor {
         AsyncOp* op = n->op;
         std::uint32_t expect = AsyncOp::kParked;
         if (op->state.compare_exchange_strong(expect, AsyncOp::kRunning,
-                                              std::memory_order_acq_rel)) {
-          WFL_CHK_ATOMIC(&op->state, kCasOk, acq_rel, kAsyncStateCas,
-                         AsyncOp::kRunning);
+                                              std::memory_order_acq_rel,
+                                              race::Site::kAsyncStateCas)) {
           WFL_FUZZ_SITE(kSiteAsyncCancelSweep);
           op->cancelled = true;
           dispatch(op);
-        } else {
-          WFL_CHK_ATOMIC(&op->state, kCasFail, acquire, kAsyncStateCas,
-                         expect);
         }
       }
     }
@@ -1157,7 +1099,7 @@ class AsyncExecutor {
 
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> idle_workers_{0};  // advisory sibling-wake gate
-  std::atomic<std::uint64_t> in_flight_{0};
+  race::Atomic<std::uint64_t> in_flight_{0};
   std::atomic<std::uint64_t> live_ops_{0};
   std::atomic<std::uint64_t> completed_{0};
   // Non-worker contexts' counter slot + post-shutdown accumulator.

@@ -167,13 +167,11 @@ struct AttemptEngine {
     }
     if (q.status.load() != kStatusActive) return;
     const std::uint64_t mine = static_cast<std::uint64_t>(cx.pid()) + 1;
-    const std::uint64_t claim = q.help_claim.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&q.help_claim, kLoad, relaxed, kHelpClaimLoad, claim);
+    const std::uint64_t claim = q.help_claim.load(
+        std::memory_order_relaxed, race::Site::kHelpClaimLoad);
     if (claim != 0 && claim != mine) {
-      const std::uint32_t skips =
-          q.claim_skips.fetch_add(1, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&q.claim_skips, kFetchAdd, relaxed, kClaimSkipsBump,
-                     skips + 1);
+      const std::uint32_t skips = q.claim_skips.fetch_add(
+          1, std::memory_order_relaxed, race::Site::kClaimSkipsBump);
       if (skips < cx.claim_patience()) {
         cx.stats().add_help_claim_skip();
         return;
@@ -183,20 +181,14 @@ struct AttemptEngine {
     // Unclaimed, or the claim went stale: take (or revoke) it and drive.
     // Plain store, not CAS — the claim is advisory, so the last writer
     // winning is fine; correctness never depends on who holds it.
-    q.help_claim.store(mine, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&q.help_claim, kStore, relaxed, kHelpClaimStore, mine);
-    q.claim_skips.store(0, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&q.claim_skips, kStore, relaxed, kClaimSkipsReset, 0);
+    q.help_claim.store(mine, std::memory_order_relaxed,
+                       race::Site::kHelpClaimStore);
+    q.claim_skips.store(0, std::memory_order_relaxed,
+                        race::Site::kClaimSkipsReset);
     run(cx, q);
     std::uint64_t expect = mine;  // release unless someone revoked us
-    const bool released = q.help_claim.compare_exchange_strong(
-        expect, 0, std::memory_order_relaxed);
-    if (released) {
-      WFL_CHK_ATOMIC(&q.help_claim, kCasOk, relaxed, kHelpClaimRelease, 0);
-    } else {
-      WFL_CHK_ATOMIC(&q.help_claim, kCasFail, relaxed, kHelpClaimRelease,
-                     expect);
-    }
+    q.help_claim.compare_exchange_strong(expect, 0, std::memory_order_relaxed,
+                                         race::Site::kHelpClaimRelease);
   }
 
   // The descriptor path of tryLock (lines 17-24) for `d`, whose line group

@@ -59,17 +59,7 @@ template <typename Plat,
 struct alignas(kCacheLine) Descriptor {
   using Thunk = ThunkT;
 
-  // Lifetime hooks for the raw atomics below: descriptors sit in pool
-  // segments whose heap addresses get reused across table generations, so
-  // the analysis layer must see construction reset their shadow state.
-  Descriptor() {
-    race::created(&help_claim, 0);
-    race::created(&claim_skips, 0);
-  }
-  ~Descriptor() {
-    race::destroyed(&help_claim);
-    race::destroyed(&claim_skips);
-  }
+  Descriptor() = default;
 
   Descriptor(const Descriptor&) = delete;
   Descriptor& operator=(const Descriptor&) = delete;
@@ -106,8 +96,8 @@ struct alignas(kCacheLine) Descriptor {
   // outside the step model, same stance as reclamation (substitution #2).
   // Lives on the helper-hammered line — it is written on exactly the
   // schedule that line already absorbs.
-  std::atomic<std::uint64_t> help_claim{0};
-  std::atomic<std::uint32_t> claim_skips{0};
+  race::Atomic<std::uint64_t> help_claim{0};
+  race::Atomic<std::uint32_t> claim_skips{0};
 
   // --- line group C: the thunk log, CAS'd during replays ---
   alignas(kCacheLine) ThunkLog<Plat> log;
@@ -134,10 +124,10 @@ struct alignas(kCacheLine) Descriptor {
     tag_base = idem_tag_base(new_serial);
     priority.init(kPriorityPending);
     status.init(kStatusActive);
-    help_claim.store(0, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&help_claim, kStore, relaxed, kHelpClaimStore, 0);
-    claim_skips.store(0, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&claim_skips, kStore, relaxed, kClaimSkipsReset, 0);
+    help_claim.store(0, std::memory_order_relaxed,
+                     race::Site::kHelpClaimStore);
+    claim_skips.store(0, std::memory_order_relaxed,
+                      race::Site::kClaimSkipsReset);
     return log.reset_used();
   }
 };

@@ -192,10 +192,6 @@ class LockTable {
         handles_(static_cast<std::size_t>(std::max(max_procs, 1))),
         ebr_(max_procs),
         set_mem_(snap_pool_, ebr_, snap_caches_.data()) {
-    // Raw atomics with hooked accessors: seed their shadow state so a
-    // table built on a reused heap address starts clean.
-    race::created(&serial_hwm_, 1);
-    race::created(&wake_sink_, 0);
     cfg_.validate();
     WFL_CHECK(max_procs > 0 && num_locks > 0);
     WFL_CHECK_MSG(max_procs < (1 << 15),
@@ -213,11 +209,6 @@ class LockTable {
     for (int i = 0; i < num_locks; ++i) {
       locks_.push_back(std::make_unique<Set>(set_cap, set_mem_));
     }
-  }
-
-  ~LockTable() {
-    race::destroyed(&serial_hwm_);
-    race::destroyed(&wake_sink_);
   }
 
   LockTable(const LockTable&) = delete;
@@ -252,9 +243,8 @@ class LockTable {
   // install before submitting any traffic they want notifications for;
   // the async executor clears it only after its workers have drained.
   void set_wake_sink(WakeSink* sink) {
-    wake_sink_.store(sink, std::memory_order_release);
-    WFL_CHK_ATOMIC(&wake_sink_, kStore, release, kWakeSinkInstall,
-                   reinterpret_cast<std::uintptr_t>(sink));
+    wake_sink_.store(sink, std::memory_order_release,
+                     race::Site::kWakeSinkInstall);
   }
 
   // True iff `p` currently holds its EBR guard. Attempts exit the guard
@@ -684,9 +674,8 @@ class LockTable {
   // its wait-list locks, so advisory ordering here suffices).
   void notify_release(std::span<const std::uint32_t> lock_ids,
                       int origin_pid) {
-    WakeSink* sink = wake_sink_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&wake_sink_, kLoad, acquire, kWakeSinkLoad,
-                   reinterpret_cast<std::uintptr_t>(sink));
+    WakeSink* sink =
+        wake_sink_.load(std::memory_order_acquire, race::Site::kWakeSinkLoad);
     if (sink == nullptr) return;
     for (const std::uint32_t id : lock_ids) sink->on_release(id, origin_pid);
   }
@@ -720,11 +709,11 @@ class LockTable {
   SetMem<Desc*> set_mem_;
   std::vector<std::unique_ptr<Set>> locks_;
 
-  std::atomic<std::uint64_t> serial_hwm_{1};
+  race::Atomic<std::uint64_t> serial_hwm_{1};
   // Raw atomic (not Plat::Atomic): loads of the sink are runtime plumbing,
   // not steps of the paper's model — installing one must not perturb step
   // accounting. Null whenever no async executor is attached.
-  std::atomic<WakeSink*> wake_sink_{nullptr};
+  race::Atomic<WakeSink*> wake_sink_{nullptr};
   std::mutex reg_mutex_;
   std::vector<int> free_pids_;  // released slots awaiting reuse (reg_mutex_)
   std::atomic<int> registered_{0};

@@ -48,43 +48,28 @@ namespace wfl {
 // writer it is exact, and it keeps the hot path free of lock-prefixed
 // read-modify-writes entirely.
 struct StatsSlab {
-  // Lifetime hooks for the hooked counters: a handle built on a reused
-  // heap address must not inherit the previous occupant's shadow state.
-  StatsSlab() {
-    each([](std::atomic<std::uint64_t>& c) { race::created(&c, 0); });
-  }
-  ~StatsSlab() {
-    each([](std::atomic<std::uint64_t>& c) { race::destroyed(&c); });
-  }
-  StatsSlab(const StatsSlab&) = delete;
-  StatsSlab& operator=(const StatsSlab&) = delete;
-
-  std::atomic<std::uint64_t> attempts{0};
-  std::atomic<std::uint64_t> wins{0};
-  std::atomic<std::uint64_t> helps{0};
-  std::atomic<std::uint64_t> eliminations{0};
-  std::atomic<std::uint64_t> thunk_runs{0};
-  std::atomic<std::uint64_t> t0_overruns{0};
-  std::atomic<std::uint64_t> t1_overruns{0};
+  race::Atomic<std::uint64_t> attempts{0};
+  race::Atomic<std::uint64_t> wins{0};
+  race::Atomic<std::uint64_t> helps{0};
+  race::Atomic<std::uint64_t> eliminations{0};
+  race::Atomic<std::uint64_t> thunk_runs{0};
+  race::Atomic<std::uint64_t> t0_overruns{0};
+  race::Atomic<std::uint64_t> t1_overruns{0};
   // DelayMode::kUnknownBounds only (§6.2 seer-eliminates rule).
-  std::atomic<std::uint64_t> tbd_eliminations{0};
+  race::Atomic<std::uint64_t> tbd_eliminations{0};
   // Thunk-log slots re-initialized by descriptor reinit (the lazy-reset
   // figure: O(ops used) per attempt instead of O(kThunkLogCap)).
-  std::atomic<std::uint64_t> log_slot_resets{0};
+  race::Atomic<std::uint64_t> log_slot_resets{0};
   // Contended-path optimization counters (DESIGN.md §5):
-  std::atomic<std::uint64_t> fastpath_hits{0};
-  std::atomic<std::uint64_t> fastpath_revocations{0};
-  std::atomic<std::uint64_t> help_claim_skips{0};
+  race::Atomic<std::uint64_t> fastpath_hits{0};
+  race::Atomic<std::uint64_t> fastpath_revocations{0};
+  race::Atomic<std::uint64_t> help_claim_skips{0};
 
-  static void bump(std::atomic<std::uint64_t>& c) {
-    const std::uint64_t nv = c.load(std::memory_order_relaxed) + 1;
-    c.store(nv, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&c, kStore, relaxed, kStatsBump, nv);
+  static std::uint64_t read(const race::Atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed, race::Site::kStatsBump);
   }
-  static void bump_by(std::atomic<std::uint64_t>& c, std::uint64_t n) {
-    const std::uint64_t nv = c.load(std::memory_order_relaxed) + n;
-    c.store(nv, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&c, kStore, relaxed, kStatsBump, nv);
+  static void bump(race::Atomic<std::uint64_t>& c, std::uint64_t n = 1) {
+    c.store(read(c) + n, std::memory_order_relaxed, race::Site::kStatsBump);
   }
   void add_attempt() { bump(attempts); }
   void add_win() { bump(wins); }
@@ -94,35 +79,24 @@ struct StatsSlab {
   void add_t0_overrun() { bump(t0_overruns); }
   void add_t1_overrun() { bump(t1_overruns); }
   void add_tbd_elimination() { bump(tbd_eliminations); }
-  void add_log_slot_resets(std::uint64_t n) { bump_by(log_slot_resets, n); }
+  void add_log_slot_resets(std::uint64_t n) { bump(log_slot_resets, n); }
   void add_fastpath_hit() { bump(fastpath_hits); }
   void add_fastpath_revocation() { bump(fastpath_revocations); }
   void add_help_claim_skip() { bump(help_claim_skips); }
 
-  template <typename F>
-  void each(F&& f) {
-    for (auto* c : {&attempts, &wins, &helps, &eliminations, &thunk_runs,
-                    &t0_overruns, &t1_overruns, &tbd_eliminations,
-                    &log_slot_resets, &fastpath_hits, &fastpath_revocations,
-                    &help_claim_skips}) {
-      f(*c);
-    }
-  }
-
   void accumulate_into(LockStats& s) const {
-    s.attempts += attempts.load(std::memory_order_relaxed);
-    s.wins += wins.load(std::memory_order_relaxed);
-    s.helps += helps.load(std::memory_order_relaxed);
-    s.eliminations += eliminations.load(std::memory_order_relaxed);
-    s.thunk_runs += thunk_runs.load(std::memory_order_relaxed);
-    s.t0_overruns += t0_overruns.load(std::memory_order_relaxed);
-    s.t1_overruns += t1_overruns.load(std::memory_order_relaxed);
-    s.log_slot_resets += log_slot_resets.load(std::memory_order_relaxed);
-    s.fastpath_hits += fastpath_hits.load(std::memory_order_relaxed);
-    s.fastpath_revocations +=
-        fastpath_revocations.load(std::memory_order_relaxed);
-    s.help_claim_skips += help_claim_skips.load(std::memory_order_relaxed);
-    s.tbd_eliminations += tbd_eliminations.load(std::memory_order_relaxed);
+    s.attempts += read(attempts);
+    s.wins += read(wins);
+    s.helps += read(helps);
+    s.eliminations += read(eliminations);
+    s.thunk_runs += read(thunk_runs);
+    s.t0_overruns += read(t0_overruns);
+    s.t1_overruns += read(t1_overruns);
+    s.log_slot_resets += read(log_slot_resets);
+    s.fastpath_hits += read(fastpath_hits);
+    s.fastpath_revocations += read(fastpath_revocations);
+    s.help_claim_skips += read(help_claim_skips);
+    s.tbd_eliminations += read(tbd_eliminations);
   }
 };
 
@@ -138,19 +112,13 @@ class ProcessHandle {
  public:
   // `with_fast_desc` allocates the embedded fast-path descriptor (LockTable
   // wants it; the shm table, which has no thin words, does not).
-  ProcessHandle(int pid, std::atomic<std::uint64_t>& serial_hwm,
+  ProcessHandle(int pid, race::Atomic<std::uint64_t>& serial_hwm,
                 bool with_fast_desc = false)
       : pid_(pid),
         serial_hwm_(&serial_hwm),
         fast_desc_(with_fast_desc ? std::make_unique<DescT>() : nullptr) {
     WFL_CHECK(pid >= 0);
-    // fast_ready_ is a raw std::atomic with hooked accessors; seed its
-    // shadow and retire it in the dtor so heap reuse of the handle's
-    // storage cannot alias stale tracked state from a prior object.
-    race::created(&fast_ready_, 1);
   }
-
-  ~ProcessHandle() { race::destroyed(&fast_ready_); }
 
   ProcessHandle(const ProcessHandle&) = delete;
   ProcessHandle& operator=(const ProcessHandle&) = delete;
@@ -165,10 +133,8 @@ class ProcessHandle {
   // process-shared write on this path, amortized to ~nothing).
   std::uint64_t next_serial() {
     if (serial_next_ == serial_end_) {
-      serial_next_ =
-          serial_hwm_->fetch_add(kSerialBlock, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(serial_hwm_, kFetchAdd, relaxed, kSerialRefill,
-                     serial_next_ + kSerialBlock);
+      serial_next_ = serial_hwm_->fetch_add(
+          kSerialBlock, std::memory_order_relaxed, race::Site::kSerialRefill);
       serial_end_ = serial_next_ + kSerialBlock;
     }
     return serial_next_++;
@@ -205,17 +171,16 @@ class ProcessHandle {
     return *fast_desc_;
   }
   bool fast_ready() const {
-    const bool r = fast_ready_.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&fast_ready_, kLoad, relaxed, kFastReadyLoad, r ? 1 : 0);
-    return r;
+    return fast_ready_.load(std::memory_order_relaxed,
+                            race::Site::kFastReadyLoad);
   }
   void begin_fast_cooldown() {
-    fast_ready_.store(false, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&fast_ready_, kStore, relaxed, kFastReadyStore, 0);
+    fast_ready_.store(false, std::memory_order_relaxed,
+                      race::Site::kFastReadyStore);
   }
   void end_fast_cooldown() {
-    fast_ready_.store(true, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&fast_ready_, kStore, relaxed, kFastReadyStore, 1);
+    fast_ready_.store(true, std::memory_order_relaxed,
+                      race::Site::kFastReadyStore);
   }
   // EbrDomain deleter shape for the cooldown token; ctx is the handle.
   static void fast_cooldown_expired(void* ctx, std::uint32_t) {
@@ -241,7 +206,7 @@ class ProcessHandle {
   int pid_;
   std::uint64_t serial_next_ = 0;
   std::uint64_t serial_end_ = 0;
-  std::atomic<std::uint64_t>* serial_hwm_;
+  race::Atomic<std::uint64_t>* serial_hwm_;
   CachePadded<StatsSlab> stats_;
   MemberList<DescT*> help_scratch_;
   MemberList<DescT*> run_scratch_;
@@ -249,7 +214,7 @@ class ProcessHandle {
   std::unique_ptr<DescT> fast_desc_;
   // Raw atomic: flipped by the EBR cooldown deleter, which runs on the
   // owning participant or under quiescent domain teardown (another thread).
-  std::atomic<bool> fast_ready_{true};
+  race::Atomic<bool> fast_ready_{true};
   std::uint32_t guard_depth_ = 0;
 };
 

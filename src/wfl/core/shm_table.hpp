@@ -167,7 +167,7 @@ struct ShmTableHeader {
   std::uint64_t ebr_off = 0;
   std::uint64_t sets_off = 0;      // Set::Slot[num_locks * set_cap]
   std::uint64_t sessions_off = 0;  // ShmSessionRec[max_procs]
-  std::atomic<std::uint64_t> serial_hwm{1};
+  race::Atomic<std::uint64_t> serial_hwm{1};
 };
 
 class ShmLockTable {
@@ -196,7 +196,7 @@ class ShmLockTable {
 
    private:
     friend class ShmLockTable;
-    Session(int pid, std::atomic<std::uint64_t>& serial_hwm)
+    Session(int pid, race::Atomic<std::uint64_t>& serial_hwm)
         : h_(pid, serial_hwm) {}
     Handle h_;
     SlotCache<Desc> dcache_;

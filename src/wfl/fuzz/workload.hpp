@@ -126,9 +126,9 @@ inline std::optional<FaultSpec> parse_fault(const std::string& name) {
     return f;
   }
   using Mutation = race::RaceEngine::Mutation;
-  if (name == "race_drop_fence") {
+  if (name == "race_downgrade_ebr_announce") {
     f.engine_mutation = true;
-    f.mutation = {Mutation::Kind::kDropFence, race::Site::kEbrPublishFence,
+    f.mutation = {Mutation::Kind::kDowngradeOrder, race::Site::kEbrAnnounce,
                   std::memory_order_relaxed};
     return f;
   }

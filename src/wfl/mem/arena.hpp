@@ -2,7 +2,7 @@
 //
 // The lock algorithm allocates descriptors and immutable set snapshots on
 // every attempt. The paper's model treats allocation as primitive, so pool
-// operations use raw std::atomic and are *not* counted as algorithm steps
+// operations use raw atomics and are *not* counted as algorithm steps
 // (DESIGN.md substitution #2); they are also excluded from the wait-freedom
 // accounting, exactly as the paper excludes memory management.
 //
@@ -132,23 +132,20 @@ class IndexPool {
   std::uint32_t try_alloc_batch(std::uint32_t* out, std::uint32_t want) {
     WFL_DASSERT(want > 0);
     do {
-      std::uint64_t head = sh_->head.load(std::memory_order_acquire);
-      WFL_CHK_ATOMIC(&sh_->head, kLoad, acquire, kPoolHeadLoad, head);
+      std::uint64_t head = sh_->head.load(std::memory_order_acquire,
+                                          race::Site::kPoolHeadLoad);
       while (index_of(head) != kNullIndex) {
         std::uint32_t got = 0;
         std::uint32_t idx = index_of(head);
         while (got < want && idx != kNullIndex) {
           out[got++] = idx;
-          const std::uint32_t nxt =
-              next_slot(idx).load(std::memory_order_relaxed);
-          WFL_CHK_ATOMIC(&next_slot(idx), kLoad, relaxed, kPoolNextLoad, nxt);
-          idx = nxt;
+          idx = next_slot(idx).load(std::memory_order_relaxed,
+                                    race::Site::kPoolNextLoad);
         }
         const std::uint64_t desired = pack(idx, tag_of(head) + 1);
         if (sh_->head.compare_exchange_weak(head, desired,
                                             std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-          WFL_CHK_ATOMIC(&sh_->head, kCasOk, acq_rel, kPoolHeadCas, desired);
+                                            race::Site::kPoolHeadCas)) {
           for (std::uint32_t i = 0; i < got; ++i) {
             WFL_CHECK_MSG(
                 member(out[i]).exchange(0, std::memory_order_relaxed) == 1,
@@ -158,7 +155,6 @@ class IndexPool {
           sh_->freelist_ops.fetch_add(1, std::memory_order_relaxed);
           return got;
         }
-        WFL_CHK_ATOMIC(&sh_->head, kCasFail, acquire, kPoolHeadCas, head);
       }
     } while (grow());
     return 0;
@@ -196,26 +192,22 @@ class IndexPool {
           "IndexPool double free");
     }
     for (std::uint32_t i = 0; i + 1 < n; ++i) {
-      next_slot(idxs[i]).store(idxs[i + 1], std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&next_slot(idxs[i]), kStore, relaxed, kPoolNextStore,
-                     idxs[i + 1]);
+      next_slot(idxs[i]).store(idxs[i + 1], std::memory_order_relaxed,
+                               race::Site::kPoolNextStore);
     }
-    std::uint64_t head = sh_->head.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&sh_->head, kLoad, acquire, kPoolHeadLoad, head);
+    std::uint64_t head = sh_->head.load(std::memory_order_acquire,
+                                        race::Site::kPoolHeadLoad);
     for (;;) {
-      next_slot(idxs[n - 1]).store(index_of(head), std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&next_slot(idxs[n - 1]), kStore, relaxed, kPoolNextStore,
-                     index_of(head));
+      next_slot(idxs[n - 1]).store(index_of(head), std::memory_order_relaxed,
+                                   race::Site::kPoolNextStore);
       const std::uint64_t desired = pack(idxs[0], tag_of(head) + 1);
       if (sh_->head.compare_exchange_weak(head, desired,
                                           std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-        WFL_CHK_ATOMIC(&sh_->head, kCasOk, acq_rel, kPoolHeadCas, desired);
+                                          race::Site::kPoolHeadCas)) {
         sh_->free_count.fetch_add(n, std::memory_order_relaxed);
         sh_->freelist_ops.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      WFL_CHK_ATOMIC(&sh_->head, kCasFail, acquire, kPoolHeadCas, head);
     }
   }
 
@@ -241,17 +233,8 @@ class IndexPool {
   struct Segment {
     T items[kSegSize];
   };
-  // Lifetime hooks for the hooked raw atomics (next links, head): heap
-  // pools reuse addresses across tables, so construction resets the
-  // analysis layer's shadow state.
   struct Links {
-    Links() {
-      for (auto& n : next) race::created(&n, 0);
-    }
-    ~Links() {
-      for (auto& n : next) race::destroyed(&n);
-    }
-    std::atomic<std::uint32_t> next[kSegSize] = {};
+    race::Atomic<std::uint32_t> next[kSegSize];
     // 1 while the slot is on the freelist. A corruption check only: RMW
     // atomicity alone makes its verdict exact, so it is relaxed and
     // outside the ordering contracts.
@@ -265,14 +248,12 @@ class IndexPool {
   struct Shared {
     explicit Shared(std::uint32_t max) : max_capacity(round_up(max)) {
       WFL_CHECK(max > 0 && max <= (kNullIndex & ~kSegMask));
-      race::created(&head, pack(kNullIndex, 0));
     }
-    ~Shared() { race::destroyed(&head); }
     std::uint32_t max_capacity;
     std::uint64_t segs_off = 0;   // arena placement: Segment[max / kSegSize]
     std::uint64_t links_off = 0;  // arena placement: Links[max / kSegSize]
     std::atomic<std::uint32_t> capacity{0};
-    alignas(kCacheLine) std::atomic<std::uint64_t> head{pack(kNullIndex, 0)};
+    alignas(kCacheLine) race::Atomic<std::uint64_t> head{pack(kNullIndex, 0)};
     alignas(kCacheLine) std::atomic<std::uint32_t> free_count{0};
     std::atomic<std::uint64_t> freelist_ops{0};
   };
@@ -300,7 +281,7 @@ class IndexPool {
   Links& links(std::uint32_t idx) {
     return *links_[idx >> kSegBits].load(std::memory_order_acquire);
   }
-  std::atomic<std::uint32_t>& next_slot(std::uint32_t idx) {
+  race::Atomic<std::uint32_t>& next_slot(std::uint32_t idx) {
     return links(idx).next[idx & kSegMask];
   }
   std::atomic<std::uint8_t>& member(std::uint32_t idx) {

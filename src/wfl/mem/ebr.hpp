@@ -13,7 +13,8 @@
 // the global epoch below observed+2, so freeing at observed+2 is safe.
 //
 // Reclamation is not part of the algorithms' step accounting (DESIGN.md
-// substitution #2): all internals are raw std::atomic.
+// substitution #2): all internals are raw race::Atomic words, each
+// operation naming its ordering contract (check/ordering_contracts.hpp).
 //
 // Placement (DESIGN.md §4.4, §10). A domain has two parts:
 //
@@ -85,17 +86,15 @@ class EbrDomain {
     if (owned_ == nullptr) return;  // attached: peers may still hold guards
     // Owned-domain teardown implies quiescence; drain everything.
     for (std::uint32_t pid = 0; pid < sh_->max_participants; ++pid) {
-      WFL_CHECK_MSG(!parts_[pid].active.load(std::memory_order_relaxed),
+      WFL_CHECK_MSG(!parts_[pid].active.peek(),
                     "EbrDomain destroyed while a participant holds a guard");
       for (Bucket& b : local_[pid]->buckets) drain(b);
     }
   }
 
   int register_participant() {
-    const int id =
-        sh_->next_participant.fetch_add(1, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&sh_->next_participant, kFetchAdd, relaxed,
-                   kEbrParticipantCount, id + 1);
+    const int id = sh_->next_participant.fetch_add(
+        1, std::memory_order_relaxed, race::Site::kEbrParticipantCount);
     WFL_CHECK_MSG(id < static_cast<int>(sh_->max_participants),
                   "EbrDomain participant capacity exceeded");
     return id;
@@ -104,47 +103,42 @@ class EbrDomain {
   // Announce-then-verify, restructured for the guard hot path (every
   // attempt enters and exits once):
   //
-  //   * ONE seq_cst fence at the publication point orders the relaxed
-  //     active/epoch announcement stores before the seq_cst verify load.
-  //     The either-or this buys: an advancer whose participant scan follows
-  //     the fence in the SC order observes the announcement (fences order
-  //     preceding relaxed stores against later seq_cst loads); an advancer
-  //     whose CAS precedes the fence is observed by the verify load, which
-  //     then re-announces at the new epoch. Either way a guard announced at
-  //     epoch e is seen by every advance attempt from e+1 on, so it blocks
-  //     the global epoch below e+2 exactly as before.
+  //   * the active announcement is a seq_cst store and the verify load of
+  //     the global epoch a seq_cst load, so both sit in the single total
+  //     order S of seq_cst operations with the advancers' participant scans
+  //     and epoch CASes. The either-or this buys: an advancer whose scan
+  //     follows the announcement in S observes it; an advancer whose CAS
+  //     precedes the verify load in S is observed by it, and the guard
+  //     re-announces at the new epoch (again a seq_cst store, again
+  //     verified). Either way a guard announced at epoch e is seen by every
+  //     advance attempt from e+1 on, so it blocks the global epoch below
+  //     e+2 exactly as before.
   //   * the epoch re-announce is SKIPPED when the global epoch still equals
   //     the participant's previous announcement (the common case between
   //     collects): the stored epoch word is already correct, so only the
-  //     active flag and the fence are needed.
+  //     active store is needed.
   //
   // While the re-announce loop runs, active is already true with a stale
   // epoch — that conservatively blocks advancement, so the loop settles
   // after at most one more epoch move. The argument does not care which
-  // process the announcing thread lives in. Validated by CheckedPlat's
-  // fence model (WFL_CHK_FENCE) and the crash/chaos tests; TSan does not
-  // model the fences (DESIGN.md §7.3).
+  // process the announcing thread lives in, and it has no fence: TSan and
+  // CheckedPlat's ordering audit both see every operation it uses
+  // (DESIGN.md §4.4, §7.3).
   void enter(int pid) {
     Announce& p = part(pid);
-    WFL_CHECK_MSG(!p.active.load(std::memory_order_relaxed),
+    WFL_CHECK_MSG(!p.active.peek(),
                   "EBR enter() while already in a critical region");
-    p.active.store(true, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&p.active, kStore, relaxed, kEbrAnnounce, 1);
-    std::atomic_thread_fence(std::memory_order_seq_cst);  // publication point
-    WFL_CHK_FENCE(seq_cst, kEbrPublishFence);
-    std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrVerifyLoad, e);
-    const std::uint64_t mine = p.epoch.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&p.epoch, kLoad, relaxed, kEbrEpochSelfLoad, mine);
+    p.active.store(true, std::memory_order_seq_cst, race::Site::kEbrAnnounce);
+    std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst,
+                                             race::Site::kEbrVerifyLoad);
+    const std::uint64_t mine =
+        p.epoch.load(std::memory_order_relaxed, race::Site::kEbrEpochSelfLoad);
     if (e == mine) return;
     for (;;) {
-      p.epoch.store(e, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&p.epoch, kStore, relaxed, kEbrEpochAnnounce, e);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      WFL_CHK_FENCE(seq_cst, kEbrPublishFence);
-      const std::uint64_t e2 =
-          sh_->global_epoch.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrVerifyLoad, e2);
+      p.epoch.store(e, std::memory_order_seq_cst,
+                    race::Site::kEbrEpochAnnounce);
+      const std::uint64_t e2 = sh_->global_epoch.load(
+          std::memory_order_seq_cst, race::Site::kEbrVerifyLoad);
       if (e2 == e) return;
       e = e2;
     }
@@ -152,12 +146,11 @@ class EbrDomain {
 
   void exit(int pid) {
     Announce& p = part(pid);
-    WFL_CHECK(p.active.load(std::memory_order_relaxed));
+    WFL_CHECK(p.active.peek());
     // Release: the guard's critical-section reads are sequenced before this
     // store, and a collector's seq_cst scan that observes false acquires
     // it, so retired objects are freed only after our reads completed.
-    p.active.store(false, std::memory_order_release);
-    WFL_CHK_ATOMIC(&p.active, kStore, release, kEbrExit, 0);
+    p.active.store(false, std::memory_order_release, race::Site::kEbrExit);
   }
 
   // Crash support: drops `pid`'s guard (if held) on its behalf. ONLY legal
@@ -169,17 +162,16 @@ class EbrDomain {
   // the domain down; it also un-stalls reclamation for any post-crash
   // measurement phase.
   void abandon(int pid) {
-    part(pid).active.store(false, std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&part(pid).active, kStore, seq_cst, kEbrAbandon, 0);
+    part(pid).active.store(false, std::memory_order_seq_cst,
+                           race::Site::kEbrAbandon);
   }
 
   // Defers `deleter(ctx, handle)` until two epoch advances have passed since
   // the epoch observed here. See the safety contract above.
   void retire(int pid, void* ctx, std::uint32_t handle, Deleter deleter) {
     Local& l = local(pid);
-    const std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrRetireEpochLoad,
-                   e);
+    const std::uint64_t e = sh_->global_epoch.load(
+        std::memory_order_seq_cst, race::Site::kEbrRetireEpochLoad);
     Bucket& b = l.buckets[e % kBuckets];
     if (!b.items.empty() && b.epoch != e) {
       // Same slot, older epoch: epochs sharing a slot differ by >= kBuckets,
@@ -208,22 +200,18 @@ class EbrDomain {
   void collect(int pid) {
     Local& l = local(pid);
     ++l.counts.collects;
-    std::uint64_t e = sh_->global_epoch.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&sh_->global_epoch, kLoad, seq_cst, kEbrCollectEpochLoad,
-                   e);
+    std::uint64_t e = sh_->global_epoch.load(
+        std::memory_order_seq_cst, race::Site::kEbrCollectEpochLoad);
     const bool scan = e == l.seen_epoch;
     l.counts.scans += scan ? 1 : 0;
     if (scan && all_participants_at(e)) {
       std::uint64_t expected = e;  // racing collectors: one advance per value
       if (sh_->global_epoch.compare_exchange_strong(
-              expected, e + 1, std::memory_order_seq_cst)) {
-        WFL_CHK_ATOMIC(&sh_->global_epoch, kCasOk, seq_cst,
-                       kEbrEpochAdvanceCas, e + 1);
+              expected, e + 1, std::memory_order_seq_cst,
+              race::Site::kEbrEpochAdvanceCas)) {
         ++l.counts.advances;
         e += 1;
       } else {
-        WFL_CHK_ATOMIC(&sh_->global_epoch, kCasFail, seq_cst,
-                       kEbrEpochAdvanceCas, expected);
         e = expected;
       }
     }
@@ -235,13 +223,11 @@ class EbrDomain {
     }
   }
 
-  std::uint64_t epoch() const {
-    return sh_->global_epoch.load(std::memory_order_relaxed);
-  }
+  std::uint64_t epoch() const { return sh_->global_epoch.peek(); }
 
   // Retires per participant between collects. Each collect pays for a
   // participant scan and an epoch CAS, and every advance costs each other
-  // participant a miss on the epoch word and a re-announce fence, so the
+  // participant a miss on the epoch word and a re-announce store, so the
   // cadence sets how often that bill comes. A caller that caches freed
   // slots sizes its caches from it (core/lock_table.hpp, DESIGN.md §4.3).
   static constexpr std::uint32_t kCollectEvery = 128;
@@ -289,38 +275,21 @@ class EbrDomain {
   // One participant's announcement (shared part). Line-aligned, so the
   // array pads neighbours apart in either placement.
   struct alignas(kCacheLine) Announce {
-    Announce() {
-      race::created(&active, 0);
-      race::created(&epoch, 0);
-    }
-    ~Announce() {
-      race::destroyed(&active);
-      race::destroyed(&epoch);
-    }
-    std::atomic<bool> active{false};
-    std::atomic<std::uint64_t> epoch{0};
+    race::Atomic<bool> active{false};
+    race::Atomic<std::uint64_t> epoch{0};
   };
 
-  // Lifetime hooks: heap domains are members of LockTables, so their raw
-  // atomics land on reused addresses across table generations; reset the
-  // analysis layer's shadow state at construction.
   struct Shared {
     explicit Shared(int max)
         : max_participants(static_cast<std::uint32_t>(max)) {
       WFL_CHECK(max > 0);
-      race::created(&global_epoch, 0);
-      race::created(&next_participant, 0);
-    }
-    ~Shared() {
-      race::destroyed(&global_epoch);
-      race::destroyed(&next_participant);
     }
     std::uint32_t max_participants;
     std::uint64_t parts_off = 0;  // arena placement: Announce[max]
     // The globally-hammered epoch word gets its own line so advances don't
     // invalidate the registration counter's line (and vice versa).
-    alignas(kCacheLine) std::atomic<std::uint64_t> global_epoch{0};
-    alignas(kCacheLine) std::atomic<int> next_participant{0};
+    alignas(kCacheLine) race::Atomic<std::uint64_t> global_epoch{0};
+    alignas(kCacheLine) race::Atomic<int> next_participant{0};
   };
 
   struct Retired {
@@ -353,17 +322,18 @@ class EbrDomain {
   Local& local(int pid) { return *local_[static_cast<std::size_t>(pid)]; }
 
   bool all_participants_at(std::uint64_t e) const {
-    const int n = sh_->next_participant.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&sh_->next_participant, kLoad, acquire,
-                   kEbrParticipantCount, n);
+    const int n = sh_->next_participant.load(
+        std::memory_order_acquire, race::Site::kEbrParticipantCount);
     for (int i = 0; i < n; ++i) {
       const Announce& p = parts_[i];
-      const bool act = p.active.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&p.active, kLoad, seq_cst, kEbrScanActive, act ? 1 : 0);
-      if (!act) continue;
-      const std::uint64_t pe = p.epoch.load(std::memory_order_seq_cst);
-      WFL_CHK_ATOMIC(&p.epoch, kLoad, seq_cst, kEbrScanEpoch, pe);
-      if (pe != e) return false;
+      if (!p.active.load(std::memory_order_seq_cst,
+                         race::Site::kEbrScanActive)) {
+        continue;
+      }
+      if (p.epoch.load(std::memory_order_seq_cst,
+                       race::Site::kEbrScanEpoch) != e) {
+        return false;
+      }
     }
     return true;
   }

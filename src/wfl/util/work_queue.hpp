@@ -1,12 +1,12 @@
 // Lock-free scheduler plumbing: a Chase–Lev work-stealing deque and an
 // MPSC injector stack (the run-queue core of core/async_executor.hpp).
 //
-// Both structures are executor infrastructure — raw std::atomic outside
-// the paper's step model, like the rest of the async plumbing (DESIGN.md
-// substitution #2) — and every weakened-order operation is annotated with
-// its Site in check/ordering_contracts.hpp so CheckedPlat's ordering
-// audit covers them (the contracts quote the soundness arguments; the
-// long-form versions live in DESIGN.md §8).
+// Both structures are executor infrastructure — raw race::Atomic words
+// outside the paper's step model, like the rest of the async plumbing
+// (DESIGN.md substitution #2) — and every operation names its Site in
+// check/ordering_contracts.hpp so CheckedPlat's ordering audit covers them
+// (the contracts quote the soundness arguments; the long-form versions
+// live in DESIGN.md §8).
 //
 // ChaseLevDeque<T*> (Chase & Lev 2005, memory orders per Lê et al. 2013,
 // "Correct and Efficient Work-Stealing for Weak Memory Models"):
@@ -20,12 +20,13 @@
 //     kept until destruction (total memory < 2x the final ring) so a
 //     thief holding a stale ring pointer still dereferences valid — if
 //     superseded — slots, and the top CAS discards its stale read.
-//   * take() reserves bottom-1 with a relaxed store, then a seq_cst
-//     fence, then reads top; steal() reads top (acquire), then a seq_cst
-//     fence, then bottom (acquire). The two fences are a Dekker: at most
-//     one side can miss the other's write, so owner and thief can both
-//     believe the deque non-empty only when it holds >= 2 elements — and
-//     the single-element race is settled by the seq_cst CAS on top.
+//   * take() reserves bottom-1 with a seq_cst store, then reads top
+//     seq_cst; steal() reads top seq_cst, then bottom seq_cst. The four
+//     operations are a Dekker over the total order S of seq_cst
+//     operations: at most one side can miss the other's write, so owner
+//     and thief can both believe the deque non-empty only when it holds
+//     >= 2 elements — and the single-element race is settled by the
+//     seq_cst CAS on top. There is no fence, so TSan sees the protocol.
 //
 // MpscInjector<T> (intrusive Treiber stack + single-consumer FIFO cache):
 //
@@ -59,13 +60,6 @@
 
 namespace wfl {
 
-namespace detail {
-template <typename P>
-std::uint64_t ptr_bits(P* p) {
-  return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
-}
-}  // namespace detail
-
 template <typename T>
 class ChaseLevDeque {
   static_assert(std::is_pointer_v<T>,
@@ -74,24 +68,17 @@ class ChaseLevDeque {
 
  public:
   explicit ChaseLevDeque(std::size_t initial_capacity = 64)
-      : ring_(new Ring(round_up_pow2(initial_capacity))) {
-    race::created(&top_, 0);
-    race::created(&bottom_, 0);
-    race::created(&ring_, detail::ptr_bits(ring_.load()));
-  }
+      : ring_(new Ring(round_up_pow2(initial_capacity))) {}
 
   // Destruction requires quiescence (no concurrent owner or thieves) —
   // the executor joins its workers first.
   ~ChaseLevDeque() {
-    Ring* r = ring_.load(std::memory_order_relaxed);
+    Ring* r = ring_.peek();
     while (r != nullptr) {
       Ring* prev = r->prev;
       delete r;
       r = prev;
     }
-    race::destroyed(&top_);
-    race::destroyed(&bottom_);
-    race::destroyed(&ring_);
   }
 
   ChaseLevDeque(const ChaseLevDeque&) = delete;
@@ -99,55 +86,42 @@ class ChaseLevDeque {
 
   // Owner only. Never fails; grows the ring when full.
   void push(T x) {
-    const std::uint64_t b = bottom_.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&bottom_, kLoad, relaxed, kWqBottomOwnLoad, b);
-    const std::uint64_t t = top_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&top_, kLoad, acquire, kWqTopLoad, t);
-    Ring* r = ring_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&ring_, kLoad, acquire, kWqRingLoad, detail::ptr_bits(r));
+    const std::uint64_t b =
+        bottom_.load(std::memory_order_relaxed, race::Site::kWqBottomOwnLoad);
+    const std::uint64_t t =
+        top_.load(std::memory_order_acquire, race::Site::kWqTopLoad);
+    Ring* r = ring_.load(std::memory_order_acquire, race::Site::kWqRingLoad);
     if (b - t >= r->cap) r = grow(r, t, b);
-    r->at(b).store(x, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&r->at(b), kStore, relaxed, kWqSlot, detail::ptr_bits(x));
-    bottom_.store(b + 1, std::memory_order_release);
-    WFL_CHK_ATOMIC(&bottom_, kStore, release, kWqBottomPublish, b + 1);
+    r->at(b).store(x, std::memory_order_relaxed, race::Site::kWqSlot);
+    bottom_.store(b + 1, std::memory_order_release,
+                  race::Site::kWqBottomPublish);
   }
 
   // Owner only. LIFO (newest first — cache warmth; the steal side is the
   // FIFO end). Returns nullptr when empty.
   T take() {
-    const std::uint64_t b =
-        bottom_.load(std::memory_order_relaxed) - 1;
-    WFL_CHK_ATOMIC(&bottom_, kLoad, relaxed, kWqBottomOwnLoad, b + 1);
-    Ring* r = ring_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&ring_, kLoad, acquire, kWqRingLoad, detail::ptr_bits(r));
-    bottom_.store(b, std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&bottom_, kStore, relaxed, kWqBottomReserve, b);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    WFL_CHK_FENCE(seq_cst, kWqFence);
-    std::uint64_t t = top_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&top_, kLoad, acquire, kWqTopLoad, t);
+    const std::uint64_t b = bottom_.load(std::memory_order_relaxed,
+                                         race::Site::kWqBottomOwnLoad) - 1;
+    Ring* r = ring_.load(std::memory_order_acquire, race::Site::kWqRingLoad);
+    bottom_.store(b, std::memory_order_seq_cst, race::Site::kWqBottomReserve);
+    std::uint64_t t =
+        top_.load(std::memory_order_seq_cst, race::Site::kWqTopDekkerLoad);
     T x = nullptr;
     if (static_cast<std::int64_t>(t) <= static_cast<std::int64_t>(b)) {
-      x = r->at(b).load(std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&r->at(b), kLoad, relaxed, kWqSlot,
-                     detail::ptr_bits(x));
+      x = r->at(b).load(std::memory_order_relaxed, race::Site::kWqSlot);
       if (t == b) {
         // Last element: race the thieves for it on top.
-        if (top_.compare_exchange_strong(t, t + 1,
-                                         std::memory_order_seq_cst,
-                                         std::memory_order_seq_cst)) {
-          WFL_CHK_ATOMIC(&top_, kCasOk, seq_cst, kWqTopCas, b + 1);
-        } else {
-          WFL_CHK_ATOMIC(&top_, kCasFail, seq_cst, kWqTopCas, t);
+        if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
+                                          race::Site::kWqTopCas)) {
           x = nullptr;  // a thief won it
         }
-        bottom_.store(b + 1, std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&bottom_, kStore, relaxed, kWqBottomReserve, b + 1);
+        bottom_.store(b + 1, std::memory_order_relaxed,
+                      race::Site::kWqBottomRestore);
       }
     } else {
       // Empty: undo the reservation.
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&bottom_, kStore, relaxed, kWqBottomReserve, b + 1);
+      bottom_.store(b + 1, std::memory_order_relaxed,
+                    race::Site::kWqBottomRestore);
     }
     return x;
   }
@@ -156,60 +130,49 @@ class ChaseLevDeque {
   // it lost the top CAS to a rival — a lost race means the element went
   // to someone, so callers treat nullptr as "try the next victim".
   T steal() {
-    std::uint64_t t = top_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&top_, kLoad, acquire, kWqTopLoad, t);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    WFL_CHK_FENCE(seq_cst, kWqFence);
-    const std::uint64_t b = bottom_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&bottom_, kLoad, acquire, kWqBottomStealLoad, b);
+    std::uint64_t t =
+        top_.load(std::memory_order_seq_cst, race::Site::kWqTopDekkerLoad);
+    const std::uint64_t b = bottom_.load(std::memory_order_seq_cst,
+                                         race::Site::kWqBottomStealLoad);
     if (static_cast<std::int64_t>(t) >= static_cast<std::int64_t>(b)) {
       return nullptr;  // empty
     }
-    Ring* r = ring_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&ring_, kLoad, acquire, kWqRingLoad, detail::ptr_bits(r));
-    T x = r->at(t).load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&r->at(t), kLoad, relaxed, kWqSlot, detail::ptr_bits(x));
+    Ring* r = ring_.load(std::memory_order_acquire, race::Site::kWqRingLoad);
+    T x = r->at(t).load(std::memory_order_relaxed, race::Site::kWqSlot);
     if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_seq_cst)) {
-      WFL_CHK_ATOMIC(&top_, kCasFail, seq_cst, kWqTopCas, t);
+                                      race::Site::kWqTopCas)) {
       return nullptr;  // lost to the owner or another thief
     }
-    WFL_CHK_ATOMIC(&top_, kCasOk, seq_cst, kWqTopCas, t + 1);
     return x;
   }
 
   // Owner-side size estimate (exact for the owner between its own ops;
   // a lower bound otherwise — thieves only shrink it).
   std::size_t size_approx() const {
-    const std::uint64_t b = bottom_.load(std::memory_order_relaxed);
-    WFL_CHK_ATOMIC(&bottom_, kLoad, relaxed, kWqBottomOwnLoad, b);
-    const std::uint64_t t = top_.load(std::memory_order_acquire);
-    WFL_CHK_ATOMIC(&top_, kLoad, acquire, kWqTopLoad, t);
+    const std::uint64_t b =
+        bottom_.load(std::memory_order_relaxed, race::Site::kWqBottomOwnLoad);
+    const std::uint64_t t =
+        top_.load(std::memory_order_acquire, race::Site::kWqTopLoad);
     const auto d = static_cast<std::int64_t>(b) - static_cast<std::int64_t>(t);
     return d > 0 ? static_cast<std::size_t>(d) : 0;
   }
 
   std::size_t capacity() const {
     return static_cast<std::size_t>(
-        ring_.load(std::memory_order_acquire)->cap);
+        ring_.load(std::memory_order_acquire, race::Site::kWqRingLoad)->cap);
   }
   std::uint64_t grows() const { return grows_; }
 
  private:
   struct Ring {
     explicit Ring(std::uint64_t c)
-        : cap(c), mask(c - 1), slots(new std::atomic<T>[c]()) {
-      for (std::uint64_t i = 0; i < cap; ++i) race::created(&slots[i], 0);
-    }
-    ~Ring() {
-      for (std::uint64_t i = 0; i < cap; ++i) race::destroyed(&slots[i]);
-      delete[] slots;
-    }
-    std::atomic<T>& at(std::uint64_t i) { return slots[i & mask]; }
+        : cap(c), mask(c - 1), slots(new race::Atomic<T>[c]) {}
+    ~Ring() { delete[] slots; }
+    race::Atomic<T>& at(std::uint64_t i) { return slots[i & mask]; }
 
     const std::uint64_t cap;
     const std::uint64_t mask;
-    std::atomic<T>* slots;
+    race::Atomic<T>* slots;
     Ring* prev = nullptr;  // retired predecessor, freed at destruction
   };
 
@@ -224,35 +187,29 @@ class ChaseLevDeque {
   Ring* grow(Ring* r, std::uint64_t t, std::uint64_t b) {
     Ring* nr = new Ring(r->cap * 2);
     for (std::uint64_t i = t; i != b; ++i) {
-      const T v = r->at(i).load(std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&r->at(i), kLoad, relaxed, kWqSlot, detail::ptr_bits(v));
-      nr->at(i).store(v, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&nr->at(i), kStore, relaxed, kWqSlot,
-                     detail::ptr_bits(v));
+      nr->at(i).store(
+          r->at(i).load(std::memory_order_relaxed, race::Site::kWqSlot),
+          std::memory_order_relaxed, race::Site::kWqSlot);
     }
     nr->prev = r;
-    ring_.store(nr, std::memory_order_release);
-    WFL_CHK_ATOMIC(&ring_, kStore, release, kWqRingPublish,
-                   detail::ptr_bits(nr));
+    ring_.store(nr, std::memory_order_release, race::Site::kWqRingPublish);
     ++grows_;
     return nr;
   }
 
-  std::atomic<std::uint64_t> top_{0};
-  std::atomic<std::uint64_t> bottom_{0};
-  std::atomic<Ring*> ring_;
+  race::Atomic<std::uint64_t> top_{0};
+  race::Atomic<std::uint64_t> bottom_{0};
+  race::Atomic<Ring*> ring_;
   std::uint64_t grows_ = 0;  // owner-only bookkeeping
 };
 
-// Intrusive MPSC stack: T must expose `std::atomic<T*> q_next`.
+// Intrusive MPSC stack: T must expose `race::Atomic<T*> q_next`.
+// Destruction requires quiescence; pending nodes are the caller's to drain
+// (the executor's shutdown empties every queue first).
 template <typename T>
 class MpscInjector {
  public:
-  MpscInjector() { race::created(&head_, 0); }
-
-  // Destruction requires quiescence; pending nodes are the caller's to
-  // drain (the executor's shutdown empties every queue first).
-  ~MpscInjector() { race::destroyed(&head_); }
+  MpscInjector() = default;
 
   MpscInjector(const MpscInjector&) = delete;
   MpscInjector& operator=(const MpscInjector&) = delete;
@@ -260,48 +217,32 @@ class MpscInjector {
   // Any thread. Lock-free; ABA-immune (never dereferences the observed
   // head). seq_cst: the producer half of the executor's sleep Dekker.
   void push(T* n) {
-    T* h = head_.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&head_, kLoad, seq_cst, kInjPushCas, detail::ptr_bits(h));
-    for (;;) {
-      n->q_next.store(h, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&n->q_next, kStore, relaxed, kInjNext,
-                     detail::ptr_bits(h));
-      if (head_.compare_exchange_weak(h, n, std::memory_order_seq_cst,
-                                      std::memory_order_seq_cst)) {
-        WFL_CHK_ATOMIC(&head_, kCasOk, seq_cst, kInjPushCas,
-                       detail::ptr_bits(n));
-        return;
-      }
-      WFL_CHK_ATOMIC(&head_, kCasFail, seq_cst, kInjPushCas,
-                     detail::ptr_bits(h));
-    }
+    T* h = head_.load(std::memory_order_seq_cst, race::Site::kInjPushCas);
+    do {
+      n->q_next.store(h, std::memory_order_relaxed, race::Site::kInjNext);
+    } while (!head_.compare_exchange_weak(h, n, std::memory_order_seq_cst,
+                                          race::Site::kInjPushCas));
   }
 
   // SINGLE consumer (external discipline). FIFO per producer: the first
   // empty-cache pop exchanges the whole pushed batch out and reverses it.
   T* pop() {
     if (fifo_ == nullptr) {
-      T* batch = head_.exchange(nullptr, std::memory_order_acq_rel);
-      WFL_CHK_ATOMIC(&head_, kExchange, acq_rel, kInjTakeAll, 0);
+      T* batch = drain_all();
       while (batch != nullptr) {
-        T* next = batch->q_next.load(std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&batch->q_next, kLoad, relaxed, kInjNext,
-                       detail::ptr_bits(next));
-        batch->q_next.store(fifo_, std::memory_order_relaxed);
-        WFL_CHK_ATOMIC(&batch->q_next, kStore, relaxed, kInjNext,
-                       detail::ptr_bits(fifo_));
+        T* next =
+            batch->q_next.load(std::memory_order_relaxed, race::Site::kInjNext);
+        batch->q_next.store(fifo_, std::memory_order_relaxed,
+                            race::Site::kInjNext);
         fifo_ = batch;
         batch = next;
       }
     }
     T* n = fifo_;
     if (n != nullptr) {
-      T* next = n->q_next.load(std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&n->q_next, kLoad, relaxed, kInjNext,
-                     detail::ptr_bits(next));
-      fifo_ = next;
-      n->q_next.store(nullptr, std::memory_order_relaxed);
-      WFL_CHK_ATOMIC(&n->q_next, kStore, relaxed, kInjNext, 0);
+      fifo_ = n->q_next.load(std::memory_order_relaxed, race::Site::kInjNext);
+      n->q_next.store(nullptr, std::memory_order_relaxed,
+                      race::Site::kInjNext);
     }
     return n;
   }
@@ -312,10 +253,8 @@ class MpscInjector {
   // itself. Same ABA-immunity as pop()'s batch take — the exchange never
   // dereferences what it read, and rival drains get disjoint chains.
   T* drain_all() {
-    T* chain = head_.exchange(nullptr, std::memory_order_acq_rel);
-    WFL_CHK_ATOMIC(&head_, kExchange, acq_rel, kInjTakeAll,
-                   detail::ptr_bits(chain));
-    return chain;
+    return head_.exchange(nullptr, std::memory_order_acq_rel,
+                          race::Site::kInjTakeAll);
   }
 
   // The pre-sleep probe. It reads pop()'s private cache, so it belongs to
@@ -324,13 +263,12 @@ class MpscInjector {
   // (ordered after the set-idle store).
   bool empty() const {
     if (fifo_ != nullptr) return false;
-    T* h = head_.load(std::memory_order_seq_cst);
-    WFL_CHK_ATOMIC(&head_, kLoad, seq_cst, kInjPeek, detail::ptr_bits(h));
-    return h == nullptr;
+    return head_.load(std::memory_order_seq_cst, race::Site::kInjPeek) ==
+           nullptr;
   }
 
  private:
-  std::atomic<T*> head_{nullptr};
+  race::Atomic<T*> head_{nullptr};
   T* fifo_ = nullptr;  // consumer-private reversed batch
 };
 

@@ -44,6 +44,16 @@ TEST(Contracts, OutOfRangeLockIdRejected) {
   EXPECT_DEATH(submit(session, ids, kNoop), "");
 }
 
+// The async path checks ids too: its wait lists are indexed by lock id.
+TEST(Contracts, AsyncOutOfRangeLockIdRejected) {
+  Space space(tiny_cfg(), 1, 4);
+  Session<RealPlat> session(space);
+  AsyncClient<RealPlat> client(session);
+  AsyncExecutor<RealPlat> exec(space, {.workers = 0});
+  const StaticLockSet<1> ids({99});
+  EXPECT_DEATH(exec.async_submit(client, ids, kNoop), "lock id out of range");
+}
+
 TEST(Contracts, ThunkOpBudgetEnforced) {
   Space space(tiny_cfg(), 1, 2);
   Session<RealPlat> session(space);

@@ -4,10 +4,13 @@
 //   1. Soundness on the clean tree: running the real lock algorithm under
 //      CheckedPlat across many seeds — theory mode and the fast path —
 //      produces ZERO findings while processing a nontrivial event stream.
-//   2. Sensitivity: seeded *model* mutations (the engine pretends a fence
-//      was deleted, or an order was weakened — see RaceEngine::Mutation)
-//      and one genuine out-of-band write are each caught, with a printed
-//      seed+slot reproducer, deterministically.
+//   2. Sensitivity: seeded *model* mutations (the engine pretends an order
+//      was weakened — see RaceEngine::Mutation) and one genuine out-of-band
+//      write are each caught, with a printed seed+slot reproducer,
+//      deterministically.
+//
+// A third test pins the raw atomic itself: race::Atomic reports exactly
+// the operation it executed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -124,24 +127,32 @@ TEST(Race, CleanTreeZeroFindingsAcrossSeeds) {
   EXPECT_GT(eng.events(), 100'000u);
 }
 
-// --- 2. Mutation: delete the EBR publication-point fence. ---
+// --- 2. Mutation: weaken the EBR announce store to relaxed. ---
 //
-// The engine's structural Dekker check (announce store ... seq_cst fence
-// ... verify load) must flag the unfenced window at the verify load.
+// ebr.announce is the guard's half of the EBR publication Dekker
+// (DESIGN.md §4.4): it must precede the verify load in the seq_cst order.
+// A relaxed announce must trip the ordering audit on the first guard.
 
-TEST(Race, DropPublishFenceCaught) {
+Mutation ebr_announce_relaxed() {
+  return {Mutation::Kind::kDowngradeOrder, race::Site::kEbrAnnounce,
+          std::memory_order_relaxed};
+}
+
+TEST(Race, EbrAnnounceDowngradeCaught) {
   RaceEngine eng;
   eng.install();
-  eng.set_mutation({Mutation::Kind::kDropFence, race::Site::kEbrPublishFence,
-                    std::memory_order_relaxed});
+  eng.set_mutation(ebr_announce_relaxed());
   CheckedWorkload w = theory_clique(42);
   w.run();
-  ASSERT_GE(count_kind(eng, "unfenced-announce"), 1u) << dump(eng);
-  bool has_repro = false;
+  ASSERT_GE(count_kind(eng, "contract"), 1u) << dump(eng);
+  bool named = false;
   for (const race::Finding& f : eng.findings()) {
-    if (f.message.find("seed=42") != std::string::npos) has_repro = true;
+    if (f.message.find("ebr.announce") != std::string::npos &&
+        f.message.find("seed=42") != std::string::npos) {
+      named = true;
+    }
   }
-  EXPECT_TRUE(has_repro) << dump(eng);
+  EXPECT_TRUE(named) << dump(eng);
 }
 
 // --- 3. Mutation: weaken the thin-word publish CAS to relaxed. ---
@@ -223,9 +234,7 @@ TEST(Race, DeterministicReproducer) {
   auto once = [] {
     RaceEngine eng;
     eng.install();
-    eng.set_mutation({Mutation::Kind::kDropFence,
-                      race::Site::kEbrPublishFence,
-                      std::memory_order_relaxed});
+    eng.set_mutation(ebr_announce_relaxed());
     CheckedWorkload w = theory_clique(123);
     w.run();
     std::vector<std::string> msgs;
@@ -238,6 +247,76 @@ TEST(Race, DeterministicReproducer) {
   EXPECT_EQ(a.first, b.first) << "same seed, different findings";
   EXPECT_NE(a.second.find("reproducer: seed=123"), std::string::npos)
       << a.second;
+}
+
+// --- 7. The raw atomic reports what it executes. ---
+//
+// Every operation of race::Atomic reaches the engine with the kind, order
+// and value of the operation that ran: a failed CAS carries the observed
+// word (and the failure order std::atomic derives), fetch_sub the
+// post-subtraction value, exchange the stored value. A relaxed store at a
+// seq_cst-contract site is a contract finding.
+
+TEST(Race, CheckedAtomicReportsWhatItExecutes) {
+  using race::Op;
+  using race::Site;
+  RaceEngine eng;
+  eng.install();
+  Simulator sim(5);
+  sim.add_process([&eng] {
+    race::Atomic<std::uint32_t> a{7};
+    auto expect_last = [&](Op op, std::memory_order o, Site s,
+                           std::uint64_t v) {
+      const RaceEngine::AtomicEvent e = eng.last_atomic();
+      EXPECT_EQ(e.addr, static_cast<const void*>(&a));
+      EXPECT_EQ(e.op, op);
+      EXPECT_EQ(e.order, o);
+      EXPECT_EQ(e.site, s);
+      EXPECT_EQ(e.val, v);
+    };
+    EXPECT_EQ(a.load(std::memory_order_acquire, Site::kWakeSeq), 7u);
+    expect_last(Op::kLoad, std::memory_order_acquire, Site::kWakeSeq, 7);
+    a.store(9, std::memory_order_release, Site::kWakeSeq);
+    expect_last(Op::kStore, std::memory_order_release, Site::kWakeSeq, 9);
+    EXPECT_EQ(a.exchange(11, std::memory_order_acq_rel, Site::kAsyncStateCas),
+              9u);
+    expect_last(Op::kExchange, std::memory_order_acq_rel,
+                Site::kAsyncStateCas, 11);
+    std::uint32_t expected = 5;
+    EXPECT_FALSE(a.compare_exchange_strong(
+        expected, 6, std::memory_order_acq_rel, Site::kAsyncStateCas));
+    EXPECT_EQ(expected, 11u);
+    expect_last(Op::kCasFail, std::memory_order_acquire,
+                Site::kAsyncStateCas, 11);
+    while (!a.compare_exchange_weak(expected, 12, std::memory_order_acq_rel,
+                                    Site::kAsyncStateCas)) {
+    }
+    expect_last(Op::kCasOk, std::memory_order_acq_rel, Site::kAsyncStateCas,
+                12);
+    EXPECT_EQ(a.fetch_add(3, std::memory_order_relaxed, Site::kSerialRefill),
+              12u);
+    expect_last(Op::kFetchAdd, std::memory_order_relaxed, Site::kSerialRefill,
+                15);
+    EXPECT_EQ(a.fetch_sub(4, std::memory_order_acq_rel, Site::kAsyncRefsDrop),
+              15u);
+    expect_last(Op::kFetchSub, std::memory_order_acq_rel,
+                Site::kAsyncRefsDrop, 11);
+    EXPECT_EQ(a.peek(), 11u);
+    expect_last(Op::kPeek, std::memory_order_relaxed, Site::kAtomicPeek, 11);
+    a.init(2);
+    expect_last(Op::kInit, std::memory_order_relaxed, Site::kAtomicInit, 2);
+    EXPECT_TRUE(eng.findings().empty()) << dump(eng);
+
+    a.store(1, std::memory_order_relaxed, Site::kEbrAnnounce);
+    expect_last(Op::kStore, std::memory_order_relaxed, Site::kEbrAnnounce, 1);
+  });
+  RoundRobinSchedule sched(1);
+  ASSERT_TRUE(sim.run(sched, 1'000'000));
+  ASSERT_EQ(count_kind(eng, "contract"), 1u) << dump(eng);
+  const std::string& msg = eng.findings()[0].message;
+  EXPECT_NE(msg.find("ebr.announce: store ran with relaxed"),
+            std::string::npos)
+      << msg;
 }
 
 }  // namespace

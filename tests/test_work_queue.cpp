@@ -39,7 +39,7 @@ struct Item {
 };
 
 struct Node {
-  std::atomic<Node*> q_next{nullptr};
+  race::Atomic<Node*> q_next{nullptr};
   int v = 0;
 };
 
@@ -421,10 +421,10 @@ TEST(Injector, DrainAllTakesSharedChainNotOwnerCache) {
   Node* chain = inj.drain_all();
   ASSERT_NE(chain, nullptr);
   EXPECT_EQ(chain->v, 3);
-  Node* second = chain->q_next.load();
+  Node* second = chain->q_next.peek();
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->v, 2);
-  EXPECT_EQ(second->q_next.load(), nullptr);
+  EXPECT_EQ(second->q_next.peek(), nullptr);
   // The owner still holds its cached batch, in FIFO order.
   EXPECT_EQ(inj.pop()->v, 1);
   EXPECT_EQ(inj.pop(), nullptr);
@@ -459,7 +459,8 @@ TEST(WorkQueueStress, InjectorForeignDrainTsanSweep) {
     while (!done.load(std::memory_order_acquire)) {
       Node* chain = inj.drain_all();
       while (chain != nullptr) {
-        Node* next = chain->q_next.load(std::memory_order_relaxed);
+        Node* next = chain->q_next.load(std::memory_order_relaxed,
+                                        race::Site::kInjNext);
         ASSERT_FALSE(thief_seen[static_cast<std::size_t>(chain->v)]);
         thief_seen[static_cast<std::size_t>(chain->v)] = true;
         got.fetch_add(1, std::memory_order_relaxed);
