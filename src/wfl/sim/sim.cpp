@@ -54,26 +54,62 @@ int WeightedSchedule::next() {
   return static_cast<int>(cumulative_.size()) - 1;
 }
 
-inline int StallBurstSchedule::draw(Xoshiro256& rng, int& victim,
-                                    std::uint64_t& remaining) const {
-  if (remaining == 0) {
-    victim = static_cast<int>(rng.next_below(n_));
-    remaining = burst_len_;
-  }
-  --remaining;
-  if (n_ == 1) return 0;
-  // Uniform over everyone except the current victim.
-  const int pick = static_cast<int>(rng.next_below(n_ - 1));
-  return pick >= victim ? pick + 1 : pick;
+namespace {
+// A schedule names pids 0..n-1, so it needs n >= 1 (CrashSchedule's check).
+int checked_procs(int n) {
+  WFL_CHECK(n >= 1);
+  return n;
+}
+}  // namespace
+
+RoundRobinSchedule::RoundRobinSchedule(int n) : n_(checked_procs(n)) {}
+
+UniformSchedule::UniformSchedule(int n, std::uint64_t seed)
+    : n_(static_cast<std::uint64_t>(checked_procs(n))), rng_(seed) {}
+
+StallBurstSchedule::StallBurstSchedule(int n, std::uint64_t seed,
+                                       std::uint64_t burst_len)
+    : n_(checked_procs(n)),
+      all_(static_cast<std::uint64_t>(n)),
+      others_(n > 1 ? static_cast<std::uint64_t>(n - 1) : 1),
+      burst_len_(burst_len),
+      rng_(seed) {}
+
+inline void StallBurstSchedule::start_burst(Xoshiro256& rng, int& victim,
+                                            std::uint64_t& remaining) const {
+  victim = static_cast<int>(rng.next_below(all_));
+  // A zero burst length starves one victim for good, as it always has
+  // (the old per-pick countdown wrapped below zero).
+  remaining = burst_len_ == 0 ? ~std::uint64_t{0} : burst_len_;
 }
 
-int StallBurstSchedule::next() { return draw(rng_, victim_, remaining_); }
+inline int StallBurstSchedule::pick(Xoshiro256& rng, int victim) const {
+  if (n_ == 1) return 0;
+  const int p = static_cast<int>(rng.next_below(others_));
+  return p >= victim ? p + 1 : p;
+}
 
+int StallBurstSchedule::next() {
+  if (remaining_ == 0) start_burst(rng_, victim_, remaining_);
+  --remaining_;
+  return pick(rng_, victim_);
+}
+
+// One burst stretch at a time: the victim test leaves the inner loop.
 void StallBurstSchedule::next_n(int* out, std::size_t n) {
   Xoshiro256 rng = rng_;  // locals the loop can keep in registers
   int victim = victim_;
   std::uint64_t remaining = remaining_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = draw(rng, victim, remaining);
+  std::size_t i = 0;
+  while (i < n) {
+    if (remaining == 0) start_burst(rng, victim, remaining);
+    const std::size_t stretch = static_cast<std::size_t>(
+        std::min<std::uint64_t>(remaining, n - i));
+    for (const std::size_t end = i + stretch; i < end; ++i) {
+      out[i] = pick(rng, victim);
+    }
+    remaining -= stretch;
+  }
   rng_ = rng;
   victim_ = victim;
   remaining_ = remaining;
@@ -211,13 +247,18 @@ void Simulator::grant_idle_batch(Schedule& sched, std::uint64_t n) {
   sched.next_n(picks, n);
   const int procs = process_count();
   // Each live process had idle >= n, so every pick finds it idle; picks
-  // of finished processes are wasted, as they are slot by slot.
+  // of finished processes are wasted, as they are slot by slot. The picks
+  // are tallied per pid first, so each Proc is touched once per batch.
+  granted_.assign(static_cast<std::size_t>(procs), 0);
   for (std::uint64_t i = 0; i < n; ++i) {
     WFL_CHECK(picks[i] >= 0 && picks[i] < procs);
-    Proc& p = *procs_[static_cast<std::size_t>(picks[i])];
+    ++granted_[static_cast<std::size_t>(picks[i])];
+  }
+  for (std::size_t pid = 0; pid < granted_.size(); ++pid) {
+    Proc& p = *procs_[pid];
     if (!p.done) {
-      ++p.steps;
-      --p.idle;
+      p.steps += granted_[pid];
+      p.idle -= granted_[pid];
     }
   }
   if (watchdog_slots_ > 0) {

@@ -54,7 +54,7 @@ class Schedule {
 
 class RoundRobinSchedule final : public Schedule {
  public:
-  explicit RoundRobinSchedule(int n) : n_(n) {}
+  explicit RoundRobinSchedule(int n);
   int next() override { return pos_ = (pos_ + 1) % n_; }
 
  private:
@@ -64,11 +64,11 @@ class RoundRobinSchedule final : public Schedule {
 
 class UniformSchedule final : public Schedule {
  public:
-  UniformSchedule(int n, std::uint64_t seed) : n_(n), rng_(seed) {}
+  UniformSchedule(int n, std::uint64_t seed);
   int next() override { return static_cast<int>(rng_.next_below(n_)); }
 
  private:
-  int n_;
+  DrawBound n_;
   Xoshiro256 rng_;
 };
 
@@ -89,17 +89,20 @@ class WeightedSchedule final : public Schedule {
 // produces highly skewed interleavings.
 class StallBurstSchedule final : public Schedule {
  public:
-  StallBurstSchedule(int n, std::uint64_t seed, std::uint64_t burst_len)
-      : n_(n), burst_len_(burst_len), rng_(seed) {}
+  StallBurstSchedule(int n, std::uint64_t seed, std::uint64_t burst_len);
   int next() override;
   void next_n(int* out, std::size_t n) override;
 
  private:
-  // One pick from the given state: the members for next(), locals for
-  // next_n().
-  int draw(Xoshiro256& rng, int& victim, std::uint64_t& remaining) const;
+  // A burst's victim, drawn when the previous burst ran out.
+  void start_burst(Xoshiro256& rng, int& victim,
+                   std::uint64_t& remaining) const;
+  // One pick inside a burst: uniform over everyone except the victim.
+  int pick(Xoshiro256& rng, int victim) const;
 
   int n_;
+  DrawBound all_;     // n: the victim draw
+  DrawBound others_;  // n - 1 (1 when n == 1, which never draws a pick)
   std::uint64_t burst_len_;
   Xoshiro256 rng_;
   int victim_ = -1;
@@ -222,6 +225,7 @@ class Simulator {
   int finished_ = 0;
   std::uint64_t slots_used_ = 0;
   bool in_run_ = false;
+  std::vector<std::uint64_t> granted_;  // grant_idle_batch's per-pid tally
 
   // Watchdog state (see enable_watchdog).
   static constexpr int kTraceRing = 64;

@@ -556,5 +556,14 @@ TEST(SimulatorDeathTest, IdleStepsOnNestedFiberDies) {
       "nested inside a process");
 }
 
+TEST(ScheduleDeathTest, SchedulesRejectNoProcesses) {
+  // n < 1 names no pid: round robin would divide by zero, a uniform
+  // draw below 0 hands pid 0 every slot, and a stall burst would draw
+  // below 2^64 - 1.
+  EXPECT_DEATH({ RoundRobinSchedule rr(0); }, "n >= 1");
+  EXPECT_DEATH({ UniformSchedule u(0, 1); }, "n >= 1");
+  EXPECT_DEATH({ StallBurstSchedule s(0, 1, 16); }, "n >= 1");
+}
+
 }  // namespace
 }  // namespace wfl
