@@ -12,10 +12,12 @@
 //     campaign budget must rediscover it. Exit 0 iff at least one finding
 //     was produced (with its minimized, deterministically replayable
 //     reproducer printed) — this is the mutation-testing gate that proves
-//     the fuzzer can actually find the class of bug it exists for. Two
+//     the fuzzer can actually find the class of bug it exists for. Three
 //     more gates: skip_revalidate drops the engine_wide family's in-thunk
-//     re-check (fuzz/workload.hpp), and early_done marks a thunk log done
-//     before the run's logged ops land (core/attempt.hpp).
+//     re-check (fuzz/workload.hpp), early_done marks a thunk log done
+//     before the run's logged ops land (core/attempt.hpp), and
+//     stale_remove_owner lets an active-set remove climb with the empty
+//     owner word it stored (active/active_set.hpp).
 //
 // Every knob has a flag and an env override (env wins), so CI YAML and a
 // long soak invocation can both steer it without rebuilds:

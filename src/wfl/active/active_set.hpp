@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "wfl/fuzz/sites.hpp"
 #include "wfl/mem/arena.hpp"
 #include "wfl/mem/ebr.hpp"
 #include "wfl/util/align.hpp"
@@ -191,7 +192,7 @@ class ActiveSet {
     for (int pass = 0; pass < kMaxInsertPasses; ++pass) {
       for (std::uint32_t i = 0; i < capacity_; ++i) {
         if (slots_[i].owner.load() == T{} && slots_[i].owner.cas(T{}, item)) {
-          climb(static_cast<int>(i), ebr_pid);
+          climb(static_cast<int>(i), ebr_pid, &item);
           return static_cast<int>(i);
         }
       }
@@ -202,11 +203,17 @@ class ActiveSet {
     return -1;
   }
 
-  // Clears the slot claimed by the previous insert and propagates.
+  // Clears the slot claimed by the previous insert and propagates. The
+  // climb re-reads the slot's owner: a cleared slot can be claimed again at
+  // once, and a climb that carried down the empty word it stored could
+  // overwrite the new owner's settled level (DESIGN.md §2.1).
   void remove(int slot, int ebr_pid) {
     WFL_CHECK(slot >= 0 && slot < static_cast<int>(capacity_));
-    slots_[slot].owner.store(T{});
-    climb(slot, ebr_pid);
+    const T cleared{};
+    slots_[slot].owner.store(cleared);
+    // Seeded fault: the climb trusts the word it stored.
+    climb(slot, ebr_pid,
+          fuzz::fault_on(fuzz::Fault::kStaleRemoveOwner) ? &cleared : nullptr);
   }
 
   // The current owner of one slot (crash recovery scans these to remove a
@@ -222,7 +229,10 @@ class ActiveSet {
   static constexpr std::uint32_t kPoolLowWater = 64;
 
   // Rebuilds snapshots from slot i down to slot 0: at each level, CAS a
-  // fresh snapshot in; retry once only if that CAS failed.
+  // fresh snapshot in; retry once only if that CAS failed. `own` is the
+  // owner word of slot i when the caller knows it for the whole climb
+  // (insert's claimed item: only the claimer clears a claimed slot), and
+  // null when it must be loaded.
   //
   // One success settles the level. The snapshot it installs was built from
   // reads made after the level above was settled, so it already holds
@@ -232,7 +242,7 @@ class ActiveSet {
   // reappearing as an ABA). Two failures mean two rival CASes landed
   // inside our window, and the second of them read the level after our
   // first read began — the classic double-refresh argument.
-  void climb(int i, int ebr_pid) {
+  void climb(int i, int ebr_pid, const T* own) {
     // Backpressure: when the snapshot pool runs low (e.g. a preempted
     // process is pinning the epoch), try to reclaim before allocating.
     if (mem_.pool.free_count() < kPoolLowWater) {
@@ -249,7 +259,8 @@ class ActiveSet {
         const std::uint32_t above = (j + 1 == static_cast<int>(capacity_))
                                         ? mem_.empty
                                         : slots_[j + 1].set.load();
-        const T member = slots_[j].owner.load();
+        const T member =
+            j == i && own != nullptr ? *own : slots_[j].owner.load();
         build(mem_.pool.at(fresh), mem_.pool.at(above), member);
         if (slots_[j].set.cas(cur, fresh)) {
           mem_.retire(cur, ebr_pid);

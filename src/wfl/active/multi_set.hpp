@@ -58,14 +58,16 @@ void multi_remove(T item, SetT* const* sets, const int* slots,
 }
 
 // Filtered getSet on one of the sets: only flagged members are returned.
-// Caller holds an EBR guard spanning this call and any use of the members.
+// `skip` (when not null) is left out without a load of its flag: the
+// caller's own item, which it never competes against. Caller holds an EBR
+// guard spanning this call and any use of the members.
 template <typename Plat, typename T, typename SetT>
-void multi_get_set(SetT& set, MemberList<T>& out) {
+void multi_get_set(SetT& set, MemberList<T>& out, T skip = T{}) {
   out.count = 0;
   const auto* snap = set.get_set();
   for (std::uint32_t i = 0; i < snap->count; ++i) {
     T item = snap->items[i];
-    if (item->flag()) out.push(item);
+    if (item != skip && item->flag()) out.push(item);
   }
 }
 

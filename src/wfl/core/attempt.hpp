@@ -22,7 +22,8 @@
 //   const MemberList<Desc*>& competitors(Desc& p, std::uint32_t i);
 //                                            // p's rivals on its i-th lock:
 //                                            // a live getSet, or §6.2's
-//                                            // frozen snapshot
+//                                            // frozen snapshot (p itself
+//                                            // left out, unloaded)
 //   GuardT guard();                          // RAII: the table's EBR guard
 //                                            // (re-entrant)
 //   Desc* thin_rival(std::uint32_t id);      // the lock's thin-word
@@ -103,44 +104,65 @@ struct AttemptEngine {
   // reading the set; slow inserts into the set before probing the word,
   // both seq_cst) guarantees two conflicting attempts cannot both miss
   // each other — the same visibility property Lemma 6.3 needs.
-  static void run(Ctx& cx, Desc& p) {
+  //
+  // No step re-reads a word whose value the attempt already holds: the
+  // getSet skips p itself without loading its flag, a duel with p itself
+  // is no duel, a status once seen decided stays decided (transitions only
+  // leave active), and decide's value-reporting CAS gives p's final status,
+  // from which run() celebrates p and which it returns: true iff p won.
+  static bool run(Ctx& cx, Desc& p) {
     auto guard = cx.guard();
     // Reads line group A (lock_ids/lock_count) — must be ordered after the
     // owner's publication writes.
     WFL_PLAIN_READ(&p, kDescPlain);
+    std::uint32_t status = kStatusActive;
     for (std::uint32_t i = 0; i < p.lock_count; ++i) {
       const MemberList<Desc*>& members = cx.competitors(p, i);
-      if (p.status.load() != kStatusActive) continue;
+      status = p.status.load();
+      // Decided by a rival or a helper: whoever decided p won celebrated
+      // p's rivals first, and a lost p runs nothing.
+      if (status != kStatusActive) break;
       for (Desc* q : members) duel(cx, p, *q);
       if (Desc* r = cx.thin_rival(p.lock_ids[i])) duel(cx, p, *r);
     }
-    decide(p);
-    celebrate_if_won(cx, p);
+    if (status == kStatusActive) status = decide(p);
+    if (status != kStatusWon) return false;
+    celebrate(cx, p);
+    return true;
   }
 
   // One pairwise competition step between `p` and an observed rival `q`
-  // (set member or thin-word publication).
+  // (set member or thin-word publication), which ends with q celebrated if
+  // q won; a duel of p with itself does nothing (run() decides and
+  // celebrates p at its end).
   //
   // A TBD rival exists only under DelayMode::kUnknownBounds (known-bounds
   // priorities are pending or positive, so the branch is dead there and
   // costs no step): q participated but its priority has not landed. Re-read
   // once — it may just have — and if it is still TBD, eliminate q
   // (seer-eliminates; the safety argument is in core/lock_table.hpp).
+  //
+  // q's status is loaded once. Decided, it is final; eliminating q reports
+  // it through the CAS. Only when p is the one eliminated is q's status
+  // still unknown, and only then is it loaded again.
   static void duel(Ctx& cx, Desc& p, Desc& q) {
-    if (q.status.load() == kStatusActive && &q != &p) {
+    if (&q == &p) return;
+    std::uint32_t qs = q.status.load();
+    if (qs == kStatusActive) {
       const std::int64_t pp = p.priority.load();
       std::int64_t qp = q.priority.load();
       if (qp == kPriorityTbd) qp = q.priority.load();
       if (qp == kPriorityTbd) {
         cx.stats().add_tbd_elimination();
-        eliminate(cx, q);
+        qs = eliminate(cx, q);
       } else if (pp > qp) {
-        eliminate(cx, q);
+        qs = eliminate(cx, q);
       } else {
         eliminate(cx, p);  // covers qp > pp and the tie (self loses)
+        qs = q.status.load();
       }
     }
-    celebrate_if_won(cx, q);
+    if (qs == kStatusWon) celebrate(cx, q);
   }
 
   // Help-phase drive of a revealed competitor (tryLocks lines 17-20).
@@ -239,7 +261,7 @@ struct AttemptEngine {
     cx.after_reveal();
 
     // --- work segment 2: compete, then multiRemove (lines 22-23) ---
-    run(cx, d);
+    const bool won = run(cx, d);
     d.clear_flag();
     for (std::uint32_t i = 0; i < d.lock_count; ++i) {
       cx.remove(d.lock_ids[i], d.slot_of_lock[i]);
@@ -247,7 +269,6 @@ struct AttemptEngine {
     const std::uint64_t post_reveal_work = Plat::steps() - reveal_steps;
     cx.after_release(d, reveal_steps);
 
-    const bool won = d.status.load() == kStatusWon;
     if (won) cx.stats().add_win();
     if (info != nullptr) {
       info->won = won;
@@ -258,19 +279,29 @@ struct AttemptEngine {
     return won;
   }
 
-  static void decide(Desc& p) { p.status.cas(kStatusActive, kStatusWon); }
-
-  static void eliminate(Ctx& cx, Desc& p) {
-    if (p.status.cas(kStatusActive, kStatusLost)) {
-      cx.stats().add_elimination();
-    }
+  // p's final status: won if this CAS decided it, else the decided status
+  // the CAS found.
+  static std::uint32_t decide(Desc& p) {
+    const std::uint32_t found = p.status.cas_value(kStatusActive, kStatusWon);
+    return found == kStatusActive ? kStatusWon : found;
   }
 
-  // Runs p's thunk if p won and no run of it has completed yet. The done
-  // word is set only after a run installed every effect, and its seq_cst
-  // load orders the skipper after them (DESIGN.md §3.6).
-  static void celebrate_if_won(Ctx& cx, Desc& p) {
-    if (p.status.load() != kStatusWon || p.log.done()) return;
+  // Eliminates p if it is still active; returns p's final status (lost, or
+  // won when the CAS found p already decided that way).
+  static std::uint32_t eliminate(Ctx& cx, Desc& p) {
+    const std::uint32_t found =
+        p.status.cas_value(kStatusActive, kStatusLost);
+    if (found != kStatusActive) return found;
+    cx.stats().add_elimination();
+    return kStatusLost;
+  }
+
+  // Runs the thunk of a p known to have won, unless a run of it has
+  // completed already. The done word is set only after a run installed
+  // every effect, and its seq_cst load orders the skipper after them
+  // (DESIGN.md §3.6).
+  static void celebrate(Ctx& cx, Desc& p) {
+    if (p.log.done()) return;
     // Replays the thunk and reads tag_base — line group A again.
     WFL_PLAIN_READ(&p, kDescPlain);
     cx.stats().add_thunk_run();

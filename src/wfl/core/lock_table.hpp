@@ -385,7 +385,7 @@ class LockTable {
     // under the table's guard, then decides and celebrates.
     AttemptCtx cx{*this, h};
     const std::uint64_t reveal_steps = Plat::steps();
-    Engine::run(cx, fd);
+    const bool won = Engine::run(cx, fd);
 
     WFL_CHK_TAG(kThinRelease);
     bool released = w.cas(enc, 0);
@@ -408,7 +408,6 @@ class LockTable {
     notify_release({&lock_id, 1}, h.pid());
     const std::uint64_t post_reveal_work = Plat::steps() - reveal_steps;
 
-    const bool won = fd.status.load() == kStatusWon;
     if (won) h.stats().add_win();
     h.stats().add_fastpath_hit();
     if (info != nullptr) {
@@ -434,18 +433,24 @@ class LockTable {
   // means the previous publication completed (decided and released), and
   // any NEWER publication's competition scan happens after its publish
   // CAS — which is after our own set insert — so the newer owner is
-  // guaranteed to see and duel us instead.
+  // guaranteed to see and duel us instead. A failed observe CAS reports
+  // the changed word, which the second pass examines without a load.
   Desc* thin_rival(Handle& h, std::uint32_t lock_id) {
     if (!practical_) return nullptr;
     ThinWord& w = *thin_[lock_id];
+    std::uint64_t v = w.load();
     for (int pass = 0; pass < 2; ++pass) {
-      const std::uint64_t v = w.load();
       if (v == 0) return nullptr;
       const int pid = thin_pid(v);
       if (pid == h.pid()) return nullptr;  // own publication
-      if ((v & kThinObserved) != 0 || w.cas(v, v | kThinObserved)) {
-        return &handles_[static_cast<std::size_t>(pid)]->fast_desc();
+      if ((v & kThinObserved) == 0) {
+        const std::uint64_t found = w.cas_value(v, v | kThinObserved);
+        if (found != v) {
+          v = found;
+          continue;
+        }
       }
+      return &handles_[static_cast<std::size_t>(pid)]->fast_desc();
     }
     return nullptr;
   }
@@ -592,7 +597,7 @@ class LockTable {
         WFL_PLAIN_READ(p.snaps.get(), kFrozenSnaps);
         return (*p.snaps)[i];
       }
-      multi_get_set<Plat>(set(p.lock_ids[i]), h.run_scratch());
+      multi_get_set<Plat>(set(p.lock_ids[i]), h.run_scratch(), &p);
       return h.run_scratch();
     }
     HandleGuard<Handle, EbrDomain> guard() { return {h, t.ebr_}; }
@@ -617,7 +622,7 @@ class LockTable {
       pad_to_power_of_two(start_steps);
       d.priority.store(kPriorityTbd);
       for (std::uint32_t i = 0; i < d.lock_count; ++i) {
-        multi_get_set<Plat>(set(d.lock_ids[i]), (*d.snaps)[i]);
+        multi_get_set<Plat>(set(d.lock_ids[i]), (*d.snaps)[i], &d);
         WFL_PLAIN_WRITE(d.snaps.get(), kFrozenSnaps);
       }
     }

@@ -548,7 +548,7 @@ class ShmLockTable {
     MemberList<Desc*>& help_scratch() { return s->h_.help_scratch(); }
     bool revealed(Desc&) { return true; }
     const MemberList<Desc*>& competitors(Desc& p, std::uint32_t i) {
-      multi_get_set<RealPlat>(set(p.lock_ids[i]), s->h_.run_scratch());
+      multi_get_set<RealPlat>(set(p.lock_ids[i]), s->h_.run_scratch(), &p);
       return s->h_.run_scratch();
     }
     HandleGuard<Handle, EbrDomain> guard() { return t->guard_of(*s); }

@@ -116,7 +116,8 @@ inline std::vector<Trace> seed_traces(const std::string& fault) {
   if (const std::optional<FaultSpec> f = parse_fault(fault); f.has_value()) {
     if (f->hook == Fault::kSkipRevalidate) {
       kinds = {WorkloadKind::kEngineWide};  // the token move's re-check
-    } else if (f->hook == Fault::kEarlyDone) {
+    } else if (f->hook == Fault::kEarlyDone ||
+               f->hook == Fault::kStaleRemoveOwner) {
       kinds = {WorkloadKind::kEngine, WorkloadKind::kEnginePressure};
     } else if (f->hook != Fault::kNone) {
       kinds = {WorkloadKind::kAsync};  // executor wake-path hooks

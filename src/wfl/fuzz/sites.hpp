@@ -23,8 +23,8 @@
 //     logic.
 //
 // This header is include-light on purpose (only <atomic>/<cstdint>): it
-// is pulled into core headers (descriptor/lock_table/attempt/process/
-// async_executor) that must not grow dependencies.
+// is pulled into core headers (active_set/descriptor/lock_table/attempt/
+// process/async_executor) that must not grow dependencies.
 #pragma once
 
 #include <atomic>
@@ -123,6 +123,11 @@ enum class Fault : std::uint8_t {
   // whose effects are not yet installed (or never will be, if the early
   // run crashes).
   kEarlyDone,
+  // Known owner on remove: ActiveSet::remove's climb reuses the empty
+  // owner word it just stored for its own level instead of loading it
+  // (insert may; remove may not — DESIGN.md §2.1). A slot cleared and
+  // claimed again at once then loses its new owner from the snapshot.
+  kStaleRemoveOwner,
 };
 
 inline std::atomic<Fault> g_fault{Fault::kNone};

@@ -96,8 +96,9 @@
 namespace wfl::fuzz {
 
 // Seeded faults a trace may carry (the `fault` line). Two g_fault hooks
-// live in async_executor.hpp, one in the engine_wide token move below and
-// one in AttemptEngine::celebrate_if_won (core/attempt.hpp); the race_*
+// live in async_executor.hpp, one in the engine_wide token move below, one
+// in AttemptEngine::celebrate (core/attempt.hpp) and one in
+// ActiveSet::remove (active/active_set.hpp); the race_*
 // entries arm engine-model mutations during the CheckedPlat replay
 // instead.
 struct FaultSpec {
@@ -123,6 +124,10 @@ inline std::optional<FaultSpec> parse_fault(const std::string& name) {
   }
   if (name == "early_done") {
     f.hook = Fault::kEarlyDone;
+    return f;
+  }
+  if (name == "stale_remove_owner") {
+    f.hook = Fault::kStaleRemoveOwner;
     return f;
   }
   using Mutation = race::RaceEngine::Mutation;

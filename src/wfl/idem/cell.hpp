@@ -56,6 +56,10 @@ class Cell {
   bool raw_cas(std::uint64_t expected, std::uint64_t desired) {
     return word_.cas(expected, desired);
   }
+  // The same CAS, returning the word it found (`expected` on success).
+  std::uint64_t raw_cas_value(std::uint64_t expected, std::uint64_t desired) {
+    return word_.cas_value(expected, desired);
+  }
 
   // Stepped value read *outside* any thunk — e.g. optimistic traversals
   // that later re-validate inside a critical section. Not idempotent.

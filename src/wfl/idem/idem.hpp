@@ -7,10 +7,16 @@
 // order, first *agrees* with all other runs on its result through a shared
 // per-thunk log.
 //
-//   * agree(i, v): one CAS of slot i from EMPTY to v, then one load — the
-//     first run to arrive wins, everyone adopts the winner's value.
-//     Constant overhead per operation, as the theorem requires.
-//   * load:   raw-load the cell, agree on the observed word.
+//   * agree(i, v): one load of slot i; if it is still EMPTY, one
+//     value-reporting CAS from EMPTY to v — the first run to arrive wins,
+//     everyone adopts the winner's value: a decided slot's load, or the
+//     word a failed CAS found (a slot is written once, so that word is the
+//     winner's). One step on a decided slot, two on an empty one: constant
+//     overhead per operation, as the theorem requires.
+//   * proposals are lazy: an operation whose proposal is the cell's word
+//     reads the cell only when its slot is still empty, so a replay of a
+//     decided operation reads the slot alone (DESIGN.md §3.7).
+//   * load:   agree on the cell's observed word.
 //   * store:  agree on the observed old word, then one single-shot physical
 //     CAS(old -> (value, fresh unique tag)). Tags make installed words
 //     unique, so at most one run's CAS takes effect; stragglers' CASes find
@@ -18,12 +24,13 @@
 //   * cas:    agree on the observed word; if its value mismatches, the
 //     logical CAS failed identically in every run. Otherwise one physical
 //     CAS to a tagged word, then agree on the *outcome*. A straggler whose
-//     physical CAS failed re-reads the cell: if it sees the desired word the
-//     logical CAS clearly succeeded; if it sees anything newer, the winning
-//     run must already have recorded the outcome (later operations only run
-//     after the outcome slot is filled), so the straggler's (possibly wrong)
-//     vote loses the agreement. This ordering argument is why the outcome
-//     agreement must sit *between* the physical CAS and any later operation.
+//     physical CAS failed looks at the word that CAS found: if it is the
+//     desired word the logical CAS clearly succeeded; if it is anything
+//     newer, the winning run must already have recorded the outcome (later
+//     operations only run after the outcome slot is filled), so the
+//     straggler's (possibly wrong) vote loses the agreement. This ordering
+//     argument is why the outcome agreement must sit *between* the physical
+//     CAS and any later operation.
 //   * once:   agree on a local nondeterministic value (randomness, time),
 //     making replays deterministic.
 //
@@ -146,15 +153,23 @@ class ThunkLog {
 
   // Agreement on slot i: first arrival installs, everyone reads the winner.
   std::uint64_t agree(std::uint32_t i, std::uint64_t v) {
+    return agree_lazy(i, [v] { return v; });
+  }
+
+  // The same agreement with the proposal made by `propose()` — only when
+  // slot i is still empty. A decided slot costs its one load (the common
+  // case when helping a finished run); an empty one adds one CAS, whose
+  // failure reports the winner's word.
+  template <typename Propose>
+  std::uint64_t agree_lazy(std::uint32_t i, Propose&& propose) {
     WFL_CHECK_MSG(i < kThunkLogCap, "thunk exceeded its operation budget");
-    WFL_DASSERT(v != kCellEmptySlot);
     typename Plat::template Atomic<std::uint64_t>& slot = slots_[i];
-    // Avoid the CAS when already decided (common when helping a finished
-    // run); the load alone is the agreement in that case.
     const std::uint64_t cur = slot.load();
     if (cur != kCellEmptySlot) return cur;
-    slot.cas(kCellEmptySlot, v);
-    return slot.load();
+    const std::uint64_t v = propose();
+    WFL_DASSERT(v != kCellEmptySlot);
+    const std::uint64_t found = slot.cas_value(kCellEmptySlot, v);
+    return found == kCellEmptySlot ? v : found;
   }
 
  private:
@@ -177,13 +192,12 @@ class IdemCtx {
       : log_(&log), tag_base_(tag_base) {}
 
   std::uint32_t load(Cell<Plat>& c) {
-    const std::uint64_t agreed = agree(c.raw_load());
-    return cell_value(agreed);
+    return cell_value(observe(c, consume_op()));
   }
 
   void store(Cell<Plat>& c, std::uint32_t v) {
     const std::uint32_t op = consume_op();
-    const std::uint64_t old = log_->agree(slot_for(op, 0), c.raw_load());
+    const std::uint64_t old = observe(c, op);
     const std::uint64_t desired = cell_pack(v, tag_for(op));
     WFL_DASSERT(old != desired);
     c.raw_cas(old, desired);  // single shot; failure means already done
@@ -191,17 +205,16 @@ class IdemCtx {
 
   bool cas(Cell<Plat>& c, std::uint32_t expected, std::uint32_t desired_v) {
     const std::uint32_t op = consume_op();
-    const std::uint64_t cur = log_->agree(slot_for(op, 0), c.raw_load());
+    const std::uint64_t cur = observe(c, op);
     if (cell_value(cur) != expected) {
       return false;  // same agreed word in every run => same branch
     }
     const std::uint64_t desired = cell_pack(desired_v, tag_for(op));
-    std::uint64_t vote = kOutcomeFalse;
-    if (c.raw_cas(cur, desired)) {
-      vote = kOutcomeTrue;
-    } else if (c.raw_load() == desired) {
-      vote = kOutcomeTrue;  // another run of this very op installed it
-    }
+    // Our CAS installed the word (found == cur), or another run of this
+    // very op did (found == desired).
+    const std::uint64_t found = c.raw_cas_value(cur, desired);
+    const std::uint64_t vote =
+        found == cur || found == desired ? kOutcomeTrue : kOutcomeFalse;
     const std::uint64_t outcome = log_->agree(slot_for(op, 1), vote);
     return outcome == kOutcomeTrue;
   }
@@ -217,15 +230,12 @@ class IdemCtx {
   bool store_racy(Cell<Plat>& c, std::uint32_t v, int max_rounds) {
     for (int r = 0; r < max_rounds; ++r) {
       const std::uint32_t op = consume_op();
-      const std::uint64_t old = log_->agree(slot_for(op, 0), c.raw_load());
+      const std::uint64_t old = observe(c, op);
       const std::uint64_t desired = cell_pack(v, tag_for(op));
       if (old == desired) return true;  // an earlier round already landed
-      std::uint64_t vote = kOutcomeFalse;
-      if (c.raw_cas(old, desired)) {
-        vote = kOutcomeTrue;
-      } else if (c.raw_load() == desired) {
-        vote = kOutcomeTrue;
-      }
+      const std::uint64_t found = c.raw_cas_value(old, desired);
+      const std::uint64_t vote =
+          found == old || found == desired ? kOutcomeTrue : kOutcomeFalse;
       if (log_->agree(slot_for(op, 1), vote) == kOutcomeTrue) return true;
     }
     return false;
@@ -254,6 +264,15 @@ class IdemCtx {
   std::uint64_t agree(std::uint64_t v) {
     const std::uint32_t op = consume_op();
     return log_->agree(slot_for(op, 0), v);
+  }
+
+  // Agreement on the word of `c` that op `op` observed. The cell is read
+  // only while the op's slot is empty: a run that finds it empty has made
+  // its own attempt at op - 1's effect, and no run applies op's effect
+  // before the slot is agreed, so the word read then is as good a
+  // proposal as one read earlier (DESIGN.md §3.7).
+  std::uint64_t observe(Cell<Plat>& c, std::uint32_t op) {
+    return log_->agree_lazy(slot_for(op, 0), [&c] { return c.raw_load(); });
   }
 
   ThunkLog<Plat>* log_;

@@ -73,6 +73,14 @@ struct CheckedPlat {
       return v_.compare_exchange_strong(expected, desired, kOrder,
                                         race::Site::kUnknown);
     }
+    // Value-reporting CAS: a failure reports the word it found to the
+    // engine (Op::kCasFail) and hands that same word back.
+    T cas_value(T expected, T desired) {
+      step();
+      v_.compare_exchange_strong(expected, desired, kOrder,
+                                 race::Site::kUnknown);
+      return expected;
+    }
     T exchange(T v) {
       step();
       return v_.exchange(v, kOrder, race::Site::kUnknown);

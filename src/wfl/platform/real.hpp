@@ -110,6 +110,16 @@ struct RealPlat {
                                         std::memory_order_seq_cst);
     }
 
+    // The same single CAS, reporting the word it found (the model's CAS
+    // returns it): `expected` when it succeeded, the current word when it
+    // failed. One step, like cas(); a caller that needs the outcome makes
+    // no second load.
+    T cas_value(T expected, T desired) {
+      step();
+      v_.compare_exchange_strong(expected, desired, std::memory_order_seq_cst);
+      return expected;
+    }
+
     T exchange(T v) {
       step();
       return v_.exchange(v, std::memory_order_seq_cst);

@@ -110,6 +110,13 @@ struct SimPlat {
                                         std::memory_order_seq_cst);
     }
 
+    // Value-reporting CAS; same contract as RealPlat's.
+    T cas_value(T expected, T desired) {
+      step();
+      v_.compare_exchange_strong(expected, desired, std::memory_order_seq_cst);
+      return expected;
+    }
+
     T exchange(T v) {
       step();
       return v_.exchange(v, std::memory_order_seq_cst);

@@ -29,6 +29,12 @@ std::uint64_t env_watchdog_slots() {
   }();
   return cached;
 }
+
+// A schedule names pids 0..n-1, so it needs n >= 1 (CrashSchedule's check).
+int checked_procs(int n) {
+  WFL_CHECK(n >= 1);
+  return n;
+}
 }  // namespace
 
 WeightedSchedule::WeightedSchedule(std::vector<double> weights,
@@ -54,14 +60,6 @@ int WeightedSchedule::next() {
   return static_cast<int>(cumulative_.size()) - 1;
 }
 
-namespace {
-// A schedule names pids 0..n-1, so it needs n >= 1 (CrashSchedule's check).
-int checked_procs(int n) {
-  WFL_CHECK(n >= 1);
-  return n;
-}
-}  // namespace
-
 RoundRobinSchedule::RoundRobinSchedule(int n) : n_(checked_procs(n)) {}
 
 UniformSchedule::UniformSchedule(int n, std::uint64_t seed)
@@ -78,8 +76,7 @@ StallBurstSchedule::StallBurstSchedule(int n, std::uint64_t seed,
 inline void StallBurstSchedule::start_burst(Xoshiro256& rng, int& victim,
                                             std::uint64_t& remaining) const {
   victim = static_cast<int>(rng.next_below(all_));
-  // A zero burst length starves one victim for good, as it always has
-  // (the old per-pick countdown wrapped below zero).
+  // A zero burst length starves one victim for good (2^64 - 1 picks).
   remaining = burst_len_ == 0 ? ~std::uint64_t{0} : burst_len_;
 }
 

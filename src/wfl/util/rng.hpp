@@ -63,8 +63,8 @@ class Xoshiro256 {
     }
   }
 
-  // The same draw for a bound fixed up front (DrawBound below): the same
-  // outputs as next_below(b.value()), for a multiply-high, no division.
+  // The same draw for a bound d fixed up front (DrawBound below): the
+  // same outputs as next_below(d), for a multiply-high, no division.
   constexpr std::uint64_t next_below(const DrawBound& b);
 
   // Uniform double in [0, 1).
@@ -84,8 +84,9 @@ class Xoshiro256 {
 // multiplication", PLDI 1994, Fig. 4.1), exact for every 64-bit r. With
 // l = ceil(log2 d), m = floor(2^64 (2^l - d) / d) + 1 < 2^64, and
 //   q = (t + ((r - t) >> min(l, 1))) >> max(l - 1, 0),  t = mulhi(m, r),
-// q = floor(r / d): one multiply-high, a subtract, an add and two shifts.
-// The rejection threshold (2^64 - d) % d is computed once, here.
+// q = floor(r / d): one multiply-high, a subtract, an add and two shifts,
+// then r - q d. The rejection threshold (2^64 - d) % d is computed once,
+// here.
 class DrawBound {
  public:
   explicit constexpr DrawBound(std::uint64_t d) : d_(d) {
@@ -99,16 +100,12 @@ class DrawBound {
     threshold_ = (0 - d) % d;
   }
 
-  constexpr std::uint64_t value() const { return d_; }
   constexpr std::uint64_t threshold() const { return threshold_; }
 
-  constexpr std::uint64_t quotient(std::uint64_t r) const {
+  constexpr std::uint64_t remainder(std::uint64_t r) const {
     const auto t = static_cast<std::uint64_t>(
         (static_cast<unsigned __int128>(m_) * r) >> 64);
-    return (t + ((r - t) >> sh1_)) >> sh2_;
-  }
-  constexpr std::uint64_t remainder(std::uint64_t r) const {
-    return r - quotient(r) * d_;
+    return r - ((t + ((r - t) >> sh1_)) >> sh2_) * d_;
   }
 
  private:

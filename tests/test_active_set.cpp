@@ -133,8 +133,10 @@ TEST(ActiveSet, GetSetIsConstantStepCount) {
 
 // The exact cost of an uncontended climb: one successful CAS settles a
 // level, so a level costs its cur, above and owner loads plus the CAS (the
-// top level reads the sentinel, not a slot: one load fewer). A second pass
-// per level would double every climb term below.
+// top level reads the sentinel, not a slot: one load fewer). An insert
+// knows the owner of its own level — the item it just claimed the slot
+// for — and skips that load; a remove reads it (DESIGN.md §2.1). A second
+// pass per level would double every climb term below.
 TEST(ActiveSet, UncontendedInsertRemoveStepCountIsExact) {
   constexpr std::uint32_t kC = 4;
   IndexPool<SetSnap<SimItem*>> pool{4096};
@@ -168,13 +170,14 @@ TEST(ActiveSet, UncontendedInsertRemoveStepCountIsExact) {
   });
   RoundRobinSchedule rr(1);
   ASSERT_TRUE(sim.run(rr, 1'000'000));
-  // Slot 0: owner load + owner CAS, then one level of 4 steps.
-  EXPECT_EQ(ins0, 2u + 4u);
-  // Owner store, then the same level.
+  // Slot 0: owner load + owner CAS, then its own level: cur, above, CAS.
+  EXPECT_EQ(ins0, 2u + 3u);
+  // Owner store, then the same level with its owner load.
   EXPECT_EQ(rem0, 1u + 4u);
   // Slot C-1: C-1 occupied owner loads, owner load + CAS, the top level
-  // (3 steps) and C-1 levels below it (4 steps each).
-  EXPECT_EQ(ins_top, (kC - 1) + 2u + 3u + 4u * (kC - 1));
+  // (cur and CAS: the sentinel and the owner are known) and C-1 levels
+  // below it (4 steps each).
+  EXPECT_EQ(ins_top, (kC - 1) + 2u + 2u + 4u * (kC - 1));
   EXPECT_EQ(rem_top, 1u + 3u + 4u * (kC - 1));
 }
 
@@ -226,13 +229,17 @@ TEST(ActiveSetSim, LinearizabilityContainmentUnderInterleaving) {
     const int pid = ebr.register_participant();
     for (int q = 0; q < 200; ++q) {
       EbrDomain::Guard g(ebr, pid);
-      // Capture pre-invocation state (plain reads are safe: one OS thread).
-      std::vector<State> pre = state;
       const auto* snap = set.get_set();
+      // The workers' state at the getSet's load (plain reads are safe: one
+      // OS thread). A step yields before its access executes, so state
+      // captured before get_set() was called can be stale by the time the
+      // load runs: a worker may finish a remove in between. Nothing yields
+      // between the load and here.
+      const std::vector<State> at_load = state;
       for (int w = 0; w < kWorkers; ++w) {
         const bool present =
             snap->contains(items[static_cast<std::size_t>(w)].get());
-        const State& st = pre[static_cast<std::size_t>(w)];
+        const State& st = at_load[static_cast<std::size_t>(w)];
         if (st.insert_responded && !st.remove_invoked && !present) {
           ++violations;  // must have been visible
         }

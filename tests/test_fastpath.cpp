@@ -74,6 +74,58 @@ TEST(FastPath, UncontendedHitsAndZeroPoolTraffic) {
   }
 }
 
+// The exact own steps of an uncontended attempt (DESIGN.md §3.8 prices
+// each phase): RealPlat, kOff, one session, the benchmark's two txn ops.
+// An L=1 increment on the thin-word fast path: publish CAS (1), getSet
+// (1), own status (1), thin probe (1), decide (1), done word (1), the
+// thunk's load (slot, cell, CAS: 3) and store (slot, cell, CAS, cell CAS:
+// 4), done store (1), release CAS (1) — 15. An L=2 transfer on the
+// descriptor path: help phase (getSet + thin probe per lock: 4), two
+// inserts (owner load, claim CAS, own level's cur/above/CAS: 10), reveal
+// (1), run (getSet, own status, thin probe per lock: 6), decide (1), done
+// word (1), two loads and two stores (14), done store (1), unflag (1), two
+// removes (owner store, then cur/above/owner/CAS: 10) — 49. No step
+// re-reads the attempt's own descriptor or a word a CAS just reported.
+TEST(StepCount, UncontendedAttemptsArePinned) {
+  Table t(off_cfg(2, 2), 2, 8);
+  Session<RealPlat> session(t);
+  Cell<RealPlat> a{100};
+  Cell<RealPlat> b{100};
+  Cell<RealPlat>* ap = &a;
+  Cell<RealPlat>* bp = &b;
+  auto own_steps = [](auto&& op) {
+    const std::uint64_t before = RealPlat::steps();
+    const Outcome o = op();
+    EXPECT_TRUE(o.won);
+    EXPECT_EQ(o.attempts, 1u);
+    EXPECT_EQ(o.total_steps, RealPlat::steps() - before);
+    return o.total_steps;
+  };
+  for (int round = 0; round < 3; ++round) {  // cold and warm alike
+    SCOPED_TRACE(round);
+    EXPECT_EQ(own_steps([&] {
+                return submit(session, StaticLockSet<1>({0}),
+                              [ap](IdemCtx<RealPlat>& m) {
+                                m.store(*ap, m.load(*ap) + 1);
+                              });
+              }),
+              15u);
+    EXPECT_EQ(own_steps([&] {
+                return submit(session, StaticLockSet<2>({0, 1}),
+                              [ap, bp](IdemCtx<RealPlat>& m) {
+                                const std::uint32_t x = m.load(*ap);
+                                const std::uint32_t y = m.load(*bp);
+                                m.store(*ap, x - 1);
+                                m.store(*bp, y + 1);
+                              });
+              }),
+              49u);
+  }
+  EXPECT_EQ(a.peek(), 100u);
+  EXPECT_EQ(b.peek(), 103u);
+  EXPECT_EQ(t.stats().fastpath_hits, 3u);
+}
+
 // kTheory executions are bit-identical to the pre-fast-path tree: the
 // switch is hard-gated on DelayMode::kOff.
 TEST(FastPath, DisabledUnderTheoryDelays) {

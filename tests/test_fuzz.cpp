@@ -303,7 +303,7 @@ TEST(FuzzReproducers, EachCorpusTraceStillReproduces) {
     EXPECT_TRUE(audited.ok)
         << name << ": audited fault-free replay fails: " << audited.failure;
   }
-  EXPECT_GE(seen, 7) << "fuzz corpus went missing from " << dir;
+  EXPECT_GE(seen, 8) << "fuzz corpus went missing from " << dir;
 }
 
 }  // namespace

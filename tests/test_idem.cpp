@@ -55,6 +55,58 @@ TEST(IdemSequential, ReplayIsANoOpAndSeesSameValues) {
   EXPECT_EQ(c.peek(), 42u);
 }
 
+// Agreement cost (DESIGN.md §3.7): an empty slot costs its load and one
+// value-reporting CAS, a decided slot its load alone, and a replay of a
+// decided op reads its slot, not the cell.
+TEST(IdemSteps, AgreementAndReplayCostsArePinned) {
+  auto steps_of = [](auto&& op) {
+    const std::uint64_t before = RealPlat::steps();
+    op();
+    return RealPlat::steps() - before;
+  };
+  ThunkLog<RealPlat> log;
+  std::uint64_t got = 0;
+  EXPECT_EQ(steps_of([&] { got = log.agree(0, 7); }), 2u);
+  EXPECT_EQ(got, 7u);
+  EXPECT_EQ(steps_of([&] { got = log.agree(0, 9); }), 1u);
+  EXPECT_EQ(got, 7u);
+
+  Cell<RealPlat> c{5};
+  ThunkLog<RealPlat> tlog;
+  IdemCtx<RealPlat> first(tlog, 300);
+  std::uint32_t v = 0;
+  EXPECT_EQ(steps_of([&] { v = first.load(c); }), 3u);  // slot, cell, CAS
+  EXPECT_EQ(v, 5u);
+  EXPECT_EQ(steps_of([&] { first.store(c, 6); }), 4u);  // + the cell CAS
+  IdemCtx<RealPlat> replay(tlog, 300);
+  EXPECT_EQ(steps_of([&] { v = replay.load(c); }), 1u);
+  EXPECT_EQ(v, 5u);  // the agreed word, not the cell's 6
+  EXPECT_EQ(steps_of([&] { replay.store(c, 6); }), 2u);  // slot, cell CAS
+  EXPECT_EQ(c.peek(), 6u);
+}
+
+// Two runs that both find a slot empty: the second CAS fails and reports
+// the first run's word, so neither run loads the slot again.
+TEST(IdemSteps, LosingAgreementAdoptsTheReportedWord) {
+  ThunkLog<SimPlat> log;
+  std::uint64_t got[2] = {0, 0};
+  std::uint64_t cost[2] = {0, 0};
+  Simulator sim(1);
+  for (int p = 0; p < 2; ++p) {
+    sim.add_process([&, p] {
+      const std::uint64_t before = SimPlat::steps();
+      got[p] = log.agree(0, 10 + static_cast<std::uint64_t>(p));
+      cost[p] = SimPlat::steps() - before;
+    });
+  }
+  RoundRobinSchedule rr(2);  // load, load, CAS, CAS
+  ASSERT_TRUE(sim.run(rr, 100));
+  EXPECT_EQ(got[0], 10u);
+  EXPECT_EQ(got[1], 10u);
+  EXPECT_EQ(cost[0], 2u);
+  EXPECT_EQ(cost[1], 2u);
+}
+
 TEST(IdemSequential, OnceAgreesOnFirstValue) {
   ThunkLog<RealPlat> log;
   IdemCtx<RealPlat> a(log, 0);

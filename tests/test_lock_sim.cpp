@@ -255,9 +255,9 @@ TEST(LockSim, SimCliqueCountsArePinned) {
     std::uint64_t attempts, wins, steps, slots;
   };
   const Pin pins[] = {
-      {1, 42, 40, 193620, 213320},
-      {2, 41, 40, 189010, 216056},
-      {3, 42, 40, 193620, 214611},
+      {1, 41, 40, 188969, 195245},
+      {2, 41, 40, 188969, 216027},
+      {3, 40, 40, 184360, 196328},
   };
   constexpr int kProcs = 4;
   constexpr int kOps = 10;  // per process
