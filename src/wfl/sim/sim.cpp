@@ -63,26 +63,22 @@ int WeightedSchedule::next() {
 RoundRobinSchedule::RoundRobinSchedule(int n) : n_(checked_procs(n)) {}
 
 UniformSchedule::UniformSchedule(int n, std::uint64_t seed)
-    : n_(static_cast<std::uint64_t>(checked_procs(n))), rng_(seed) {}
+    : n_(checked_procs(n)), rng_(seed) {}
 
 StallBurstSchedule::StallBurstSchedule(int n, std::uint64_t seed,
                                        std::uint64_t burst_len)
-    : n_(checked_procs(n)),
-      all_(static_cast<std::uint64_t>(n)),
-      others_(n > 1 ? static_cast<std::uint64_t>(n - 1) : 1),
-      burst_len_(burst_len),
-      rng_(seed) {}
+    : n_(checked_procs(n)), burst_len_(burst_len), rng_(seed) {}
 
 inline void StallBurstSchedule::start_burst(Xoshiro256& rng, int& victim,
                                             std::uint64_t& remaining) const {
-  victim = static_cast<int>(rng.next_below(all_));
+  victim = static_cast<int>(rng.next_below(n_));
   // A zero burst length starves one victim for good (2^64 - 1 picks).
   remaining = burst_len_ == 0 ? ~std::uint64_t{0} : burst_len_;
 }
 
 inline int StallBurstSchedule::pick(Xoshiro256& rng, int victim) const {
   if (n_ == 1) return 0;
-  const int p = static_cast<int>(rng.next_below(others_));
+  const int p = static_cast<int>(rng.next_below(n_ - 1));
   return p >= victim ? p + 1 : p;
 }
 

@@ -68,7 +68,7 @@ class UniformSchedule final : public Schedule {
   int next() override { return static_cast<int>(rng_.next_below(n_)); }
 
  private:
-  DrawBound n_;
+  int n_;
   Xoshiro256 rng_;
 };
 
@@ -101,8 +101,6 @@ class StallBurstSchedule final : public Schedule {
   int pick(Xoshiro256& rng, int victim) const;
 
   int n_;
-  DrawBound all_;     // n: the victim draw
-  DrawBound others_;  // n - 1 (1 when n == 1, which never draws a pick)
   std::uint64_t burst_len_;
   Xoshiro256 rng_;
   int victim_ = -1;

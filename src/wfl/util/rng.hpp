@@ -8,11 +8,7 @@
 
 #include <cstdint>
 
-#include "wfl/util/assert.hpp"
-
 namespace wfl {
-
-class DrawBound;
 
 // Seed expander; also a decent generator for short sequences.
 class SplitMix64 {
@@ -63,10 +59,6 @@ class Xoshiro256 {
     }
   }
 
-  // The same draw for a bound d fixed up front (DrawBound below): the
-  // same outputs as next_below(d), for a multiply-high, no division.
-  constexpr std::uint64_t next_below(const DrawBound& b);
-
   // Uniform double in [0, 1).
   constexpr double next_double() {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
@@ -78,49 +70,5 @@ class Xoshiro256 {
   }
   std::uint64_t s_[4];
 };
-
-// A bound d >= 1 with its division precomputed: r % d by Granlund and
-// Montgomery's reciprocal ("Division by invariant integers using
-// multiplication", PLDI 1994, Fig. 4.1), exact for every 64-bit r. With
-// l = ceil(log2 d), m = floor(2^64 (2^l - d) / d) + 1 < 2^64, and
-//   q = (t + ((r - t) >> min(l, 1))) >> max(l - 1, 0),  t = mulhi(m, r),
-// q = floor(r / d): one multiply-high, a subtract, an add and two shifts,
-// then r - q d. The rejection threshold (2^64 - d) % d is computed once,
-// here.
-class DrawBound {
- public:
-  explicit constexpr DrawBound(std::uint64_t d) : d_(d) {
-    WFL_CHECK_MSG(d >= 1, "a bounded draw needs a bound of at least 1");
-    int l = 0;
-    while (l < 64 && (std::uint64_t{1} << l) < d) ++l;
-    const unsigned __int128 pow = static_cast<unsigned __int128>(1) << l;
-    m_ = static_cast<std::uint64_t>(((pow - d) << 64) / d) + 1;
-    sh1_ = l < 1 ? l : 1;
-    sh2_ = l > 0 ? l - 1 : 0;
-    threshold_ = (0 - d) % d;
-  }
-
-  constexpr std::uint64_t threshold() const { return threshold_; }
-
-  constexpr std::uint64_t remainder(std::uint64_t r) const {
-    const auto t = static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(m_) * r) >> 64);
-    return r - ((t + ((r - t) >> sh1_)) >> sh2_) * d_;
-  }
-
- private:
-  std::uint64_t d_;
-  std::uint64_t m_ = 0;
-  int sh1_ = 0;
-  int sh2_ = 0;
-  std::uint64_t threshold_ = 0;
-};
-
-constexpr std::uint64_t Xoshiro256::next_below(const DrawBound& b) {
-  for (;;) {
-    const std::uint64_t r = next();
-    if (r >= b.threshold()) return b.remainder(r);
-  }
-}
 
 }  // namespace wfl

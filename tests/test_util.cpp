@@ -82,71 +82,6 @@ TEST(Rng, NextBelowMatchesReferenceFormula) {
   }
 }
 
-// DrawBound's reciprocal remainder against %: every bound below 2000,
-// random 64-bit bounds, and the r values where a quotient steps (multiples
-// of d and their neighbours) and the ends of the range.
-void expect_remainder_matches(std::uint64_t d, Xoshiro256& r) {
-  const DrawBound b(d);
-  EXPECT_EQ(b.threshold(), (0 - d) % d) << d;
-  const std::uint64_t top = ~std::uint64_t{0};
-  const std::uint64_t edges[] = {0, 1, d - 1, d, d + 1, top - 1, top,
-                                 top - top % d, top - top % d - 1,
-                                 (top / 2) - (top / 2) % d};
-  for (const std::uint64_t x : edges) {
-    ASSERT_EQ(b.remainder(x), x % d) << "d=" << d << " r=" << x;
-  }
-  for (int i = 0; i < 200; ++i) {
-    const std::uint64_t x = r.next();
-    ASSERT_EQ(b.remainder(x), x % d) << "d=" << d << " r=" << x;
-    const std::uint64_t k = x / d;  // a multiple of d, and one below it
-    ASSERT_EQ(b.remainder(k * d), 0u) << "d=" << d << " k=" << k;
-    if (k > 0) {
-      ASSERT_EQ(b.remainder(k * d - 1), d - 1) << "d=" << d << " k=" << k;
-    }
-  }
-}
-
-TEST(Rng, DrawBoundRemainderMatchesModulo) {
-  Xoshiro256 r(2024);
-  for (std::uint64_t d = 1; d < 2000; ++d) expect_remainder_matches(d, r);
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t d = r.next() >> (r.next() % 64);  // every width
-    expect_remainder_matches(d == 0 ? 1 : d, r);
-  }
-  for (int s = 0; s < 64; ++s) {  // powers of two and their neighbours
-    const std::uint64_t p = std::uint64_t{1} << s;
-    expect_remainder_matches(p, r);
-    expect_remainder_matches(p + 1, r);
-    if (p > 1) expect_remainder_matches(p - 1, r);
-  }
-  expect_remainder_matches(~std::uint64_t{0}, r);
-}
-
-TEST(Rng, NextBelowDrawBoundMatchesNextBelow) {
-  // The same draws and the same rejections, including bounds whose
-  // threshold rejects half the range (2^63 + 1).
-  const std::uint64_t bounds[] = {1, 2, 3, 5, 1999,
-                                  (std::uint64_t{1} << 32) + 1,
-                                  (std::uint64_t{1} << 63) + 1,
-                                  ~std::uint64_t{0}};
-  for (const std::uint64_t bound : bounds) {
-    SCOPED_TRACE(bound);
-    const DrawBound b(bound);
-    Xoshiro256 fast(bound);
-    Xoshiro256 ref(bound);
-    std::uint64_t mismatches = 0;
-    for (int i = 0; i < 200'000; ++i) {
-      if (fast.next_below(b) != ref.next_below(bound)) ++mismatches;
-    }
-    EXPECT_EQ(mismatches, 0u);
-    EXPECT_EQ(fast.next(), ref.next());  // both consumed the same draws
-  }
-}
-
-TEST(RngDeathTest, DrawBoundOfZeroDies) {
-  EXPECT_DEATH({ (void)DrawBound(0); }, "bound of at least 1");
-}
-
 TEST(Rng, NextDoubleInUnitInterval) {
   Xoshiro256 r(99);
   for (int i = 0; i < 1000; ++i) {
