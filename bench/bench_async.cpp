@@ -1,5 +1,5 @@
 // Async submission pinned: wfl-bench-v1 numbers for the AsyncExecutor
-// (core/async_executor.hpp) — the fiber-multiplexed path that carries
+// (core/async_executor.hpp) — the parked-submission path that carries
 // far more in-flight submissions than the machine has threads.
 //
 //   Async_InFlightChurn/N   the headline: N submissions held in flight
@@ -36,8 +36,6 @@
 //   wake_skip_ratio      wake requests resolved WITHOUT a futex syscall
 //                        (target already awake/signalled) over all wake
 //                        requests — the wake-coalescing hit rate
-//   fiber_reuse_ratio    pool reuses / (creates + reuses) — stack
-//                        recycling across quanta
 //   wfl_threads          actual worker count (reserved key: overrides
 //                        the entry's thread count)
 //
@@ -158,10 +156,6 @@ void Async_InFlightChurn(benchmark::State& state) {
   const double skips = static_cast<double>(exec.wake_skips());
   state.counters["wake_skip_ratio"] =
       posts + skips > 0 ? skips / (posts + skips) : 0.0;
-  const double created = static_cast<double>(exec.fibers_created());
-  const double reused = static_cast<double>(exec.fibers_reused());
-  state.counters["fiber_reuse_ratio"] =
-      created + reused > 0 ? reused / (created + reused) : 0.0;
   state.counters["wfl_threads"] = workers;
 
   // Teardown: the remaining in-flight ring is torn down as cancelled work

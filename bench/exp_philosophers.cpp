@@ -14,6 +14,11 @@
 //       wflock the neighbor helps the victim's attempt to a decision and
 //       moves on: its steps/meal stay near the fair-schedule value. This is
 //       the paper's core motivation, measured.
+//
+// The verdict needs all three: at every n the win rate's Wilson-99 lower
+// bound reaches 1/4, the fitted steps/meal exponent in n is below 0.3, and
+// the starved philosopher's neighbour blows up less under wflock than
+// under Lehmann–Rabin. exp_philosophers exits 1 otherwise.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -135,15 +140,19 @@ int main(int argc, char** argv) {
   cli.done();
 
   std::printf("E3a: table-size independence (uniform schedule)\n\n");
-  Table ta({"n", "wfl rate", "wfl floor", "wfl steps/meal", "wfl p-max",
-            "LR rounds/meal"});
+  Table ta({"n", "wfl rate", "wilson99-", "wfl floor", "floor held",
+            "wfl steps/meal", "wfl p-max", "LR rounds/meal"});
   bool ok = true;
   std::vector<double> ns, wfl_steps;
   for (int n : {4, 8, 16, 32}) {
     const auto w = run_wflock(n, meals, {}, seed + static_cast<std::uint64_t>(n));
     const auto lr = run_lr(n, meals, {}, seed + 100 + n, 8'000'000'000ull);
-    ok = ok && w.rate.wilson_upper() >= 0.25;
-    ta.cell(n).cell(w.rate.rate(), 3).cell(0.25, 2)
+    // The floor holds only if the rate's Wilson-99 LOWER bound reaches
+    // it, as in E2: a rate below 1/4 fails even when its interval is wide.
+    const bool held = w.rate.wilson_lower() >= 0.25;
+    ok = ok && held;
+    ta.cell(n).cell(w.rate.rate(), 3).cell(w.rate.wilson_lower(), 3)
+        .cell(0.25, 2).cell(held ? "yes" : "NO")
         .cell(w.steps_per_meal.mean(), 1).cell(w.steps_per_meal.max(), 0)
         .cell(lr.rounds_per_meal.mean(), 2);
     ta.end_row();

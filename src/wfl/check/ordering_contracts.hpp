@@ -118,7 +118,6 @@ enum class Site : std::uint8_t {
   kDescPlain,           // descriptor line group A: owner-written, helper-read
   kFrozenSnaps,         // §6.2 frozen snapshots: published by priority reveal
   kSlotCacheBatch,      // SlotCache slot array (single owner)
-  kFiberStack,          // fiber stack re-arm (pool reuse)
   kAsyncOutcome,        // AsyncOp outcome fields (runner-written, ticket-read)
 
   // --- Platform surface (intrinsic checks; listed for reporting) ---
@@ -302,8 +301,6 @@ inline constexpr SiteInfo kSiteTable[] = {
      "reveal, read only by competitions of a revealed descriptor"},
     {Site::kSlotCacheBatch, "pool.slot_cache", Contract::kOrderedWrites,
      "single-owner by construction (arena.hpp); deleters run on the owner"},
-    {Site::kFiberStack, "fiber.stack", Contract::kOrderedWrites,
-     "re-armed only when finished; pool hand-off via the pool mutex"},
     {Site::kAsyncOutcome, "async.outcome", Contract::kOrderedWrites,
      "runner-written before the kDone transition; ticket reads after"},
 

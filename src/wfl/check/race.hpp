@@ -13,7 +13,7 @@
 //      the site's contract against the operation that ran and feeds the
 //      same vector-clock model.
 //   3. Known plain-memory protocols (descriptor line group A, SlotCache
-//      batches, fiber stacks, AsyncOp outcomes) carry WFL_PLAIN_READ /
+//      batches, AsyncOp outcomes) carry WFL_PLAIN_READ /
 //      WFL_PLAIN_WRITE region annotations checked FastTrack-style against
 //      the clocks.
 //

@@ -1,5 +1,5 @@
-// AsyncExecutor: fiber-multiplexed submission — 100k+ in-flight sessions
-// on a fixed worker pool.
+// AsyncExecutor: parked submission — 100k+ in-flight sessions on a fixed
+// worker pool.
 //
 // submit() burns an OS thread per in-flight submission: an attempt that
 // loses its locks re-attempts at once on its thread. That shape caps
@@ -21,12 +21,13 @@
 // runs the oldest op and spills the rest onto its deque; failing both,
 // it steals from the top of a peer's deque. Inline mode (no workers)
 // pops the same injector one op at a time, claim-or-skip, from
-// run_ready(). A worker with work draws a pooled fiber and runs ONE
-// attempt cycle of the existing engine on it: link wait nodes,
-// submit_attempt(), then either complete or park. Parking is returning:
-// the fiber finishes and goes back to the pool, the op stays linked on
-// its locks' wait lists, and the worker moves on. Zero own steps are
-// spent backing off — the bench asserts backoff_spin_steps == 0 under
+// run_ready(). A worker with work runs ONE attempt cycle of the existing
+// engine as a plain call on its own stack: link wait nodes,
+// submit_attempt(), then either complete or park. An attempt is bounded
+// and never waits for another process, so the call always returns;
+// nothing in the executor suspends. Parking is returning: the op stays
+// linked on its locks' wait lists and the worker moves on. Zero own steps
+// are spent backing off — the bench asserts backoff_spin_steps == 0 under
 // full contention.
 //
 // Wake coalescing: each worker carries a state word (kWkAwake / kWkIdle /
@@ -117,7 +118,6 @@
 #include "wfl/fuzz/sites.hpp"
 #include "wfl/util/align.hpp"
 #include "wfl/util/assert.hpp"
-#include "wfl/util/fiber.hpp"
 #include "wfl/util/work_queue.hpp"
 
 namespace wfl {
@@ -340,7 +340,6 @@ class AsyncExecutor {
   explicit AsyncExecutor(Space& space, Options opt = {})
       : space_(&space),
         options_(opt),
-        fibers_(kCycleStackBytes, kMaxIdleFibers),
         wait_lists_(static_cast<std::size_t>(space.num_locks())),
         running_by_pid_(static_cast<std::size_t>(space.max_procs())) {
     WFL_CHECK_MSG(space.config().delay_mode == DelayMode::kOff,
@@ -493,8 +492,10 @@ class AsyncExecutor {
   std::uint64_t wake_skips() const {
     return sum_counter(&Counters::wake_skips);
   }
-  std::uint64_t fibers_created() const { return fibers_.created(); }
-  std::uint64_t fibers_reused() const { return fibers_.reused(); }
+  // Always 0: worker cycles run on the worker's own stack, with no fiber
+  // pool. Kept only because the benchmark suite still reads them.
+  std::uint64_t fibers_created() const { return 0; }
+  std::uint64_t fibers_reused() const { return 0; }
 
  private:
   // One wait list per lock: intrusive doubly-linked, FIFO wake order
@@ -824,8 +825,8 @@ class AsyncExecutor {
 
   // One scheduling quantum of an op: attempt until it wins, exhausts its
   // policy, is cancelled, or loses with no pending signal — in which
-  // case it parks and the cycle ENDS (the fiber running it finishes and
-  // is recycled; the op's only residue is its linked wait nodes).
+  // case it parks and the cycle ENDS (the call returns; the op's only
+  // residue is its linked wait nodes).
   void run_cycle(AsyncOp* op, Session& session) {
     std::atomic<AsyncOp*>& slot =
         running_by_pid_[static_cast<std::size_t>(session.pid())];
@@ -959,14 +960,7 @@ class AsyncExecutor {
         park(self);
         continue;
       }
-      // Each quantum runs on a pooled fiber: the cycle gets its own
-      // bounded stack (cheap to account, reusable across quanta) and the
-      // worker's frame stays flat no matter what the thunk does.
-      std::unique_ptr<Fiber> fiber = fibers_.acquire(Fiber::Body(
-          [this, op, &self] { run_cycle(op, self.session); }));
-      fiber->resume();
-      WFL_CHECK(fiber->finished());  // cycles end; they never suspend
-      fibers_.release(std::move(fiber));
+      run_cycle(op, self.session);
     }
     tls = TlsWorker{};
   }
@@ -1073,15 +1067,9 @@ class AsyncExecutor {
     }
   }
 
-  // Cycle stacks. Cycles are shallow (one attempt, no recursion into user
-  // code beyond the thunk), so this is far below the simulator's stack.
-  static constexpr std::size_t kCycleStackBytes = 64 * 1024;
-  static constexpr std::size_t kMaxIdleFibers = 64;
-
   Space* space_;
   Options options_;
   Sink sink_;
-  FiberPool fibers_;
   std::vector<WaitList> wait_lists_;
   // Which op is attempting under each registered process right now; the
   // event-delivery self-skip (see deliver_event).

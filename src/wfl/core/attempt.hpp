@@ -49,8 +49,8 @@
 // draws the slots of stretches in which every process idles as one batch
 // (sim/sim.hpp); on RealPlat it is n counter increments.
 // idle_steps must run on the simulator process's own fiber, which every
-// caller does (async submission, whose attempts run on nested fibers, is
-// kOff-only and never delays).
+// caller does (async submission runs its attempts from whatever drives
+// run_ready(), but it is kOff-only and never delays).
 //
 // The hooks run inside the attempt's guard, and a hook that idles (a T0/T1
 // delay, §6.2 padding) must exit it for the idle span — the table's

@@ -4,7 +4,6 @@
 #include <new>
 #include <utility>
 
-#include "wfl/check/race.hpp"
 #include "wfl/util/assert.hpp"
 
 // ASan cannot follow a stack switch by itself: every switch must report
@@ -227,33 +226,9 @@ Fiber::Fiber(Body body, std::size_t stack_bytes)
       stack_(new char[stack_bytes]),
       stack_bytes_(stack_bytes) {
   WFL_CHECK(static_cast<bool>(body_));
-  arm();
-}
-
-void Fiber::arm() {
-  // The armer claims the whole stack: any prior generation's frames (pool
-  // reuse) must be happens-before ordered with this re-arm.
-  WFL_PLAIN_WRITE(stack_.get(), kFiberStack);
   char* top = stack_.get() + stack_bytes_;
   top -= reinterpret_cast<std::uintptr_t>(top) % 16;
   sp_ = first_frame(top, this, &Fiber::entry);
-  started_ = false;
-  finished_ = false;
-}
-
-void Fiber::reset(Body body) {
-  WFL_CHECK_MSG(finished_ || !started_,
-                "reset() on a suspended fiber (live frames on its stack)");
-  WFL_CHECK(static_cast<bool>(body));
-  body_ = std::move(body);
-  arm();
-}
-
-Fiber::~Fiber() {
-  // Destroying a suspended (unfinished) fiber leaks whatever its stack owns;
-  // the runtimes only destroy fibers after draining them or at teardown,
-  // where that is acceptable by construction.
-  race::destroyed(stack_.get());  // retire the region: heap reuse != reuse
 }
 
 void* Fiber::entry(void* self) noexcept {
@@ -276,7 +251,6 @@ void Fiber::resume() {
   WFL_CHECK_MSG(!finished_, "resume() on a finished fiber");
   Fiber* prev = g_current_fiber;
   g_current_fiber = this;
-  started_ = true;
   [[maybe_unused]] void* save = nullptr;
   WFL_FIBER_SWITCH_START(&save, stack_.get(), stack_bytes_);
   wfl_fiber_switch(&return_sp_, sp_);
@@ -293,48 +267,6 @@ void Fiber::yield() {
   // Resumed again, possibly by a different caller: refresh its extent.
   WFL_FIBER_SWITCH_FINISH(self->asan_save_, &self->asan_caller_bottom_,
                           &self->asan_caller_size_);
-}
-
-std::unique_ptr<Fiber> FiberPool::acquire(Fiber::Body body) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    race::mutex_acquire(&mu_);
-    if (!idle_.empty()) {
-      std::unique_ptr<Fiber> f = std::move(idle_.back());
-      idle_.pop_back();
-      ++reused_;
-      f->reset(std::move(body));
-      race::mutex_release(&mu_);
-      return f;
-    }
-    ++created_;
-    race::mutex_release(&mu_);
-  }
-  return std::make_unique<Fiber>(std::move(body), stack_bytes_);
-}
-
-void FiberPool::release(std::unique_ptr<Fiber> fiber) {
-  WFL_CHECK_MSG(fiber->finished(), "released fiber still has live frames");
-  std::lock_guard<std::mutex> lk(mu_);
-  race::mutex_acquire(&mu_);
-  if (idle_.size() < max_idle_) idle_.push_back(std::move(fiber));
-  // else: drop — the unique_ptr frees the stack.
-  race::mutex_release(&mu_);
-}
-
-std::uint64_t FiberPool::created() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return created_;
-}
-
-std::uint64_t FiberPool::reused() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return reused_;
-}
-
-std::size_t FiberPool::idle() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return idle_.size();
 }
 
 }  // namespace wfl

@@ -1,16 +1,11 @@
-// Minimal stackful fiber with a register-only context switch, plus a
-// reusing pool.
+// Minimal stackful fiber with a register-only context switch.
 //
-// Two runtimes multiplex logical work onto fibers:
-//
-//   * the deterministic simulator (sim/sim.hpp) runs every logical process
-//     as a fiber on one OS thread, so a "schedule" is simply the order in
-//     which fibers are resumed — execution is bit-for-bit deterministic
-//     given the schedule, which is what lets us play the paper's oblivious
-//     adversarial scheduler exactly;
-//   * the async executor (core/async_executor.hpp) runs each in-flight
-//     submission's attempts on a fiber drawn from a pool, so an attempt
-//     that must wait suspends instead of pinning an OS thread.
+// The deterministic simulator (sim/sim.hpp) runs every logical process as
+// a fiber on one OS thread, so a "schedule" is simply the order in which
+// fibers are resumed — execution is bit-for-bit deterministic given the
+// schedule, which is what lets us play the paper's oblivious adversarial
+// scheduler exactly. (The async executor needs no fibers: its worker
+// cycles are bounded attempts, run as plain calls on the worker's stack.)
 //
 // A switch (resume() or yield()) pushes the callee-saved registers and the
 // floating-point control words onto the outgoing stack, stores the stack
@@ -29,22 +24,16 @@
 //     enable them.
 //
 // Rounding mode and exception masks (MXCSR and the x87 control word on
-// x86-64, FPCR on AArch64) are per fiber: a new fiber starts with the
-// armer's, and each side keeps its own across switches.
+// x86-64, FPCR on AArch64) are per fiber: a new fiber starts with its
+// creator's, and each side keeps its own across switches.
 //
-// The body is a FixedFunction, not a std::function: fibers are created and
-// re-armed on submission paths where a per-arm heap allocation would
-// dominate, and the bodies the runtimes install are small capture packs.
-// reset() re-arms a finished fiber on its existing stack, which is what
-// FiberPool trades in — the 128 KB stack allocation is the expensive part
-// of a fiber, not the context.
+// The body is a FixedFunction, not a std::function: the bodies the
+// simulator installs are small capture packs, and an inline body keeps a
+// process's creation to the one stack allocation.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "wfl/util/fixed_function.hpp"
 
@@ -52,13 +41,15 @@ namespace wfl {
 
 class Fiber {
  public:
-  // Capture budget for fiber bodies. Runtime bodies are {pointer, pointer}
-  // packs; simulator test bodies capture a handful of references. Bodies
-  // larger than this fail at compile time — bundle captures in a struct.
+  // Capture budget for fiber bodies. Simulator bodies capture a handful
+  // of references. Bodies larger than this fail at compile time — bundle
+  // captures in a struct.
   using Body = FixedFunction<void(), 128>;
 
+  // Destroying a suspended (unfinished) fiber leaks whatever its stack
+  // owns; the simulator only destroys fibers after draining them or at
+  // teardown, where that is acceptable by construction.
   explicit Fiber(Body body, std::size_t stack_bytes = 128 * 1024);
-  ~Fiber();
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
@@ -73,19 +64,11 @@ class Fiber {
 
   bool finished() const { return finished_; }
 
-  // Re-arms the fiber with a new body on the SAME stack. Legal only when
-  // the fiber never started or its body returned (finished()) — a
-  // suspended fiber still owns live frames on that stack.
-  void reset(Body body);
-
-  std::size_t stack_bytes() const { return stack_bytes_; }
-
   // The fiber currently executing on this thread, or nullptr.
   static Fiber* current();
 
  private:
   static void* entry(void* self) noexcept;
-  void arm();
 
   Body body_;
   std::unique_ptr<char[]> stack_;
@@ -94,7 +77,6 @@ class Fiber {
   // that of whoever last resumed it (set afresh by every resume()).
   void* sp_ = nullptr;
   void* return_sp_ = nullptr;
-  bool started_ = false;
   bool finished_ = false;
   // AddressSanitizer fiber-switch bookkeeping (unused in plain builds):
   // the fiber's saved fake stack while it is switched out, and the stack
@@ -102,34 +84,6 @@ class Fiber {
   void* asan_save_ = nullptr;
   const void* asan_caller_bottom_ = nullptr;
   std::size_t asan_caller_size_ = 0;
-};
-
-// A bounded cache of finished fibers keyed by one stack size. acquire()
-// re-arms an idle fiber when one exists (reusing its stack) and allocates
-// otherwise; release() returns a finished fiber to the cache, destroying
-// it instead when the cache is full. Thread-safe: the async executor's
-// workers share one pool. created()/reused() expose the allocation-
-// avoidance ratio the async bench reports.
-class FiberPool {
- public:
-  explicit FiberPool(std::size_t stack_bytes = 128 * 1024,
-                     std::size_t max_idle = 32)
-      : stack_bytes_(stack_bytes), max_idle_(max_idle) {}
-
-  std::unique_ptr<Fiber> acquire(Fiber::Body body);
-  void release(std::unique_ptr<Fiber> fiber);
-
-  std::uint64_t created() const;
-  std::uint64_t reused() const;
-  std::size_t idle() const;
-
- private:
-  mutable std::mutex mu_;
-  std::size_t stack_bytes_;
-  std::size_t max_idle_;
-  std::vector<std::unique_ptr<Fiber>> idle_;
-  std::uint64_t created_ = 0;
-  std::uint64_t reused_ = 0;
 };
 
 }  // namespace wfl

@@ -105,6 +105,26 @@ double SuccessRate::wilson_upper(double z) const {
   return std::min(1.0, (center + margin) / denom);
 }
 
+double fisher_exact_greater(const SuccessRate& a, const SuccessRate& b) {
+  const auto log_choose = [](std::uint64_t n, std::uint64_t r) {
+    return std::lgamma(static_cast<double>(n) + 1) -
+           std::lgamma(static_cast<double>(r) + 1) -
+           std::lgamma(static_cast<double>(n - r) + 1);
+  };
+  // a's successes are hypergeometric: a.trials() draws from all trials,
+  // of which `wins` are successes.
+  const std::uint64_t n = a.trials() + b.trials();
+  const std::uint64_t wins = a.successes() + b.successes();
+  const double all = log_choose(n, a.trials());
+  double p = 0.0;
+  for (std::uint64_t x = a.successes(); x <= std::min(a.trials(), wins);
+       ++x) {
+    p += std::exp(log_choose(wins, x) +
+                  log_choose(n - wins, a.trials() - x) - all);
+  }
+  return std::min(1.0, p);
+}
+
 double fit_log_log_slope(const std::vector<double>& xs,
                          const std::vector<double>& ys) {
   WFL_CHECK(xs.size() == ys.size() && xs.size() >= 2);

@@ -81,6 +81,12 @@ class SuccessRate {
   std::uint64_t successes_ = 0;
 };
 
+// One-sided Fisher exact test of two Bernoulli samples: the probability,
+// with both margins fixed and the two rates equal, that `a` scores at
+// least as many successes as it did. A small value says a's rate is above
+// b's; exact for any counts, where a chi-square needs large cells.
+double fisher_exact_greater(const SuccessRate& a, const SuccessRate& b);
+
 // Least-squares slope of log(y) on log(x): the fitted exponent b in
 // y = a * x^b. Used to check the κ and L exponents of the step bounds.
 double fit_log_log_slope(const std::vector<double>& xs,

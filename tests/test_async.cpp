@@ -1,4 +1,5 @@
-// AsyncExecutor (core/async_executor.hpp): fiber-multiplexed submission.
+// AsyncExecutor (core/async_executor.hpp): parked submission on a worker
+// pool.
 //
 // Covers the subsystem's four load-bearing claims:
 //   * equivalence — an uncontended inline async_submit is step-identical
@@ -11,7 +12,8 @@
 //     external burst is spread over more than one worker;
 //   * cancellation — a crashed client's pending ops complete as
 //     cancelled; other clients' waiters on the same locks are untouched;
-//   * fiber economy — quanta run on pooled, reused stacks.
+//   * plain calls — worker cycles run on the worker's own stack, with no
+//     fiber around them.
 //
 // The guard-drop rule (no EBR guard held across a park point) is
 // enforced by a WFL_CHECK on every cycle of every test here — a
@@ -20,6 +22,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -441,63 +444,40 @@ TEST(Async, ShutdownWithInFlightOpsDrainsAndJoins) {
   EXPECT_LE(counter.peek(), static_cast<std::uint32_t>(kOps));
 }
 
-// --- fiber pool economy ----------------------------------------------------
+// --- worker stacks -----------------------------------------------------------
 
-TEST(Async, WorkerQuantaReuseStacksFromTheFiberPool) {
+TEST(Async, WorkerCyclesRunOnTheWorkersOwnStack) {
   const LockConfig cfg = off_cfg();
   LockTable<RealPlat> space(cfg, 4, 4);
-  AsyncExecutor<RealPlat> exec(space, {.workers = 1});
+  AsyncExecutor<RealPlat> exec(space, {.workers = 2});
   Session<RealPlat> s(space);
   AsyncClient<RealPlat> client(s);
   Cell<RealPlat> cell{0};
 
+  // A cycle is a bounded attempt, so a worker runs it as a plain call:
+  // the thunk sees no fiber around it and runs on a worker thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> runs{0};
+  std::atomic<int> on_fiber{0};
+  std::atomic<int> on_caller{0};
   StaticLockSet<1> locks({2}, cfg);
   constexpr int kOps = 50;
   for (int i = 0; i < kOps; ++i) {
     auto t = exec.async_submit(
         client, locks,
-        [&cell](IdemCtx<RealPlat>& m) { m.store(cell, m.load(cell) + 1); },
+        [&](IdemCtx<RealPlat>& m) {
+          runs.fetch_add(1);
+          if (Fiber::current() != nullptr) on_fiber.fetch_add(1);
+          if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+          m.store(cell, m.load(cell) + 1);
+        },
         Policy::retry());
     EXPECT_TRUE(t.wait().won);
   }
   EXPECT_EQ(cell.peek(), static_cast<std::uint32_t>(kOps));
-  // Sequential quanta on one worker: the pool should allocate a couple
-  // of stacks at most and recycle them for everything else.
-  EXPECT_LE(exec.fibers_created(), 5u);
-  EXPECT_GE(exec.fibers_reused(), static_cast<std::uint64_t>(kOps) - 10);
-}
-
-TEST(FiberPool, AcquireReusesReleasedStacksAndCapsIdle) {
-  FiberPool pool(/*stack_bytes=*/64 * 1024, /*max_idle=*/2);
-  int runs = 0;
-  auto make_body = [&runs] { return Fiber::Body([&runs] { ++runs; }); };
-
-  auto f1 = pool.acquire(make_body());
-  f1->resume();
-  ASSERT_TRUE(f1->finished());
-  pool.release(std::move(f1));
-  EXPECT_EQ(pool.created(), 1u);
-  EXPECT_EQ(pool.idle(), 1u);
-
-  auto f2 = pool.acquire(make_body());
-  EXPECT_EQ(pool.reused(), 1u);
-  EXPECT_EQ(pool.idle(), 0u);
-  f2->resume();
-  pool.release(std::move(f2));
-
-  // Idle cap: releasing more finished fibers than max_idle destroys the
-  // overflow instead of hoarding stacks.
-  auto g1 = pool.acquire(make_body());
-  auto g2 = pool.acquire(make_body());
-  auto g3 = pool.acquire(make_body());
-  g1->resume();
-  g2->resume();
-  g3->resume();
-  pool.release(std::move(g1));
-  pool.release(std::move(g2));
-  pool.release(std::move(g3));
-  EXPECT_EQ(pool.idle(), 2u);
-  EXPECT_EQ(runs, 5);
+  EXPECT_GE(runs.load(), kOps);
+  EXPECT_EQ(on_fiber.load(), 0);
+  EXPECT_EQ(on_caller.load(), 0);
 }
 
 }  // namespace

@@ -98,33 +98,6 @@ TEST(Fiber, BodyRunsOnAnAbiAlignedStack) {
   ASSERT_TRUE(f.finished());
   EXPECT_EQ(seen.printed, "1.500000");
   EXPECT_TRUE(seen.aligned);
-
-  seen = Seen{};
-  f.reset(body);
-  f.resume();
-  ASSERT_TRUE(f.finished());
-  EXPECT_EQ(seen.printed, "1.500000");
-  EXPECT_TRUE(seen.aligned);
-}
-
-TEST(Fiber, ResetCyclesReuseOneStack) {
-  constexpr int kCycles = 10000;
-  int runs = 0;
-  Fiber f([] {});
-  f.resume();
-  for (int i = 0; i < kCycles; ++i) {
-    ASSERT_TRUE(f.finished());
-    f.reset([&runs] {
-      ++runs;
-      Fiber::yield();
-      ++runs;
-    });
-    f.resume();
-    ASSERT_FALSE(f.finished());
-    f.resume();
-  }
-  EXPECT_TRUE(f.finished());
-  EXPECT_EQ(runs, 2 * kCycles);
 }
 
 TEST(Schedule, RoundRobinCycles) {

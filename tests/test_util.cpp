@@ -161,6 +161,24 @@ TEST(Stats, WilsonDegenerateCases) {
   EXPECT_EQ(all.rate(), 1.0);
 }
 
+TEST(Stats, FisherExactGreaterMatchesHandCounts) {
+  const auto sample = [](int wins, int trials) {
+    SuccessRate s;
+    for (int i = 0; i < trials; ++i) s.add(i < wins);
+    return s;
+  };
+  // 3/4 against 1/4: (C(4,3)·C(4,1) + C(4,4)) / C(8,4) = 17/70.
+  EXPECT_NEAR(fisher_exact_greater(sample(3, 4), sample(1, 4)), 17.0 / 70,
+              1e-12);
+  // 24/24 against 24/40: C(48,24) / C(64,24).
+  EXPECT_NEAR(fisher_exact_greater(sample(24, 24), sample(24, 40)),
+              1.28656e-4, 1e-9);
+  // Equal samples, and a sample below the other, are no evidence.
+  EXPECT_GT(fisher_exact_greater(sample(5, 10), sample(5, 10)), 0.5);
+  EXPECT_NEAR(fisher_exact_greater(sample(0, 10), sample(10, 10)), 1.0,
+              1e-12);
+}
+
 TEST(Stats, LogLogSlopeRecoversExponent) {
   std::vector<double> xs, ys;
   for (double x : {1.0, 2.0, 4.0, 8.0, 16.0}) {

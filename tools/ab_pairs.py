@@ -25,8 +25,14 @@ freelist_ops_per_attempt, pool_slots or mem_peak_mb, and prints each side's
 median of them and the pairs the change won (no verdict), so that a change's
 layer attribution comes from the pairs that measured its gain.
 
-Reads BENCHMARK.json, writes nothing; exits 1 if any trial is incorrect or
-fails operations, or if any metric prints "regress".
+Host noise: each trial reads the host's aggregate CPU line of /proc/stat
+before and after it, and the table ends with each side's median steal
+share (steal jiffies over all jiffies of the trial) and its largest steal
+count. On a shared host, a side whose trials lost time to other guests
+shows it there. The verdicts do not use it.
+
+Reads BENCHMARK.json and /proc/stat, writes nothing; exits 1 if any trial
+is incorrect or fails operations, or if any metric prints "regress".
 """
 
 import argparse
@@ -40,15 +46,27 @@ from pathlib import Path
 SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
+def cpu_jiffies():
+    """The host's (steal, total) jiffies from /proc/stat's aggregate line."""
+    with open("/proc/stat", encoding="ascii") as f:
+        fields = [int(v) for v in f.readline().split()[1:9]]
+    steal = fields[7] if len(fields) > 7 else 0
+    return steal, sum(fields)
+
+
 def trial(binary, workload, seed, secs):
+    """One run's result document and the host's steal jiffies and share."""
     cmd = [binary, f"--workload={workload}", f"--seed={seed}",
            f"--secs={secs}", "--trace=0"]
+    steal0, total0 = cpu_jiffies()
     proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    steal1, total1 = cpu_jiffies()
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"{binary} seed {seed}: exited {proc.returncode}\n"
                  f"{proc.stderr}")
-    return json.loads(lines[-1])
+    steal = steal1 - steal0
+    return json.loads(lines[-1]), steal, steal / max(1, total1 - total0)
 
 
 def quartiles(vals):
@@ -98,12 +116,15 @@ def main():
     shown = [name for name in args.show.split(",") if name]
 
     runs = {"parent": [], "change": []}
+    steals = {"parent": [], "change": []}
     bins = {"parent": args.parent_bin, "change": args.change_bin}
     bad = 0
     for seed in range(1, args.pairs + 1):
         order = ["parent", "change"] if seed % 2 else ["change", "parent"]
         for side in order:
-            res = trial(bins[side], args.workload, seed, args.secs)
+            res, jiffies, share = trial(bins[side], args.workload, seed,
+                                        args.secs)
+            steals[side].append((share, jiffies))
             if not res["correct"] or res["failed"] != 0:
                 bad += 1
                 print(f"{side} seed {seed}: correct={res['correct']} "
@@ -137,6 +158,9 @@ def main():
         print(f"{name:14s} {side[0]:>32s} {side[1]:>32s} "
               f"{won:>3d}/{args.pairs:<3d}  {verdict:4s}  {reg} ({rel}, "
               f"bound {m['bound']:g})")
+    noise = [f"{100 * statistics.median(s for s, _ in v):.2f}% "
+             f"(max {max(j for _, j in v)} jiffies)" for v in steals.values()]
+    print(f"{'steal share':14s} {noise[0]:>32s} {noise[1]:>32s}")
     width = max((len(name) for name in shown), default=0)
     if shown:
         print(f"\n{'shown metric':{width}s} {'parent median':>14s} "

@@ -138,8 +138,8 @@ def async_(cur, ref):
                   if n.startswith("Async_InFlightChurn/100000")), None)
     check(churn is not None, f"churn row missing: {sorted(entries)}")
     require(churn, ("in_flight_sessions", "backoff_spin_steps",
-                    "parks_per_op", "wakes_per_op", "fiber_reuse_ratio",
-                    "steals_per_op", "wake_skip_ratio"))
+                    "parks_per_op", "wakes_per_op", "steals_per_op",
+                    "wake_skip_ratio"))
     # 100k+ submissions held in flight on a fixed pool, with ZERO backoff
     # spin: losers park on the per-lock wait lists instead of spinning.
     check(churn["in_flight_sessions"] >= 100000,
